@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import codes, frontends, maxcover, pipeline, setcover, threshold
-from .errors import GapforgeError
+from .errors import GapforgeError, ParseError
 
 
 def _dump(doc, path=None) -> None:
@@ -27,13 +27,18 @@ def _dump(doc, path=None) -> None:
 
 
 def _load(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not JSON: {exc.msg}", exc.lineno) from exc
 
 
 def _read(path) -> str:
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not text: {exc.reason}") from exc
 
 
 def _cmd_code(args) -> int:

@@ -10,7 +10,7 @@ property and value 1 exactly on YES inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .errors import (
@@ -55,6 +55,8 @@ class PartitionedGraph:
 
     parts: tuple[tuple[int, ...], ...]
     edges: frozenset
+    # part index of each vertex; derived from parts, so kept out of eq and hash
+    _owner: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         seen = [v for part in self.parts for v in part]
@@ -62,6 +64,11 @@ class PartitionedGraph:
             raise IndexRangeError("parts must partition 0..m-1")
         if any(not part for part in self.parts):
             raise EmptyPartError("parts must be non-empty")
+        table = [0] * len(seen)
+        for i, part in enumerate(self.parts):
+            for v in part:
+                table[v] = i
+        object.__setattr__(self, "_owner", tuple(table))
         owner = self.part_of
         for u, v in self.edges:
             if u == v or u > v:
@@ -79,10 +86,9 @@ class PartitionedGraph:
         return len(self.parts)
 
     def part_of(self, v: int) -> int:
-        for i, part in enumerate(self.parts):
-            if v in part:
-                return i
-        raise IndexRangeError(f"vertex {v} not in any part")
+        if not 0 <= v < len(self._owner):
+            raise IndexRangeError(f"vertex {v} not in any part")
+        return self._owner[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges

@@ -6,6 +6,11 @@ respects the 1 - delta soundness bound, VIOLATION otherwise.  The report
 records the exact measured code distance and the formula-level distance
 bound 1 - r/q so the achieved gap is parameter-honest; asymptotic parameter
 choices are replaced by the smallest workable prime (recorded, overridable).
+
+A job uses only a handful of codes RS(q, r), so each certified code (the
+code and its exact relative distance) is built once and reused for later
+inputs within the same process.  The reuse is bounded: only the 32 most
+recently used codes are kept (_CODE_CACHE_SIZE).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .codes import Code, is_prime, reed_solomon, relative_distance
 from .errors import GapforgeError, NotPrimeError, RankRangeError
@@ -88,7 +94,18 @@ def smallest_workable_prime(t: int, max_w: int) -> int:
         q += 1
 
 
-def _choose_code(t: int, max_w: int, q_override: int | None) -> Code:
+_CODE_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _certified_code(q: int, r: int) -> tuple[Code, Fraction]:
+    """RS(q, r) with its exact relative distance; both are immutable, so shared."""
+    code = reed_solomon(q, r)
+    return code, relative_distance(code).delta
+
+
+def _choose_code(t: int, max_w: int,
+                 q_override: int | None) -> tuple[Code, Fraction]:
     if q_override is None:
         q = smallest_workable_prime(t, max_w)
     else:
@@ -100,7 +117,7 @@ def _choose_code(t: int, max_w: int, q_override: int | None) -> Code:
         if q ** t < max_w:
             raise GapforgeError(
                 f"q override {q} cannot match right super-nodes of size {max_w}")
-    return reed_solomon(q, t)
+    return _certified_code(q, t)
 
 
 def _run_gap_stages(frontend, q_override, stages, labeling_cap) -> PipelineReport:
@@ -108,8 +125,7 @@ def _run_gap_stages(frontend, q_override, stages, labeling_cap) -> PipelineRepor
     max_w = max(frontend.w_parts)
 
     start = time.perf_counter()
-    code = _choose_code(t, max_w, q_override)
-    delta = relative_distance(code).delta
+    code, delta = _choose_code(t, max_w, q_override)
     delta_bound = 1 - Fraction(code.r, code.q)
     composed = compose_gap(frontend, code)
     stages.append(Stage("compose", time.perf_counter() - start, {

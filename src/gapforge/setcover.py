@@ -405,8 +405,10 @@ def setcover_certificate(base: SetCoverInstance, composed: ComposedSetCover,
     composed tuple covers the enumerated composed universe.  soundness_ok:
     the base has no cover of size k and no composed cover smaller than
     Col(code) exists (exhaustive search).  vacuous_ok: the base satisfies
-    neither hypothesis.  cap bounds the composed cover search and must be
-    at least Col(code) for the soundness check to be conclusive.
+    neither hypothesis.  cap is the caller's composed cover-search cap; it
+    must be at least Col(code) for the soundness check to be conclusive, so
+    a smaller cap raises CapExceededError.  The search itself covers every
+    size below Col(code).
     """
     k = base.k
     part_ok, part_wit = has_partitioned_cover(base, budget=budget)
@@ -427,8 +429,8 @@ def setcover_certificate(base: SetCoverInstance, composed: ComposedSetCover,
                                    None, uncovered)
     if not has_k_cover:
         refs = base.all_refs()
-        cap = len(refs) if threshold == float("inf") else min(int(threshold) - 1, len(refs))
-        size, combo, _ = composed.min_cover(cap, budget=budget)
+        max_size = len(refs) if threshold == float("inf") else min(int(threshold) - 1, len(refs))
+        size, combo, _ = composed.min_cover(max_size, budget=budget)
         if size is None:
             return SetCoverCertificate(SOUNDNESS_OK, False, False, threshold,
                                        None, None)

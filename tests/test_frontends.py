@@ -7,6 +7,7 @@ import gapforge as gf
 from gapforge import oracles
 from gapforge.errors import (
     ClauseWidthError,
+    IndexRangeError,
     OccurrenceBoundError,
     ParseError,
     PartNotIndependentError,
@@ -90,6 +91,34 @@ def _random_partitioned(rng, max_m: int = 7):
              for u in parts[a] for v in parts[b]]
     edges = [p for p in pairs if rng.random() < 0.6]
     return gf.make_partitioned_graph(parts, edges)
+
+
+class TestPartitionedGraph:
+    def test_part_of_matches_scan(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            m = rng.randint(3, 9)
+            order = rng.sample(range(m), m)
+            a, b = sorted(rng.sample(range(1, m), 2))
+            parts = [order[:a], order[a:b], order[b:]]
+            g = gf.make_partitioned_graph(parts, [])
+            for v in range(m):
+                assert g.part_of(v) == next(
+                    i for i, part in enumerate(parts) if v in part)
+
+    @pytest.mark.parametrize("v", [-1, -3, 3, 4])
+    def test_part_of_unknown_vertex(self, v):
+        with pytest.raises(IndexRangeError):
+            triangle().part_of(v)
+
+    def test_negative_edge_endpoint_rejected(self):
+        with pytest.raises(IndexRangeError):
+            gf.make_partitioned_graph([(0,), (1,), (2,)], [(-1, 1)])
+
+    def test_owner_table_outside_eq_hash_repr(self):
+        a, b = triangle(), triangle()
+        assert a == b and hash(a) == hash(b)
+        assert "_owner" not in repr(a)
 
 
 class TestColorfulLift:

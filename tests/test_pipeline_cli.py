@@ -1,14 +1,20 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import gapforge as gf
 from gapforge import oracles
 from gapforge.cli import main
+from gapforge.errors import NotPrimeError
 from gapforge.generators import random_cnf3
-from gapforge.pipeline import smallest_workable_prime
+from gapforge.pipeline import _certified_code, smallest_workable_prime
 
 
 def triangle():
@@ -79,6 +85,43 @@ class TestEthPipeline:
         assert doc["verdict"] == "YES"
         assert doc["code"]["q"] >= 3
         assert any(s["name"] == "frontend" for s in doc["stages"])
+
+
+class TestCodeCache:
+    @pytest.mark.parametrize("q,r", [(3, 2), (5, 2), (5, 3), (7, 3)])
+    def test_cached_pair_matches_fresh_code(self, q, r):
+        code, delta = _certified_code(q, r)
+        fresh = gf.reed_solomon(q, r)
+        assert code.table() == fresh.table()
+        assert delta == gf.relative_distance(fresh, method="pairs").delta
+        assert _certified_code(q, r)[0] is code
+
+    def test_reports_repeat(self):
+        def without_times(report):
+            return replace(report, stages=tuple((s.name, s.sizes) for s in report.stages))
+
+        _certified_code.cache_clear()
+        rng = random.Random(5)
+        graphs = [triangle(), gf.make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])]
+        for graph in graphs:
+            first = gf.wone_pipeline(graph, 3)
+            assert without_times(gf.wone_pipeline(graph, 3)) == without_times(first)
+        for _ in range(6):
+            cnf = random_cnf3(rng, max_vars=6)
+            first = gf.eth_pipeline(cnf, 2)
+            assert without_times(gf.eth_pipeline(cnf, 2)) == without_times(first)
+        assert _certified_code.cache_info().hits > 0
+
+    def test_bad_override_raises_every_time(self):
+        cached = _certified_code.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(NotPrimeError):
+                gf.wone_pipeline(triangle(), 3, 4)
+        assert _certified_code.cache_info().currsize == cached
+
+    def test_cache_is_bounded(self):
+        maxsize = _certified_code.cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize > 0
 
 
 class TestCli:
@@ -194,6 +237,26 @@ class TestCli:
                                    "ell": 2, "kind": "reed_solomon",
                                    "table": [[0, 0]]}))
         assert main(["code", "measure", str(bad)]) == 3
+
+    @pytest.mark.parametrize("content", [b"not json", b'{"q": 3,,}', b"\xff\xfe{"])
+    def test_unreadable_json_exit_code(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["maxcover", "solve", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_non_json_no_traceback(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        src = Path(gf.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "gapforge.cli", "maxcover", "solve", str(bad)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     def test_lift_flag(self, tmp_path, capsys):
         graph_path = tmp_path / "g.txt"
