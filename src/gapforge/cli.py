@@ -4,7 +4,8 @@ Subcommands mirror the library: code construction and measurement,
 threshold graph export, MaxCover / SetCover solving, gap composition and
 certification, front-end reductions, and the two end-to-end pipelines.
 Pipeline exit codes: 0 YES, 1 NO, 2 VIOLATION, 3 error; certify commands
-exit 2 on VIOLATION.
+exit 2 on VIOLATION.  Usage errors exit 3 as well, so they never read as a
+verdict.
 """
 
 from __future__ import annotations
@@ -39,6 +40,17 @@ def _read(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not text: {exc.reason}") from exc
+
+
+def _ints(text: str, option: str, count: int | None = None) -> tuple[int, ...]:
+    """Parse a comma-separated integer list given on the command line."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ParseError(f"{option} expects comma-separated integers, got {text!r}") from None
+    if count is not None and len(values) != count:
+        raise ParseError(f"{option} expects {count} integers, got {text!r}")
+    return values
 
 
 def _cmd_code(args) -> int:
@@ -131,8 +143,8 @@ def _cmd_setcover(args) -> int:
         _dump(composed.describe())
         return 0
     if args.sc_cmd == "member":
-        f = tuple(int(x) for x in args.f.split(","))
-        j, idx = (int(x) for x in args.set.split(","))
+        f = _ints(args.f, "--f")
+        j, idx = _ints(args.set, "--set", 2)
         member = composed.contains((j, idx), (args.i, f))
         _dump({"i": args.i, "set": [j, idx], "member": member})
         return 0
@@ -186,8 +198,16 @@ def _cmd_pipeline(args) -> int:
     return report.exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 3 on a usage error; argparse's own 2 is the VIOLATION code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gapforge")
+    parser = _Parser(prog="gapforge")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_code = sub.add_parser("code", help="construct and measure codes")

@@ -28,7 +28,7 @@ from .errors import (
     SymbolRangeError,
 )
 from .errors import SchemaVersionError
-from .serialize import FORMAT_TAG, check_format, require_keys
+from .serialize import FORMAT_TAG, check_format, require_ints, require_keys
 
 INFINITE = float("inf")
 
@@ -549,6 +549,8 @@ def code_to_json(code: Code, *, cap: int = DEFAULT_ENUM_CAP) -> dict:
 def code_from_json(doc: dict) -> Code:
     check_format(doc)
     require_keys(doc, ("q", "r", "ell", "kind", "table"), "code")
+    for key, depth in (("q", 0), ("r", 0), ("ell", 0), ("table", 2)):
+        require_ints(doc[key], depth, f"code {key}")
     q, r, ell, kind = doc["q"], doc["r"], doc["ell"], doc["kind"]
     table = tuple(tuple(word) for word in doc["table"])
     if kind == KIND_REED_SOLOMON:

@@ -26,8 +26,9 @@ from .errors import (
     MatchingOverflowError,
     NotPseudoProjectionError,
     NotTwoPartsError,
+    ParseError,
 )
-from .serialize import FORMAT_TAG, check_format, require_keys
+from .serialize import FORMAT_TAG, check_format, require_ints, require_keys
 
 PROJECTION = "projection"
 FULL = "full"
@@ -591,8 +592,12 @@ def maxcover_to_json(instance: MaxCoverInstance) -> dict:
 def maxcover_from_json(doc: dict) -> MaxCoverInstance:
     check_format(doc)
     require_keys(doc, ("k", "t", "v_parts", "w_parts", "edges"), "maxcover")
+    for key, depth in (("k", 0), ("t", 0), ("v_parts", 1), ("w_parts", 1), ("edges", 2)):
+        require_ints(doc[key], depth, f"maxcover {key}")
     if doc["k"] != len(doc["v_parts"]) or doc["t"] != len(doc["w_parts"]):
         raise GapforgeError("part counts disagree with k/t fields")
+    if any(len(e) != 2 for e in doc["edges"]):
+        raise ParseError("maxcover edges: every edge must be a pair [v, w]")
     return MaxCoverInstance(doc["v_parts"], doc["w_parts"],
                             [tuple(e) for e in doc["edges"]],
                             provenance=doc.get("provenance", ""))

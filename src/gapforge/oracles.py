@@ -107,3 +107,26 @@ def setcover_covers_bruteforce(composed, refs) -> bool:
     """Cover check by iterating every composed universe element."""
     return all(any(composed.contains(ref, elem) for ref in refs)
                for elem in composed.iter_universe())
+
+
+def setcover_first_uncovered(composed, refs):
+    """First composed universe element no ref contains, or None.
+
+    Walks parts in order and f : A_i -> U lexicographically, and decides
+    membership from the definition: (i, f) is in the set S of collection j
+    iff some a in [q]**k has a_j equal to coordinate i of S's matched
+    codeword and f(a) in S.  Reads only the base sets, the code and the
+    matching.
+    """
+    base, code = composed.base, composed.code
+    vertices = list(product(range(code.q), repeat=base.k))
+    for i in range(code.ell):
+        adjacent = []
+        for j, idx in refs:
+            symbol = code.codeword(composed.matching[j][idx])[i]
+            positions = [pos for pos, a in enumerate(vertices) if a[j] == symbol]
+            adjacent.append((base.collections[j][idx], positions))
+        for f in product(range(base.universe_size), repeat=len(vertices)):
+            if not any(f[pos] in s for s, positions in adjacent for pos in positions):
+                return (i, f)
+    return None

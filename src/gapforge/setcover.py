@@ -27,7 +27,7 @@ from .errors import (
     MatchingOverflowError,
     UniverseCapError,
 )
-from .serialize import FORMAT_TAG, check_format, require_keys
+from .serialize import FORMAT_TAG, check_format, require_ints, require_keys
 
 COMPLETENESS_OK = "completeness_ok"
 SOUNDNESS_OK = "soundness_ok"
@@ -206,6 +206,8 @@ class ComposedSetCover:
             raise IndexRangeError(f"part index {i} outside [0, {self.ell})")
         if len(f) != self.fsize:
             raise IndexRangeError(f"function must have length {self.fsize}")
+        if ref not in self._adj_ranks:
+            raise IndexRangeError(f"no set {ref!r} in the base instance")
         base_set = self.base.collections[ref[0]][ref[1]]
         return any(f[a] in base_set for a in self._adj_ranks[ref][i])
 
@@ -253,17 +255,35 @@ class ComposedSetCover:
             self._member_cache[ref] = np.concatenate(chunks)
         return self._member_cache[ref]
 
+    def _first_uncovered(self, refs):
+        """First uncovered element in enumeration order, or None (Thm 5.1).
+
+        (i, f) lies in no ref's set exactly when f(a) avoids, for every a in
+        A_i, the union of the base sets of the refs adjacent to a.  So part
+        i is covered iff some vertex's union is all of U, and otherwise the
+        lexicographically first uncovered f takes the lowest element
+        missing from each vertex's union.
+        """
+        full = self.base.full_mask
+        masks = [(self._adj_ranks[ref], self.base.mask(ref)) for ref in refs]
+        for i in range(self.ell):
+            unions = [0] * self.fsize
+            for adj, mask in masks:
+                for a in adj[i]:
+                    unions[a] |= mask
+            if full not in unions:
+                return (i, tuple(_lowest_missing(u) for u in unions))
+        return None
+
     def covers(self, refs):
         """(True, None) if the refs cover the universe, else (False, witness).
 
-        Checked against the fully enumerated universe.
+        Decided part by part from the base masks of the refs adjacent to
+        each A_i vertex, without enumerating the universe; the witness is
+        the first uncovered element in enumeration order.
         """
-        union = np.zeros(self.universe_size, dtype=bool)
-        for ref in refs:
-            union |= self.membership_array(ref)
-        if union.all():
-            return True, None
-        return False, self.element_of_index(int(np.argmin(union)))
+        element = self._first_uncovered(refs)
+        return element is None, element
 
     def uncovered_witness_adversarial(self, refs):
         """Uncovered element built like the soundness argument, or None.
@@ -272,22 +292,10 @@ class ComposedSetCover:
         U, picking f(a) outside each vertex's union yields an element no ref
         contains; the element is re-verified through the membership oracle.
         """
-        full = self.base.full_mask
-        for i in range(self.ell):
-            unions = []
-            for a in range(self.fsize):
-                u_mask = 0
-                for ref in refs:
-                    if a in self._adj_ranks[ref][i]:
-                        u_mask |= self.base.mask(ref)
-                unions.append(u_mask)
-            if all(u != full for u in unions):
-                f = tuple(_lowest_missing(u) for u in unions)
-                element = (i, f)
-                if any(self.contains(ref, element) for ref in refs):
-                    raise GapforgeError("adversarial witness failed re-verification")
-                return element
-        return None
+        element = self._first_uncovered(refs)
+        if element is not None and any(self.contains(ref, element) for ref in refs):
+            raise GapforgeError("adversarial witness failed re-verification")
+        return element
 
     def min_cover(self, cap: int, *, budget: int = DEFAULT_SUBSET_BUDGET):
         """Exhaustive minimum-cover search over the composed sets."""
@@ -402,7 +410,8 @@ def setcover_certificate(base: SetCoverInstance, composed: ComposedSetCover,
     """Verify the composition's completeness and soundness implications.
 
     completeness_ok: the base has a partitioned cover and its matched
-    composed tuple covers the enumerated composed universe.  soundness_ok:
+    composed tuple covers every part of the composed universe (decided by
+    ComposedSetCover.covers, part by part).  soundness_ok:
     the base has no cover of size k and no composed cover smaller than
     Col(code) exists (exhaustive search).  vacuous_ok: the base satisfies
     neither hypothesis.  cap is the caller's composed cover-search cap; it
@@ -455,5 +464,6 @@ def setcover_to_json(instance: SetCoverInstance) -> dict:
 def setcover_from_json(doc: dict) -> SetCoverInstance:
     check_format(doc)
     require_keys(doc, ("universe", "collections"), "setcover")
-    return SetCoverInstance(doc["universe"], doc["collections"],
+    return SetCoverInstance(require_ints(doc["universe"], 0, "setcover universe"),
+                            require_ints(doc["collections"], 3, "setcover collections"),
                             provenance=doc.get("provenance", ""))

@@ -17,6 +17,11 @@ from gapforge.generators import random_cnf3
 from gapforge.pipeline import _certified_code, smallest_workable_prime
 
 
+_SETCOVER = {"universe": 2, "collections": [[[0]], [[1]]]}
+_MEMBER = ["setcover", "member", "--instance", "{doc}", "--code", "{code}", "--i", "0"]
+_F_ZERO = ",".join(["0"] * 9)
+
+
 def triangle():
     return gf.make_partitioned_graph([(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)])
 
@@ -257,6 +262,46 @@ class TestCli:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv,doc", [
+        (_MEMBER + ["--f", "0,x", "--set", "0,0"], _SETCOVER),
+        (_MEMBER + ["--f", _F_ZERO, "--set", "0"], _SETCOVER),
+        (_MEMBER + ["--f", _F_ZERO, "--set", "5,0"], _SETCOVER),
+        (["setcover", "solve", "{doc}", "--cap", "2"],
+         {"universe": 2, "collections": [[["x"]], [[1]]]}),
+        (["setcover", "solve", "{doc}", "--cap", "2"],
+         {"universe": 2, "collections": [[0], [[1]]]}),
+        (["setcover", "solve", "{doc}", "--cap", "2"], [_SETCOVER]),
+        (["maxcover", "solve", "{doc}"], [1, 2]),
+        (["maxcover", "solve", "{doc}"],
+         {"k": 1, "t": 1, "v_parts": [1], "w_parts": [1], "edges": [[0]]}),
+        (["code", "measure", "{doc}"],
+         {"q": 2, "r": 1, "ell": 2, "kind": "explicit", "table": [[0, 0], [1, "1"]]}),
+    ])
+    def test_malformed_input_exit_code(self, tmp_path, capsys, argv, doc):
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(doc))
+        code_path = tmp_path / "rs.json"
+        code_path.write_text(json.dumps(gf.code_to_json(gf.reed_solomon(3, 2))))
+        argv = [a.format(doc=doc_path, code=code_path) for a in argv]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        [], ["setcover", "certify", "--code", "rs.json"], ["code", "rs", "--q", "x", "--r", "2"],
+    ])
+    def test_usage_error_exit_code(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["setcover", "certify", "--help"])
+        assert exc.value.code == 0
+        assert "--instance" in capsys.readouterr().out
 
     def test_lift_flag(self, tmp_path, capsys):
         graph_path = tmp_path / "g.txt"

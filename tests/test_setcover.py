@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -133,6 +133,24 @@ class TestCompose:
             for idx, elem in enumerate(composed.iter_universe()):
                 assert bool(arr[idx]) == composed.contains(ref, elem)
 
+    def test_covers_matches_definition_oracle(self):
+        rng = random.Random(34)
+        rs = gf.reed_solomon(3, 2)
+        cases = [(random_setcover_instance(rng, max_universe=2), rs) for _ in range(30)]
+        cases.append((gf.SetCoverInstance(2, [[{0}], [{1}]]),
+                      gf.explicit_code(2, 2, [(0, 0), (0, 1), (1, 0)])))
+        checked = covered = 0
+        for base, code in cases:
+            composed = gf.compose_setcover(base, code)
+            refs = base.all_refs()
+            for size in range(1, len(refs) + 1):
+                for combo in combinations(refs, size):
+                    expected = oracles.setcover_first_uncovered(composed, combo)
+                    assert composed.covers(combo) == (expected is None, expected)
+                    checked += 1
+                    covered += expected is None
+        assert covered and covered < checked
+
     def test_matching_overflow(self):
         base = gf.SetCoverInstance(2, [[{0}, {1}, {0, 1}, {0}], [{1}]])
         with pytest.raises(MatchingOverflowError):
@@ -186,14 +204,14 @@ class TestCertificate:
     def test_mutated_membership_violation(self):
         base = gf.SetCoverInstance(2, [[{0}], [{1}]])
         composed = gf.compose_setcover(base, gf.reed_solomon(3, 2))
-        a0 = composed.membership_array((0, 0)).copy()
-        a1 = composed.membership_array((1, 0))
-        only_first = np.nonzero(a0 & ~a1)[0]
-        a0[only_first[0]] = False
-        composed._member_cache[(0, 0)] = a0
+        per_part = list(composed._adj_ranks[(0, 0)])
+        per_part[0] = tuple(a for a in per_part[0] if a != 0)
+        composed._adj_ranks[(0, 0)] = tuple(per_part)
         cert = gf.setcover_certificate(base, composed)
         assert cert.verdict == "violation"
-        assert cert.witness == composed.element_of_index(int(only_first[0]))
+        union = composed.membership_array((0, 0)) | composed.membership_array((1, 0))
+        assert cert.witness == composed.element_of_index(int(np.argmin(union)))
+        assert cert.witness == (0, (0, 1, 1, 0, 0, 0, 0, 0, 0))
 
 
 class TestSerialization:
