@@ -27,7 +27,7 @@ from .errors import (
     RankRangeError,
     SymbolRangeError,
 )
-from .errors import SchemaVersionError
+from .errors import ParseError, SchemaVersionError
 from .serialize import FORMAT_TAG, check_format, require_ints, require_keys
 
 INFINITE = float("inf")
@@ -552,6 +552,10 @@ def code_from_json(doc: dict) -> Code:
     for key, depth in (("q", 0), ("r", 0), ("ell", 0), ("table", 2)):
         require_ints(doc[key], depth, f"code {key}")
     q, r, ell, kind = doc["q"], doc["r"], doc["ell"], doc["kind"]
+    if kind not in (KIND_REED_SOLOMON, KIND_RANDOM, KIND_PHF, KIND_EXPLICIT):
+        raise ParseError(f"unknown code kind {kind!r}")
+    if "seed" in doc:
+        require_ints(doc["seed"], 0, "code seed")
     table = tuple(tuple(word) for word in doc["table"])
     if kind == KIND_REED_SOLOMON:
         code = reed_solomon(q, r)

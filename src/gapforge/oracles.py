@@ -8,8 +8,9 @@ cannot hide in the other.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
+from . import threshold
 from .codes import Code
 from .frontends import Cnf3, PartitionedGraph, _satisfies
 from .maxcover import MaxCoverInstance
@@ -130,3 +131,39 @@ def setcover_first_uncovered(composed, refs):
             if not any(f[pos] in s for s, positions in adjacent for pos in positions):
                 return (i, f)
     return None
+
+
+def threshold_verdict_bruteforce(graph):
+    """Completeness and soundness of a threshold graph through adjacent() alone.
+
+    Returns (counterexample, max_shared, matches).  counterexample is the
+    first case (ranks, i), in verify_threshold's exhaustive order, whose A_i
+    vertices adjacent to every (j, ranks[j]) are not exactly the answer of
+    threshold.common_neighbor, as (ranks, i, hits); None if there is none.
+    max_shared is the largest number of parts A_i holding a common neighbor
+    of (j, m1) and (j, m2) over every j and pair m1 < m2; matches says
+    whether each such count equals the pair's coordinate agreements, which
+    are the only values read from the code's codewords.
+    """
+    code, t, ell = graph.code, graph.t, graph.ell
+    vertices = list(product(range(code.q), repeat=t))
+    counterexample = None
+    for ranks, i in product(product(range(code.size), repeat=t), range(ell)):
+        hits = [u for u in vertices
+                if all(threshold.adjacent(graph, (j, m), (i, u))
+                       for j, m in enumerate(ranks))]
+        if hits != [threshold.common_neighbor(graph, ranks, i)[1]]:
+            counterexample = (ranks, i, tuple(hits))
+            break
+    max_shared = 0
+    matches = True
+    for m1, m2 in combinations(range(code.size), 2):
+        agreements = sum(a == b for a, b in zip(code.codeword(m1), code.codeword(m2)))
+        for j in range(t):
+            shared = sum(any(threshold.adjacent(graph, (j, m1), (i, u))
+                             and threshold.adjacent(graph, (j, m2), (i, u))
+                             for u in vertices)
+                         for i in range(ell))
+            matches = matches and shared == agreements
+            max_shared = max(max_shared, shared)
+    return counterexample, max_shared, matches

@@ -420,8 +420,8 @@ def setcover_certificate(base: SetCoverInstance, composed: ComposedSetCover,
     size below Col(code).
     """
     k = base.k
-    part_ok, part_wit = has_partitioned_cover(base, budget=budget)
     base_report = min_cover_size(base, k, budget=budget)
+    part_ok, part_wit = base_report.partitioned_exists, base_report.partitioned_witness
     has_k_cover = base_report.min_size is not None
     col = collision_number(composed.code)
     threshold = col.value if col.status == "finite" else float("inf")

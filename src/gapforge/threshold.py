@@ -127,14 +127,11 @@ class ThresholdVerdict:
     collision_subsets_examined: int
 
 
-def _scan_common_neighbors(graph: ThresholdGraph, ranks, i: int):
-    """All A_i vertices adjacent to every given B-vertex, by full scan."""
-    words = [graph.code.codeword(m) for m in ranks]
-    hits = []
-    for v in product(range(graph.code.q), repeat=graph.t):
-        if all(words[j][i] == v[j] for j in range(graph.t)):
-            hits.append(v)
-    return hits
+def _pattern_hits(column, q: int):
+    """All v in [q]**t with v[j] == column[j] for every j, by full scan."""
+    t = len(column)
+    return [v for v in product(range(q), repeat=t)
+            if all(v[j] == column[j] for j in range(t))]
 
 
 def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
@@ -144,11 +141,16 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
                      budget: int = DEFAULT_SUBSET_BUDGET) -> ThresholdVerdict:
     """Check completeness, soundness, and the collision property.
 
-    Completeness scans all tuples times all A-parts when size**t * ell is
+    Completeness checks all tuples times all A-parts when size**t * ell is
     within exhaustive_limit, otherwise a seeded sample, with the mode
-    recorded.  The collision search enumerates X across B with |X| <
-    collision_cap in increasing size and reports the smallest X for which
-    every A_i has a vertex with >= t+1 neighbors in X.
+    recorded.  Every case is compared with common_neighbor; the A_i scan it
+    is compared against depends only on the case's column pattern (the
+    symbols its codewords carry at coordinate i, read from the codeword
+    table), so each distinct pattern is scanned once per call.  Soundness
+    likewise scans A_i once per distinct (j, symbol, symbol) pair.  The
+    collision search enumerates X across B with |X| < collision_cap in
+    increasing size and reports the smallest X for which every A_i has a
+    vertex with >= t+1 neighbors in X.
     """
     code, t, ell = graph.code, graph.t, graph.ell
     size = graph.b_part_size
@@ -165,13 +167,19 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
             (tuple(rng.randrange(size) for _ in range(t)), rng.randrange(ell))
             for _ in range(sample_count))
 
+    q = code.q
+    words = [code.codeword(m) for m in range(size)]
     completeness_ok = True
     counterexample = None
     checked = 0
+    pattern_hits: dict[tuple[int, ...], list] = {}
     for ranks, i in cases:
         checked += 1
         _, v = common_neighbor(graph, ranks, i)
-        hits = _scan_common_neighbors(graph, ranks, i)
+        column = tuple(words[m][i] for m in ranks)
+        hits = pattern_hits.get(column)
+        if hits is None:
+            hits = pattern_hits[column] = _pattern_hits(column, q)
         if hits != [v]:
             completeness_ok = False
             counterexample = (ranks, i, tuple(hits))
@@ -181,16 +189,17 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     bound = (1 - delta) * ell
     max_shared = 0
     matches = True
-    q = code.q
-    for j in range(t):
-        for m1, m2 in combinations(range(size), 2):
-            w1, w2 = code.codeword(m1), code.codeword(m2)
+    pair_shares: dict[tuple[int, int, int], bool] = {}
+    for w1, w2 in combinations(words, 2):
+        agreements = sum(1 for a, b in zip(w1, w2) if a == b)
+        for j in range(t):
             shared = 0
-            for i in range(ell):
-                if any(w1[i] == v[j] and w2[i] == v[j]
-                       for v in product(range(q), repeat=t)):
-                    shared += 1
-            agreements = sum(1 for a, b in zip(w1, w2) if a == b)
+            for a, b in zip(w1, w2):
+                key = (j, a, b)
+                if key not in pair_shares:
+                    pair_shares[key] = any(a == v[j] and b == v[j]
+                                           for v in product(range(q), repeat=t))
+                shared += pair_shares[key]
             if shared != agreements:
                 matches = False
             max_shared = max(max_shared, shared)
@@ -198,7 +207,6 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     min_x = None
     examined = 0
     b_vertices = [(j, m) for j in range(t) for m in range(size)]
-    words = [code.codeword(m) for m in range(size)]
     for s in range(t + 1, collision_cap):
         if min_x is not None:
             break

@@ -289,6 +289,30 @@ class TestCli:
         assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
+        ["code", "measure", "{code}"], ["threshold", "--code", "{code}", "--t", "2"],
+    ])
+    @pytest.mark.parametrize("field", [
+        {"kind": ["x"]}, {"kind": "weird"}, {"seed": "3"},
+    ])
+    def test_bad_code_kind_or_seed_exit_code(self, tmp_path, capsys, argv, field):
+        code_path = tmp_path / "code.json"
+        doc = gf.code_to_json(gf.random_code(3, 1, 4, 0))
+        code_path.write_text(json.dumps({**doc, **field}))
+        assert main([a.format(code=code_path) for a in argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,exit_code", [(["--help"], 0), ([], 3)])
+    def test_python_dash_m(self, argv, exit_code):
+        src = Path(gf.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "gapforge", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == exit_code
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
         [], ["setcover", "certify", "--code", "rs.json"], ["code", "rs", "--q", "x", "--r", "2"],
     ])
     def test_usage_error_exit_code(self, argv, capsys):

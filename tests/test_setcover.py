@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gapforge as gf
-from gapforge import oracles
+from gapforge import oracles, setcover
 from gapforge.errors import (
     CapExceededError,
     EmptyPartError,
@@ -212,6 +212,21 @@ class TestCertificate:
         union = composed.membership_array((0, 0)) | composed.membership_array((1, 0))
         assert cert.witness == composed.element_of_index(int(np.argmin(union)))
         assert cert.witness == (0, (0, 1, 1, 0, 0, 0, 0, 0, 0))
+
+    def test_partitioned_cover_searched_once(self, monkeypatch):
+        calls = []
+        inner = setcover.has_partitioned_cover
+
+        def counted(instance, **kwargs):
+            calls.append(instance)
+            return inner(instance, **kwargs)
+
+        monkeypatch.setattr(setcover, "has_partitioned_cover", counted)
+        base = gf.SetCoverInstance(3, [[{0}], [{1}]])
+        composed = gf.compose_setcover(base, gf.reed_solomon(3, 2))
+        cert = gf.setcover_certificate(base, composed)
+        assert cert.verdict == "soundness_ok"
+        assert calls == [base]
 
 
 class TestSerialization:

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import gapforge as gf
+from gapforge import oracles, threshold
 from gapforge.errors import CapExceededError, IndexRangeError
 
 
@@ -120,6 +121,42 @@ class TestVerify:
         assert verdict.completeness_mode == "sampled"
         assert verdict.completeness_checked == 50
         assert verdict.completeness_ok
+
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("build", [
+        lambda: gf.reed_solomon(3, 2),
+        lambda: gf.random_code(3, 2, 6, 1),
+        lambda: gf.random_code(4, 2, 5, 2),
+        lambda: gf.phf_to_code(gf.find_phf(8, 2, 16, seed=0)),
+    ], ids=["rs32", "random3_2_6_1", "random4_2_5_2", "phf8_2"])
+    def test_matches_bruteforce_oracle(self, build, t):
+        g = gf.build_threshold(build(), t)
+        verdict = gf.verify_threshold(g, collision_cap=t + 1)
+        counterexample, max_shared, matches = oracles.threshold_verdict_bruteforce(g)
+        assert verdict.completeness_mode == "exhaustive"
+        assert verdict.completeness_checked == g.b_part_size ** t * g.ell
+        assert verdict.completeness_ok and counterexample is None
+        assert verdict.completeness_counterexample is None
+        assert verdict.soundness_max_shared == max_shared
+        assert verdict.soundness_matches_agreements and matches
+
+    def test_mutated_common_neighbor_caught(self, monkeypatch):
+        g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
+        honest = threshold.common_neighbor
+
+        def shifted(graph, ranks, i):
+            part, v = honest(graph, ranks, i)
+            if tuple(ranks) == (4, 7) and i == 1:
+                v = tuple((s + 1) % graph.code.q for s in v)
+            return part, v
+
+        monkeypatch.setattr(threshold, "common_neighbor", shifted)
+        verdict = gf.verify_threshold(g, collision_cap=3)
+        assert verdict.completeness_ok is False
+        assert verdict.completeness_counterexample == ((4, 7), 1, ((2, 0),))
+        assert verdict.completeness_checked == 131
+        counterexample, _, _ = oracles.threshold_verdict_bruteforce(g)
+        assert counterexample == verdict.completeness_counterexample
 
 
 class TestExport:
