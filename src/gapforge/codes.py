@@ -20,6 +20,7 @@ from .errors import (
     BudgetExceededError,
     CapExceededError,
     GapforgeError,
+    MatchingOverflowError,
     MessageLengthError,
     MessageRangeError,
     NotPrimeError,
@@ -154,6 +155,28 @@ def encode(code: Code, message) -> tuple[int, ...]:
         if not isinstance(s, int) or not 0 <= s < code.q:
             raise SymbolRangeError(f"symbol {s!r} outside alphabet [{code.q}]")
     return code.codeword(code.rank_of(message))
+
+
+def _match_parts(code: Code, sizes, matching=None) -> tuple[tuple[int, ...], ...]:
+    """Injective matching of parts of the given sizes into codeword ranks.
+
+    By default part j takes ranks 0..sizes[j]-1.  A given matching must
+    hold, per part, one injection of the part into [code.size].
+    """
+    if matching is None:
+        for j, size in enumerate(sizes):
+            if size > code.size:
+                raise MatchingOverflowError(
+                    f"part {j} has {size} members, the code has {code.size} codewords")
+        return tuple(tuple(range(size)) for size in sizes)
+    matching = tuple(tuple(m) for m in matching)
+    if len(matching) != len(sizes):
+        raise MatchingOverflowError("matching must give one injection per part")
+    for j, inj in enumerate(matching):
+        if len(inj) != sizes[j] or len(set(inj)) != len(inj) \
+                or any(not 0 <= m < code.size for m in inj):
+            raise MatchingOverflowError(f"matching for part {j} is not injective into the code")
+    return matching
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .errors import (
     PartNotIndependentError,
     UnusedVariableError,
 )
-from .maxcover import MaxCoverInstance
+from .maxcover import MaxCoverInstance, _offsets
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,7 @@ def clique_to_maxcover(graph: PartitionedGraph):
     v_parts = tuple(len(classes[pair]) for pair in pair_list)
     w_parts = tuple(len(part) for part in graph.parts)
     num_v = sum(v_parts)
-    w_offsets = [0]
-    for s in w_parts:
-        w_offsets.append(w_offsets[-1] + s)
+    w_offsets = _offsets(w_parts)
 
     def w_global(part: int, vertex: int) -> int:
         return num_v + w_offsets[part] + graph.parts[part].index(vertex)
@@ -277,12 +275,8 @@ def sat_to_maxcover(cnf: Cnf3, k: int) -> MaxCoverInstance:
     v_parts = tuple(len(vs) for vs in v_vertices)
     w_parts = tuple(len(ws) for ws in w_vertices)
     num_v = sum(v_parts)
-    v_offsets = [0]
-    for s in v_parts:
-        v_offsets.append(v_offsets[-1] + s)
-    w_offsets = [0]
-    for s in w_parts:
-        w_offsets.append(w_offsets[-1] + s)
+    v_offsets = _offsets(v_parts)
+    w_offsets = _offsets(w_parts)
 
     edges = []
     for i in range(k):

@@ -6,7 +6,7 @@ import random
 from itertools import combinations, product
 
 from .frontends import Cnf3, PartitionedGraph
-from .maxcover import MaxCoverInstance
+from .maxcover import MaxCoverInstance, _offsets
 from .setcover import SetCoverInstance
 
 
@@ -38,12 +38,8 @@ def random_pseudo_projection_instance(rng: random.Random, *, max_k: int = 3,
         kinds = [[True] * t for _ in range(k)]
 
     num_v = sum(v_parts)
-    v_offsets = [0]
-    for s in v_parts:
-        v_offsets.append(v_offsets[-1] + s)
-    w_offsets = [0]
-    for s in w_parts:
-        w_offsets.append(w_offsets[-1] + s)
+    v_offsets = _offsets(v_parts)
+    w_offsets = _offsets(w_parts)
 
     edges = []
     for i in range(k):
@@ -76,9 +72,7 @@ def random_bounded_degree_instance(rng: random.Random, d: int, *, max_t: int = 3
     targets = {j: rng.randrange(w_parts[j]) for j in range(t)}
 
     num_v = sum(v_parts)
-    w_offsets = [0]
-    for s in w_parts:
-        w_offsets.append(w_offsets[-1] + s)
+    w_offsets = _offsets(w_parts)
     edges = set()
     for i in range(2):
         for r in range(v_parts[i]):

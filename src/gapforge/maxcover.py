@@ -3,8 +3,12 @@
 An instance is a bipartite graph with left super-nodes V_1..V_k and right
 super-nodes W_1..W_t; its value is the maximal fraction of right
 super-nodes that admit a joint neighbor of one chosen vertex per left
-super-node.  Explicit instances carry an edge list; composed instances are
-oracle-backed with an O(t) adjacency rule.  All values are exact rationals.
+super-node.  Explicit instances carry an edge list.  The composed instances
+of both gap routes (Thm 4.2 and Appendix B) are oracle-backed: per base
+vertex and column they keep one int packing, for all ell parts, the
+symbols the vertex allows, so adjacency is one bit test per column and a
+labeling's coverage of every part is one AND and one constant-time field
+test per column.  All values are exact rationals.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .codes import Code, relative_distance
+from .codes import Code, _match_parts, _symbols_of_rank, relative_distance
 from .errors import (
     DEFAULT_EDGE_CAP,
     DEFAULT_LABELING_CAP,
@@ -23,20 +27,23 @@ from .errors import (
     EmptyPartError,
     GapforgeError,
     IndexRangeError,
-    MatchingOverflowError,
     NotPseudoProjectionError,
     NotTwoPartsError,
     ParseError,
 )
-from .serialize import FORMAT_TAG, check_format, require_ints, require_keys
+from .serialize import (
+    COMPLETENESS_OK,
+    FORMAT_TAG,
+    SOUNDNESS_OK,
+    VERDICT_VIOLATION,
+    check_format,
+    require_ints,
+    require_keys,
+)
 
 PROJECTION = "projection"
 FULL = "full"
 VIOLATION = "violation"
-
-COMPLETENESS_OK = "completeness_ok"
-SOUNDNESS_OK = "soundness_ok"
-VERDICT_VIOLATION = "violation"
 
 
 class MaxCoverInstance:
@@ -65,10 +72,7 @@ class MaxCoverInstance:
         masks = [[0] * self.t for _ in range(num_v)]
         cleaned = set()
         for vg, wg in edges:
-            if not 0 <= vg < num_v:
-                raise IndexRangeError(f"V id {vg} outside [0, {num_v})")
-            if not num_v <= wg < num_v + num_w:
-                raise IndexRangeError(f"W id {wg} outside [{num_v}, {num_v + num_w})")
+            _check_ids(vg, wg, num_v, num_w)
             j, local = self.w_part_of(wg)
             masks[vg][j] |= 1 << local
             cleaned.add((vg, wg))
@@ -106,6 +110,7 @@ class MaxCoverInstance:
         raise IndexRangeError(f"W id {wg} out of range")
 
     def adjacent(self, vg: int, wg: int) -> bool:
+        _check_ids(vg, wg, self.num_v, self.num_w)
         j, local = self.w_part_of(wg)
         return bool(self._masks[vg][j] >> local & 1)
 
@@ -138,6 +143,13 @@ class MaxCoverInstance:
     def __repr__(self):
         return (f"MaxCoverInstance(k={self.k}, t={self.t}, "
                 f"|V|={self.num_v}, |W|={self.num_w}, |E|={len(self.edges)})")
+
+
+def _check_ids(vg: int, wg: int, num_v: int, num_w: int) -> None:
+    if not 0 <= vg < num_v:
+        raise IndexRangeError(f"V id {vg} outside [0, {num_v})")
+    if not num_v <= wg < num_v + num_w:
+        raise IndexRangeError(f"W id {wg} outside [{num_v}, {num_v + num_w})")
 
 
 def _offsets(sizes) -> tuple[int, ...]:
@@ -244,83 +256,55 @@ def _part_degree(instance, vg: int, j: int, wj: int) -> int:
     return sum(1 for p in range(wj) if instance.adjacent(vg, w0 + p))
 
 
-def _check_projection_order(profile: ProjectionProfile) -> None:
-    if not profile.is_pseudo_projection:
-        raise NotPseudoProjectionError(
-            f"instance violates pseudo-projection at {profile.violations()}")
-
-
-def _default_matching(instance, code: Code):
-    matching = []
-    for j, wj in enumerate(instance.w_parts):
-        if wj > code.size:
-            raise MatchingOverflowError(
-                f"|W_{j}| = {wj} exceeds the code's {code.size} codewords")
-        matching.append(tuple(range(wj)))
-    return tuple(matching)
-
-
-def _validate_matching(instance, code: Code, matching):
-    matching = tuple(tuple(m) for m in matching)
-    if len(matching) != instance.t:
-        raise MatchingOverflowError("matching must give one injection per right super-node")
-    for j, inj in enumerate(matching):
-        if len(inj) != instance.w_parts[j]:
-            raise MatchingOverflowError(f"matching for W_{j} has wrong length")
-        if len(set(inj)) != len(inj) or any(not 0 <= m < code.size for m in inj):
-            raise MatchingOverflowError(f"matching for W_{j} is not injective into the code")
-    return matching
-
-
 # ---------------------------------------------------------------------------
-# Gap composition (pseudo-projection instances)
+# Gap compositions (Thm 4.2 and Appendix B)
 
 
 class ComposedMaxCover:
-    """Oracle-backed composition of a pseudo-projection instance with a code.
+    """Oracle-backed composition of a base instance with a code.
 
     Left super-nodes are carried over; right super-nodes are the ell parts
     of the threshold graph, each a copy of [q]**t.  v is adjacent to
-    a = (l, tuple) iff for every column j there is a W_j-neighbor of v whose
-    matched codeword has symbol tuple[j] at coordinate l; under
-    pseudo-projection this is one equality test per PROJECTION column and a
-    symbol-presence test per FULL column, so adjacency costs O(t).
+    a = (l, tup) iff for every column j some W_j-neighbor of v has a
+    matched codeword with symbol tup[j] at coordinate l.  Both gap routes
+    build this graph; they differ only in their hypotheses and soundness.
+
+    A codeword packs into one int of ell fields of q bits, field l holding
+    its symbol at coordinate l one-hot.  _cols[v][j] is the OR of the packed
+    codewords of v's W_j-neighbors, so its field l is the set of symbols v
+    allows at coordinate l.
     """
 
-    __slots__ = ("base", "code", "matching", "profile", "provenance",
-                 "v_parts", "w_parts", "_v_offsets", "_a_size", "_tcols",
-                 "_proj_cw", "_presence")
+    __slots__ = ("base", "code", "matching", "provenance", "v_parts", "w_parts",
+                 "_v_offsets", "_a_size", "_cols", "_low", "_top")
 
-    def __init__(self, base: MaxCoverInstance, code: Code, matching, profile):
+    def __init__(self, base: MaxCoverInstance, code: Code, matching, provenance: str):
         self.base = base
         self.code = code
         self.matching = matching
-        self.profile = profile
-        self._tcols = base.t
-        self._a_size = code.q ** base.t
+        self.provenance = provenance
+        q = code.q
+        self._a_size = q ** base.t
         self._v_offsets = base._v_offsets
         self.v_parts = base.v_parts
         self.w_parts = (self._a_size,) * code.ell
-        self.provenance = (f"compose_gap({base.provenance or 'instance'}; "
-                           f"{code.kind} q={code.q} r={code.r} ell={code.ell})")
-
-        words = {j: [code.codeword(m) for m in matching[j]] for j in range(base.t)}
-        self._presence = [
-            [frozenset(w[l] for w in words[j]) for l in range(code.ell)]
-            for j in range(base.t)]
-        proj_cw = []
-        for i, vi in enumerate(base.v_parts):
-            for r in range(vi):
-                vg = base.v_global(i, r)
-                row = []
-                for j in range(base.t):
-                    if profile.entry(i, j) == PROJECTION:
-                        nbr = base.neighbors_in_part(vg, j)
-                        row.append(words[j][nbr[0]])
-                    else:
-                        row.append(None)
-                proj_cw.append(tuple(row))
-        self._proj_cw = proj_cw
+        starts = range(0, code.ell * q, q)
+        # every bit of a field but its top one, and the top ones
+        self._low = sum(((1 << (q - 1)) - 1) << s for s in starts)
+        self._top = sum(1 << (s + q - 1) for s in starts)
+        packed = [[sum(1 << (s + w) for s, w in zip(starts, code.codeword(m)))
+                   for m in inj] for inj in matching]
+        cols = []
+        for row in base._masks:
+            out = []
+            for words, mask in zip(packed, row):
+                col = 0
+                for p, word in enumerate(words):
+                    if mask >> p & 1:
+                        col |= word
+                out.append(col)
+            cols.append(tuple(out))
+        self._cols = cols
 
     @property
     def k(self) -> int:
@@ -339,50 +323,52 @@ class ComposedMaxCover:
         return self.code.ell * self._a_size
 
     def a_tuple(self, rank: int) -> tuple[int, ...]:
-        q = self.code.q
-        out = [0] * self._tcols
-        for pos in range(self._tcols - 1, -1, -1):
-            out[pos] = rank % q
-            rank //= q
-        return tuple(out)
+        return _symbols_of_rank(rank, self.code.q, self.base.t)
 
     def adjacent_ref(self, vg: int, l: int, tup) -> bool:
-        row = self._proj_cw[vg]
-        for j in range(self._tcols):
-            cw = row[j]
-            if cw is not None:
-                if cw[l] != tup[j]:
-                    return False
-            elif tup[j] not in self._presence[j][l]:
-                return False
-        return True
+        start = l * self.code.q
+        return all(col >> (start + s) & 1 for col, s in zip(self._cols[vg], tup))
 
     def adjacent(self, vg: int, wg: int) -> bool:
-        local = wg - self.num_v
-        l, rank = divmod(local, self._a_size)
+        _check_ids(vg, wg, self.num_v, self.num_w)
+        l, rank = divmod(wg - self.num_v, self._a_size)
         return self.adjacent_ref(vg, l, self.a_tuple(rank))
 
+    def _covered_fields(self, labeling) -> int:
+        """The top bit of field l is set iff the labeling covers part l."""
+        rows = [self._cols[off + rank] for off, rank in zip(self._v_offsets, labeling)]
+        low = self._low
+        hit = self._top
+        for col in zip(*rows):
+            acc = col[0]
+            for mask in col[1:]:
+                acc &= mask
+            # adding low carries into a field's top bit iff one of its
+            # lower bits is set, without reaching the next field; OR-ing
+            # acc adds the top bit itself, so the top bit marks a nonzero field
+            hit &= ((acc & low) + low) | acc
+            if not hit:
+                break
+        return hit
+
     def covered(self, labeling, l: int) -> bool:
-        rows = [self._proj_cw[self._v_offsets[i] + rank]
-                for i, rank in enumerate(labeling)]
-        for j in range(self._tcols):
-            need = -1
-            for row in rows:
-                cw = row[j]
-                if cw is None:
-                    continue
-                s = cw[l]
-                if need < 0:
-                    need = s
-                elif s != need:
-                    return False
-        return True
+        if not 0 <= l < self.t:
+            raise IndexRangeError(f"part {l} outside [0, {self.t})")
+        q = self.code.q
+        return bool(self._covered_fields(labeling) >> (l * q + q - 1) & 1)
 
     def covered_count(self, labeling) -> int:
-        return sum(1 for l in range(self.code.ell) if self.covered(labeling, l))
+        return self._covered_fields(labeling).bit_count()
 
     def materialize(self, *, cap: int = DEFAULT_EDGE_CAP) -> MaxCoverInstance:
-        return _materialize(self, cap)
+        pairs = self.num_v * self.num_w
+        if pairs > cap:
+            raise CapExceededError(f"materializing {pairs} candidate edges exceeds cap {cap}")
+        edges = [(vg, wg) for vg in range(self.num_v)
+                 for wg in range(self.num_v, self.num_v + self.num_w)
+                 if self.adjacent(vg, wg)]
+        return MaxCoverInstance(self.v_parts, self.w_parts, edges,
+                                provenance=self.provenance + "; materialized")
 
     def describe(self) -> dict:
         return {
@@ -395,19 +381,6 @@ class ComposedMaxCover:
         }
 
 
-def _materialize(composed, cap: int) -> MaxCoverInstance:
-    pairs = composed.num_v * composed.num_w
-    if pairs > cap:
-        raise CapExceededError(f"materializing {pairs} candidate edges exceeds cap {cap}")
-    edges = []
-    for vg in range(composed.num_v):
-        for wg in range(composed.num_v, composed.num_v + composed.num_w):
-            if composed.adjacent(vg, wg):
-                edges.append((vg, wg))
-    return MaxCoverInstance(composed.v_parts, composed.w_parts, edges,
-                            provenance=composed.provenance + "; materialized")
-
-
 def compose_gap(base: MaxCoverInstance, code: Code, matching=None) -> ComposedMaxCover:
     """Gap-creating composition with the threshold graph of (code, t=base.t).
 
@@ -416,89 +389,17 @@ def compose_gap(base: MaxCoverInstance, code: Code, matching=None) -> ComposedMa
     is preserved; any value below 1 drops to at most 1 - delta.
     """
     profile = projection_profile(base)
-    _check_projection_order(profile)
-    matching = (_default_matching(base, code) if matching is None
-                else _validate_matching(base, code, matching))
-    return ComposedMaxCover(base, code, matching, profile)
-
-
-# ---------------------------------------------------------------------------
-# Degree-bounded composition for k = 2 (no projection requirement)
-
-
-class ComposedMaxCoverK2:
-    """Composition for k = 2 with per-part degree bound d.
-
-    v is adjacent to a = (l, tuple) iff every column j has a W_j-neighbor
-    of v whose matched codeword carries symbol tuple[j] at coordinate l.
-    """
-
-    __slots__ = ("base", "code", "matching", "d", "provenance",
-                 "v_parts", "w_parts", "_v_offsets", "_a_size", "_tcols", "_nb_cw")
-
-    def __init__(self, base: MaxCoverInstance, code: Code, matching, d: int):
-        self.base = base
-        self.code = code
-        self.matching = matching
-        self.d = d
-        self._tcols = base.t
-        self._a_size = code.q ** base.t
-        self._v_offsets = base._v_offsets
-        self.v_parts = base.v_parts
-        self.w_parts = (self._a_size,) * code.ell
-        self.provenance = (f"compose_gap_k2_bounded({base.provenance or 'instance'}; "
-                           f"{code.kind} q={code.q} r={code.r} ell={code.ell}; d={d})")
-        words = {j: [code.codeword(m) for m in matching[j]] for j in range(base.t)}
-        nb_cw = []
-        for vg in range(base.num_v):
-            row = []
-            for j in range(base.t):
-                nbrs = base.neighbors_in_part(vg, j)
-                row.append(tuple(words[j][p] for p in nbrs))
-            nb_cw.append(tuple(row))
-        self._nb_cw = nb_cw
-
-    k = property(lambda self: 2)
-
-    @property
-    def t(self) -> int:
-        return self.code.ell
-
-    @property
-    def num_v(self) -> int:
-        return self.base.num_v
-
-    @property
-    def num_w(self) -> int:
-        return self.code.ell * self._a_size
-
-    a_tuple = ComposedMaxCover.a_tuple
-    adjacent = ComposedMaxCover.adjacent
-    materialize = ComposedMaxCover.materialize
-    describe = ComposedMaxCover.describe
-
-    def adjacent_ref(self, vg: int, l: int, tup) -> bool:
-        row = self._nb_cw[vg]
-        for j in range(self._tcols):
-            if not any(cw[l] == tup[j] for cw in row[j]):
-                return False
-        return True
-
-    def covered(self, labeling, l: int) -> bool:
-        r1 = self._nb_cw[self._v_offsets[0] + labeling[0]]
-        r2 = self._nb_cw[self._v_offsets[1] + labeling[1]]
-        for j in range(self._tcols):
-            s1 = {cw[l] for cw in r1[j]}
-            if not s1 or not any(cw[l] in s1 for cw in r2[j]):
-                return False
-        return True
-
-    def covered_count(self, labeling) -> int:
-        return sum(1 for l in range(self.code.ell) if self.covered(labeling, l))
+    if not profile.is_pseudo_projection:
+        raise NotPseudoProjectionError(
+            f"instance violates pseudo-projection at {profile.violations()}")
+    matching = _match_parts(code, base.w_parts, matching)
+    return ComposedMaxCover(base, code, matching, (
+        f"compose_gap({base.provenance or 'instance'}; "
+        f"{code.kind} q={code.q} r={code.r} ell={code.ell})"))
 
 
 def compose_gap_k2_bounded(base: MaxCoverInstance, code: Code, d: int,
-                           matching=None) -> ComposedMaxCoverK2:
+                           matching=None) -> ComposedMaxCover:
     """Degree-bounded composition: completeness preserved, soundness d**2 * (1-delta)."""
     if base.k != 2:
         raise NotTwoPartsError(f"degree-bounded composition needs k=2, got k={base.k}")
@@ -508,9 +409,10 @@ def compose_gap_k2_bounded(base: MaxCoverInstance, code: Code, d: int,
             if deg > d:
                 raise DegreeBoundError(
                     f"vertex {vg} has {deg} neighbors in W_{j}, bound d={d}")
-    matching = (_default_matching(base, code) if matching is None
-                else _validate_matching(base, code, matching))
-    return ComposedMaxCoverK2(base, code, matching, d)
+    matching = _match_parts(code, base.w_parts, matching)
+    return ComposedMaxCover(base, code, matching, (
+        f"compose_gap_k2_bounded({base.provenance or 'instance'}; "
+        f"{code.kind} q={code.q} r={code.r} ell={code.ell}; d={d})"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
-"""JSON format tag shared by every gapforge file format."""
+"""JSON format tag and certificate verdicts shared by every gapforge file format."""
 
 from __future__ import annotations
 
 from .errors import ParseError, SchemaVersionError
 
 FORMAT_TAG = "gapforge-v1"
+
+COMPLETENESS_OK = "completeness_ok"
+SOUNDNESS_OK = "soundness_ok"
+VACUOUS_OK = "vacuous_ok"
+VERDICT_VIOLATION = "violation"
 
 
 def check_format(doc: dict) -> None:

@@ -15,7 +15,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .codes import Code, collision_number
+from .codes import Code, _match_parts, _rank_of_symbols, _symbols_of_rank, collision_number
 from .errors import (
     DEFAULT_SUBSET_BUDGET,
     DEFAULT_UNIVERSE_CAP,
@@ -24,15 +24,18 @@ from .errors import (
     EmptyPartError,
     GapforgeError,
     IndexRangeError,
-    MatchingOverflowError,
     UniverseCapError,
 )
-from .serialize import FORMAT_TAG, check_format, require_ints, require_keys
-
-COMPLETENESS_OK = "completeness_ok"
-SOUNDNESS_OK = "soundness_ok"
-VACUOUS_OK = "vacuous_ok"
-VERDICT_VIOLATION = "violation"
+from .serialize import (
+    COMPLETENESS_OK,
+    FORMAT_TAG,
+    SOUNDNESS_OK,
+    VACUOUS_OK,
+    VERDICT_VIOLATION,
+    check_format,
+    require_ints,
+    require_keys,
+)
 
 
 class SetCoverInstance:
@@ -186,18 +189,7 @@ class ComposedSetCover:
         self._fmatrix = None
 
     def a_rank(self, v) -> int:
-        rank = 0
-        for s in v:
-            rank = rank * self.code.q + s
-        return rank
-
-    def a_tuple(self, rank: int) -> tuple[int, ...]:
-        q = self.code.q
-        out = [0] * self.k
-        for pos in range(self.k - 1, -1, -1):
-            out[pos] = rank % q
-            rank //= q
-        return tuple(out)
+        return _rank_of_symbols(v, self.code.q)
 
     def contains(self, ref, element) -> bool:
         """Membership oracle: element = (i, f) with f a length-q**k sequence."""
@@ -215,12 +207,7 @@ class ComposedSetCover:
         """Decode the canonical enumeration (i ascending, f lexicographic)."""
         per_part = self.universe_size // self.ell
         i, rank = divmod(index, per_part)
-        u = self.base.universe_size
-        f = [0] * self.fsize
-        for pos in range(self.fsize - 1, -1, -1):
-            f[pos] = rank % u
-            rank //= u
-        return (i, tuple(f))
+        return (i, _symbols_of_rank(rank, self.base.universe_size, self.fsize))
 
     def iter_universe(self):
         u = self.base.universe_size
@@ -351,22 +338,7 @@ def compose_setcover(base: SetCoverInstance, code: Code, matching=None, *,
     covers over; if the base has no k-set cover at all, every composed cover
     needs at least Col(code) sets.
     """
-    if matching is None:
-        matching = []
-        for j, coll in enumerate(base.collections):
-            if len(coll) > code.size:
-                raise MatchingOverflowError(
-                    f"collection {j} has {len(coll)} sets, code has {code.size} codewords")
-            matching.append(tuple(range(len(coll))))
-        matching = tuple(matching)
-    else:
-        matching = tuple(tuple(m) for m in matching)
-        if len(matching) != base.k:
-            raise MatchingOverflowError("matching must cover every collection")
-        for j, inj in enumerate(matching):
-            if len(inj) != len(base.collections[j]) or len(set(inj)) != len(inj) \
-                    or any(not 0 <= m < code.size for m in inj):
-                raise MatchingOverflowError(f"matching for collection {j} is not injective")
+    matching = _match_parts(code, [len(coll) for coll in base.collections], matching)
     return ComposedSetCover(base, code, matching, universe_cap)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .codes import Code, relative_distance
+from .codes import Code, _rank_of_symbols, _symbols_of_rank, relative_distance
 from .errors import (
     DEFAULT_EDGE_CAP,
     DEFAULT_SUBSET_BUDGET,
@@ -56,18 +56,10 @@ class ThresholdGraph:
         return self.t * self.b_part_size
 
     def a_rank(self, v) -> int:
-        rank = 0
-        for s in v:
-            rank = rank * self.code.q + s
-        return rank
+        return _rank_of_symbols(v, self.code.q)
 
     def a_tuple(self, rank: int) -> tuple[int, ...]:
-        q = self.code.q
-        out = [0] * self.t
-        for pos in range(self.t - 1, -1, -1):
-            out[pos] = rank % q
-            rank //= q
-        return tuple(out)
+        return _symbols_of_rank(rank, self.code.q, self.t)
 
 
 def build_threshold(code: Code, t: int) -> ThresholdGraph:

@@ -9,6 +9,7 @@ from gapforge import oracles
 from gapforge.errors import (
     DegreeBoundError,
     EmptyPartError,
+    IndexRangeError,
     MatchingOverflowError,
     NotPseudoProjectionError,
     NotTwoPartsError,
@@ -30,6 +31,31 @@ def walkthrough_instance():
 def soundness_instance():
     """k=2, t=1; disjoint unique neighbors force value 0."""
     return gf.MaxCoverInstance((1, 1), (2,), [(0, 2), (1, 3)])
+
+
+def binary_code():
+    """Explicit binary code with delta = 7/8 and two codewords."""
+    return gf.explicit_code(2, 8, [(0,) * 8, (1, 1, 1, 1, 1, 1, 1, 0)])
+
+
+# Codes for the differential tests, with generator limits: the binary code
+# has two codewords, so right parts stay at two members, and RS(11,2) keeps
+# t <= 2 so that a part's 11**t tuples stay few enough to scan.
+DIFF_CODES = {
+    "q2": (binary_code, {"max_part": 2}),
+    "q3": (lambda: gf.reed_solomon(3, 2), {}),
+    "q5": (lambda: gf.reed_solomon(5, 2), {}),
+    "q11": (lambda: gf.reed_solomon(11, 2), {"max_t": 2}),
+}
+
+
+def random_composition(route, rng, code, limits):
+    """A random base instance and its composition along one gap route."""
+    if route == "gap":
+        inst = random_pseudo_projection_instance(rng, **limits)
+        return inst, gf.compose_gap(inst, code)
+    inst = random_bounded_degree_instance(rng, 2, **limits)
+    return inst, gf.compose_gap_k2_bounded(inst, code, 2)
 
 
 class TestInstance:
@@ -67,6 +93,24 @@ class TestInstance:
         inst = gf.MaxCoverInstance((3, 3), (1,), [(0, 6)])
         with pytest.raises(gf.GapforgeError):
             gf.maxcover_value(inst, labeling_cap=8)
+
+    def test_out_of_range_ids_rejected(self):
+        inst = soundness_instance()
+        for g in (inst, gf.compose_gap(inst, gf.reed_solomon(3, 2)),
+                  gf.compose_gap_k2_bounded(inst, gf.reed_solomon(5, 2), 2)):
+            first_w, end = g.num_v, g.num_v + g.num_w
+            # W ids before and past the W range (a V id among them), then V ids
+            for vg, wg in ((0, -1), (0, 0), (0, first_w - 1), (0, end),
+                           (-1, first_w), (g.num_v, first_w)):
+                with pytest.raises(IndexRangeError):
+                    g.adjacent(vg, wg)
+            assert g.adjacent(0, first_w)
+        # a packed part index past the last part must not read as uncovered
+        for g in (gf.compose_gap(inst, gf.reed_solomon(3, 2)),
+                  gf.compose_gap_k2_bounded(inst, gf.reed_solomon(5, 2), 2)):
+            for l in (-1, g.t):
+                with pytest.raises(IndexRangeError):
+                    g.covered((0, 0), l)
 
 
 class TestProjectionProfile:
@@ -142,12 +186,14 @@ class TestComposeGap:
         identity = gf.compose_gap(inst, code, matching=[(0, 1)])
         assert gf.maxcover_value(identity).value == default
 
-    def test_product_decomposition_matches_existential(self):
+    @pytest.mark.parametrize("qname", list(DIFF_CODES))
+    @pytest.mark.parametrize("route", ["gap", "k2"])
+    def test_product_decomposition_matches_existential(self, route, qname):
         rng = random.Random(99)
-        code = gf.reed_solomon(3, 2)
+        make_code, limits = DIFF_CODES[qname]
+        code = make_code()
         for _ in range(25):
-            inst = random_pseudo_projection_instance(rng)
-            composed = gf.compose_gap(inst, code)
+            inst, composed = random_composition(route, rng, code, limits)
             for vg in range(composed.num_v):
                 for l in range(composed.t):
                     for rank in range(composed.w_parts[0]):
@@ -156,16 +202,19 @@ class TestComposeGap:
                             oracles.composed_adjacent_bruteforce(
                                 inst, code, composed.matching, vg, l, tup)
 
-    def test_coverage_matches_vertex_scan(self):
+    @pytest.mark.parametrize("qname", list(DIFF_CODES))
+    @pytest.mark.parametrize("route", ["gap", "k2"])
+    def test_coverage_matches_vertex_scan(self, route, qname):
         rng = random.Random(17)
-        code = gf.reed_solomon(3, 2)
+        make_code, limits = DIFF_CODES[qname]
+        code = make_code()
         for _ in range(10):
-            inst = random_pseudo_projection_instance(rng)
-            composed = gf.compose_gap(inst, code)
+            _, composed = random_composition(route, rng, code, limits)
             for lab in product(*(range(s) for s in composed.v_parts)):
-                for l in range(composed.t):
-                    assert composed.covered(lab, l) == \
-                        oracles.covered_by_scan(composed, lab, l)
+                scans = [oracles.covered_by_scan(composed, lab, l)
+                         for l in range(composed.t)]
+                assert [composed.covered(lab, l) for l in range(composed.t)] == scans
+                assert composed.covered_count(lab) == sum(scans)
 
     def test_materialize_preserves_value_and_edges(self):
         inst = soundness_instance()
