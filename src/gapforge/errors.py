@@ -14,7 +14,8 @@ DEFAULT_ENUM_CAP = 1 << 20
 DEFAULT_SUBSET_BUDGET = 10_000_000
 # Max labelings enumerated by the exact MaxCover solver.
 DEFAULT_LABELING_CAP = 1_000_000
-# Max composed SetCover universe size (ell * |U| ** q**k).
+# Max composed SetCover universe size (ell * |U| ** q**k) that materialize
+# exports; composing, membership and cover checks never enumerate it.
 DEFAULT_UNIVERSE_CAP = 10_000_000
 # Max edges materialized for implicit (threshold / composed) graphs.
 DEFAULT_EDGE_CAP = 1_000_000

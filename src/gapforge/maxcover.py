@@ -115,10 +115,13 @@ class MaxCoverInstance:
         return bool(self._masks[vg][j] >> local & 1)
 
     def neighbors_in_part(self, vg: int, j: int) -> tuple[int, ...]:
+        _check_index("V id", vg, self.num_v)
+        _check_index("part", j, self.t)
         mask = self._masks[vg][j]
         return tuple(p for p in range(self.w_parts[j]) if mask >> p & 1)
 
     def covered(self, labeling, j: int) -> bool:
+        _check_index("part", j, self.t)
         acc = -1
         for i, rank in enumerate(labeling):
             acc &= self._masks[self._v_offsets[i] + rank][j]
@@ -143,6 +146,11 @@ class MaxCoverInstance:
     def __repr__(self):
         return (f"MaxCoverInstance(k={self.k}, t={self.t}, "
                 f"|V|={self.num_v}, |W|={self.num_w}, |E|={len(self.edges)})")
+
+
+def _check_index(name: str, value: int, end: int) -> None:
+    if not 0 <= value < end:
+        raise IndexRangeError(f"{name} {value} outside [0, {end})")
 
 
 def _check_ids(vg: int, wg: int, num_v: int, num_w: int) -> None:
@@ -326,7 +334,13 @@ class ComposedMaxCover:
         return _symbols_of_rank(rank, self.code.q, self.base.t)
 
     def adjacent_ref(self, vg: int, l: int, tup) -> bool:
-        start = l * self.code.q
+        q = self.code.q
+        if not (0 <= vg < len(self._cols) and 0 <= l < self.code.ell
+                and len(tup) == self.base.t and min(tup) >= 0 and max(tup) < q):
+            raise IndexRangeError(f"adjacent_ref({vg}, {l}, {tup!r}) needs a V id in "
+                                  f"[0, {len(self._cols)}), a part in [0, {self.code.ell}) "
+                                  f"and a vertex of [{q}]**{self.base.t}")
+        start = l * q
         return all(col >> (start + s) & 1 for col, s in zip(self._cols[vg], tup))
 
     def adjacent(self, vg: int, wg: int) -> bool:
@@ -352,8 +366,7 @@ class ComposedMaxCover:
         return hit
 
     def covered(self, labeling, l: int) -> bool:
-        if not 0 <= l < self.t:
-            raise IndexRangeError(f"part {l} outside [0, {self.t})")
+        _check_index("part", l, self.t)
         q = self.code.q
         return bool(self._covered_fields(labeling) >> (l * q + q - 1) & 1)
 
@@ -405,7 +418,7 @@ def compose_gap_k2_bounded(base: MaxCoverInstance, code: Code, d: int,
         raise NotTwoPartsError(f"degree-bounded composition needs k=2, got k={base.k}")
     for vg in range(base.num_v):
         for j in range(base.t):
-            deg = len(base.neighbors_in_part(vg, j))
+            deg = base._masks[vg][j].bit_count()
             if deg > d:
                 raise DegreeBoundError(
                     f"vertex {vg} has {deg} neighbors in W_{j}, bound d={d}")

@@ -110,6 +110,22 @@ def setcover_covers_bruteforce(composed, refs) -> bool:
                for elem in composed.iter_universe())
 
 
+def setcover_member(composed, ref, element) -> bool:
+    """Membership of element (i, f) in the composed set of ref, by definition.
+
+    (i, f) is in the composed set of S, set idx of collection j, iff some a
+    in [q]**k, at position pos of the lexicographic order, has a_j equal to
+    coordinate i of S's matched codeword and f[pos] in S.  Reads only the
+    base sets, the code and the matching.
+    """
+    base, code = composed.base, composed.code
+    j, idx = ref
+    i, f = element
+    symbol = code.codeword(composed.matching[j][idx])[i]
+    return any(a[j] == symbol and f[pos] in base.collections[j][idx]
+               for pos, a in enumerate(product(range(code.q), repeat=base.k)))
+
+
 def setcover_first_uncovered(composed, refs):
     """First composed universe element no ref contains, or None.
 

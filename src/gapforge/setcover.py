@@ -5,7 +5,10 @@ is the code's collision number.
 The composed universe is {(i, f) : i in [ell], f : A_i -> U} with f encoded
 as a length-q**k sequence over U in lexicographic A-vertex order; the
 composed set for S (matched to codeword m(S) in collection j) contains
-(i, f) iff some a in A_i has a_j = C(m(S))_i and f(a) in S.
+(i, f) iff some a in A_i has a_j = C(m(S))_i and f(a) in S.  That one rule,
+kept as the A_i vertices adjacent to each set, answers membership and
+decides covers part by part, so nothing but export (materialize, capped at
+DEFAULT_UNIVERSE_CAP elements) enumerates the universe.
 """
 
 from __future__ import annotations
@@ -13,16 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-import numpy as np
-
-from .codes import Code, _match_parts, _rank_of_symbols, _symbols_of_rank, collision_number
+from .codes import Code, _match_parts, _rank_of_symbols, collision_number
 from .errors import (
     DEFAULT_SUBSET_BUDGET,
     DEFAULT_UNIVERSE_CAP,
     BudgetExceededError,
     CapExceededError,
     EmptyPartError,
-    GapforgeError,
     IndexRangeError,
     UniverseCapError,
 )
@@ -152,24 +152,16 @@ class ComposedSetCover:
     """Oracle-backed composed instance over universe {(i, f) : f : A_i -> U}."""
 
     __slots__ = ("base", "code", "matching", "ell", "k", "fsize",
-                 "universe_size", "provenance", "_adj_ranks", "_member_cache", "_fmatrix")
+                 "universe_size", "provenance", "_adj_ranks")
 
-    def __init__(self, base: SetCoverInstance, code: Code, matching,
-                 universe_cap: int = DEFAULT_UNIVERSE_CAP):
+    def __init__(self, base: SetCoverInstance, code: Code, matching):
         self.base = base
         self.code = code
         self.matching = matching
         self.k = base.k
         self.ell = code.ell
         self.fsize = code.q ** base.k
-
-        size = 1
-        for _ in range(self.fsize):
-            size *= base.universe_size
-            if size * code.ell > universe_cap:
-                raise UniverseCapError(
-                    f"composed universe exceeds cap {universe_cap}")
-        self.universe_size = code.ell * size
+        self.universe_size = code.ell * base.universe_size ** self.fsize
         self.provenance = (f"compose_setcover({base.provenance or 'instance'}; "
                            f"{code.kind} q={code.q} r={code.r} ell={code.ell})")
 
@@ -181,15 +173,10 @@ class ComposedSetCover:
                 per_i = []
                 for i in range(code.ell):
                     ranks = tuple(
-                        self.a_rank(rest[:j] + (word[i],) + rest[j:])
+                        _rank_of_symbols(rest[:j] + (word[i],) + rest[j:], q)
                         for rest in product(range(q), repeat=base.k - 1))
                     per_i.append(ranks)
                 self._adj_ranks[(j, idx)] = tuple(per_i)
-        self._member_cache = {}
-        self._fmatrix = None
-
-    def a_rank(self, v) -> int:
-        return _rank_of_symbols(v, self.code.q)
 
     def contains(self, ref, element) -> bool:
         """Membership oracle: element = (i, f) with f a length-q**k sequence."""
@@ -198,49 +185,19 @@ class ComposedSetCover:
             raise IndexRangeError(f"part index {i} outside [0, {self.ell})")
         if len(f) != self.fsize:
             raise IndexRangeError(f"function must have length {self.fsize}")
+        u = self.base.universe_size
+        if not all(0 <= x < u for x in f):
+            raise IndexRangeError(f"function values must lie in [0, {u})")
         if ref not in self._adj_ranks:
             raise IndexRangeError(f"no set {ref!r} in the base instance")
         base_set = self.base.collections[ref[0]][ref[1]]
         return any(f[a] in base_set for a in self._adj_ranks[ref][i])
-
-    def element_of_index(self, index: int):
-        """Decode the canonical enumeration (i ascending, f lexicographic)."""
-        per_part = self.universe_size // self.ell
-        i, rank = divmod(index, per_part)
-        return (i, _symbols_of_rank(rank, self.base.universe_size, self.fsize))
 
     def iter_universe(self):
         u = self.base.universe_size
         for i in range(self.ell):
             for f in product(range(u), repeat=self.fsize):
                 yield (i, f)
-
-    def _functions_matrix(self):
-        if self._fmatrix is None:
-            u = self.base.universe_size
-            if u > 127:
-                raise UniverseCapError("universe too large for int8 enumeration")
-            self._fmatrix = np.array(
-                list(product(range(u), repeat=self.fsize)), dtype=np.int8)
-        return self._fmatrix
-
-    def membership_array(self, ref) -> np.ndarray:
-        """Full membership table of one composed set, in enumeration order."""
-        if ref not in self._member_cache:
-            fmat = self._functions_matrix()
-            base_set = self.base.collections[ref[0]][ref[1]]
-            in_set = np.zeros(self.base.universe_size, dtype=bool)
-            for e in base_set:
-                in_set[e] = True
-            chunks = []
-            for i in range(self.ell):
-                cols = self._adj_ranks[ref][i]
-                if cols and base_set:
-                    chunks.append(in_set[fmat[:, cols]].any(axis=1))
-                else:
-                    chunks.append(np.zeros(len(fmat), dtype=bool))
-            self._member_cache[ref] = np.concatenate(chunks)
-        return self._member_cache[ref]
 
     def _first_uncovered(self, refs):
         """First uncovered element in enumeration order, or None (Thm 5.1).
@@ -272,18 +229,6 @@ class ComposedSetCover:
         element = self._first_uncovered(refs)
         return element is None, element
 
-    def uncovered_witness_adversarial(self, refs):
-        """Uncovered element built like the soundness argument, or None.
-
-        For a part i where no A_i vertex sees refs whose base sets union to
-        U, picking f(a) outside each vertex's union yields an element no ref
-        contains; the element is re-verified through the membership oracle.
-        """
-        element = self._first_uncovered(refs)
-        if element is not None and any(self.contains(ref, element) for ref in refs):
-            raise GapforgeError("adversarial witness failed re-verification")
-        return element
-
     def min_cover(self, cap: int, *, budget: int = DEFAULT_SUBSET_BUDGET):
         """Exhaustive minimum-cover search over the composed sets."""
         refs = self.base.all_refs()
@@ -300,14 +245,20 @@ class ComposedSetCover:
         return None, None, examined
 
     def materialize(self) -> SetCoverInstance:
-        """Explicit composed instance over the enumerated universe."""
-        collections = []
-        for j, coll in enumerate(self.base.collections):
-            sets = []
-            for idx in range(len(coll)):
-                arr = self.membership_array((j, idx))
-                sets.append(frozenset(int(x) for x in np.nonzero(arr)[0]))
-            collections.append(sets)
+        """Explicit composed instance; element n is the n-th of iter_universe.
+
+        Asks contains of every element, so this is the one library path that
+        enumerates the universe and the one place DEFAULT_UNIVERSE_CAP applies.
+        """
+        if self.universe_size > DEFAULT_UNIVERSE_CAP:
+            raise UniverseCapError(f"composed universe of {self.universe_size} elements "
+                                   f"exceeds export cap {DEFAULT_UNIVERSE_CAP}")
+        refs = self.base.all_refs()
+        collections = [[set() for _ in coll] for coll in self.base.collections]
+        for n, element in enumerate(self.iter_universe()):
+            for j, idx in refs:
+                if self.contains((j, idx), element):
+                    collections[j][idx].add(n)
         return SetCoverInstance(self.universe_size, collections,
                                 provenance=self.provenance + "; materialized")
 
@@ -329,8 +280,7 @@ def _lowest_missing(mask: int) -> int:
     return e
 
 
-def compose_setcover(base: SetCoverInstance, code: Code, matching=None, *,
-                     universe_cap: int = DEFAULT_UNIVERSE_CAP) -> ComposedSetCover:
+def compose_setcover(base: SetCoverInstance, code: Code, matching=None) -> ComposedSetCover:
     """Compose with the threshold graph of (code, t=k).
 
     Sets of collection j are matched injectively to codewords (default by
@@ -339,7 +289,7 @@ def compose_setcover(base: SetCoverInstance, code: Code, matching=None, *,
     needs at least Col(code) sets.
     """
     matching = _match_parts(code, [len(coll) for coll in base.collections], matching)
-    return ComposedSetCover(base, code, matching, universe_cap)
+    return ComposedSetCover(base, code, matching)
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,19 @@ class TestInstance:
             for l in (-1, g.t):
                 with pytest.raises(IndexRangeError):
                     g.covered((0, 0), l)
+        # no negative indexing, zip truncation or out-of-range symbol reads
+        composed = gf.compose_gap(inst, gf.reed_solomon(3, 2))
+        for vg, l, tup in ((-1, 0, (0,)), (composed.num_v, 0, (0,)), (0, 0, (0, 0)),
+                           (0, 0, ()), (0, -1, (0,)), (0, 5, (0,)), (0, 0, (3,)),
+                           (0, 0, (-1,))):
+            with pytest.raises(IndexRangeError):
+                composed.adjacent_ref(vg, l, tup)
+        for j in (-1, 1):
+            with pytest.raises(IndexRangeError):
+                inst.covered((0, 0), j)
+        for vg, j in ((-1, 0), (inst.num_v, 0), (0, -1), (0, 3)):
+            with pytest.raises(IndexRangeError):
+                inst.neighbors_in_part(vg, j)
 
 
 class TestProjectionProfile:

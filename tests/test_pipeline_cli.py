@@ -277,6 +277,7 @@ class TestCli:
          {"k": 1, "t": 1, "v_parts": [1], "w_parts": [1], "edges": [[0]]}),
         (["code", "measure", "{doc}"],
          {"q": 2, "r": 1, "ell": 2, "kind": "explicit", "table": [[0, 0], [1, "1"]]}),
+        (_MEMBER + ["--f", ",".join(["5"] * 9), "--set", "0,0"], _SETCOVER),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, argv, doc):
         doc_path = tmp_path / "doc.json"
@@ -287,6 +288,47 @@ class TestCli:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_setcover_compose_past_export_cap(self, tmp_path, capsys):
+        inst_path = tmp_path / "sc.json"
+        inst_path.write_text(json.dumps(_SETCOVER))
+        code_path = tmp_path / "rs52.json"
+        code_path.write_text(json.dumps(gf.code_to_json(gf.reed_solomon(5, 2))))
+        argv = ["setcover", "compose", "--instance", str(inst_path), "--code", str(code_path)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["universe"] == 5 * 2 ** 25
+        assert main(argv + ["--export", str(tmp_path / "out.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_runs_without_numpy(self, tmp_path):
+        inst_path = tmp_path / "sc.json"
+        inst_path.write_text(json.dumps(_SETCOVER))
+        code_path = tmp_path / "code.json"
+        code = gf.explicit_code(2, 2, [(0, 0), (0, 1), (1, 0)])
+        code_path.write_text(json.dumps(gf.code_to_json(code)))
+        out_path = tmp_path / "out.json"
+        argv = ["gapforge", "setcover", "compose", "--instance", str(inst_path),
+                "--code", str(code_path), "--export", str(out_path)]
+        script = "\n".join([
+            "import pkgutil, runpy, sys",
+            "sys.modules['numpy'] = None",  # any numpy import now fails
+            "import gapforge",
+            "for mod in pkgutil.iter_modules(gapforge.__path__):",
+            "    if not mod.name.startswith('_'):",
+            "        __import__('gapforge.' + mod.name)",
+            f"sys.argv = {argv!r}",
+            "runpy.run_module('gapforge', run_name='__main__', alter_sys=True)",
+        ])
+        src = Path(gf.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["universe"] == 32
+        exported = gf.setcover_from_json(json.loads(out_path.read_text()))
+        assert exported.universe_size == 32
+        assert gf.min_cover_size(exported, cap=2).min_size == 2
 
     @pytest.mark.parametrize("argv", [
         ["code", "measure", "{code}"], ["threshold", "--code", "{code}", "--t", "2"],

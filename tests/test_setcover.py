@@ -1,7 +1,6 @@
 import random
 from itertools import combinations, product
 
-import numpy as np
 import pytest
 
 import gapforge as gf
@@ -15,6 +14,27 @@ from gapforge.errors import (
     UniverseCapError,
 )
 from gapforge.generators import random_setcover_instance
+
+
+def criterion_7_base(rng, mode):
+    """Acceptance criterion 7's mix: planted, singleton and unplanted bases."""
+    if mode == 1:  # singleton sets: no two sets can cover |U| = 3
+        colls = [[frozenset([rng.randrange(3)]) for _ in range(rng.randint(1, 3))]
+                 for _ in range(2)]
+        return gf.SetCoverInstance(3, colls, provenance="singletons")
+    return random_setcover_instance(rng, plant_cover=mode == 0)
+
+
+def plain_verdict(base):
+    """The certificate verdict the base calls for, from plain set unions."""
+    universe = frozenset(range(base.universe_size))
+    if any(frozenset().union(*choice) == universe for choice in product(*base.collections)):
+        return "completeness_ok"
+    sets = [s for coll in base.collections for s in coll]
+    if any(frozenset().union(*combo) == universe
+           for size in range(1, base.k + 1) for combo in combinations(sets, size)):
+        return "vacuous_ok"
+    return "soundness_ok"
 
 
 class TestInstance:
@@ -76,7 +96,7 @@ class TestCompose:
         base = gf.SetCoverInstance(2, [[{0}], [{1}]])
         composed = gf.compose_setcover(base, gf.reed_solomon(3, 2))
         assert composed.universe_size == 3 * 2 ** 9 == 1536
-        assert len(composed.membership_array((0, 0))) == 1536
+        assert sum(1 for _ in composed.iter_universe()) == 1536
 
     def test_completeness_matched_tuple_covers(self):
         base = gf.SetCoverInstance(2, [[{0}], [{1}]])
@@ -93,6 +113,9 @@ class TestCompose:
         ones = (1,) * composed.fsize
         assert not composed.contains((0, 0), (0, ones))
         assert not composed.contains((1, 0), (0, ones))
+        for value in (-1, 2):
+            with pytest.raises(IndexRangeError):
+                composed.contains((0, 0), (0, (value,) + ones[1:]))
 
     def test_adversarial_witness_agrees_with_enumeration(self):
         from itertools import combinations
@@ -105,33 +128,30 @@ class TestCompose:
             for size in range(1, len(refs) + 1):
                 for combo in combinations(refs, size):
                     covered, uncovered = composed.covers(combo)
-                    adversarial = composed.uncovered_witness_adversarial(combo)
-                    assert covered == (adversarial is None)
+                    assert covered == (uncovered is None)
                     if not covered:
                         assert not any(composed.contains(r, uncovered) for r in combo)
 
-    def test_membership_oracle_matches_arrays(self):
-        base = gf.SetCoverInstance(2, [[{0}, {0, 1}], [{1}]])
-        composed = gf.compose_setcover(base, gf.reed_solomon(3, 2))
-        rng = random.Random(0)
-        for ref in base.all_refs():
-            arr = composed.membership_array(ref)
-            for _ in range(200):
-                idx = rng.randrange(composed.universe_size)
-                assert bool(arr[idx]) == composed.contains(ref, composed.element_of_index(idx))
-
-    def test_membership_matches_full_bruteforce_small(self):
-        base = gf.SetCoverInstance(2, [[{0}], [{1}]])
-        code = gf.explicit_code(2, 2, [(0, 0), (0, 1), (1, 0)])
+    @pytest.mark.parametrize("base,code,size", [
+        pytest.param(gf.SetCoverInstance(2, [[{0}], [{1}]]),
+                     gf.explicit_code(2, 2, [(0, 0), (0, 1), (1, 0)]), 32, id="u32"),
+        pytest.param(gf.SetCoverInstance(2, [[{0}, {0, 1}], [{1}]]),
+                     gf.reed_solomon(3, 2), 1536, id="u1536"),
+    ])
+    def test_materialize_matches_membership_definition(self, base, code, size):
         composed = gf.compose_setcover(base, code)
-        assert composed.universe_size == 2 * 2 ** 4
-        ok_fast, _ = composed.covers([(0, 0), (1, 0)])
-        ok_slow = oracles.setcover_covers_bruteforce(composed, [(0, 0), (1, 0)])
-        assert ok_fast == ok_slow
-        for ref in base.all_refs():
-            arr = composed.membership_array(ref)
-            for idx, elem in enumerate(composed.iter_universe()):
-                assert bool(arr[idx]) == composed.contains(ref, elem)
+        explicit = composed.materialize()
+        assert explicit.universe_size == composed.universe_size == size
+        members = hits = 0
+        for n, element in enumerate(composed.iter_universe()):
+            for j, idx in base.all_refs():
+                expected = oracles.setcover_member(composed, (j, idx), element)
+                assert (n in explicit.collections[j][idx]) == expected
+                members += 1
+                hits += expected
+        assert members == size * len(base.all_refs()) and 0 < hits < members
+        refs = [(0, 0), (1, 0)]
+        assert composed.covers(refs)[0] == oracles.setcover_covers_bruteforce(composed, refs)
 
     def test_covers_matches_definition_oracle(self):
         rng = random.Random(34)
@@ -157,9 +177,12 @@ class TestCompose:
             gf.compose_setcover(base, gf.reed_solomon(3, 1))
 
     def test_universe_cap(self):
+        # 5 * 3**25 elements: composing and certifying never enumerate them
         base = gf.SetCoverInstance(3, [[{0}], [{1}]])
+        composed = gf.compose_setcover(base, gf.reed_solomon(5, 2))
+        assert composed.universe_size == 5 * 3 ** 25
         with pytest.raises(UniverseCapError):
-            gf.compose_setcover(base, gf.reed_solomon(3, 2), universe_cap=100)
+            composed.materialize()
 
     def test_materialize_round_trip(self):
         base = gf.SetCoverInstance(2, [[{0}], [{1}]])
@@ -209,9 +232,27 @@ class TestCertificate:
         composed._adj_ranks[(0, 0)] = tuple(per_part)
         cert = gf.setcover_certificate(base, composed)
         assert cert.verdict == "violation"
-        union = composed.membership_array((0, 0)) | composed.membership_array((1, 0))
-        assert cert.witness == composed.element_of_index(int(np.argmin(union)))
+        first = next(e for e in composed.iter_universe()
+                     if not any(composed.contains(ref, e) for ref in [(0, 0), (1, 0)]))
+        assert cert.witness == first
         assert cert.witness == (0, (0, 1, 1, 0, 0, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("q,count", [(5, 24), (7, 2)])
+    def test_certificates_past_old_universe_cap(self, q, count):
+        # every universe here has at least q * 2**(q*q) > 10**7 elements
+        code = gf.reed_solomon(q, 2)
+        rng = random.Random(70 + q)
+        verdicts = []
+        for n in range(count):
+            base = criterion_7_base(rng, n % 3)
+            composed = gf.compose_setcover(base, code)
+            assert composed.universe_size == q * base.universe_size ** (q * q) > 10 ** 7
+            cert = gf.setcover_certificate(base, composed)
+            assert cert.verdict == plain_verdict(base)
+            verdicts.append(cert.verdict)
+            with pytest.raises(UniverseCapError):
+                composed.materialize()
+        assert {"completeness_ok", "soundness_ok"} <= set(verdicts)
 
     def test_partitioned_cover_searched_once(self, monkeypatch):
         calls = []
