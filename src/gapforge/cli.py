@@ -73,6 +73,7 @@ def _cmd_code(args) -> int:
                                  if col.status == "finite"
                                  else f"unknown_above_{col.size_cap}"),
             "collision_witness": list(col.witness) if col.witness else None,
+            "collision_subsets_examined": col.subsets_examined,
             "lower_bound": "infinite" if col.lower_bound == codes.INFINITE
                            else col.lower_bound,
             "upper_bound": col.upper_bound,

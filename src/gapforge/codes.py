@@ -4,6 +4,12 @@ Covers Reed-Solomon codes over prime fields, seeded random codes, codes
 derived from perfect hash families, and explicit table codes, together with
 exact relative distance, exact collision number by exhaustive subset search,
 and the pigeonhole/distance bounds that bracket the collision number.
+
+The collision search packs each codeword as ell one-hot fields of q bits
+and walks subsets depth-first, in increasing size and lexicographic order
+within a size, so a subset's collision test is a few integer operations.
+On Reed-Solomon codes it searches only subsets holding the zero word; by
+linearity that loses no witness (see collision_number).
 """
 
 from __future__ import annotations
@@ -433,12 +439,68 @@ def col_bounds(code: Code, *, distance: Fraction | None = None):
     return lower, upper
 
 
-def _subset_collides_everywhere(table, subset, ell: int) -> bool:
-    for i in range(ell):
-        column = [table[m][i] for m in subset]
-        if len(set(column)) == len(column):
-            return False
-    return True
+def _field_packing(q: int, ell: int):
+    """(pack, low, top) for words of ell symbols in [q].
+
+    pack(word) is one int of ell fields of q bits, field i one-hot at the
+    word's symbol at coordinate i.  low holds every bit of a field but its
+    top one, and top the top bits.  For x made of such fields,
+    ((x & low) + low | x) & top has the top bit of exactly the nonzero
+    fields of x: adding low carries into a field's top bit iff one of its
+    lower bits is set, without reaching the next field, and OR-ing x adds
+    the top bit itself.
+    """
+    starts = range(0, ell * q, q)
+    low = sum(((1 << (q - 1)) - 1) << s for s in starts)
+    top = sum(1 << (s + q - 1) for s in starts)
+
+    def pack(word) -> int:
+        return sum(1 << (s + w) for s, w in zip(starts, word))
+
+    return pack, low, top
+
+
+def _first_collision(words, size: int, anchored: bool, low: int, top: int,
+                     examined: int, budget: int):
+    """Depth-first search for the lexicographically-first colliding subset.
+
+    Visits the size-subsets of range(len(words)) in lexicographic order
+    (only those holding 0 when anchored).  A depth keeps seen, the OR of
+    the chosen words, and dup, the OR of their pairwise ANDs; a subset
+    collides on every coordinate iff every field of its dup is nonzero.
+    Returns (witness or None, examined), examined counting complete
+    subsets; the subset numbered budget + 1 raises BudgetExceededError
+    untested.
+    """
+    n = len(words)
+    chosen = []
+
+    def extend(start: int, seen: int, dup: int):
+        nonlocal examined
+        depth = len(chosen)
+        if depth == size - 1:
+            stop = min(n, start + budget - examined)
+            for m in range(start, stop):
+                d = dup | seen & words[m]
+                if ((d & low) + low | d) & top == top:
+                    examined += m - start + 1
+                    return (*chosen, m)
+            examined += stop - start
+            if stop < n:
+                raise BudgetExceededError(
+                    f"collision search exceeded budget {budget} at size {size}")
+            return None
+        stop = 1 if anchored and depth == 0 else n - size + depth + 1
+        for m in range(start, stop):
+            c = words[m]
+            chosen.append(m)
+            witness = extend(m + 1, seen | c, dup | seen & c)
+            if witness is not None:
+                return witness
+            chosen.pop()
+        return None
+
+    return extend(0, 0, 0), examined
 
 
 def collision_number(code: Code, size_cap: int | None = None, *,
@@ -447,11 +509,21 @@ def collision_number(code: Code, size_cap: int | None = None, *,
                      distance: Fraction | None = None) -> CollisionReport:
     """Smallest subset of codewords colliding on every coordinate.
 
-    Searches subsets in increasing size (lexicographic within a size), so
-    the witness is minimal and lexicographically first.  If some coordinate
-    has pairwise-distinct values across the whole code, no subset collides
-    there and the collision number is INFINITE.
+    Searches subsets in increasing size, lexicographically within a size,
+    so the witness is minimal and lexicographically first.  If some
+    coordinate has pairwise-distinct values across the whole code, no
+    subset collides there and the collision number is INFINITE.
+
+    Reed-Solomon codes are searched only over subsets holding rank 0, the
+    zero word.  This is exact: the code is linear, so for c in a colliding
+    set S, S - c is a set of codewords of the same size that agrees exactly
+    where S agrees and holds 0, and it precedes S when 0 is not in S.  So
+    the lexicographically-first minimal witness holds 0.  Random, PHF and
+    explicit codes are searched in full.  subsets_examined counts the
+    complete subsets tested; budget bounds it.
     """
+    if size_cap is not None and size_cap < 0:
+        raise CapExceededError(f"collision size cap must be >= 0, got {size_cap}")
     table = code.table(cap)
     n = len(table)
     if size_cap is None:
@@ -466,15 +538,15 @@ def collision_number(code: Code, size_cap: int | None = None, *,
             return CollisionReport(INFINITE, "infinite", None, lower, upper,
                                    size_cap, examined)
 
+    pack, low, top = _field_packing(code.q, code.ell)
+    words = [pack(word) for word in table]
+    anchored = code.kind == KIND_REED_SOLOMON
     for s in range(2, min(size_cap, n) + 1):
-        for subset in combinations(range(n), s):
-            examined += 1
-            if examined > budget:
-                raise BudgetExceededError(
-                    f"collision search exceeded budget {budget} at size {s}")
-            if _subset_collides_everywhere(table, subset, code.ell):
-                return CollisionReport(s, "finite", subset, lower, upper,
-                                       size_cap, examined)
+        witness, examined = _first_collision(words, s, anchored, low, top,
+                                             examined, budget)
+        if witness is not None:
+            return CollisionReport(s, "finite", witness, lower, upper,
+                                   size_cap, examined)
     # every coordinate has an agreeing pair, so the whole code collides;
     # reaching here means the cap stopped the search early
     return CollisionReport(None, "unknown_above", None, lower, upper,

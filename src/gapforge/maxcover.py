@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .codes import Code, _match_parts, _symbols_of_rank, relative_distance
+from .codes import Code, _field_packing, _match_parts, _symbols_of_rank, relative_distance
 from .errors import (
     DEFAULT_EDGE_CAP,
     DEFAULT_LABELING_CAP,
@@ -97,17 +97,22 @@ class MaxCoverInstance:
         return self._w_offsets[-1]
 
     def v_global(self, i: int, rank: int) -> int:
+        _check_index("left part", i, self.k)
+        _check_index(f"rank in left part {i}", rank, self.v_parts[i])
         return self._v_offsets[i] + rank
 
     def w_global(self, j: int, rank: int) -> int:
+        _check_index("part", j, self.t)
+        _check_index(f"rank in part {j}", rank, self.w_parts[j])
         return self.num_v + self._w_offsets[j] + rank
 
     def w_part_of(self, wg: int) -> tuple[int, int]:
         local = wg - self.num_v
-        for j, off in enumerate(self._w_offsets[1:]):
-            if local < off:
-                return j, local - self._w_offsets[j]
-        raise IndexRangeError(f"W id {wg} out of range")
+        if local >= 0:
+            for j, off in enumerate(self._w_offsets[1:]):
+                if local < off:
+                    return j, local - self._w_offsets[j]
+        raise IndexRangeError(f"W id {wg} outside [{self.num_v}, {self.num_v + self.num_w})")
 
     def adjacent(self, vg: int, wg: int) -> bool:
         _check_ids(vg, wg, self.num_v, self.num_w)
@@ -296,12 +301,8 @@ class ComposedMaxCover:
         self._v_offsets = base._v_offsets
         self.v_parts = base.v_parts
         self.w_parts = (self._a_size,) * code.ell
-        starts = range(0, code.ell * q, q)
-        # every bit of a field but its top one, and the top ones
-        self._low = sum(((1 << (q - 1)) - 1) << s for s in starts)
-        self._top = sum(1 << (s + q - 1) for s in starts)
-        packed = [[sum(1 << (s + w) for s, w in zip(starts, code.codeword(m)))
-                   for m in inj] for inj in matching]
+        pack, self._low, self._top = _field_packing(q, code.ell)
+        packed = [[pack(code.codeword(m)) for m in inj] for inj in matching]
         cols = []
         for row in base._masks:
             out = []
@@ -357,9 +358,7 @@ class ComposedMaxCover:
             acc = col[0]
             for mask in col[1:]:
                 acc &= mask
-            # adding low carries into a field's top bit iff one of its
-            # lower bits is set, without reaching the next field; OR-ing
-            # acc adds the top bit itself, so the top bit marks a nonzero field
+            # the top bit of each nonzero field of acc (see _field_packing)
             hit &= ((acc & low) + low) | acc
             if not hit:
                 break

@@ -91,6 +91,30 @@ def composed_adjacent_bruteforce(base: MaxCoverInstance, code: Code, matching,
     return False
 
 
+def collision_number_bruteforce(code: Code, size_cap: int | None = None):
+    """Col(code) by enumerating subsets of message ranks in full.
+
+    Returns (value, status, witness, subsets_examined) in the terms of
+    codes.CollisionReport.  Infinite when some coordinate takes pairwise
+    distinct values over the whole code.  Otherwise every subset of size
+    2..size_cap (default |C|) is tried in itertools.combinations order and
+    the first whose column at every coordinate repeats a symbol is the
+    witness; subsets_examined counts the subsets tried.
+    """
+    table = code.table()
+    n = len(table)
+    columns = [[word[i] for word in table] for i in range(code.ell)]
+    if any(len(set(column)) == n for column in columns):
+        return float("inf"), "infinite", None, 0
+    examined = 0
+    for size in range(2, min(n if size_cap is None else size_cap, n) + 1):
+        for subset in combinations(range(n), size):
+            examined += 1
+            if all(len({column[m] for m in subset}) < size for column in columns):
+                return size, "finite", subset, examined
+    return None, "unknown_above", None, examined
+
+
 def covered_by_scan(composed, labeling, l: int) -> bool:
     """Coverage of one composed part by scanning all its q**t vertices."""
     num_v = composed.num_v

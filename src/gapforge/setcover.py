@@ -122,6 +122,8 @@ def has_partitioned_cover(instance: SetCoverInstance, *,
 def min_cover_size(instance: SetCoverInstance, cap: int, *,
                    budget: int = DEFAULT_SUBSET_BUDGET) -> CoverReport:
     """Exhaustive minimum-cover search over unions of <= cap sets."""
+    if cap < 0:
+        raise CapExceededError(f"cover size cap must be >= 0, got {cap}")
     refs = instance.all_refs()
     full = instance.full_mask
     examined = 0

@@ -5,8 +5,10 @@ from itertools import combinations, product
 import pytest
 
 import gapforge as gf
+from gapforge import oracles
 from gapforge.codes import INFINITE, ceil_sqrt_ratio
 from gapforge.errors import (
+    BudgetExceededError,
     CapExceededError,
     GapforgeError,
     MessageLengthError,
@@ -161,6 +163,83 @@ class TestCollisionNumber:
             for i in range(code.ell):
                 column = [table[m][i] for m in report.witness]
                 assert len(set(column)) < len(column), (code, i)
+
+
+class TestCollisionSearchDifferential:
+    """collision_number against the plain enumeration in oracles."""
+
+    @staticmethod
+    def check(code, size_cap=None):
+        report = gf.collision_number(code, size_cap)
+        value, status, witness, examined = oracles.collision_number_bruteforce(
+            code, size_cap)
+        assert (report.value, report.status, report.witness) == (value, status, witness), code
+        if code.kind == "reed_solomon":
+            # only subsets holding rank 0 are searched
+            assert report.subsets_examined <= examined, code
+        else:
+            assert report.subsets_examined == examined, code
+        return report
+
+    def test_code_suite(self, code_suite):
+        for code in code_suite:
+            self.check(code)
+
+    @pytest.mark.parametrize("q,r,col", [(3, 2, 3), (3, 3, 3), (5, 2, 4), (5, 3, 3),
+                                         (7, 2, 5)])
+    def test_reed_solomon(self, q, r, col):
+        assert self.check(gf.reed_solomon(q, r)).value == col
+
+    def test_random_codes(self):
+        for q, r, ell in ((2, 2, 3), (2, 3, 4), (2, 3, 6), (3, 2, 3), (3, 2, 5),
+                          (3, 3, 4), (4, 2, 4), (4, 2, 8)):
+            for seed in range(4):
+                self.check(gf.random_code(q, r, ell, seed))
+
+    def test_phf_codes(self):
+        for seed in range(3):
+            self.check(gf.phf_to_code(gf.find_phf(8, 2, 16, seed=seed)))
+            self.check(gf.phf_to_code(gf.find_phf(9, 3, 32, seed=seed)))
+        self.check(gf.phf_to_code(gf.find_phf(4, 4, 1, seed=2)))
+
+    def test_anchored_and_full_search_agree(self):
+        rs = gf.reed_solomon(3, 2)
+        anchored = self.check(rs)
+        full = self.check(gf.explicit_code(3, 3, rs.table()))
+        assert (anchored.value, anchored.witness) == (full.value, full.witness)
+        assert anchored.subsets_examined < full.subsets_examined
+
+    def test_size_caps(self):
+        codes = (gf.reed_solomon(5, 2), gf.reed_solomon(7, 2), gf.random_code(3, 2, 5, 1),
+                 gf.explicit_code(2, 2, [(0, 0), (0, 1), (1, 0)]))
+        for code in codes:
+            col = gf.collision_number(code).value
+            for size_cap in range(col + 1):
+                report = self.check(code, size_cap)
+                assert report.size_cap == size_cap
+                assert report.status == ("finite" if size_cap == col else "unknown_above")
+
+    def test_budget_boundary(self):
+        # the search stops exactly at its budget: the last subset it needs fits
+        codes = (gf.random_code(4, 2, 8, 0), gf.random_code(2, 3, 6, 1),
+                 gf.phf_to_code(gf.find_phf(9, 3, 32, seed=1)), gf.reed_solomon(7, 2))
+        for code in codes:
+            need = gf.collision_number(code).subsets_examined
+            assert gf.collision_number(code, budget=need).subsets_examined == need
+            with pytest.raises(BudgetExceededError):
+                gf.collision_number(code, budget=need - 1)
+
+    def test_rs_11_2_exact(self):
+        code = gf.reed_solomon(11, 2)
+        report = gf.collision_number(code)
+        assert (report.value, report.status) == (6, "finite")
+        assert report.witness == (0, 1, 2, 11, 14, 64)
+        assert report.subsets_examined == 8_554_031
+        table = code.table()
+        for i in range(code.ell):
+            column = [table[m][i] for m in report.witness]
+            assert len(set(column)) < len(column), i
+        assert report.lower_bound <= 6 <= report.upper_bound == 12
 
 
 class TestColBounds:

@@ -125,6 +125,21 @@ class TestInstance:
             with pytest.raises(IndexRangeError):
                 inst.neighbors_in_part(vg, j)
 
+    def test_id_conversions_range_checked(self):
+        inst = gf.MaxCoverInstance((1, 1), (2,), [(0, 2), (1, 3)])
+        assert inst.w_part_of(2) == (0, 0) and inst.w_part_of(3) == (0, 1)
+        assert inst.w_global(0, 1) == 3 and inst.v_global(1, 0) == 1
+        # a V id, ranks past a part, and negative parts or ranks
+        for wg in (0, 1, -1, 4):
+            with pytest.raises(IndexRangeError):
+                inst.w_part_of(wg)
+        for j, rank in ((0, 5), (0, 2), (0, -1), (1, 0), (-1, 0)):
+            with pytest.raises(IndexRangeError):
+                inst.w_global(j, rank)
+        for i, rank in ((-1, 0), (2, 0), (0, 1), (1, -1)):
+            with pytest.raises(IndexRangeError):
+                inst.v_global(i, rank)
+
 
 class TestProjectionProfile:
     def test_complete_bipartite_full(self):

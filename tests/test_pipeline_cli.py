@@ -138,6 +138,8 @@ class TestCli:
         assert doc["delta"] == "2/3"
         assert doc["collision_number"] == 3
         assert doc["lower_bound"] == 3 and doc["upper_bound"] == 4
+        # 8 pairs holding rank 0, then (0, 1, 2) .. (0, 1, 5)
+        assert doc["collision_subsets_examined"] == 12
 
     def test_code_random_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "r.json"
@@ -278,6 +280,8 @@ class TestCli:
         (["code", "measure", "{doc}"],
          {"q": 2, "r": 1, "ell": 2, "kind": "explicit", "table": [[0, 0], [1, "1"]]}),
         (_MEMBER + ["--f", ",".join(["5"] * 9), "--set", "0,0"], _SETCOVER),
+        (["setcover", "solve", "{doc}", "--cap", "-1"], _SETCOVER),
+        (["code", "measure", "{code}", "--col-cap", "-1"], _SETCOVER),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, argv, doc):
         doc_path = tmp_path / "doc.json"
