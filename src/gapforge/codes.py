@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from .errors import (
     DEFAULT_ENUM_CAP,
@@ -75,8 +75,9 @@ class Code:
 
     Codewords are indexed by message rank (lexicographic message order).
     Structured codes (Reed-Solomon) may stay unmaterialized; table access is
-    guarded by the enumeration cap.  Instances are immutable and safe to
-    share across threads.
+    guarded by the enumeration cap.  A Reed-Solomon code comes only from
+    reed_solomon(): its measurements rely on linearity, which a table does
+    not promise.  Instances are immutable and safe to share across threads.
     """
 
     __slots__ = ("q", "r", "ell", "kind", "seed", "_size", "_table", "_encode_fn")
@@ -89,6 +90,8 @@ class Code:
             raise MessageLengthError(f"need r >= 1 and ell >= 1, got r={r}, ell={ell}")
         if table is None and encode_fn is None:
             raise GapforgeError("a code needs a table or an encoder")
+        if table is not None and kind == KIND_REED_SOLOMON:
+            raise GapforgeError("Reed-Solomon codes are built by reed_solomon(), not from a table")
         self.q = q
         self.r = r
         self.ell = ell
@@ -439,20 +442,21 @@ def col_bounds(code: Code, *, distance: Fraction | None = None):
     return lower, upper
 
 
-def _field_packing(q: int, ell: int):
-    """(pack, low, top) for words of ell symbols in [q].
+def _field_packing(widths):
+    """(pack, low, top) for ints made of fields of the given bit widths.
 
-    pack(word) is one int of ell fields of q bits, field i one-hot at the
-    word's symbol at coordinate i.  low holds every bit of a field but its
-    top one, and top the top bits.  For x made of such fields,
-    ((x & low) + low | x) & top has the top bit of exactly the nonzero
-    fields of x: adding low carries into a field's top bit iff one of its
-    lower bits is set, without reaching the next field, and OR-ing x adds
-    the top bit itself.
+    Field i holds the widths[i] bits from sum(widths[:i]) up, and
+    pack(word) sets bit word[i] of field i, one-hot per symbol.  low holds
+    every bit of a field but its top one, and top the top bits.  For x
+    made of such fields, ((x & low) + low | x) & top has the top bit of
+    exactly the nonzero fields of x: adding low carries into a field's top
+    bit iff one of its lower bits is set, without reaching the next field,
+    and OR-ing x adds the top bit itself.  A field of width 1 has no low
+    bits; its one bit is its top.
     """
-    starts = range(0, ell * q, q)
-    low = sum(((1 << (q - 1)) - 1) << s for s in starts)
-    top = sum(1 << (s + q - 1) for s in starts)
+    starts = (0, *accumulate(widths))
+    low = sum(((1 << (w - 1)) - 1) << s for s, w in zip(starts, widths))
+    top = sum(1 << (s + w - 1) for s, w in zip(starts, widths))
 
     def pack(word) -> int:
         return sum(1 << (s + w) for s, w in zip(starts, word))
@@ -538,7 +542,7 @@ def collision_number(code: Code, size_cap: int | None = None, *,
             return CollisionReport(INFINITE, "infinite", None, lower, upper,
                                    size_cap, examined)
 
-    pack, low, top = _field_packing(code.q, code.ell)
+    pack, low, top = _field_packing((code.q,) * code.ell)
     words = [pack(word) for word in table]
     anchored = code.kind == KIND_REED_SOLOMON
     for s in range(2, min(size_cap, n) + 1):

@@ -3,12 +3,13 @@
 An instance is a bipartite graph with left super-nodes V_1..V_k and right
 super-nodes W_1..W_t; its value is the maximal fraction of right
 super-nodes that admit a joint neighbor of one chosen vertex per left
-super-node.  Explicit instances carry an edge list.  The composed instances
-of both gap routes (Thm 4.2 and Appendix B) are oracle-backed: per base
-vertex and column they keep one int packing, for all ell parts, the
-symbols the vertex allows, so adjacency is one bit test per column and a
-labeling's coverage of every part is one AND and one constant-time field
-test per column.  All values are exact rationals.
+super-node.  Explicit instances carry an edge list; the composed
+instances of both gap routes (Thm 4.2 and Appendix B) are oracle-backed.
+Both kinds keep one packed int row per left vertex, made of fields, one
+per right super-node in each of one or more blocks, so a labeling's
+coverage of every super-node is one AND of its rows, one word-wide
+nonzero-field test and, for composed instances, one AND per extra block.
+All values are exact rationals.
 """
 
 from __future__ import annotations
@@ -46,39 +47,30 @@ FULL = "full"
 VIOLATION = "violation"
 
 
-class MaxCoverInstance:
-    """Explicit instance with global vertex ids.
+class _PackedRows:
+    """Instance members shared by both kinds: one packed int row per V vertex.
 
-    V-vertices are 0..|V|-1 in part order and W-vertices follow,
-    |V|..|V|+|W|-1.  Per-vertex neighborhoods are kept as one int bitmask
-    per right super-node.  Immutable after construction.
+    A row is blocks of fields, every block with the same field widths, and
+    field j of a block belongs to right part j.  A labeling covers part j
+    iff field j of the AND of its rows is nonzero in every block.
     """
 
-    __slots__ = ("v_parts", "w_parts", "edges", "provenance",
-                 "_v_offsets", "_w_offsets", "_masks")
+    __slots__ = ("v_parts", "w_parts", "provenance", "_v_offsets", "_rows",
+                 "_low", "_top", "_fields", "_block_starts")
 
-    def __init__(self, v_parts, w_parts, edges, provenance: str = ""):
-        self.v_parts = tuple(v_parts)
-        self.w_parts = tuple(w_parts)
-        if not self.v_parts or not self.w_parts:
-            raise EmptyPartError("need at least one left and one right super-node")
-        if any(s < 0 for s in self.v_parts):
-            raise IndexRangeError("negative part size")
-        if any(s < 1 for s in self.w_parts):
-            raise EmptyPartError("right super-nodes must be non-empty")
-        self._v_offsets = _offsets(self.v_parts)
-        self._w_offsets = _offsets(self.w_parts)
-        num_v, num_w = sum(self.v_parts), sum(self.w_parts)
-        masks = [[0] * self.t for _ in range(num_v)]
-        cleaned = set()
-        for vg, wg in edges:
-            _check_ids(vg, wg, num_v, num_w)
-            j, local = self.w_part_of(wg)
-            masks[vg][j] |= 1 << local
-            cleaned.add((vg, wg))
-        self.edges = tuple(sorted(cleaned))
-        self._masks = masks
-        self.provenance = provenance
+    def _lay_out(self, widths, blocks: int):
+        """Lay rows out as blocks copies of fields of the given widths.
+
+        Sets the masks of the coverage rule and returns the packing of a
+        word into one block (see _field_packing).
+        """
+        pack, low, top = _field_packing(widths)
+        block = sum(widths)
+        self._block_starts = tuple(range(0, block * blocks, block))
+        copies = sum(1 << start for start in self._block_starts)
+        self._low, self._top = low * copies, top * copies
+        self._fields = tuple(zip(_offsets(widths), widths))
+        return pack
 
     @property
     def k(self) -> int:
@@ -94,7 +86,88 @@ class MaxCoverInstance:
 
     @property
     def num_w(self) -> int:
-        return self._w_offsets[-1]
+        return sum(self.w_parts)
+
+    def _part_field(self, vg: int, j: int, shift: int = 0) -> int:
+        """Field j of V-vertex vg's row, in the block that starts at bit shift."""
+        start, width = self._fields[j]
+        return self._rows[vg] >> (shift + start) & ((1 << width) - 1)
+
+    def _degree(self, vg: int, j: int) -> int:
+        """Neighbors of V-vertex vg in W_j: field j's popcount, multiplied over blocks."""
+        degree = 1
+        for start in self._block_starts:
+            degree *= self._part_field(vg, j, start).bit_count()
+        return degree
+
+    def _covered_fields(self, labeling) -> int:
+        """The top bit of field j of block 0 is set iff the labeling covers part j.
+
+        Unchecked: labeling must hold one in-range rank per left part.
+        """
+        rows = self._rows
+        acc = -1
+        for off, rank in zip(self._v_offsets, labeling):
+            acc &= rows[off + rank]
+        low = self._low
+        # the top bit of each nonzero field of acc (see _field_packing)
+        hit = ((acc & low) + low | acc) & self._top
+        # AND every block into block 0; with b blocks, block i > 0 meets
+        # block i + b - 1 of hit, past the end of the row, and clears
+        fields = -1
+        for start in self._block_starts:
+            fields &= hit >> start
+        return fields
+
+    def _check_labeling(self, labeling) -> None:
+        if len(labeling) != self.k or not all(
+                0 <= rank < size for rank, size in zip(labeling, self.v_parts)):
+            raise IndexRangeError(f"labeling {tuple(labeling)!r} needs one rank per "
+                                  f"left part, in range of part sizes {self.v_parts}")
+
+    def covered(self, labeling, j: int) -> bool:
+        _check_index("part", j, self.t)
+        self._check_labeling(labeling)
+        start, width = self._fields[j]
+        return bool(self._covered_fields(labeling) >> (start + width - 1) & 1)
+
+    def covered_count(self, labeling) -> int:
+        self._check_labeling(labeling)
+        return self._covered_fields(labeling).bit_count()
+
+
+class MaxCoverInstance(_PackedRows):
+    """Explicit instance with global vertex ids.
+
+    V-vertices are 0..|V|-1 in part order and W-vertices follow,
+    |V|..|V|+|W|-1.  The row of V-vertex v has bit wg - |V| set for each
+    neighbor wg, so it has one block whose field j is v's neighborhood in
+    W_j.  Immutable after construction.
+    """
+
+    __slots__ = ("edges",)
+
+    def __init__(self, v_parts, w_parts, edges, provenance: str = ""):
+        self.v_parts = tuple(v_parts)
+        self.w_parts = tuple(w_parts)
+        if not self.v_parts or not self.w_parts:
+            raise EmptyPartError("need at least one left and one right super-node")
+        if any(s < 0 for s in self.v_parts):
+            raise IndexRangeError("negative part size")
+        if any(s < 1 for s in self.w_parts):
+            raise EmptyPartError("right super-nodes must be non-empty")
+        self._v_offsets = _offsets(self.v_parts)
+        num_v, num_w = self.num_v, self.num_w
+        rows = [0] * num_v
+        cleaned = set()
+        for vg, wg in edges:
+            _check_ids(vg, wg, num_v, num_w)
+            rows[vg] |= 1 << (wg - num_v)
+            cleaned.add((vg, wg))
+        self.edges = tuple(sorted(cleaned))
+        self._rows = rows
+        self._lay_out(self.w_parts, 1)
+        self.provenance = provenance
 
     def v_global(self, i: int, rank: int) -> int:
         _check_index("left part", i, self.k)
@@ -104,49 +177,25 @@ class MaxCoverInstance:
     def w_global(self, j: int, rank: int) -> int:
         _check_index("part", j, self.t)
         _check_index(f"rank in part {j}", rank, self.w_parts[j])
-        return self.num_v + self._w_offsets[j] + rank
+        return self.num_v + self._fields[j][0] + rank
 
     def w_part_of(self, wg: int) -> tuple[int, int]:
         local = wg - self.num_v
         if local >= 0:
-            for j, off in enumerate(self._w_offsets[1:]):
-                if local < off:
-                    return j, local - self._w_offsets[j]
+            for j, (start, width) in enumerate(self._fields):
+                if local < start + width:
+                    return j, local - start
         raise IndexRangeError(f"W id {wg} outside [{self.num_v}, {self.num_v + self.num_w})")
 
     def adjacent(self, vg: int, wg: int) -> bool:
         _check_ids(vg, wg, self.num_v, self.num_w)
-        j, local = self.w_part_of(wg)
-        return bool(self._masks[vg][j] >> local & 1)
+        return bool(self._rows[vg] >> (wg - self.num_v) & 1)
 
     def neighbors_in_part(self, vg: int, j: int) -> tuple[int, ...]:
         _check_index("V id", vg, self.num_v)
         _check_index("part", j, self.t)
-        mask = self._masks[vg][j]
+        mask = self._part_field(vg, j)
         return tuple(p for p in range(self.w_parts[j]) if mask >> p & 1)
-
-    def covered(self, labeling, j: int) -> bool:
-        _check_index("part", j, self.t)
-        acc = -1
-        for i, rank in enumerate(labeling):
-            acc &= self._masks[self._v_offsets[i] + rank][j]
-            if not acc:
-                return False
-        return True
-
-    def covered_count(self, labeling) -> int:
-        rows = [self._masks[self._v_offsets[i] + rank]
-                for i, rank in enumerate(labeling)]
-        count = 0
-        for j in range(self.t):
-            acc = rows[0][j]
-            for row in rows[1:]:
-                acc &= row[j]
-                if not acc:
-                    break
-            if acc:
-                count += 1
-        return count
 
     def __repr__(self):
         return (f"MaxCoverInstance(k={self.k}, t={self.t}, "
@@ -201,7 +250,7 @@ def maxcover_value(instance, labeling_cap: int = DEFAULT_LABELING_CAP) -> MaxCov
     examined = 0
     for labeling in product(*(range(s) for s in sizes)):
         examined += 1
-        covered = instance.covered_count(labeling)
+        covered = instance._covered_fields(labeling).bit_count()
         if covered > best:
             best, best_labeling = covered, labeling
             if best == t:
@@ -231,24 +280,20 @@ class ProjectionProfile:
                      for j, e in enumerate(row) if e == VIOLATION)
 
 
-def projection_profile(instance, *, scan_cap: int = DEFAULT_EDGE_CAP) -> ProjectionProfile:
+def projection_profile(instance) -> ProjectionProfile:
     """Classify every (V_i, W_j) pair as PROJECTION, FULL, or VIOLATION.
 
     PROJECTION (every vertex of V_i has exactly one W_j neighbor) is
     checked first; a 1 x 1 complete pair therefore reports PROJECTION.
-    Entries with an empty V_i are vacuously FULL.  Oracle-backed instances
-    are scanned only when |V| * |W| is within scan_cap.
+    Entries with an empty V_i are vacuously FULL.  Degrees are read from
+    the packed rows, so no W vertex is scanned.
     """
-    if not isinstance(instance, MaxCoverInstance):
-        num_w = sum(instance.w_parts)
-        if sum(instance.v_parts) * num_w > scan_cap:
-            raise CapExceededError("profile scan of an oracle instance exceeds cap")
     rows = []
     v_off = 0
     for i, vi in enumerate(instance.v_parts):
         row = []
         for j, wj in enumerate(instance.w_parts):
-            degs = [_part_degree(instance, v_off + r, j, wj) for r in range(vi)]
+            degs = [instance._degree(v_off + r, j) for r in range(vi)]
             if vi == 0:
                 row.append(FULL)
             elif all(d == 1 for d in degs):
@@ -262,18 +307,11 @@ def projection_profile(instance, *, scan_cap: int = DEFAULT_EDGE_CAP) -> Project
     return ProjectionProfile(tuple(rows))
 
 
-def _part_degree(instance, vg: int, j: int, wj: int) -> int:
-    if isinstance(instance, MaxCoverInstance):
-        return instance._masks[vg][j].bit_count()
-    w0 = sum(instance.v_parts) + sum(instance.w_parts[:j])
-    return sum(1 for p in range(wj) if instance.adjacent(vg, w0 + p))
-
-
 # ---------------------------------------------------------------------------
 # Gap compositions (Thm 4.2 and Appendix B)
 
 
-class ComposedMaxCover:
+class ComposedMaxCover(_PackedRows):
     """Oracle-backed composition of a base instance with a code.
 
     Left super-nodes are carried over; right super-nodes are the ell parts
@@ -282,95 +320,51 @@ class ComposedMaxCover:
     matched codeword with symbol tup[j] at coordinate l.  Both gap routes
     build this graph; they differ only in their hypotheses and soundness.
 
-    A codeword packs into one int of ell fields of q bits, field l holding
-    its symbol at coordinate l one-hot.  _cols[v][j] is the OR of the packed
-    codewords of v's W_j-neighbors, so its field l is the set of symbols v
-    allows at coordinate l.
+    A codeword packs into ell fields of q bits, field l holding its symbol
+    at coordinate l one-hot.  The row of v has t such blocks, block j the
+    OR of the packed codewords of v's W_j-neighbors, so field l of block j
+    is the set of symbols v allows at coordinate l in column j.
     """
 
-    __slots__ = ("base", "code", "matching", "provenance", "v_parts", "w_parts",
-                 "_v_offsets", "_a_size", "_cols", "_low", "_top")
+    __slots__ = ("base", "code", "matching")
 
     def __init__(self, base: MaxCoverInstance, code: Code, matching, provenance: str):
         self.base = base
         self.code = code
         self.matching = matching
         self.provenance = provenance
-        q = code.q
-        self._a_size = q ** base.t
         self._v_offsets = base._v_offsets
         self.v_parts = base.v_parts
-        self.w_parts = (self._a_size,) * code.ell
-        pack, self._low, self._top = _field_packing(q, code.ell)
-        packed = [[pack(code.codeword(m)) for m in inj] for inj in matching]
-        cols = []
-        for row in base._masks:
-            out = []
-            for words, mask in zip(packed, row):
-                col = 0
-                for p, word in enumerate(words):
-                    if mask >> p & 1:
-                        col |= word
-                out.append(col)
-            cols.append(tuple(out))
-        self._cols = cols
-
-    @property
-    def k(self) -> int:
-        return len(self.v_parts)
-
-    @property
-    def t(self) -> int:
-        return self.code.ell
-
-    @property
-    def num_v(self) -> int:
-        return self.base.num_v
-
-    @property
-    def num_w(self) -> int:
-        return self.code.ell * self._a_size
+        self.w_parts = (code.q ** base.t,) * code.ell
+        pack = self._lay_out((code.q,) * code.ell, base.t)
+        # word b places the matched codeword of base W-vertex b in its block
+        words = [pack(code.codeword(m)) << start
+                 for start, inj in zip(self._block_starts, matching) for m in inj]
+        self._rows = []
+        for base_row in base._rows:
+            row = 0
+            for b, word in enumerate(words):
+                if base_row >> b & 1:
+                    row |= word
+            self._rows.append(row)
 
     def a_tuple(self, rank: int) -> tuple[int, ...]:
         return _symbols_of_rank(rank, self.code.q, self.base.t)
 
     def adjacent_ref(self, vg: int, l: int, tup) -> bool:
-        q = self.code.q
-        if not (0 <= vg < len(self._cols) and 0 <= l < self.code.ell
+        q, ell = self.code.q, self.code.ell
+        if not (0 <= vg < self.num_v and 0 <= l < ell
                 and len(tup) == self.base.t and min(tup) >= 0 and max(tup) < q):
             raise IndexRangeError(f"adjacent_ref({vg}, {l}, {tup!r}) needs a V id in "
-                                  f"[0, {len(self._cols)}), a part in [0, {self.code.ell}) "
+                                  f"[0, {self.num_v}), a part in [0, {ell}) "
                                   f"and a vertex of [{q}]**{self.base.t}")
-        start = l * q
-        return all(col >> (start + s) & 1 for col, s in zip(self._cols[vg], tup))
+        return all(self._part_field(vg, l, start) >> s & 1
+                   for start, s in zip(self._block_starts, tup))
 
     def adjacent(self, vg: int, wg: int) -> bool:
         _check_ids(vg, wg, self.num_v, self.num_w)
-        l, rank = divmod(wg - self.num_v, self._a_size)
+        l, rank = divmod(wg - self.num_v, self.w_parts[0])
         return self.adjacent_ref(vg, l, self.a_tuple(rank))
-
-    def _covered_fields(self, labeling) -> int:
-        """The top bit of field l is set iff the labeling covers part l."""
-        rows = [self._cols[off + rank] for off, rank in zip(self._v_offsets, labeling)]
-        low = self._low
-        hit = self._top
-        for col in zip(*rows):
-            acc = col[0]
-            for mask in col[1:]:
-                acc &= mask
-            # the top bit of each nonzero field of acc (see _field_packing)
-            hit &= ((acc & low) + low) | acc
-            if not hit:
-                break
-        return hit
-
-    def covered(self, labeling, l: int) -> bool:
-        _check_index("part", l, self.t)
-        q = self.code.q
-        return bool(self._covered_fields(labeling) >> (l * q + q - 1) & 1)
-
-    def covered_count(self, labeling) -> int:
-        return self._covered_fields(labeling).bit_count()
 
     def materialize(self, *, cap: int = DEFAULT_EDGE_CAP) -> MaxCoverInstance:
         pairs = self.num_v * self.num_w
@@ -417,7 +411,7 @@ def compose_gap_k2_bounded(base: MaxCoverInstance, code: Code, d: int,
         raise NotTwoPartsError(f"degree-bounded composition needs k=2, got k={base.k}")
     for vg in range(base.num_v):
         for j in range(base.t):
-            deg = base._masks[vg][j].bit_count()
+            deg = base._part_field(vg, j).bit_count()
             if deg > d:
                 raise DegreeBoundError(
                     f"vertex {vg} has {deg} neighbors in W_{j}, bound d={d}")

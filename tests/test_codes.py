@@ -6,7 +6,7 @@ import pytest
 
 import gapforge as gf
 from gapforge import oracles
-from gapforge.codes import INFINITE, ceil_sqrt_ratio
+from gapforge.codes import INFINITE, _field_packing, ceil_sqrt_ratio
 from gapforge.errors import (
     BudgetExceededError,
     CapExceededError,
@@ -209,6 +209,17 @@ class TestCollisionSearchDifferential:
         assert (anchored.value, anchored.witness) == (full.value, full.witness)
         assert anchored.subsets_examined < full.subsets_examined
 
+    def test_reed_solomon_kind_needs_its_constructor(self):
+        # the zero-word anchor is exact for RS codes only; this table tagged
+        # reed_solomon was searched anchored and reported Col 4, witness
+        # (0, 1, 2, 3)
+        table = [(2, 2), (0, 0), (0, 1), (1, 0)]
+        with pytest.raises(GapforgeError):
+            gf.Code(3, 2, 2, "reed_solomon", table=table)
+        report = gf.collision_number(gf.Code(3, 2, 2, "explicit", table=table),
+                                     distance=Fraction(1, 2))
+        assert (report.value, report.witness) == (3, (1, 2, 3))
+
     def test_size_caps(self):
         codes = (gf.reed_solomon(5, 2), gf.reed_solomon(7, 2), gf.random_code(3, 2, 5, 1),
                  gf.explicit_code(2, 2, [(0, 0), (0, 1), (1, 0)]))
@@ -240,6 +251,23 @@ class TestCollisionSearchDifferential:
             column = [table[m][i] for m in report.witness]
             assert len(set(column)) < len(column), i
         assert report.lower_bound <= 6 <= report.upper_bound == 12
+
+
+class TestFieldPacking:
+    """The one-hot packing and the nonzero-field rule shared by the collision
+    search and both MaxCover row layouts."""
+
+    @pytest.mark.parametrize("widths", [(1,), (5,), (1, 1, 1, 1), (2, 1, 3),
+                                        (1, 3, 1, 2, 1), (3, 3, 1, 3), (1, 2, 3, 4)])
+    def test_every_pattern(self, widths):
+        pack, low, top = _field_packing(widths)
+        starts = [sum(widths[:i]) for i in range(len(widths))]
+        for word in product(*(range(w) for w in widths)):
+            assert pack(word) == sum(1 << (s + v) for s, v in zip(starts, word))
+        for x in range(1 << sum(widths)):
+            nonzero = [s + w - 1 for s, w in zip(starts, widths)
+                       if x >> s & ((1 << w) - 1)]
+            assert ((x & low) + low | x) & top == sum(1 << b for b in nonzero), (widths, x)
 
 
 class TestColBounds:

@@ -49,6 +49,15 @@ DIFF_CODES = {
 }
 
 
+def wide_instance():
+    """One-vertex right parts around a 70-vertex one, so rows span two words."""
+    # V = 0..3; W_0 = {4}, W_1 = 5..74, W_2 = {75}
+    nbrs = {0: [4] + list(range(5, 40)), 1: [74, 75],
+            2: [4, 75] + list(range(35, 75)), 3: [5, 74]}
+    return gf.MaxCoverInstance((2, 2), (1, 70, 1),
+                               [(vg, wg) for vg, ws in nbrs.items() for wg in ws])
+
+
 def random_composition(route, rng, code, limits):
     """A random base instance and its composition along one gap route."""
     if route == "gap":
@@ -125,6 +134,21 @@ class TestInstance:
             with pytest.raises(IndexRangeError):
                 inst.neighbors_in_part(vg, j)
 
+    def test_labelings_range_checked(self):
+        inst = soundness_instance()
+        composed = gf.compose_gap(inst, gf.reed_solomon(3, 2))
+        # a short labeling used to be read as its prefix: 3 parts covered,
+        # on an instance of value 1/3
+        with pytest.raises(IndexRangeError):
+            composed.covered_count((0,))
+        for g in (inst, composed, gf.compose_gap_k2_bounded(inst, gf.reed_solomon(5, 2), 2)):
+            for lab in ((), (0,), (0, 0, 0), (0, 5), (0, 1), (-1, 0), (0, -1)):
+                with pytest.raises(IndexRangeError):
+                    g.covered_count(lab)
+                with pytest.raises(IndexRangeError):
+                    g.covered(lab, 0)
+            assert g.covered_count((0, 0)) == sum(g.covered((0, 0), j) for j in range(g.t))
+
     def test_id_conversions_range_checked(self):
         inst = gf.MaxCoverInstance((1, 1), (2,), [(0, 2), (1, 3)])
         assert inst.w_part_of(2) == (0, 0) and inst.w_part_of(3) == (0, 1)
@@ -161,6 +185,20 @@ class TestProjectionProfile:
             for w in range(3):
                 expected = PROJECTION if w in (i, j) else FULL
                 assert profile.entry(p, w) == expected
+
+    @pytest.mark.parametrize("route", ["gap", "k2"])
+    def test_degrees_match_adjacency_scan(self, route):
+        # profiles read degrees from rows; composed ones multiply over blocks
+        rng = random.Random(23)
+        code = gf.reed_solomon(3, 2)
+        for _ in range(10):
+            for g in random_composition(route, rng, code, {}):
+                w_off = g.num_v
+                for j, wj in enumerate(g.w_parts):
+                    for vg in range(g.num_v):
+                        scan = sum(g.adjacent(vg, w_off + p) for p in range(wj))
+                        assert g._degree(vg, j) == scan
+                    w_off += wj
 
     def test_violation(self):
         inst = gf.MaxCoverInstance((1,), (2, 1), [(0, 1), (0, 2), (0, 3)])
@@ -230,19 +268,28 @@ class TestComposeGap:
                             oracles.composed_adjacent_bruteforce(
                                 inst, code, composed.matching, vg, l, tup)
 
-    @pytest.mark.parametrize("qname", list(DIFF_CODES))
-    @pytest.mark.parametrize("route", ["gap", "k2"])
+    @pytest.mark.parametrize("route,qname", [
+        *((route, qname) for route in ("gap", "k2") for qname in DIFF_CODES),
+        pytest.param("base", None, id="base")])
     def test_coverage_matches_vertex_scan(self, route, qname):
         rng = random.Random(17)
-        make_code, limits = DIFF_CODES[qname]
-        code = make_code()
-        for _ in range(10):
-            _, composed = random_composition(route, rng, code, limits)
-            for lab in product(*(range(s) for s in composed.v_parts)):
-                scans = [oracles.covered_by_scan(composed, lab, l)
-                         for l in range(composed.t)]
-                assert [composed.covered(lab, l) for l in range(composed.t)] == scans
-                assert composed.covered_count(lab) == sum(scans)
+        if route == "base":
+            instances = [random_pseudo_projection_instance(rng) for _ in range(10)]
+            instances.append(wide_instance())
+        else:
+            make_code, limits = DIFF_CODES[qname]
+            code = make_code()
+            instances = [random_composition(route, rng, code, limits)[1] for _ in range(10)]
+        for inst in instances:
+            for lab in product(*(range(s) for s in inst.v_parts)):
+                scans = [oracles.covered_by_scan(inst, lab, l) for l in range(inst.t)]
+                assert [inst.covered(lab, l) for l in range(inst.t)] == scans
+                assert inst.covered_count(lab) == sum(scans)
+            if route == "base":
+                edges = set(inst.edges)
+                for vg in range(inst.num_v):
+                    for wg in range(inst.num_v, inst.num_v + inst.num_w):
+                        assert inst.adjacent(vg, wg) == ((vg, wg) in edges)
 
     def test_materialize_preserves_value_and_edges(self):
         inst = soundness_instance()
