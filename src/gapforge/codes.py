@@ -76,8 +76,9 @@ class Code:
     Codewords are indexed by message rank (lexicographic message order).
     Structured codes (Reed-Solomon) may stay unmaterialized; table access is
     guarded by the enumeration cap.  A Reed-Solomon code comes only from
-    reed_solomon(): its measurements rely on linearity, which a table does
-    not promise.  Instances are immutable and safe to share across threads.
+    reed_solomon(): its measurements rely on linearity, which neither a
+    table nor an arbitrary encoder promises.  Instances are immutable and
+    safe to share across threads.
     """
 
     __slots__ = ("q", "r", "ell", "kind", "seed", "_size", "_table", "_encode_fn")
@@ -90,8 +91,8 @@ class Code:
             raise MessageLengthError(f"need r >= 1 and ell >= 1, got r={r}, ell={ell}")
         if table is None and encode_fn is None:
             raise GapforgeError("a code needs a table or an encoder")
-        if table is not None and kind == KIND_REED_SOLOMON:
-            raise GapforgeError("Reed-Solomon codes are built by reed_solomon(), not from a table")
+        if kind == KIND_REED_SOLOMON and type(self) is not _ReedSolomonCode:
+            raise GapforgeError("Reed-Solomon codes are built by reed_solomon() only")
         self.q = q
         self.r = r
         self.ell = ell
@@ -224,7 +225,13 @@ def reed_solomon(q: int, r: int, *, cap: int = DEFAULT_ENUM_CAP) -> Code:
         msg = _symbols_of_rank(rank, _q, _r)
         return tuple(_poly_eval(msg, x, _q) for x in range(_q))
 
-    return Code(q, r, q, KIND_REED_SOLOMON, encode_fn=encode_rank, cap=cap)
+    return _ReedSolomonCode(q, r, q, KIND_REED_SOLOMON, encode_fn=encode_rank, cap=cap)
+
+
+class _ReedSolomonCode(Code):
+    """The only class that may carry the Reed-Solomon kind; see reed_solomon()."""
+
+    __slots__ = ()
 
 
 def random_code(q: int, r: int, ell: int, seed: int, *, cap: int = DEFAULT_ENUM_CAP) -> Code:
@@ -658,7 +665,7 @@ def code_from_json(doc: dict) -> Code:
     table = tuple(tuple(word) for word in doc["table"])
     if kind == KIND_REED_SOLOMON:
         code = reed_solomon(q, r)
-        if code.table() != table:
+        if code.table() != table or code.ell != ell:
             raise SchemaVersionError("reed_solomon table does not match its parameters")
         return code
     return Code(q, r, ell, kind, table=table, seed=doc.get("seed"))

@@ -5,14 +5,18 @@ a MaxCover instance with one left super-node per part pair (the cross
 edges) and one right super-node per part (the vertices).  The 3-SAT
 front-end splits the clauses into k near-equal groups and uses satisfying
 partial assignments as labels.  Both outputs have the pseudo-projection
-property and value 1 exactly on YES inputs.
+property and value 1 exactly on YES inputs.  Both build their instance
+from each label's part-local neighbor masks (MaxCoverInstance.from_masks),
+the instance's one layout; neither computes a global W id.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
+from .codes import _rank_of_symbols
 from .errors import (
     ClauseWidthError,
     EmptyPartError,
@@ -22,7 +26,7 @@ from .errors import (
     PartNotIndependentError,
     UnusedVariableError,
 )
-from .maxcover import MaxCoverInstance, _offsets
+from .maxcover import MaxCoverInstance
 
 
 @dataclass(frozen=True)
@@ -93,17 +97,6 @@ class PartitionedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
-    def cross_edges(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
-        """Edges between parts i and j, ordered (part-i vertex, part-j vertex)."""
-        pi, pj = set(self.parts[i]), set(self.parts[j])
-        out = []
-        for u, v in sorted(self.edges):
-            if u in pi and v in pj:
-                out.append((u, v))
-            elif v in pi and u in pj:
-                out.append((v, u))
-        return tuple(out)
-
 
 def make_partitioned_graph(parts, edges) -> PartitionedGraph:
     return PartitionedGraph(tuple(tuple(p) for p in parts),
@@ -138,41 +131,36 @@ def colorful_lift(graph: Graph, t: int) -> PartitionedGraph:
 def clique_to_maxcover(graph: PartitionedGraph):
     """Colorful-clique to MaxCover: left super-nodes are cross-edge classes.
 
-    Left super-node (i,j) holds the edges between parts i and j; right
-    super-node i holds part i's vertices; an edge label meets exactly its
-    two endpoints in their parts and everything elsewhere.  An empty edge
-    class means no colorful clique can exist, returned as a DecidedNo.
+    Left super-node (i,j) holds the edges between parts i and j, in sorted
+    edge order; right super-node i holds part i's vertices; an edge label
+    meets exactly its two endpoints in their parts and everything elsewhere.
+    An empty edge class means no colorful clique can exist, returned as a
+    DecidedNo.
     """
     t = graph.t
     pair_list = list(combinations(range(t), 2))
-    classes = {pair: graph.cross_edges(*pair) for pair in pair_list}
+    owner = graph._owner
+    classes = {pair: [] for pair in pair_list}
+    for u, v in sorted(graph.edges):
+        if owner[u] > owner[v]:
+            u, v = v, u
+        classes[owner[u], owner[v]].append((u, v))
     empty = tuple(pair for pair in pair_list if not classes[pair])
     if empty:
         return DecidedNo("empty cross-edge class rules out a colorful clique", empty)
 
-    v_parts = tuple(len(classes[pair]) for pair in pair_list)
-    w_parts = tuple(len(part) for part in graph.parts)
-    num_v = sum(v_parts)
-    w_offsets = _offsets(w_parts)
-
-    def w_global(part: int, vertex: int) -> int:
-        return num_v + w_offsets[part] + graph.parts[part].index(vertex)
-
-    edges = []
-    vg = 0
-    for (i, j), cls in ((pair, classes[pair]) for pair in pair_list):
-        for u, v in cls:
-            for part in range(t):
-                if part == i:
-                    edges.append((vg, w_global(i, u)))
-                elif part == j:
-                    edges.append((vg, w_global(j, v)))
-                else:
-                    for w in graph.parts[part]:
-                        edges.append((vg, w_global(part, w)))
-            vg += 1
-    provenance = f"clique_frontend(m={graph.num_vertices}, t={t})"
-    return MaxCoverInstance(v_parts, w_parts, edges, provenance=provenance)
+    pos = {w: p for part in graph.parts for p, w in enumerate(part)}
+    full = [(1 << len(part)) - 1 for part in graph.parts]
+    masks = []
+    for i, j in pair_list:
+        for u, v in classes[i, j]:
+            row = full.copy()
+            row[i], row[j] = 1 << pos[u], 1 << pos[v]
+            masks.append(row)
+    return MaxCoverInstance.from_masks(
+        tuple(len(classes[pair]) for pair in pair_list),
+        tuple(len(part) for part in graph.parts), masks,
+        provenance=f"clique_frontend(m={graph.num_vertices}, t={t})")
 
 
 # ---------------------------------------------------------------------------
@@ -211,18 +199,6 @@ class Cnf3:
         return tuple(counts)
 
 
-def _clause_blocks(num_clauses: int, k: int) -> list[tuple[int, int]]:
-    """Contiguous blocks of sizes ceil(m/k) then floor(m/k)."""
-    base, extra = divmod(num_clauses, k)
-    blocks = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        blocks.append((start, start + size))
-        start += size
-    return blocks
-
-
 def _satisfies(clause, assignment: dict[int, int]) -> bool:
     return any(assignment[abs(lit)] == (1 if lit > 0 else 0) for lit in clause)
 
@@ -245,64 +221,34 @@ def sat_to_maxcover(cnf: Cnf3, k: int) -> MaxCoverInstance:
         if occurrences[var - 1] == 0:
             raise UnusedVariableError(f"variable {var} occurs in no clause")
 
-    blocks = _clause_blocks(len(cnf.clauses), k)
-    group_clauses = [cnf.clauses[a:b] for a, b in blocks]
+    base, extra = divmod(len(cnf.clauses), k)
+    cuts = [i * base + min(i, extra) for i in range(k + 1)]
+    group_clauses = [cnf.clauses[a:b] for a, b in zip(cuts, cuts[1:])]
     group_vars = [tuple(sorted({abs(lit) for cl in clauses for lit in cl}))
                   for clauses in group_clauses]
-
-    pattern: dict[int, tuple[int, ...]] = {}
-    for var in range(1, cnf.num_vars + 1):
-        groups = tuple(i for i, gv in enumerate(group_vars) if var in gv)
-        pattern[var] = groups
-
-    patterns_in_use = sorted({p for p in pattern.values()}, key=lambda p: (len(p), p))
-    omitted = [p for p in _all_patterns(k) if p not in patterns_in_use]
+    pattern = {var: tuple(i for i, gv in enumerate(group_vars) if var in gv)
+               for var in range(1, cnf.num_vars + 1)}
+    patterns_in_use = sorted(set(pattern.values()), key=lambda p: (len(p), p))
+    omitted = sum(math.comb(k, size) for size in (1, 2, 3)) - len(patterns_in_use)
     s_vars = {p: tuple(sorted(v for v in pattern if pattern[v] == p))
               for p in patterns_in_use}
 
-    v_vertices = []
-    for i in range(k):
-        vars_i = group_vars[i]
-        sat = []
+    # W_J holds every assignment to s_vars[J] in product order, so an
+    # assignment's rank in W_J is its binary value
+    w_parts = tuple(1 << len(s_vars[p]) for p in patterns_in_use)
+    v_parts, masks = [], []
+    for i, (vars_i, clauses) in enumerate(zip(group_vars, group_clauses)):
+        labels_before = len(masks)
         for bits in product((0, 1), repeat=len(vars_i)):
             assignment = dict(zip(vars_i, bits))
-            if all(_satisfies(cl, assignment) for cl in group_clauses[i]):
-                sat.append(bits)
-        v_vertices.append(sat)
-
-    w_vertices = [list(product((0, 1), repeat=len(s_vars[p]))) for p in patterns_in_use]
-
-    v_parts = tuple(len(vs) for vs in v_vertices)
-    w_parts = tuple(len(ws) for ws in w_vertices)
-    num_v = sum(v_parts)
-    v_offsets = _offsets(v_parts)
-    w_offsets = _offsets(w_parts)
-
-    edges = []
-    for i in range(k):
-        vars_i = group_vars[i]
-        index_of = {v: pos for pos, v in enumerate(vars_i)}
-        for vr, bits in enumerate(v_vertices[i]):
-            vg = v_offsets[i] + vr
-            for jp, p in enumerate(patterns_in_use):
-                if i in p:
-                    restriction = tuple(bits[index_of[v]] for v in s_vars[p])
-                    wr = w_vertices[jp].index(restriction)
-                    edges.append((vg, num_v + w_offsets[jp] + wr))
-                else:
-                    for wr in range(w_parts[jp]):
-                        edges.append((vg, num_v + w_offsets[jp] + wr))
+            if all(_satisfies(cl, assignment) for cl in clauses):
+                masks.append([1 << _rank_of_symbols((assignment[v] for v in s_vars[p]), 2)
+                              if i in p else (1 << size) - 1
+                              for p, size in zip(patterns_in_use, w_parts)])
+        v_parts.append(len(masks) - labels_before)
     provenance = (f"sat_frontend(n={cnf.num_vars}, m={len(cnf.clauses)}, k={k}, "
-                  f"omitted_patterns={len(omitted)})")
-    return MaxCoverInstance(v_parts, w_parts, edges, provenance=provenance)
-
-
-def _all_patterns(k: int):
-    out = []
-    for size in (1, 2, 3):
-        if size <= k:
-            out.extend(combinations(range(k), size))
-    return out
+                  f"omitted_patterns={omitted})")
+    return MaxCoverInstance.from_masks(v_parts, w_parts, masks, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 from itertools import combinations, product
 
 from .frontends import Cnf3, PartitionedGraph
-from .maxcover import MaxCoverInstance, _offsets
+from .maxcover import MaxCoverInstance
 from .setcover import SetCoverInstance
 
 
@@ -37,26 +37,20 @@ def random_pseudo_projection_instance(rng: random.Random, *, max_k: int = 3,
         w_parts = tuple(rng.randint(2, max_part) for _ in range(t))
         kinds = [[True] * t for _ in range(k)]
 
-    num_v = sum(v_parts)
-    v_offsets = _offsets(v_parts)
-    w_offsets = _offsets(w_parts)
-
-    edges = []
+    masks = []
     for i in range(k):
         for r in range(v_parts[i]):
-            vg = v_offsets[i] + r
+            row = []
             for j in range(t):
-                if kinds[i][j]:
-                    if plant_cover and r == labeling[i]:
-                        nbr = targets[j]
-                    else:
-                        nbr = rng.randrange(w_parts[j])
-                    edges.append((vg, num_v + w_offsets[j] + nbr))
+                if not kinds[i][j]:
+                    row.append((1 << w_parts[j]) - 1)
+                elif plant_cover and r == labeling[i]:
+                    row.append(1 << targets[j])
                 else:
-                    for wr in range(w_parts[j]):
-                        edges.append((vg, num_v + w_offsets[j] + wr))
-    return MaxCoverInstance(v_parts, w_parts, edges,
-                            provenance="random_pseudo_projection")
+                    row.append(1 << rng.randrange(w_parts[j]))
+            masks.append(row)
+    return MaxCoverInstance.from_masks(v_parts, w_parts, masks,
+                                       provenance="random_pseudo_projection")
 
 
 def random_bounded_degree_instance(rng: random.Random, d: int, *, max_t: int = 3,
@@ -71,21 +65,19 @@ def random_bounded_degree_instance(rng: random.Random, d: int, *, max_t: int = 3
     labeling = (rng.randrange(v_parts[0]), rng.randrange(v_parts[1]))
     targets = {j: rng.randrange(w_parts[j]) for j in range(t)}
 
-    num_v = sum(v_parts)
-    w_offsets = _offsets(w_parts)
-    edges = set()
+    masks = []
     for i in range(2):
         for r in range(v_parts[i]):
-            vg = (0 if i == 0 else v_parts[0]) + r
+            row = []
             for j in range(t):
                 degree = rng.randint(0, d)
                 nbrs = rng.sample(range(w_parts[j]), min(degree, w_parts[j]))
                 if plant_cover and r == labeling[i]:
-                    nbrs = sorted(set(nbrs[:d - 1]) | {targets[j]})
-                for wr in nbrs:
-                    edges.add((vg, num_v + w_offsets[j] + wr))
-    return MaxCoverInstance(v_parts, w_parts, sorted(edges),
-                            provenance=f"random_bounded_degree(d={d})")
+                    nbrs = set(nbrs[:d - 1]) | {targets[j]}
+                row.append(sum(1 << wr for wr in nbrs))
+            masks.append(row)
+    return MaxCoverInstance.from_masks(v_parts, w_parts, masks,
+                                       provenance=f"random_bounded_degree(d={d})")
 
 
 def random_setcover_instance(rng: random.Random, *, max_universe: int = 3,

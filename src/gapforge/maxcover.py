@@ -3,13 +3,15 @@
 An instance is a bipartite graph with left super-nodes V_1..V_k and right
 super-nodes W_1..W_t; its value is the maximal fraction of right
 super-nodes that admit a joint neighbor of one chosen vertex per left
-super-node.  Explicit instances carry an edge list; the composed
-instances of both gap routes (Thm 4.2 and Appendix B) are oracle-backed.
-Both kinds keep one packed int row per left vertex, made of fields, one
-per right super-node in each of one or more blocks, so a labeling's
-coverage of every super-node is one AND of its rows, one word-wide
-nonzero-field test and, for composed instances, one AND per extra block.
-All values are exact rationals.
+super-node.  Explicit instances are built from per-part neighbor masks or
+from an edge list; the composed instances of both gap routes (Thm 4.2 and
+Appendix B) are oracle-backed.  Both kinds keep one packed int row per
+left vertex, made of fields, one per right super-node in each of one or
+more blocks, so a labeling's coverage of every super-node is one AND of
+its rows, one word-wide nonzero-field test and, for composed instances,
+one AND per extra block.  The rows are the only layout; an explicit
+instance's edge list is derived from them for export.  All values are
+exact rationals.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .serialize import (
     FORMAT_TAG,
     SOUNDNESS_OK,
     VERDICT_VIOLATION,
+    _optional_str,
     check_format,
     require_ints,
     require_keys,
@@ -142,10 +145,12 @@ class MaxCoverInstance(_PackedRows):
     V-vertices are 0..|V|-1 in part order and W-vertices follow,
     |V|..|V|+|W|-1.  The row of V-vertex v has bit wg - |V| set for each
     neighbor wg, so it has one block whose field j is v's neighborhood in
-    W_j.  Immutable after construction.
+    W_j as a part-local mask.  Builders hand those masks to from_masks; the
+    edge-list constructor takes global ids, and edges is derived from the
+    rows for export.  Immutable after construction.
     """
 
-    __slots__ = ("edges",)
+    __slots__ = ()
 
     def __init__(self, v_parts, w_parts, edges, provenance: str = ""):
         self.v_parts = tuple(v_parts)
@@ -159,15 +164,47 @@ class MaxCoverInstance(_PackedRows):
         self._v_offsets = _offsets(self.v_parts)
         num_v, num_w = self.num_v, self.num_w
         rows = [0] * num_v
-        cleaned = set()
         for vg, wg in edges:
             _check_ids(vg, wg, num_v, num_w)
             rows[vg] |= 1 << (wg - num_v)
-            cleaned.add((vg, wg))
-        self.edges = tuple(sorted(cleaned))
         self._rows = rows
         self._lay_out(self.w_parts, 1)
         self.provenance = provenance
+
+    @classmethod
+    def from_masks(cls, v_parts, w_parts, masks, provenance: str = ""):
+        """Instance whose V-vertex vg meets the members of W_j set in masks[vg][j].
+
+        masks holds one sequence of t part-local bitmasks per V vertex, in
+        V id order; bit p of masks[vg][j] stands for rank p of W_j.
+        """
+        inst = cls(v_parts, w_parts, (), provenance)
+        if len(masks) != inst.num_v:
+            raise IndexRangeError(f"{len(masks)} mask tuples for {inst.num_v} V vertices")
+        rows = inst._rows
+        for vg, part_masks in enumerate(masks):
+            if len(part_masks) != inst.t:
+                raise IndexRangeError(f"V vertex {vg} has {len(part_masks)} masks, "
+                                      f"expected one per right part ({inst.t})")
+            row = 0
+            for j, ((start, width), mask) in enumerate(zip(inst._fields, part_masks)):
+                if not 0 <= mask < 1 << width:
+                    raise IndexRangeError(f"mask {mask} of V vertex {vg} does not fit "
+                                          f"W_{j} of size {width}")
+                row |= mask << start
+            rows[vg] = row
+        return inst
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """(V id, W id) pairs read off the rows, in ascending order."""
+        num_v = self.num_v
+        return tuple((vg, num_v + b) for vg, row in enumerate(self._rows)
+                     for b in range(row.bit_length()) if row >> b & 1)
+
+    @property
+    def num_edges(self) -> int:
+        return sum(row.bit_count() for row in self._rows)
 
     def v_global(self, i: int, rank: int) -> int:
         _check_index("left part", i, self.k)
@@ -199,7 +236,7 @@ class MaxCoverInstance(_PackedRows):
 
     def __repr__(self):
         return (f"MaxCoverInstance(k={self.k}, t={self.t}, "
-                f"|V|={self.num_v}, |W|={self.num_w}, |E|={len(self.edges)})")
+                f"|V|={self.num_v}, |W|={self.num_w}, |E|={self.num_edges})")
 
 
 def _check_index(name: str, value: int, end: int) -> None:
@@ -508,4 +545,4 @@ def maxcover_from_json(doc: dict) -> MaxCoverInstance:
         raise ParseError("maxcover edges: every edge must be a pair [v, w]")
     return MaxCoverInstance(doc["v_parts"], doc["w_parts"],
                             [tuple(e) for e in doc["edges"]],
-                            provenance=doc.get("provenance", ""))
+                            provenance=_optional_str(doc, "provenance", "maxcover"))

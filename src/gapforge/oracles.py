@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 from . import threshold
 from .codes import Code
-from .frontends import Cnf3, PartitionedGraph, _satisfies
+from .frontends import Cnf3, DecidedNo, PartitionedGraph, _satisfies
 from .maxcover import MaxCoverInstance
 
 
@@ -32,6 +32,89 @@ def cnf_satisfiable(cnf: Cnf3) -> bool:
         if all(_satisfies(clause, assignment) for clause in cnf.clauses):
             return True
     return False
+
+
+def clique_to_maxcover_reference(graph: PartitionedGraph):
+    """The clique front-end from its definition, built as a plain edge list.
+
+    Label (u, v) of class (i, j), taken in sorted edge order, meets u in
+    W_i, v in W_j and every vertex of the other parts.  Global ids follow
+    the part order and each part's vertex order.  Goes through the public
+    edge-list constructor only.
+    """
+    t = graph.t
+    classes = []
+    for i, j in combinations(range(t), 2):
+        cls = []
+        for u, v in sorted(graph.edges):
+            if u in graph.parts[j] and v in graph.parts[i]:
+                u, v = v, u
+            if u in graph.parts[i] and v in graph.parts[j]:
+                cls.append((u, v))
+        classes.append(((i, j), cls))
+    empty = tuple(pair for pair, cls in classes if not cls)
+    if empty:
+        return DecidedNo("reference: empty cross-edge class", empty)
+    num_v = sum(len(cls) for _, cls in classes)
+    w_ids = {}
+    for p, part in enumerate(graph.parts):
+        for w in part:
+            w_ids[p, w] = num_v + len(w_ids)
+    edges = []
+    labels = [(pair, label) for pair, cls in classes for label in cls]
+    for vg, ((i, j), (u, v)) in enumerate(labels):
+        for (p, w), wg in w_ids.items():
+            if (p == i and w == u) or (p == j and w == v) or p not in (i, j):
+                edges.append((vg, wg))
+    return MaxCoverInstance([len(cls) for _, cls in classes],
+                            [len(part) for part in graph.parts], edges,
+                            provenance=f"clique_frontend(m={graph.num_vertices}, t={t})")
+
+
+def sat_to_maxcover_reference(cnf: Cnf3, k: int) -> MaxCoverInstance:
+    """The 3-SAT front-end from its definition, built as a plain edge list.
+
+    Group i takes the next ceil or floor of m/k clauses (the larger groups
+    first); its labels are the satisfying assignments to its variables in
+    product order.  W_J lists every assignment to the variables whose set of
+    groups is exactly J, with patterns ordered by size and then
+    lexicographically.  A label meets the W_J members that agree with it,
+    or all of them when its group is not in J.  Goes through the public
+    edge-list constructor only.
+    """
+    m = len(cnf.clauses)
+    groups, start = [], 0
+    for i in range(k):
+        size = m // k + (i < m % k)
+        groups.append(cnf.clauses[start:start + size])
+        start += size
+    group_vars = [sorted({abs(lit) for clause in g for lit in clause}) for g in groups]
+    pattern = {var: tuple(i for i in range(k) if var in group_vars[i])
+               for var in range(1, cnf.num_vars + 1)}
+    patterns = sorted(set(pattern.values()), key=lambda p: (len(p), p))
+    omitted = sum(1 for size in (1, 2, 3) for p in combinations(range(k), size)
+                  if p not in patterns)
+    pattern_vars = [[var for var in sorted(pattern) if pattern[var] == p] for p in patterns]
+    labels = []
+    for i, g in enumerate(groups):
+        for bits in product((0, 1), repeat=len(group_vars[i])):
+            value = dict(zip(group_vars[i], bits))
+            if all(any(value[abs(lit)] == (lit > 0) for lit in clause) for clause in g):
+                labels.append((i, value))
+    w_members = [list(product((0, 1), repeat=len(vs))) for vs in pattern_vars]
+    num_v = len(labels)
+    edges = []
+    for vg, (i, value) in enumerate(labels):
+        wg = num_v
+        for p, vs, members in zip(patterns, pattern_vars, w_members):
+            for member in members:
+                if i not in p or all(value[var] == b for var, b in zip(vs, member)):
+                    edges.append((vg, wg))
+                wg += 1
+    return MaxCoverInstance([sum(1 for i, _ in labels if i == g) for g in range(k)],
+                            [len(members) for members in w_members], edges,
+                            provenance=f"sat_frontend(n={cnf.num_vars}, m={m}, k={k}, "
+                                       f"omitted_patterns={omitted})")
 
 
 def maxcover_value_recount(instance: MaxCoverInstance) -> Fraction:

@@ -178,7 +178,7 @@ def wone_pipeline(graph: Graph | PartitionedGraph, t: int,
                               None, None, None, False, tuple(stages))
     stages.append(Stage("frontend", time.perf_counter() - start, {
         "k": frontend.k, "t": frontend.t,
-        "v": frontend.num_v, "w": frontend.num_w, "edges": len(frontend.edges)}))
+        "v": frontend.num_v, "w": frontend.num_w, "edges": frontend.num_edges}))
     return _run_gap_stages(frontend, q_override, stages, labeling_cap)
 
 
@@ -194,5 +194,5 @@ def eth_pipeline(cnf: Cnf3, k: int, q_override: int | None = None, *,
     frontend = sat_to_maxcover(cnf, k)
     stages.append(Stage("frontend", time.perf_counter() - start, {
         "k": frontend.k, "t": frontend.t,
-        "v": frontend.num_v, "w": frontend.num_w, "edges": len(frontend.edges)}))
+        "v": frontend.num_v, "w": frontend.num_w, "edges": frontend.num_edges}))
     return _run_gap_stages(frontend, q_override, stages, labeling_cap)

@@ -38,3 +38,11 @@ def require_ints(value, depth: int, what: str):
     else:
         raise ParseError(f"{what}: expected a list, got {type(value).__name__}")
     return value
+
+
+def _optional_str(doc: dict, key: str, what: str) -> str:
+    """doc[key], which must be a string when present; "" when absent."""
+    value = doc.get(key, "")
+    if not isinstance(value, str):
+        raise ParseError(f"{what} {key}: expected a string, got {type(value).__name__}")
+    return value

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .codes import Code, _match_parts, _rank_of_symbols, collision_number
+from .codes import Code, _match_parts, collision_number
 from .errors import (
     DEFAULT_SUBSET_BUDGET,
     DEFAULT_UNIVERSE_CAP,
@@ -32,10 +32,12 @@ from .serialize import (
     SOUNDNESS_OK,
     VACUOUS_OK,
     VERDICT_VIOLATION,
+    _optional_str,
     check_format,
     require_ints,
     require_keys,
 )
+from .threshold import _ranks_with_symbol
 
 
 class SetCoverInstance:
@@ -167,18 +169,12 @@ class ComposedSetCover:
         self.provenance = (f"compose_setcover({base.provenance or 'instance'}; "
                            f"{code.kind} q={code.q} r={code.r} ell={code.ell})")
 
-        q = code.q
         self._adj_ranks = {}
         for j, coll in enumerate(base.collections):
             for idx in range(len(coll)):
                 word = code.codeword(matching[j][idx])
-                per_i = []
-                for i in range(code.ell):
-                    ranks = tuple(
-                        _rank_of_symbols(rest[:j] + (word[i],) + rest[j:], q)
-                        for rest in product(range(q), repeat=base.k - 1))
-                    per_i.append(ranks)
-                self._adj_ranks[(j, idx)] = tuple(per_i)
+                self._adj_ranks[(j, idx)] = tuple(
+                    _ranks_with_symbol(code.q, base.k, j, symbol) for symbol in word)
 
     def contains(self, ref, element) -> bool:
         """Membership oracle: element = (i, f) with f a length-q**k sequence."""
@@ -390,4 +386,4 @@ def setcover_from_json(doc: dict) -> SetCoverInstance:
     require_keys(doc, ("universe", "collections"), "setcover")
     return SetCoverInstance(require_ints(doc["universe"], 0, "setcover universe"),
                             require_ints(doc["collections"], 3, "setcover collections"),
-                            provenance=doc.get("provenance", ""))
+                            provenance=_optional_str(doc, "provenance", "setcover"))

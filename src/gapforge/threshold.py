@@ -267,9 +267,18 @@ def export_edges(graph: ThresholdGraph, *, cap: int = DEFAULT_EDGE_CAP):
             word = code.codeword(m)
             b_id = offset + j * code.size + m
             for i in range(ell):
-                fixed = word[i]
-                for rest in product(range(q), repeat=t - 1):
-                    v = rest[:j] + (fixed,) + rest[j:]
-                    edges.append((i * a_size + graph.a_rank(v), b_id))
+                a_base = i * a_size
+                edges.extend((a_base + a, b_id) for a in _ranks_with_symbol(q, t, j, word[i]))
     edges.sort()
     return edges
+
+
+def _ranks_with_symbol(q: int, t: int, j: int, symbol: int) -> tuple[int, ...]:
+    """Ranks of the v in [q]**t with v[j] == symbol.
+
+    These are the A_i vertices adjacent to a B_j vertex whose codeword has
+    symbol at coordinate i.  The t - 1 free coordinates run
+    lexicographically, so the ranks ascend.
+    """
+    return tuple(_rank_of_symbols(rest[:j] + (symbol,) + rest[j:], q)
+                 for rest in product(range(q), repeat=t - 1))

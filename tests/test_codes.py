@@ -211,14 +211,22 @@ class TestCollisionSearchDifferential:
 
     def test_reed_solomon_kind_needs_its_constructor(self):
         # the zero-word anchor is exact for RS codes only; this table tagged
-        # reed_solomon was searched anchored and reported Col 4, witness
-        # (0, 1, 2, 3)
+        # reed_solomon, given as a table or through an encoder, was searched
+        # anchored and reported Col 4, witness (0, 1, 2, 3)
         table = [(2, 2), (0, 0), (0, 1), (1, 0)]
         with pytest.raises(GapforgeError):
             gf.Code(3, 2, 2, "reed_solomon", table=table)
-        report = gf.collision_number(gf.Code(3, 2, 2, "explicit", table=table),
-                                     distance=Fraction(1, 2))
-        assert (report.value, report.witness) == (3, (1, 2, 3))
+        with pytest.raises(GapforgeError):
+            gf.Code(3, 2, 2, "reed_solomon", encode_fn=lambda r: table[r], size=4)
+        rs = gf.reed_solomon(3, 2)
+        with pytest.raises(GapforgeError):
+            gf.Code(3, 2, 3, "reed_solomon", encode_fn=rs.codeword)
+        for code in (gf.Code(3, 2, 2, "explicit", table=table),
+                     gf.Code(3, 2, 2, "explicit", encode_fn=lambda r: table[r], size=4)):
+            report = gf.collision_number(code, distance=Fraction(1, 2))
+            assert (report.value, report.witness) == (3, (1, 2, 3))
+        assert rs.kind == "reed_solomon"
+        assert gf.code_from_json(gf.code_to_json(rs)).kind == "reed_solomon"
 
     def test_size_caps(self):
         codes = (gf.reed_solomon(5, 2), gf.reed_solomon(7, 2), gf.random_code(3, 2, 5, 1),

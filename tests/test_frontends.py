@@ -13,7 +13,7 @@ from gapforge.errors import (
     PartNotIndependentError,
     UnusedVariableError,
 )
-from gapforge.generators import random_cnf3
+from gapforge.generators import enumerate_partitioned_graphs, random_cnf3
 
 
 def triangle():
@@ -91,6 +91,78 @@ def _random_partitioned(rng, max_m: int = 7):
              for u in parts[a] for v in parts[b]]
     edges = [p for p in pairs if rng.random() < 0.6]
     return gf.make_partitioned_graph(parts, edges)
+
+
+def _frontend_view(result):
+    """What a front-end hands on: the instance's fields, or the empty classes."""
+    if isinstance(result, gf.DecidedNo):
+        return ("decided_no", result.empty_classes)
+    return (result.v_parts, result.w_parts, result.edges, result.provenance)
+
+
+def _hand_graphs():
+    rng = random.Random(8)
+    graphs = [triangle(),
+              gf.make_partitioned_graph([(0,), (1,), (2,)], [(0, 1), (1, 2)]),
+              gf.make_partitioned_graph([(0, 1), (2, 3)], [(0, 2), (2, 1), (1, 3), (3, 0)]),
+              gf.colorful_lift(gf.make_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), 3),
+              gf.make_partitioned_graph(
+                  [(0, 1), (2, 3), (4, 5)],
+                  [(u, v) for a, b in ((0, 2), (0, 4), (2, 4))
+                   for u in (a, a + 1) for v in (b, b + 1)])]
+    # parts out of vertex order, so edges run from a later part to an earlier one
+    for _ in range(10):
+        m = rng.randint(4, 8)
+        order = rng.sample(range(m), m)
+        a, b = sorted(rng.sample(range(1, m), 2))
+        parts = [order[b:], order[:a], order[a:b]]
+        owner = {v: i for i, part in enumerate(parts) for v in part}
+        edges = [(u, v) for u, v in combinations(range(m), 2)
+                 if owner[u] != owner[v] and rng.random() < 0.7]
+        graphs.append(gf.make_partitioned_graph(parts, edges))
+    return graphs
+
+
+class TestReferenceFrontends:
+    """Both front-ends against the edge-list references in oracles."""
+
+    def test_criterion_10_corpus_slice(self):
+        for index, graph in enumerate(enumerate_partitioned_graphs(7, 3)):
+            if index % 50 == 0:
+                assert _frontend_view(gf.clique_to_maxcover(graph)) == _frontend_view(
+                    oracles.clique_to_maxcover_reference(graph)), index
+
+    def test_hand_graphs(self):
+        for graph in _hand_graphs():
+            assert _frontend_view(gf.clique_to_maxcover(graph)) == _frontend_view(
+                oracles.clique_to_maxcover_reference(graph))
+
+    @pytest.mark.parametrize("cnf,k", [
+        (gf.Cnf3(1, ((1,), (-1,))), 2),
+        (gf.Cnf3(2, ((1,), (2,))), 2),
+        (gf.Cnf3(2, ((1,), (2,))), 1),
+        (gf.Cnf3(8, ((1,), *((-v, v + 1) for v in range(1, 8)), (-8, -1))), 2),
+        (gf.Cnf3(8, ((1,), *((-v, v + 1) for v in range(1, 8)), (-8, -1))), 3),
+        (gf.Cnf3(3, ((1, -2, 3), (-1, 2), (2, -3), (-1, 3))), 3),
+    ])
+    def test_hand_cnfs(self, cnf, k):
+        assert _frontend_view(gf.sat_to_maxcover(cnf, k)) == _frontend_view(
+            oracles.sat_to_maxcover_reference(cnf, k))
+
+    def test_random_cnfs(self):
+        rng = random.Random(1003)
+        compared = 0
+        for _ in range(150):
+            cnf = random_cnf3(rng, max_vars=8)
+            for k in (1, 2, 3):
+                if k > len(cnf.clauses):
+                    with pytest.raises(IndexRangeError):
+                        gf.sat_to_maxcover(cnf, k)
+                    continue
+                compared += 1
+                assert _frontend_view(gf.sat_to_maxcover(cnf, k)) == _frontend_view(
+                    oracles.sat_to_maxcover_reference(cnf, k))
+        assert compared > 400
 
 
 class TestPartitionedGraph:

@@ -414,3 +414,60 @@ class TestSerialization:
         doc["format"] = "nope"
         with pytest.raises(SchemaVersionError):
             gf.maxcover_from_json(doc)
+
+
+def generator_instances():
+    """Seeded instances from both MaxCover generators, under several limits."""
+    rng = random.Random(41)
+    out = []
+    for _ in range(40):
+        out.append(random_pseudo_projection_instance(rng))
+        out.append(random_pseudo_projection_instance(rng, max_k=4, max_t=3, max_part=5,
+                                                     plant_cover=False))
+        out.append(random_bounded_degree_instance(rng, rng.randint(0, 3)))
+        out.append(random_bounded_degree_instance(rng, 2, max_part=4, plant_cover=True))
+    return out
+
+
+class TestFromMasks:
+    def test_matches_edge_constructor(self):
+        # V = 0..2; W_0 = {3, 4}, W_1 = {5}, W_2 = 6..8
+        masks = [(0b01, 1, 0b101), (0b11, 0, 0b000), (0b10, 1, 0b111)]
+        inst = gf.MaxCoverInstance.from_masks((2, 1), (2, 1, 3), masks, provenance="p")
+        edges = [(0, 3), (0, 5), (0, 6), (0, 8), (1, 3), (1, 4),
+                 (2, 4), (2, 5), (2, 6), (2, 7), (2, 8)]
+        assert inst.edges == tuple(edges)
+        assert inst.num_edges == len(edges)
+        assert inst.provenance == "p"
+        for vg, part_masks in enumerate(masks):
+            for j, mask in enumerate(part_masks):
+                assert inst.neighbors_in_part(vg, j) == tuple(
+                    p for p in range(inst.w_parts[j]) if mask >> p & 1)
+
+    @pytest.mark.parametrize("masks", [
+        pytest.param([(1, 1)], id="too-few-tuples"),
+        pytest.param([(1, 1)] * 3, id="too-many-tuples"),
+        pytest.param([(1, 1), (1,)], id="short-tuple"),
+        pytest.param([(1, 1), (1, 1, 1)], id="long-tuple"),
+        pytest.param([(1, 1), (-1, 1)], id="negative-mask"),
+        pytest.param([(1, 1), (1, 0b1000)], id="mask-wider-than-part"),
+        pytest.param([(0b100, 1), (1, 1)], id="mask-into-next-part"),
+    ])
+    def test_rejects_malformed_masks(self, masks):
+        # V = {0, 1} in two parts; W_0 has 2 members, W_1 has 3
+        with pytest.raises(IndexRangeError):
+            gf.MaxCoverInstance.from_masks((1, 1), (2, 3), masks)
+
+    def test_edge_constructor_sorts_and_deduplicates(self):
+        inst = gf.MaxCoverInstance((1, 1), (2,), [(1, 3), (0, 2), (1, 3), (0, 3)])
+        assert inst.edges == ((0, 2), (0, 3), (1, 3))
+        assert inst.num_edges == 3
+
+    def test_generator_instances_rebuild_from_edges(self):
+        for inst in generator_instances():
+            rebuilt = gf.MaxCoverInstance(inst.v_parts, inst.w_parts, inst.edges,
+                                          inst.provenance)
+            assert rebuilt.edges == inst.edges
+            assert rebuilt.num_edges == inst.num_edges == len(inst.edges)
+            for lab in product(*(range(s) for s in inst.v_parts)):
+                assert rebuilt.covered_count(lab) == inst.covered_count(lab)

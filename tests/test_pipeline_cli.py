@@ -26,6 +26,114 @@ def triangle():
     return gf.make_partitioned_graph([(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)])
 
 
+def _valid_documents():
+    """Every valid input document the CLI tests write, with a command reading it.
+
+    Values are (document, argv, required keys); "{doc}" in argv is the path.
+    """
+    mc_argv, mc_keys = ["maxcover", "solve", "{doc}"], ("k", "t", "v_parts", "w_parts", "edges")
+    code_argv, code_keys = ["code", "measure", "{doc}"], ("q", "r", "ell", "kind", "table")
+    sc_argv, sc_keys = ["setcover", "solve", "{doc}", "--cap", "2"], ("universe", "collections")
+    cnf = gf.parse_dimacs_cnf("p cnf 2 2\n1 0\n2 0\n")
+    maxcovers = {
+        "maxcover": gf.MaxCoverInstance((1, 1), (2,), [(0, 2), (1, 3)]),
+        "maxcover-from-cnf": gf.sat_to_maxcover(cnf, 2),
+        "maxcover-from-graph": gf.clique_to_maxcover(triangle()),
+    }
+    codes = {
+        "code-rs(3,2)": gf.reed_solomon(3, 2),
+        "code-rs(5,2)": gf.reed_solomon(5, 2),
+        "code-random(4,2,8,3)": gf.random_code(4, 2, 8, 3),
+        "code-random(3,1,4,0)": gf.random_code(3, 1, 4, 0),
+        "code-explicit": gf.explicit_code(2, 2, [(0, 0), (0, 1), (1, 0)]),
+    }
+    docs = {name: (gf.maxcover_to_json(inst), mc_argv, mc_keys)
+            for name, inst in maxcovers.items()}
+    docs.update((name, (gf.code_to_json(code), code_argv, code_keys))
+                for name, code in codes.items())
+    docs["setcover"] = (_SETCOVER, sc_argv, sc_keys)
+    docs["setcover-json"] = (gf.setcover_to_json(gf.SetCoverInstance(2, [[{0}], [{1}]])),
+                             sc_argv, sc_keys)
+    return docs
+
+
+def _int_leaves(value, path=()):
+    """Paths to every int inside nested lists, with their depth below the key."""
+    if isinstance(value, list):
+        for n, item in enumerate(value):
+            yield from _int_leaves(item, path + (n,))
+    elif isinstance(value, int):
+        yield path
+
+
+def _mutations(doc, required, rng):
+    """(label, file text) pairs, each a malformed version of doc.
+
+    Drops each required key and gives each key a value of another JSON
+    type.  Within the required keys, sets ints to -1, and at seeded ints
+    inside the lists puts a string or -1; in the innermost lists also a
+    value past any size, and an int in place of the list.  Truncates the
+    file at fixed and seeded points.
+    """
+    def edited(key, path, value):
+        copy = json.loads(json.dumps(doc))
+        if not path:
+            copy[key] = value
+        else:
+            target = copy[key]
+            for n in path[:-1]:
+                target = target[n]
+            target[path[-1]] = value
+        return json.dumps(copy)
+
+    out = [(f"drop {key}", json.dumps({k: v for k, v in doc.items() if k != key}))
+           for key in required]
+    for key, value in doc.items():
+        other = {str: [1], int: "1", list: "x"}[type(value)]
+        out.append((f"{key} as {type(other).__name__}", edited(key, (), other)))
+        if key not in required:  # format, provenance and seed take any value of their type
+            continue
+        if isinstance(value, int):
+            out.append((f"{key} = -1", edited(key, (), -1)))
+        leaves = list(_int_leaves(value)) if isinstance(value, list) else []
+        if not leaves:
+            continue
+        deepest = max(len(path) for path in leaves)
+        for path in rng.sample(leaves, min(3, len(leaves))):
+            out.append((f"{key}{list(path)} as str", edited(key, path, "x")))
+            out.append((f"{key}{list(path)} = -1", edited(key, path, -1)))
+            if len(path) == deepest > 1:
+                out.append((f"{key}{list(path)} past the end", edited(key, path, 10 ** 9)))
+                out.append((f"{key}{list(path[:-1])} as int", edited(key, path[:-1], 0)))
+    text = json.dumps(doc)
+    for cut in sorted({0, 1, len(text) - 1, *rng.sample(range(2, len(text) - 1), 2)}):
+        out.append((f"truncated to {cut} chars", text[:cut]))
+    return out
+
+
+class TestCliMutations:
+    @pytest.mark.parametrize("name", list(_valid_documents()))
+    def test_each_mutation_exits_3_with_one_error_line(self, name, tmp_path, capsys):
+        doc, argv, required = _valid_documents()[name]
+        path = tmp_path / "doc.json"
+        argv = [a.format(doc=path) for a in argv]
+        path.write_text(json.dumps(doc))
+        assert main(argv) == 0
+        capsys.readouterr()
+        failures = []
+        for label, text in _mutations(doc, required, random.Random(f"cli-mutations/{name}")):
+            path.write_text(text)
+            try:
+                code = main(argv)
+            except Exception as exc:  # a traceback breaks the error contract
+                failures.append((label, repr(exc)))
+                continue
+            err = capsys.readouterr().err
+            if code != 3 or not err.startswith("error:") or err.count("\n") != 1:
+                failures.append((label, code, err))
+        assert not failures
+
+
 class TestWonePipeline:
     def test_triangle_yes(self):
         report = gf.wone_pipeline(triangle(), 3, 5)

@@ -185,6 +185,16 @@ class TestExport:
             edge = (i * g.a_part_size + rank, offset + m)
             assert (edge in exported) == gf.adjacent(g, (0, m), (i, g.a_tuple(rank)))
 
+    @pytest.mark.parametrize("q,t", [(2, 1), (3, 2), (2, 3), (5, 2)])
+    def test_ranks_with_symbol_by_scan(self, q, t):
+        # the one A-neighbor enumeration behind export_edges and composed
+        # SetCover membership: ascending ranks of the v with v[j] == symbol
+        vertices = list(product(range(q), repeat=t))
+        for j in range(t):
+            for symbol in range(q):
+                assert threshold._ranks_with_symbol(q, t, j, symbol) == tuple(
+                    rank for rank, v in enumerate(vertices) if v[j] == symbol)
+
     def test_export_cap(self):
         g = gf.build_threshold(gf.reed_solomon(5, 2), 3)
         with pytest.raises(CapExceededError):
