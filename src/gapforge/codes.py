@@ -668,4 +668,12 @@ def code_from_json(doc: dict) -> Code:
         if code.table() != table or code.ell != ell:
             raise SchemaVersionError("reed_solomon table does not match its parameters")
         return code
-    return Code(q, r, ell, kind, table=table, seed=doc.get("seed"))
+    code = Code(q, r, ell, kind, table=table, seed=doc.get("seed"))
+    # r is the one phf_to_code and explicit_code give: the smallest r >= 1
+    # with q**r >= |table|; a random code has exactly q**r words
+    fit = 1
+    while q ** fit < code.size:
+        fit += 1
+    if r != fit or (kind == KIND_RANDOM and q ** r != code.size):
+        raise ParseError(f"code r={r} does not fit its table of {code.size} words over [{q}]")
+    return code

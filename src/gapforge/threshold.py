@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .codes import Code, _rank_of_symbols, _symbols_of_rank, relative_distance
+from .codes import (
+    Code,
+    _field_packing,
+    _rank_of_symbols,
+    _symbols_of_rank,
+    relative_distance,
+)
 from .errors import (
     DEFAULT_EDGE_CAP,
     DEFAULT_SUBSET_BUDGET,
@@ -72,19 +78,25 @@ def adjacent(graph: ThresholdGraph, b_ref, a_ref) -> bool:
     j, m = b_ref
     i, v = a_ref
     v = tuple(v)
-    if not 0 <= j < graph.t:
-        raise IndexRangeError(f"B-part index {j} outside [0, {graph.t})")
-    if not 0 <= m < graph.b_part_size:
-        raise IndexRangeError(f"message rank {m} outside [0, {graph.b_part_size})")
-    if not 0 <= i < graph.ell:
-        raise IndexRangeError(f"A-part index {i} outside [0, {graph.ell})")
-    if len(v) != graph.t or any(not 0 <= s < graph.code.q for s in v):
-        raise IndexRangeError(f"A-vertex tuple {v} not in [q]^{graph.t}")
-    return graph.code.codeword(m)[i] == v[j]
+    code, t = graph.code, graph.t
+    if not 0 <= j < t:
+        raise IndexRangeError(f"B-part index {j} outside [0, {t})")
+    if not 0 <= m < code.size:
+        raise IndexRangeError(f"message rank {m} outside [0, {code.size})")
+    if not 0 <= i < code.ell:
+        raise IndexRangeError(f"A-part index {i} outside [0, {code.ell})")
+    q = code.q
+    if len(v) != t or any(not 0 <= s < q for s in v):
+        raise IndexRangeError(f"A-vertex tuple {v} not in [q]^{t}")
+    return code.codeword(m)[i] == v[j]
 
 
 def common_neighbor(graph: ThresholdGraph, message_ranks, i: int):
-    """The unique common neighbor in A_i of one vertex per B-part."""
+    """The unique common neighbor in A_i of one vertex per B-part.
+
+    Read from the codewords, not from the graph; verify_threshold does not
+    use it, and oracles.threshold_verdict_bruteforce checks it on every case.
+    """
     ranks = tuple(message_ranks)
     if len(ranks) != graph.t:
         raise IndexRangeError(f"expected {graph.t} message ranks, got {len(ranks)}")
@@ -97,19 +109,25 @@ def common_neighbor(graph: ThresholdGraph, message_ranks, i: int):
 class ThresholdVerdict:
     """Outcome of exhaustively checking the three threshold properties.
 
-    completeness_mode records whether every tuple was scanned or a seeded
-    sample was used.  soundness_max_shared is the worst-case number of
-    A-parts in which two distinct same-part B-vertices share a neighbor
-    (found by scanning A_i), and must not exceed (1-delta)*ell; it must also
-    equal the worst-case coordinate agreement count of codeword pairs.
-    collision_min_x is the smallest |X| satisfying the collision-property
-    hypothesis, or None if nothing was found below collision_cap.
+    completeness_mode records whether every case (a tuple of message ranks,
+    one per B-part, and a part A_i) was decided or a seeded sample was.
+    completeness_checked counts the cases decided: all of them when every
+    case passes, else up to and including the first failing one, which is
+    completeness_counterexample as (ranks, i, hits).  completeness_patterns
+    counts the (i, column pattern) decisions behind them.
+    soundness_max_shared is the worst-case number of A-parts in which two
+    distinct same-part B-vertices share a neighbor, and must not exceed
+    (1-delta)*ell; soundness_matches_agreements says whether every such
+    count equals the pair's coordinate agreements.  collision_min_x is the
+    smallest |X| satisfying the collision-property hypothesis, or None if
+    nothing was found below collision_cap.
     """
 
     completeness_ok: bool
     completeness_counterexample: tuple | None
     completeness_mode: str
     completeness_checked: int
+    completeness_patterns: int
     soundness_max_shared: int
     soundness_bound: Fraction
     soundness_ok: bool
@@ -119,13 +137,6 @@ class ThresholdVerdict:
     collision_subsets_examined: int
 
 
-def _pattern_hits(column, q: int):
-    """All v in [q]**t with v[j] == column[j] for every j, by full scan."""
-    t = len(column)
-    return [v for v in product(range(q), repeat=t)
-            if all(v[j] == column[j] for j in range(t))]
-
-
 def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
                      exhaustive_limit: int = 100_000,
                      sample_count: int = 1000,
@@ -133,68 +144,104 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
                      budget: int = DEFAULT_SUBSET_BUDGET) -> ThresholdVerdict:
     """Check completeness, soundness, and the collision property.
 
-    Completeness checks all tuples times all A-parts when size**t * ell is
-    within exhaustive_limit, otherwise a seeded sample, with the mode
-    recorded.  Every case is compared with common_neighbor; the A_i scan it
-    is compared against depends only on the case's column pattern (the
-    symbols its codewords carry at coordinate i, read from the codeword
-    table), so each distinct pattern is scanned once per call.  Soundness
-    likewise scans A_i once per distinct (j, symbol, symbol) pair.  The
-    collision search enumerates X across B with |X| < collision_cap in
+    A case (ranks, i) asks whether the B-vertices (j, ranks[j]) have exactly
+    one common neighbor in A_i, namely their column pattern: the symbols
+    their codewords carry at coordinate i.  The graph is read through
+    adjacent() once per B_j representative of each symbol realized at i
+    (its first codeword carrying it), as a mask of its A_i neighbors; each
+    realized (i, pattern) is then decided once, by AND-ing the pattern's
+    masks, which must leave exactly the pattern's own bit.  Cases are all
+    size**t * ell of them when that is within exhaustive_limit, otherwise
+    a seeded sample, with the mode recorded; they are walked only when some
+    pattern fails, to report the first failing case.  The helper
+    common_neighbor is not read here; oracles.threshold_verdict_bruteforce
+    checks it on every case.
+
+    Soundness counts a pair's agreements as the popcount of the AND of its
+    words packed by codes._field_packing.  Two B_j representatives of
+    symbols a and b realized at i must share an A_i neighbor exactly when
+    a == b, which the masks decide once per (i, j, a, b).  A pair's shared
+    count in B_j is the popcount of the AND of one word's B_j row (in field
+    i, every symbol whose representative shares an A_i neighbor with that
+    of the word's own symbol) with the other packed word: its agreements,
+    plus or minus one for each (i, j, a, b) it carries that breaks the
+    rule.  On an honest graph every row is the packed word.
+
+    The collision search enumerates X across B with |X| < collision_cap in
     increasing size and reports the smallest X for which every A_i has a
     vertex with >= t+1 neighbors in X.
     """
     code, t, ell = graph.code, graph.t, graph.ell
     size = graph.b_part_size
+    words = [code.codeword(m) for m in range(size)]
+    vertices = list(product(range(code.q), repeat=t))
 
-    total_tuples = size ** t * ell
-    if total_tuples <= exhaustive_limit:
-        mode = "exhaustive"
+    # masks[i][j][s]: the A_i neighbors, by rank, of B_j's representative of
+    # symbol s, for each symbol s realized at coordinate i
+    masks = []
+    for i in range(ell):
+        reps: dict[int, int] = {}
+        for m, word in enumerate(words):
+            reps.setdefault(word[i], m)
+        masks.append([{s: sum(1 << rank for rank, v in enumerate(vertices)
+                              if adjacent(graph, (j, m), (i, v)))
+                       for s, m in sorted(reps.items())}
+                      for j in range(t)])
+
+    failing: dict[tuple[int, tuple[int, ...]], int] = {}
+    patterns = 0
+    for i, part in enumerate(masks):
+        for pattern in product(*part):
+            patterns += 1
+            common = -1
+            for j, s in enumerate(pattern):
+                common &= part[j][s]
+            if common != 1 << graph.a_rank(pattern):
+                failing[i, pattern] = common
+
+    total_cases = size ** t * ell
+    if total_cases <= exhaustive_limit:
+        mode, checked = "exhaustive", total_cases
         cases = ((ranks, i) for ranks in product(range(size), repeat=t)
                  for i in range(ell))
     else:
-        mode = "sampled"
+        mode, checked = "sampled", sample_count
         rng = random.Random(seed)
         cases = (
             (tuple(rng.randrange(size) for _ in range(t)), rng.randrange(ell))
             for _ in range(sample_count))
-
-    q = code.q
-    words = [code.codeword(m) for m in range(size)]
-    completeness_ok = True
     counterexample = None
-    checked = 0
-    pattern_hits: dict[tuple[int, ...], list] = {}
-    for ranks, i in cases:
-        checked += 1
-        _, v = common_neighbor(graph, ranks, i)
-        column = tuple(words[m][i] for m in ranks)
-        hits = pattern_hits.get(column)
-        if hits is None:
-            hits = pattern_hits[column] = _pattern_hits(column, q)
-        if hits != [v]:
-            completeness_ok = False
-            counterexample = (ranks, i, tuple(hits))
-            break
+    if failing:
+        for n, (ranks, i) in enumerate(cases, 1):
+            common = failing.get((i, tuple(words[m][i] for m in ranks)))
+            if common is not None:
+                counterexample = (ranks, i, tuple(v for rank, v in enumerate(vertices)
+                                                  if common >> rank & 1))
+                checked = n
+                break
 
+    # B_j's row of word m sets bit i * q + b, the packed layout; B-parts
+    # with equal rows have equal counts
+    q = code.q
+    pack, _, _ = _field_packing((q,) * ell)
+    packed = [pack(word) for word in words]
+    rows = set()
+    for j in range(t):
+        share = [{a: sum(1 << (i * q + b) for b in part[j] if part[j][a] & part[j][b])
+                  for a in part[j]}
+                 for i, part in enumerate(masks)]
+        rows.add(tuple(sum(share[i][s] for i, s in enumerate(word)) for word in words))
     delta = relative_distance(code).delta
     bound = (1 - delta) * ell
     max_shared = 0
     matches = True
-    pair_shares: dict[tuple[int, int, int], bool] = {}
-    for w1, w2 in combinations(words, 2):
-        agreements = sum(1 for a, b in zip(w1, w2) if a == b)
-        for j in range(t):
-            shared = 0
-            for a, b in zip(w1, w2):
-                key = (j, a, b)
-                if key not in pair_shares:
-                    pair_shares[key] = any(a == v[j] and b == v[j]
-                                           for v in product(range(q), repeat=t))
-                shared += pair_shares[key]
-            if shared != agreements:
-                matches = False
-            max_shared = max(max_shared, shared)
+    for m1, m2 in combinations(range(size), 2):
+        agreements = (packed[m1] & packed[m2]).bit_count()
+        for row in rows:
+            shared = (row[m1] & packed[m2]).bit_count()
+            matches = matches and shared == agreements
+            if shared > max_shared:
+                max_shared = shared
 
     min_x = None
     examined = 0
@@ -212,10 +259,11 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
                 break
 
     return ThresholdVerdict(
-        completeness_ok=completeness_ok,
+        completeness_ok=counterexample is None,
         completeness_counterexample=counterexample,
         completeness_mode=mode,
         completeness_checked=checked,
+        completeness_patterns=patterns,
         soundness_max_shared=max_shared,
         soundness_bound=bound,
         soundness_ok=Fraction(max_shared) <= bound,

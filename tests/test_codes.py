@@ -13,6 +13,7 @@ from gapforge.errors import (
     GapforgeError,
     MessageLengthError,
     NotPrimeError,
+    ParseError,
     RankRangeError,
     SchemaVersionError,
     SymbolRangeError,
@@ -403,4 +404,25 @@ class TestSerialization:
         doc = gf.code_to_json(gf.reed_solomon(3, 2))
         doc["table"][0] = [1, 1, 1]
         with pytest.raises(GapforgeError):
+            gf.code_from_json(doc)
+
+    def test_table_r_must_fit_the_table(self):
+        # a random code has q**r words; PHF and explicit codes the smallest
+        # r >= 1 with q**r >= |table|, as phf_to_code and explicit_code give
+        codes = [gf.random_code(4, 2, 8, 3),
+                 gf.phf_to_code(gf.find_phf(9, 3, 32, seed=0)),
+                 gf.explicit_code(2, 2, [(0, 0), (0, 1), (1, 0)]),
+                 gf.explicit_code(3, 2, [(0, 1)])]
+        for code in codes:
+            doc = gf.code_to_json(code)
+            assert gf.code_from_json(doc).r == code.r
+            for wrong in (code.r - 1, code.r + 1, 7):
+                if wrong in (0, code.r):
+                    continue
+                doc["r"] = wrong
+                with pytest.raises(ParseError):
+                    gf.code_from_json(doc)
+        doc = gf.code_to_json(gf.random_code(2, 2, 4, 0))
+        doc["table"] = doc["table"][:3]  # 3 words fit r = 2, but not as q**r
+        with pytest.raises(ParseError):
             gf.code_from_json(doc)

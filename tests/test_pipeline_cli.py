@@ -70,7 +70,8 @@ def _mutations(doc, required, rng):
     """(label, file text) pairs, each a malformed version of doc.
 
     Drops each required key and gives each key a value of another JSON
-    type.  Within the required keys, sets ints to -1, and at seeded ints
+    type.  Within the required keys, sets ints to -1 (and a code's r to
+    r + 5, which no table fits), and at seeded ints
     inside the lists puts a string or -1; in the innermost lists also a
     value past any size, and an int in place of the list.  Truncates the
     file at fixed and seeded points.
@@ -95,6 +96,8 @@ def _mutations(doc, required, rng):
             continue
         if isinstance(value, int):
             out.append((f"{key} = -1", edited(key, (), -1)))
+        if key == "r":  # positive, but not the table's
+            out.append(("r + 5", edited(key, (), value + 5)))
         leaves = list(_int_leaves(value)) if isinstance(value, list) else []
         if not leaves:
             continue

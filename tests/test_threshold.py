@@ -141,6 +141,8 @@ class TestVerify:
         assert verdict.soundness_matches_agreements and matches
 
     def test_mutated_common_neighbor_caught(self, monkeypatch):
+        # verify_threshold decides the graph through adjacent() alone; the
+        # helper is checked on every case by the oracle
         g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
         honest = threshold.common_neighbor
 
@@ -151,12 +153,116 @@ class TestVerify:
             return part, v
 
         monkeypatch.setattr(threshold, "common_neighbor", shifted)
-        verdict = gf.verify_threshold(g, collision_cap=3)
-        assert verdict.completeness_ok is False
-        assert verdict.completeness_counterexample == ((4, 7), 1, ((2, 0),))
-        assert verdict.completeness_checked == 131
         counterexample, _, _ = oracles.threshold_verdict_bruteforce(g)
-        assert counterexample == verdict.completeness_counterexample
+        assert counterexample == ((4, 7), 1, ((2, 0),))
+        verdict = gf.verify_threshold(g, collision_cap=3)
+        assert verdict.completeness_ok
+        assert verdict.completeness_counterexample is None
+        assert verdict.completeness_checked == 9 ** 2 * 3
+
+    def test_mutated_adjacent_caught(self, monkeypatch):
+        # B_0 vertices carrying symbol 2 at coordinate 1 meet the A_1
+        # vertices whose first symbol is 0 instead of 2
+        g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
+        monkeypatch.setattr(threshold, "adjacent",
+                            _symbol_shifted_adjacent(threshold.adjacent, {(1, 0, 2): 1}))
+        verdict = gf.verify_threshold(g, collision_cap=3)
+        counterexample, max_shared, matches = oracles.threshold_verdict_bruteforce(g)
+        assert counterexample is not None and not matches
+        assert verdict.completeness_counterexample == counterexample
+        assert verdict.completeness_checked == _case_index(g, counterexample)
+        assert verdict.soundness_max_shared == max_shared == 2
+        assert verdict.soundness_matches_agreements is matches
+
+
+def _symbol_shifted_adjacent(honest, shifts):
+    """adjacent() with B_j vertices carrying symbol s at coordinate i moved.
+
+    For each (i, j, s): shift in shifts, such a vertex meets the A_i vertex v
+    iff the honest rule meets v with v[j] lowered by shift (mod q), or meets
+    no A_i vertex when shift is None.  The corruption depends on the symbol
+    only, never on which codeword carries it.
+    """
+    def corrupted(graph, b_ref, a_ref):
+        j, m = b_ref
+        i, v = a_ref
+        shift = shifts.get((i, j, graph.code.codeword(m)[i]), 0)
+        if shift is None:
+            return False
+        v = tuple((s - shift) % graph.code.q if jj == j else s for jj, s in enumerate(v))
+        return honest(graph, b_ref, (i, v))
+    return corrupted
+
+
+def _case_index(graph, counterexample) -> int:
+    """1-based position of (ranks, i) in the exhaustive case order."""
+    ranks, i, _ = counterexample
+    rank = 0
+    for m in ranks:
+        rank = rank * graph.b_part_size + m
+    return rank * graph.ell + i + 1
+
+
+def _differential_shapes(limit: int = 60_000):
+    """(q, r, t, ell_max) where the oracle's scan of every A_i vertex for
+    every case, about (q**r * q)**t * t * ell adjacent() calls, fits limit."""
+    for q, r, t in product((2, 3, 4, 5), (1, 2), (1, 2, 3)):
+        ell_max = min(r + 3, limit // ((q ** (r + 1)) ** t * t))
+        if ell_max >= r:
+            yield q, r, t, ell_max
+
+
+class TestVerifyDifferential:
+    """verify_threshold against oracles.threshold_verdict_bruteforce, seeded."""
+
+    @pytest.mark.parametrize("q,r,t,ell_max", list(_differential_shapes()))
+    def test_random_codes(self, q, r, t, ell_max, monkeypatch):
+        rng = random.Random(f"threshold-differential/{q}/{r}/{t}")
+        size = q ** r
+        for run in range(6):
+            ell = rng.randint(r, ell_max)
+            g = gf.build_threshold(gf.random_code(q, r, ell, rng.randrange(10_000)), t)
+            shifts = {}
+            for _ in range(run % 3):  # honest, one or two corrupted symbols
+                key = (rng.randrange(ell), rng.randrange(t), rng.randrange(q))
+                shifts[key] = rng.choice([*range(1, q), None])
+            with monkeypatch.context() as patch:
+                patch.setattr(threshold, "adjacent",
+                              _symbol_shifted_adjacent(threshold.adjacent, shifts))
+                verdict = gf.verify_threshold(g, collision_cap=t + 1)
+                counterexample, max_shared, matches = \
+                    oracles.threshold_verdict_bruteforce(g)
+            assert verdict.completeness_mode == "exhaustive"
+            assert verdict.completeness_counterexample == counterexample
+            assert verdict.completeness_ok is (counterexample is None)
+            assert verdict.completeness_checked == (
+                size ** t * ell if counterexample is None
+                else _case_index(g, counterexample))
+            assert verdict.soundness_max_shared == max_shared
+            assert verdict.soundness_matches_agreements is matches
+
+    def test_sampled_cases_by_adjacent_scan(self, monkeypatch):
+        g = gf.build_threshold(gf.random_code(3, 2, 4, 7), 2)
+        monkeypatch.setattr(threshold, "adjacent",
+                            _symbol_shifted_adjacent(threshold.adjacent, {(2, 1, 0): 2}))
+        verdict = gf.verify_threshold(g, collision_cap=3, exhaustive_limit=10,
+                                      sample_count=200, seed=3)
+        rng = random.Random(3)
+        vertices = list(product(range(3), repeat=2))
+        expected = None, 200
+        for n in range(1, 201):
+            ranks = (rng.randrange(9), rng.randrange(9))
+            i = rng.randrange(4)
+            hits = tuple(u for u in vertices
+                         if all(threshold.adjacent(g, (j, m), (i, u))
+                                for j, m in enumerate(ranks)))
+            if hits != (tuple(g.code.codeword(m)[i] for m in ranks),):
+                expected = (ranks, i, hits), n
+                break
+        assert expected[0] is not None and expected[1] > 1
+        assert verdict.completeness_mode == "sampled"
+        assert (verdict.completeness_counterexample, verdict.completeness_checked) == expected
+        assert verdict.completeness_ok is False
 
 
 class TestExport:
