@@ -240,11 +240,15 @@ def random_code(q: int, r: int, ell: int, seed: int, *, cap: int = DEFAULT_ENUM_
     Deterministic function of the seed: symbols are drawn row-major from
     CPython's Mersenne Twister (random.Random(seed).randrange(q)), which is
     stable across platforms and supported Python versions.  Colliding rows
-    are redrawn in place so the table is injective, preserving determinism.
+    are redrawn in place so the table is injective, preserving determinism;
+    ell < r leaves q**ell < q**r words, too few for that, and raises
+    GapforgeError (an alphabet below 2 is left to Code, which rejects it).
     """
     size = q ** r
     if size > cap:
         raise CapExceededError(f"q**r = {size} exceeds enumeration cap {cap}")
+    if q > 1 and ell < r:
+        raise GapforgeError(f"{q}**{ell} words cannot hold q**r = {size} distinct codewords")
     rng = random.Random(seed)
     seen: set[tuple[int, ...]] = set()
     table = []
@@ -261,10 +265,16 @@ def explicit_code(q: int, ell: int, table, *, r: int | None = None) -> Code:
     """Wrap an explicit codeword table (lexicographic message order)."""
     table = tuple(tuple(w) for w in table)
     if r is None:
-        r = 1
-        while q ** r < len(table):
-            r += 1
+        r = _table_message_length(q, len(table))
     return Code(q, r, ell, KIND_EXPLICIT, table=table)
+
+
+def _table_message_length(q: int, size: int) -> int:
+    """A table code's r: the smallest r >= 1 with q**r >= size (1 if q < 2; Code rejects it)."""
+    r = 1
+    while q > 1 and q ** r < size:
+        r += 1
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +637,8 @@ def phf_to_code(phf: PerfectHashFamily) -> Code:
     ceil(log_q N) and the table length N is authoritative.
     """
     table = tuple(tuple(h[x] for h in phf.functions) for x in range(phf.domain_size))
-    r = 1
-    while phf.q ** r < phf.domain_size:
-        r += 1
-    return Code(phf.q, r, phf.ell, KIND_PHF, table=table)
+    return Code(phf.q, _table_message_length(phf.q, phf.domain_size), phf.ell, KIND_PHF,
+                table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -669,11 +677,9 @@ def code_from_json(doc: dict) -> Code:
             raise SchemaVersionError("reed_solomon table does not match its parameters")
         return code
     code = Code(q, r, ell, kind, table=table, seed=doc.get("seed"))
-    # r is the one phf_to_code and explicit_code give: the smallest r >= 1
-    # with q**r >= |table|; a random code has exactly q**r words
-    fit = 1
-    while q ** fit < code.size:
-        fit += 1
+    # r is the one phf_to_code and explicit_code give; a random code has
+    # exactly q**r words
+    fit = _table_message_length(q, code.size)
     if r != fit or (kind == KIND_RANDOM and q ** r != code.size):
         raise ParseError(f"code r={r} does not fit its table of {code.size} words over [{q}]")
     return code

@@ -466,9 +466,11 @@ def compose_gap_k2_bounded(base: MaxCoverInstance, code: Code, d: int,
 class GapCertificate:
     """Pass/fail record for one composition against the gap guarantees.
 
+    This is the one gap rule; the pipelines take their verdict from it.
     violation iff value 1 was not preserved, or a value-<1 input composed to
     something above bound_factor * (1 - delta).  The witness is the
-    composed instance's optimal labeling.
+    composed instance's optimal labeling, and labelings_examined counts the
+    labelings the composed solve evaluated (not part of to_json).
     """
 
     value_before: Fraction
@@ -477,6 +479,7 @@ class GapCertificate:
     bound_factor: Fraction
     verdict: str
     witness: tuple[int, ...] | None
+    labelings_examined: int
 
     def to_json(self) -> dict:
         return {
@@ -490,23 +493,25 @@ class GapCertificate:
         }
 
 
-def gap_certificate(base, composed, delta: Fraction, bound_factor=1, *,
-                    labeling_cap: int = DEFAULT_LABELING_CAP) -> GapCertificate:
-    """Solve both sides exactly and check the composition guarantees."""
-    bound_factor = Fraction(bound_factor)
-    before = maxcover_value(base, labeling_cap)
-    after = maxcover_value(composed, labeling_cap)
+def gap_certificate(base, composed, delta: Fraction, bound_factor=1) -> GapCertificate:
+    """Solve both sides exactly and check the composition guarantees.
+
+    Each solve is capped at DEFAULT_LABELING_CAP labelings.
+    """
+    delta, bound_factor = Fraction(delta), Fraction(bound_factor)
+    before = maxcover_value(base)
+    after = maxcover_value(composed)
     if before.value == 1:
         verdict = COMPLETENESS_OK if after.value == 1 else VERDICT_VIOLATION
     else:
-        bound = bound_factor * (1 - Fraction(delta))
+        bound = bound_factor * (1 - delta)
         verdict = SOUNDNESS_OK if after.value <= bound else VERDICT_VIOLATION
-    return GapCertificate(before.value, after.value, Fraction(delta),
-                          bound_factor, verdict, after.labeling)
+    return GapCertificate(before.value, after.value, delta, bound_factor,
+                          verdict, after.labeling, after.labelings_examined)
 
 
-def certify_composition(base: MaxCoverInstance, code: Code, *, d: int | None = None,
-                        labeling_cap: int = DEFAULT_LABELING_CAP) -> GapCertificate:
+def certify_composition(base: MaxCoverInstance, code: Code, *,
+                        d: int | None = None) -> GapCertificate:
     """Compose and certify in one step; d switches to the k=2 bounded route."""
     delta = relative_distance(code).delta
     if d is None:
@@ -515,7 +520,7 @@ def certify_composition(base: MaxCoverInstance, code: Code, *, d: int | None = N
     else:
         composed = compose_gap_k2_bounded(base, code, d)
         factor = d * d
-    return gap_certificate(base, composed, delta, factor, labeling_cap=labeling_cap)
+    return gap_certificate(base, composed, delta, factor)
 
 
 # ---------------------------------------------------------------------------

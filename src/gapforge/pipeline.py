@@ -1,11 +1,13 @@
 """End-to-end pipelines: front-end reduction, gap composition, exact solve.
 
-Both pipelines answer through the composed instance: YES when both sides
-have value 1, NO when the input value is below 1 and the composed value
-respects the 1 - delta soundness bound, VIOLATION otherwise.  The report
-records the exact measured code distance and the formula-level distance
-bound 1 - r/q so the achieved gap is parameter-honest; asymptotic parameter
-choices are replaced by the smallest workable prime (recorded, overridable).
+Both pipelines decide through maxcover.gap_certificate, the one gap rule:
+its completeness_ok is YES (both sides have value 1), soundness_ok is NO
+(the input value is below 1 and the composed value respects the 1 - delta
+bound), and violation is VIOLATION.  Each exact solve is capped at
+errors.DEFAULT_LABELING_CAP labelings.  The report records the exact
+measured code distance and the formula-level distance bound 1 - r/q so the
+achieved gap is parameter-honest; asymptotic parameter choices are replaced
+by the smallest workable prime (recorded, overridable).
 
 A job uses only a handful of codes RS(q, r), so each certified code (the
 code and its exact relative distance) is built once and reused for later
@@ -16,7 +18,7 @@ recently used codes are kept (_CODE_CACHE_SIZE).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,12 +26,14 @@ from .codes import Code, is_prime, reed_solomon, relative_distance
 from .errors import GapforgeError, NotPrimeError, RankRangeError
 from .frontends import Cnf3, DecidedNo, Graph, PartitionedGraph, \
     clique_to_maxcover, colorful_lift, sat_to_maxcover
-from .maxcover import compose_gap, maxcover_value
-from .serialize import FORMAT_TAG
+from .maxcover import compose_gap, gap_certificate
+from .serialize import COMPLETENESS_OK, FORMAT_TAG, SOUNDNESS_OK, VERDICT_VIOLATION
 
 YES = "YES"
 NO = "NO"
 VIOLATION = "VIOLATION"
+
+_VERDICTS = {COMPLETENESS_OK: YES, SOUNDNESS_OK: NO, VERDICT_VIOLATION: VIOLATION}
 
 
 @dataclass(frozen=True)
@@ -50,16 +54,16 @@ class PipelineReport:
 
     verdict: str
     decided_no: bool
-    code_q: int | None
-    code_r: int | None
-    code_ell: int | None
-    delta_exact: Fraction | None
-    delta_bound: Fraction | None
-    value_before: Fraction | None
-    value_after: Fraction | None
-    gap: Fraction | None
-    vacuous_gap: bool
-    stages: tuple[Stage, ...] = field(default=())
+    code_q: int | None = None
+    code_r: int | None = None
+    code_ell: int | None = None
+    delta_exact: Fraction | None = None
+    delta_bound: Fraction | None = None
+    value_before: Fraction | None = None
+    value_after: Fraction | None = None
+    gap: Fraction | None = None
+    vacuous_gap: bool = False
+    stages: tuple[Stage, ...] = ()
 
     def to_json(self) -> dict:
         frac = lambda x: None if x is None else str(x)
@@ -120,12 +124,14 @@ def _choose_code(t: int, max_w: int,
     return _certified_code(q, t)
 
 
-def _run_gap_stages(frontend, q_override, stages, labeling_cap) -> PipelineReport:
-    t = frontend.t
-    max_w = max(frontend.w_parts)
+def _run_gap_stages(frontend, frontend_start, q_override, stages) -> PipelineReport:
+    """Record the front-end stage begun at frontend_start, then compose and solve."""
+    stages.append(Stage("frontend", time.perf_counter() - frontend_start, {
+        "k": frontend.k, "t": frontend.t,
+        "v": frontend.num_v, "w": frontend.num_w, "edges": frontend.num_edges}))
 
     start = time.perf_counter()
-    code, delta = _choose_code(t, max_w, q_override)
+    code, delta = _choose_code(frontend.t, max(frontend.w_parts), q_override)
     delta_bound = 1 - Fraction(code.r, code.q)
     composed = compose_gap(frontend, code)
     stages.append(Stage("compose", time.perf_counter() - start, {
@@ -133,28 +139,22 @@ def _run_gap_stages(frontend, q_override, stages, labeling_cap) -> PipelineRepor
         "a_parts": composed.t, "a_part_size": composed.w_parts[0]}))
 
     start = time.perf_counter()
-    before = maxcover_value(frontend, labeling_cap)
-    after = maxcover_value(composed, labeling_cap)
+    cert = gap_certificate(frontend, composed, delta)
     stages.append(Stage("solve", time.perf_counter() - start, {
-        "labelings": after.labelings_examined}))
+        "labelings": cert.labelings_examined}))
 
-    if before.value == 1 and after.value == 1:
-        verdict, gap = YES, None
-    elif before.value < 1 and after.value <= 1 - delta:
-        verdict, gap = NO, 1 - after.value
-    else:
-        verdict, gap = VIOLATION, None
+    verdict = _VERDICTS[cert.verdict]
     return PipelineReport(
         verdict=verdict, decided_no=False,
         code_q=code.q, code_r=code.r, code_ell=code.ell,
         delta_exact=delta, delta_bound=delta_bound,
-        value_before=before.value, value_after=after.value,
-        gap=gap, vacuous_gap=delta_bound <= 0, stages=tuple(stages))
+        value_before=cert.value_before, value_after=cert.value_after,
+        gap=1 - cert.value_after if verdict == NO else None,
+        vacuous_gap=delta_bound <= 0, stages=tuple(stages))
 
 
 def wone_pipeline(graph: Graph | PartitionedGraph, t: int,
-                  q_override: int | None = None, *,
-                  labeling_cap: int = 1_000_000) -> PipelineReport:
+                  q_override: int | None = None) -> PipelineReport:
     """Colorful t-clique skeleton: clique front-end, then RS(q, r=t) composition.
 
     Plain graphs are lifted to t parts first; partitioned inputs must
@@ -174,25 +174,16 @@ def wone_pipeline(graph: Graph | PartitionedGraph, t: int,
     if isinstance(frontend, DecidedNo):
         stages.append(Stage("frontend", time.perf_counter() - start,
                             {"decided_no": True}))
-        return PipelineReport(NO, True, None, None, None, None, None,
-                              None, None, None, False, tuple(stages))
-    stages.append(Stage("frontend", time.perf_counter() - start, {
-        "k": frontend.k, "t": frontend.t,
-        "v": frontend.num_v, "w": frontend.num_w, "edges": frontend.num_edges}))
-    return _run_gap_stages(frontend, q_override, stages, labeling_cap)
+        return PipelineReport(NO, True, stages=tuple(stages))
+    return _run_gap_stages(frontend, start, q_override, stages)
 
 
-def eth_pipeline(cnf: Cnf3, k: int, q_override: int | None = None, *,
-                 labeling_cap: int = 1_000_000) -> PipelineReport:
+def eth_pipeline(cnf: Cnf3, k: int, q_override: int | None = None) -> PipelineReport:
     """3-SAT skeleton: clause-split front-end, then RS(q, r=t) composition.
 
     t is the number of right super-nodes after empty occurrence patterns
     are omitted.
     """
-    stages: list[Stage] = []
     start = time.perf_counter()
     frontend = sat_to_maxcover(cnf, k)
-    stages.append(Stage("frontend", time.perf_counter() - start, {
-        "k": frontend.k, "t": frontend.t,
-        "v": frontend.num_v, "w": frontend.num_w, "edges": frontend.num_edges}))
-    return _run_gap_stages(frontend, q_override, stages, labeling_cap)
+    return _run_gap_stages(frontend, start, q_override, [])

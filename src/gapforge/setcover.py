@@ -324,8 +324,7 @@ def _jsonable(obj):
     return obj
 
 
-def setcover_certificate(base: SetCoverInstance, composed: ComposedSetCover,
-                         cap: int | None = None, *,
+def setcover_certificate(base: SetCoverInstance, composed: ComposedSetCover, *,
                          budget: int = DEFAULT_SUBSET_BUDGET) -> SetCoverCertificate:
     """Verify the composition's completeness and soundness implications.
 
@@ -334,10 +333,7 @@ def setcover_certificate(base: SetCoverInstance, composed: ComposedSetCover,
     ComposedSetCover.covers, part by part).  soundness_ok:
     the base has no cover of size k and no composed cover smaller than
     Col(code) exists (exhaustive search).  vacuous_ok: the base satisfies
-    neither hypothesis.  cap is the caller's composed cover-search cap; it
-    must be at least Col(code) for the soundness check to be conclusive, so
-    a smaller cap raises CapExceededError.  The search itself covers every
-    size below Col(code).
+    neither hypothesis.  The search covers every size below Col(code).
     """
     k = base.k
     base_report = min_cover_size(base, k, budget=budget)
@@ -345,9 +341,6 @@ def setcover_certificate(base: SetCoverInstance, composed: ComposedSetCover,
     has_k_cover = base_report.min_size is not None
     col = collision_number(composed.code)
     threshold = col.value if col.status == "finite" else float("inf")
-    if cap is not None and threshold != float("inf") and cap < threshold:
-        raise CapExceededError(
-            f"certificate needs a cover-search cap >= Col = {threshold}, got {cap}")
 
     if part_ok:
         ok, uncovered = composed.covers(part_wit)

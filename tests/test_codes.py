@@ -44,6 +44,11 @@ class TestEncode:
         with pytest.raises(SymbolRangeError):
             gf.encode(code, (0, 3))
 
+    def test_unary_alphabet_table(self):
+        # no r has 1**r >= 2 words, so r is not searched for: Code rejects q = 1
+        with pytest.raises(SymbolRangeError):
+            gf.explicit_code(1, 1, [(0,), (0,)])
+
 
 class TestReedSolomon:
     def test_rs_3_1_codewords(self):
@@ -101,6 +106,12 @@ class TestRandomCode:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             gf.random_code(2, 30, 4, seed=0, cap=1 << 20)
+
+    @pytest.mark.parametrize("q,r,ell", [(2, 2, 1), (3, 3, 2)])
+    def test_too_few_words(self, q, r, ell):
+        # ell < r gives q**ell < q**r words: never an injective table
+        with pytest.raises(GapforgeError, match="cannot hold"):
+            gf.random_code(q, r, ell, seed=0)
 
     def test_injectivity(self):
         # seeds that force duplicate draws still yield injective tables

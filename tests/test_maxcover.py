@@ -391,6 +391,7 @@ class TestGapCertificate:
         assert cert.verdict == "violation"
         assert cert.witness is not None
         assert mutated.covered_count(cert.witness) > Fraction(1, 3) * 3
+        assert cert.labelings_examined == gf.maxcover_value(mutated).labelings_examined
 
     def test_certify_composition_entry_point(self):
         from gapforge.maxcover import certify_composition

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gapforge as gf
-from gapforge import oracles
+from gapforge import oracles, pipeline
 from gapforge.cli import main
 from gapforge.errors import NotPrimeError
 from gapforge.generators import random_cnf3
@@ -172,6 +172,40 @@ class TestWonePipeline:
     def test_exit_codes(self):
         yes = gf.wone_pipeline(triangle(), 3)
         assert yes.exit_code == 0
+
+    def test_violation(self, tmp_path, monkeypatch, capsys):
+        # a NO input whose composed value 2/3 sits exactly at the RS(3,3)
+        # bound 1 - delta = 2/3; composed part 2 is uncovered, and one added
+        # edge (u, a=(2, rank 9)) covers it, as in test_mutation_flags_violation
+        graph = gf.make_partitioned_graph([(0, 1, 2, 3), (4,), (5,)],
+                                          [(1, 4), (4, 5), (3, 5)])
+        honest = gf.wone_pipeline(graph, 3, 3)
+        assert honest.verdict == "NO" and honest.value_after == Fraction(2, 3)
+
+        mutated = []
+
+        def compose_with_one_more_edge(frontend, code):
+            composed = gf.compose_gap(frontend, code).materialize()
+            wg = composed.num_v + 2 * 27 + 9
+            mutated.append(gf.MaxCoverInstance(composed.v_parts, composed.w_parts,
+                                               set(composed.edges) | {(1, wg)}))
+            return mutated[-1]
+
+        monkeypatch.setattr(pipeline, "compose_gap", compose_with_one_more_edge)
+        report = gf.wone_pipeline(graph, 3, 3)
+        assert report.verdict == "VIOLATION"
+        assert report.value_after == 1
+        assert report.gap is None
+        assert report.exit_code == 2
+        solve = next(s for s in report.stages if s.name == "solve")
+        assert solve.sizes["labelings"] == gf.maxcover_value(mutated[-1]).labelings_examined
+
+        graph_path = tmp_path / "g.txt"
+        graph_path.write_text("".join(f"part {v} {i}\n" for i, part in enumerate(graph.parts)
+                                      for v in part) + "1 4\n4 5\n3 5\n")
+        assert main(["pipeline", "wone", "--graph", str(graph_path),
+                     "--t", "3", "--q", "3"]) == 2
+        assert capsys.readouterr().out.startswith("verdict: VIOLATION\n")
 
 
 class TestEthPipeline:
@@ -459,7 +493,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv,exit_code", [(["--help"], 0), ([], 3)])
+    @pytest.mark.parametrize("argv,exit_code", [
+        (["--help"], 0), ([], 3),
+        # ell < r leaves fewer words than codewords: an error, not an endless redraw
+        (["code", "random", "--q", "2", "--r", "2", "--ell", "1", "--seed", "0"], 3),
+    ])
     def test_python_dash_m(self, argv, exit_code):
         src = Path(gf.__file__).resolve().parents[1]
         proc = subprocess.run(

@@ -6,7 +6,6 @@ import pytest
 import gapforge as gf
 from gapforge import oracles, setcover
 from gapforge.errors import (
-    CapExceededError,
     EmptyPartError,
     IndexRangeError,
     MatchingOverflowError,
@@ -215,14 +214,6 @@ class TestCertificate:
         composed = gf.compose_setcover(base, gf.reed_solomon(3, 2))
         cert = gf.setcover_certificate(base, composed)
         assert cert.verdict == "vacuous_ok"
-
-    def test_cap_below_collision_number(self):
-        base = gf.SetCoverInstance(3, [[{0}], [{1}]])
-        composed = gf.compose_setcover(base, gf.reed_solomon(3, 2))
-        with pytest.raises(CapExceededError):
-            gf.setcover_certificate(base, composed, cap=2)  # Col(RS(3,2)) = 3
-        cert = gf.setcover_certificate(base, composed, cap=3)
-        assert cert.verdict == "soundness_ok"
 
     def test_mutated_membership_violation(self):
         base = gf.SetCoverInstance(2, [[{0}], [{1}]])
