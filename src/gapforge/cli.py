@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import codes, frontends, maxcover, pipeline, setcover, threshold
-from .errors import GapforgeError, ParseError
+from .errors import DEFAULT_LABELING_CAP, GapforgeError, ParseError
 
 
 def _dump(doc, path=None) -> None:
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc_sub = p_mc.add_subparsers(dest="mc_cmd", required=True)
     p_solve = mc_sub.add_parser("solve")
     p_solve.add_argument("file")
-    p_solve.add_argument("--cap", type=int, default=1_000_000)
+    p_solve.add_argument("--cap", type=int, default=DEFAULT_LABELING_CAP)
     for name in ("compose", "certify"):
         p = mc_sub.add_parser(name)
         p.add_argument("--instance", required=True)

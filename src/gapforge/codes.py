@@ -5,11 +5,14 @@ derived from perfect hash families, and explicit table codes, together with
 exact relative distance, exact collision number by exhaustive subset search,
 and the pigeonhole/distance bounds that bracket the collision number.
 
-The collision search packs each codeword as ell one-hot fields of q bits
-and walks subsets depth-first, in increasing size and lexicographic order
-within a size, so a subset's collision test is a few integer operations.
-On Reed-Solomon codes it searches only subsets holding the zero word; by
-linearity that loses no witness (see collision_number).
+A code packs each stored codeword once, when it is built, as ell one-hot
+fields of q bits (Code.packed); this is the one codeword layout.  The
+collision search, the threshold soundness check and the MaxCover
+composition read those words and pack nothing themselves.  The collision
+search walks subsets depth-first, in increasing size and lexicographic
+order within a size, so a subset's collision test is a few integer
+operations.  On Reed-Solomon codes it searches only subsets holding the
+zero word; by linearity that loses no witness (see collision_number).
 """
 
 from __future__ import annotations
@@ -75,13 +78,17 @@ class Code:
 
     Codewords are indexed by message rank (lexicographic message order).
     Structured codes (Reed-Solomon) may stay unmaterialized; table access is
-    guarded by the enumeration cap.  A Reed-Solomon code comes only from
+    guarded by the enumeration cap.  A stored table is validated and packed
+    once, in __init__: packed(rank) is codeword rank as ell one-hot fields
+    of q bits (see _field_packing), and an unmaterialized code packs the
+    encoded word on each call.  A Reed-Solomon code comes only from
     reed_solomon(): its measurements rely on linearity, which neither a
-    table nor an arbitrary encoder promises.  Instances are immutable and
-    safe to share across threads.
+    table nor an arbitrary encoder promises.  Nothing is written after
+    __init__, so instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("q", "r", "ell", "kind", "seed", "_size", "_table", "_encode_fn")
+    __slots__ = ("q", "r", "ell", "kind", "seed", "_size", "_table", "_encode_fn",
+                 "_pack", "_packed")
 
     def __init__(self, q, r, ell, kind, *, table=None, encode_fn=None, seed=None,
                  size=None, cap=DEFAULT_ENUM_CAP):
@@ -107,8 +114,11 @@ class Code:
         self._table = table
         if self._size <= cap and table is None and encode_fn is not None:
             self._table = tuple(encode_fn(rank) for rank in range(self._size))
+        self._pack, _, _ = _field_packing((q,) * ell)
+        self._packed = None
         if self._table is not None:
             self._validate_table()
+            self._packed = tuple(map(self._pack, self._table))
 
     def _validate_table(self) -> None:
         for word in self._table:
@@ -132,6 +142,11 @@ class Code:
         if self._table is not None:
             return self._table[rank]
         return self._encode_fn(rank)
+
+    def packed(self, rank: int) -> int:
+        """codeword(rank) packed: bit i * q + symbol is set for each coordinate i."""
+        word = self.codeword(rank)
+        return self._pack(word) if self._packed is None else self._packed[rank]
 
     def codewords(self):
         """Iterate codewords in message-rank order."""
@@ -559,8 +574,8 @@ def collision_number(code: Code, size_cap: int | None = None, *,
             return CollisionReport(INFINITE, "infinite", None, lower, upper,
                                    size_cap, examined)
 
-    pack, low, top = _field_packing((code.q,) * code.ell)
-    words = [pack(word) for word in table]
+    _, low, top = _field_packing((code.q,) * code.ell)
+    words = [code.packed(m) for m in range(n)]
     anchored = code.kind == KIND_REED_SOLOMON
     for s in range(2, min(size_cap, n) + 1):
         witness, examined = _first_collision(words, s, anchored, low, top,

@@ -61,19 +61,17 @@ class _PackedRows:
     __slots__ = ("v_parts", "w_parts", "provenance", "_v_offsets", "_rows",
                  "_low", "_top", "_fields", "_block_starts")
 
-    def _lay_out(self, widths, blocks: int):
+    def _lay_out(self, widths, blocks: int) -> None:
         """Lay rows out as blocks copies of fields of the given widths.
 
-        Sets the masks of the coverage rule and returns the packing of a
-        word into one block (see _field_packing).
+        Sets the masks of the coverage rule (see _field_packing).
         """
-        pack, low, top = _field_packing(widths)
+        _, low, top = _field_packing(widths)
         block = sum(widths)
         self._block_starts = tuple(range(0, block * blocks, block))
         copies = sum(1 << start for start in self._block_starts)
         self._low, self._top = low * copies, top * copies
         self._fields = tuple(zip(_offsets(widths), widths))
-        return pack
 
     @property
     def k(self) -> int:
@@ -357,10 +355,11 @@ class ComposedMaxCover(_PackedRows):
     matched codeword with symbol tup[j] at coordinate l.  Both gap routes
     build this graph; they differ only in their hypotheses and soundness.
 
-    A codeword packs into ell fields of q bits, field l holding its symbol
-    at coordinate l one-hot.  The row of v has t such blocks, block j the
-    OR of the packed codewords of v's W_j-neighbors, so field l of block j
-    is the set of symbols v allows at coordinate l in column j.
+    A block has the layout of the code's packed words (Code.packed): ell
+    fields of q bits, field l holding a symbol at coordinate l one-hot.
+    The row of v has t such blocks, block j the OR of the packed codewords
+    of v's W_j-neighbors, so field l of block j is the set of symbols v
+    allows at coordinate l in column j.
     """
 
     __slots__ = ("base", "code", "matching")
@@ -373,9 +372,9 @@ class ComposedMaxCover(_PackedRows):
         self._v_offsets = base._v_offsets
         self.v_parts = base.v_parts
         self.w_parts = (code.q ** base.t,) * code.ell
-        pack = self._lay_out((code.q,) * code.ell, base.t)
+        self._lay_out((code.q,) * code.ell, base.t)
         # word b places the matched codeword of base W-vertex b in its block
-        words = [pack(code.codeword(m)) << start
+        words = [code.packed(m) << start
                  for start, inj in zip(self._block_starts, matching) for m in inj]
         self._rows = []
         for base_row in base._rows:

@@ -3,8 +3,12 @@
 The graph for a code C and integer t is bipartite: ell parts A_i, each a
 copy of [q]**t, and t parts B_j, each a copy of the codewords of C.  A
 vertex b = (j, m) is adjacent to a = (i, v) iff C(m)_i = v_j.  The graph is
-never materialized; adjacency is a pure O(1) rule over the memoized
-codeword table.
+never materialized; adjacency is a pure O(1) rule over the code's stored
+codeword table.  Verification reads the code's packed words (Code.packed)
+and takes the soundness bound (1 - delta) * ell as what it is by
+definition, the largest number of coordinates on which two distinct
+codewords agree, counted in its own pair loop; it does not call the
+distance measurement.
 """
 
 from __future__ import annotations
@@ -14,18 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .codes import (
-    Code,
-    _field_packing,
-    _rank_of_symbols,
-    _symbols_of_rank,
-    relative_distance,
-)
+from .codes import Code, _rank_of_symbols, _symbols_of_rank
 from .errors import (
     DEFAULT_EDGE_CAP,
     DEFAULT_SUBSET_BUDGET,
     BudgetExceededError,
     CapExceededError,
+    GapforgeError,
     IndexRangeError,
 )
 
@@ -117,8 +116,10 @@ class ThresholdVerdict:
     counts the (i, column pattern) decisions behind them.
     soundness_max_shared is the worst-case number of A-parts in which two
     distinct same-part B-vertices share a neighbor, and must not exceed
-    (1-delta)*ell; soundness_matches_agreements says whether every such
-    count equals the pair's coordinate agreements.  collision_min_x is the
+    soundness_bound, the largest number of coordinates on which two
+    distinct codewords agree, which is (1-delta)*ell by the definition of
+    delta; soundness_matches_agreements says whether every shared count
+    equals the pair's coordinate agreements.  collision_min_x is the
     smallest |X| satisfying the collision-property hypothesis, or None if
     nothing was found below collision_cap.
     """
@@ -158,14 +159,17 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     checks it on every case.
 
     Soundness counts a pair's agreements as the popcount of the AND of its
-    words packed by codes._field_packing.  Two B_j representatives of
-    symbols a and b realized at i must share an A_i neighbor exactly when
-    a == b, which the masks decide once per (i, j, a, b).  A pair's shared
-    count in B_j is the popcount of the AND of one word's B_j row (in field
-    i, every symbol whose representative shares an A_i neighbor with that
-    of the word's own symbol) with the other packed word: its agreements,
-    plus or minus one for each (i, j, a, b) it carries that breaks the
-    rule.  On an honest graph every row is the packed word.
+    packed words (Code.packed), and the largest count over all pairs is
+    the bound (1 - delta) * ell, so relative_distance is not called; a
+    code with a single codeword has no pair and raises GapforgeError.  Two
+    B_j representatives of symbols a and b realized at i must share an A_i
+    neighbor exactly when a == b, which the masks decide once per
+    (i, j, a, b).  A pair's shared count in B_j is the popcount of the AND
+    of one word's B_j row (in field i, every symbol whose representative
+    shares an A_i neighbor with that of the word's own symbol) with the
+    other packed word: its agreements, plus or minus one for each
+    (i, j, a, b) it carries that breaks the rule.  On an honest graph every
+    row is the packed word.
 
     The collision search enumerates X across B with |X| < collision_cap in
     increasing size and reports the smallest X for which every A_i has a
@@ -223,20 +227,22 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     # B_j's row of word m sets bit i * q + b, the packed layout; B-parts
     # with equal rows have equal counts
     q = code.q
-    pack, _, _ = _field_packing((q,) * ell)
-    packed = [pack(word) for word in words]
+    packed = [code.packed(m) for m in range(size)]
     rows = set()
     for j in range(t):
         share = [{a: sum(1 << (i * q + b) for b in part[j] if part[j][a] & part[j][b])
                   for a in part[j]}
                  for i, part in enumerate(masks)]
         rows.add(tuple(sum(share[i][s] for i, s in enumerate(word)) for word in words))
-    delta = relative_distance(code).delta
-    bound = (1 - delta) * ell
+    if size < 2:
+        raise GapforgeError("soundness bound undefined for codes with a single codeword")
+    max_agreements = 0
     max_shared = 0
     matches = True
     for m1, m2 in combinations(range(size), 2):
         agreements = (packed[m1] & packed[m2]).bit_count()
+        if agreements > max_agreements:
+            max_agreements = agreements
         for row in rows:
             shared = (row[m1] & packed[m2]).bit_count()
             matches = matches and shared == agreements
@@ -265,8 +271,8 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
         completeness_checked=checked,
         completeness_patterns=patterns,
         soundness_max_shared=max_shared,
-        soundness_bound=bound,
-        soundness_ok=Fraction(max_shared) <= bound,
+        soundness_bound=Fraction(max_agreements),
+        soundness_ok=max_shared <= max_agreements,
         soundness_matches_agreements=matches,
         collision_min_x=min_x,
         collision_cap=collision_cap,

@@ -12,6 +12,7 @@ from gapforge.errors import (
     CapExceededError,
     GapforgeError,
     MessageLengthError,
+    MessageRangeError,
     NotPrimeError,
     ParseError,
     RankRangeError,
@@ -288,6 +289,26 @@ class TestFieldPacking:
             nonzero = [s + w - 1 for s, w in zip(starts, widths)
                        if x >> s & ((1 << w) - 1)]
             assert ((x & low) + low | x) & top == sum(1 << b for b in nonzero), (widths, x)
+
+
+class TestPackedWords:
+    """Code.packed against a packing computed here, straight from codeword()."""
+
+    def test_matches_one_hot_layout(self, code_suite):
+        unmaterialized = gf.reed_solomon(5, 3, cap=10)
+        with pytest.raises(CapExceededError):
+            unmaterialized.table(10)
+        for code in [*code_suite, gf.reed_solomon(11, 2), unmaterialized]:
+            for m in range(code.size):
+                expected = sum(1 << (i * code.q + s) for i, s in enumerate(code.codeword(m)))
+                assert code.packed(m) == expected, (code, m)
+
+    @pytest.mark.parametrize("code", [gf.reed_solomon(3, 2), gf.reed_solomon(5, 3, cap=10)],
+                             ids=["stored", "unmaterialized"])
+    def test_rank_range(self, code):
+        for rank in (-1, code.size):
+            with pytest.raises(MessageRangeError):
+                code.packed(rank)
 
 
 class TestColBounds:

@@ -268,6 +268,25 @@ class TestComposeGap:
                             oracles.composed_adjacent_bruteforce(
                                 inst, code, composed.matching, vg, l, tup)
 
+    def test_unmaterialized_code_composes_like_stored(self):
+        # RS(5,3) past its cap packs each matched word from the encoder
+        rng = random.Random(5)
+        stored, unmaterialized = gf.reed_solomon(5, 3), gf.reed_solomon(5, 3, cap=10)
+        for _ in range(5):
+            inst = random_pseudo_projection_instance(rng, max_t=2)
+            matching = [rng.sample(range(stored.size), size) for size in inst.w_parts]
+            a = gf.compose_gap(inst, stored, matching)
+            b = gf.compose_gap(inst, unmaterialized, matching)
+            for vg in range(a.num_v):
+                for l in range(a.t):
+                    for rank in range(a.w_parts[0]):
+                        tup = a.a_tuple(rank)
+                        expected = oracles.composed_adjacent_bruteforce(
+                            inst, stored, a.matching, vg, l, tup)
+                        assert a.adjacent_ref(vg, l, tup) == expected
+                        assert b.adjacent_ref(vg, l, tup) == expected
+            assert gf.maxcover_value(b) == gf.maxcover_value(a)
+
     @pytest.mark.parametrize("route,qname", [
         *((route, qname) for route in ("gap", "k2") for qname in DIFF_CODES),
         pytest.param("base", None, id="base")])

@@ -11,8 +11,8 @@ import pytest
 
 import gapforge as gf
 from gapforge import oracles, pipeline
-from gapforge.cli import main
-from gapforge.errors import NotPrimeError
+from gapforge.cli import build_parser, main
+from gapforge.errors import DEFAULT_LABELING_CAP, NotPrimeError
 from gapforge.generators import random_cnf3
 from gapforge.pipeline import _certified_code, smallest_workable_prime
 
@@ -304,6 +304,10 @@ class TestCli:
         edges = json.loads(out_path.read_text())["edges"]
         g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
         assert len(edges) == g.num_b * g.ell * 3  # q**(t-1) neighbors per (b, i)
+
+    def test_maxcover_solve_cap_default(self):
+        args = build_parser().parse_args(["maxcover", "solve", "inst.json"])
+        assert args.cap == DEFAULT_LABELING_CAP
 
     def test_maxcover_solve_compose_certify(self, tmp_path, capsys):
         inst = gf.MaxCoverInstance((1, 1), (2,), [(0, 2), (1, 3)])

@@ -6,7 +6,7 @@ import pytest
 
 import gapforge as gf
 from gapforge import oracles, threshold
-from gapforge.errors import CapExceededError, IndexRangeError
+from gapforge.errors import CapExceededError, GapforgeError, IndexRangeError
 
 
 class TestBuild:
@@ -95,6 +95,20 @@ class TestVerify:
         assert verdict.soundness_matches_agreements
         # NONE_UP_TO(3): no X with |X| < 3 satisfies the hypothesis
         assert verdict.collision_min_x is None
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_soundness_bound_is_distance_bound(self, code_suite, t):
+        # the bound is the largest pairwise agreement; the distance
+        # measurement is the independent oracle for (1 - delta) * ell
+        for code in code_suite:
+            verdict = gf.verify_threshold(gf.build_threshold(code, t), collision_cap=t + 1)
+            delta = gf.relative_distance(code).delta
+            assert verdict.soundness_bound == (1 - delta) * code.ell, code
+
+    def test_single_codeword_has_no_bound(self):
+        g = gf.build_threshold(gf.explicit_code(2, 2, [(0, 1)]), 1)
+        with pytest.raises(GapforgeError):
+            gf.verify_threshold(g, collision_cap=2)
 
     def test_t1_collision_min_equals_col(self):
         g = gf.build_threshold(gf.reed_solomon(3, 2), 1)
