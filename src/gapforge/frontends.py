@@ -4,19 +4,20 @@ The clique front-end turns a partitioned graph with independent parts into
 a MaxCover instance with one left super-node per part pair (the cross
 edges) and one right super-node per part (the vertices).  The 3-SAT
 front-end splits the clauses into k near-equal groups and uses satisfying
-partial assignments as labels.  Both outputs have the pseudo-projection
-property and value 1 exactly on YES inputs.  Both build their instance
-from each label's part-local neighbor masks (MaxCoverInstance.from_masks),
-the instance's one layout; neither computes a global W id.
+partial assignments as labels; it enumerates a group's assignments as
+integers and tests each clause as a pair of bit masks.  Both outputs have
+the pseudo-projection property and value 1 exactly on YES inputs.  Both
+build their instance from each label's part-local neighbor masks
+(MaxCoverInstance.from_masks), the instance's one layout; neither
+computes a global W id.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
-from .codes import _rank_of_symbols
 from .errors import (
     ClauseWidthError,
     EmptyPartError,
@@ -199,10 +200,6 @@ class Cnf3:
         return tuple(counts)
 
 
-def _satisfies(clause, assignment: dict[int, int]) -> bool:
-    return any(assignment[abs(lit)] == (1 if lit > 0 else 0) for lit in clause)
-
-
 def sat_to_maxcover(cnf: Cnf3, k: int) -> MaxCoverInstance:
     """3-SAT to MaxCover: labels are group-satisfying partial assignments.
 
@@ -213,6 +210,12 @@ def sat_to_maxcover(cnf: Cnf3, k: int) -> MaxCoverInstance:
     all assignments to those variables; group labels meet their consistent
     restriction (i in J) or everything (i not in J).  Patterns with no
     variables are omitted and recorded in the provenance.
+
+    An assignment to variables (x_1, ..., x_n) is the integer a whose bit
+    n - 1 - p holds x_{p+1}, so labels come in increasing a, and a member's
+    rank in W_J is its assignment's integer over the variables of J.  A
+    clause is a pair of masks (pos, neg) of its positive and negated
+    variables, and a satisfies it iff a & pos or ~a & neg.
     """
     if k < 1 or k > len(cnf.clauses):
         raise IndexRangeError(f"need 1 <= k <= number of clauses, got k={k}")
@@ -233,18 +236,34 @@ def sat_to_maxcover(cnf: Cnf3, k: int) -> MaxCoverInstance:
     s_vars = {p: tuple(sorted(v for v in pattern if pattern[v] == p))
               for p in patterns_in_use}
 
-    # W_J holds every assignment to s_vars[J] in product order, so an
-    # assignment's rank in W_J is its binary value
     w_parts = tuple(1 << len(s_vars[p]) for p in patterns_in_use)
+    full = [(1 << size) - 1 for size in w_parts]
     v_parts, masks = [], []
     for i, (vars_i, clauses) in enumerate(zip(group_vars, group_clauses)):
+        n = len(vars_i)
+        bit = {var: 1 << (n - 1 - p) for p, var in enumerate(vars_i)}
+        tests = []
+        for clause in clauses:
+            pos = neg = 0
+            for lit in clause:
+                if lit > 0:
+                    pos |= bit[lit]
+                else:
+                    neg |= bit[-lit]
+            tests.append((pos, neg))
+        # a label is full on every W_J with i not in J; for the other
+        # patterns, (j, bits) pairs each variable's bit in a with its bit
+        # in the W_J rank
+        projections = [(j, [(bit[var], 1 << (len(s_vars[p]) - 1 - b))
+                            for b, var in enumerate(s_vars[p])])
+                       for j, p in enumerate(patterns_in_use) if i in p]
         labels_before = len(masks)
-        for bits in product((0, 1), repeat=len(vars_i)):
-            assignment = dict(zip(vars_i, bits))
-            if all(_satisfies(cl, assignment) for cl in clauses):
-                masks.append([1 << _rank_of_symbols((assignment[v] for v in s_vars[p]), 2)
-                              if i in p else (1 << size) - 1
-                              for p, size in zip(patterns_in_use, w_parts)])
+        for a in range(1 << n):
+            if all(a & pos or ~a & neg for pos, neg in tests):
+                row = full.copy()
+                for j, bits in projections:
+                    row[j] = 1 << sum(out for src, out in bits if a & src)
+                masks.append(row)
         v_parts.append(len(masks) - labels_before)
     provenance = (f"sat_frontend(n={cnf.num_vars}, m={len(cnf.clauses)}, k={k}, "
                   f"omitted_patterns={omitted})")

@@ -94,13 +94,6 @@ class _PackedRows:
         start, width = self._fields[j]
         return self._rows[vg] >> (shift + start) & ((1 << width) - 1)
 
-    def _degree(self, vg: int, j: int) -> int:
-        """Neighbors of V-vertex vg in W_j: field j's popcount, multiplied over blocks."""
-        degree = 1
-        for start in self._block_starts:
-            degree *= self._part_field(vg, j, start).bit_count()
-        return degree
-
     def _covered_fields(self, labeling) -> int:
         """The top bit of field j of block 0 is set iff the labeling covers part j.
 
@@ -320,26 +313,32 @@ def projection_profile(instance) -> ProjectionProfile:
 
     PROJECTION (every vertex of V_i has exactly one W_j neighbor) is
     checked first; a 1 x 1 complete pair therefore reports PROJECTION.
-    Entries with an empty V_i are vacuously FULL.  Degrees are read from
-    the packed rows, so no W vertex is scanned.
+    Entries with an empty V_i are vacuously FULL.  Each entry is read from
+    the fields of V_i's packed rows that belong to W_j, one per block, so
+    no W vertex is scanned: a vertex meets exactly one member of W_j iff
+    each such field is a power of two, and every member iff each is all
+    ones.
     """
-    rows = []
-    v_off = 0
+    rows = instance._rows
+    shifts = instance._block_starts
+    entries = []
     for i, vi in enumerate(instance.v_parts):
+        if vi == 0:
+            entries.append((FULL,) * instance.t)
+            continue
+        part_rows = rows[instance._v_offsets[i]:instance._v_offsets[i + 1]]
         row = []
-        for j, wj in enumerate(instance.w_parts):
-            degs = [instance._degree(v_off + r, j) for r in range(vi)]
-            if vi == 0:
-                row.append(FULL)
-            elif all(d == 1 for d in degs):
+        for start, width in instance._fields:
+            full = (1 << width) - 1
+            fields = {r >> (shift + start) & full for r in part_rows for shift in shifts}
+            if all(f and not f & (f - 1) for f in fields):
                 row.append(PROJECTION)
-            elif all(d == wj for d in degs):
+            elif fields == {full}:
                 row.append(FULL)
             else:
                 row.append(VIOLATION)
-        rows.append(tuple(row))
-        v_off += vi
-    return ProjectionProfile(tuple(rows))
+        entries.append(tuple(row))
+    return ProjectionProfile(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +378,10 @@ class ComposedMaxCover(_PackedRows):
         self._rows = []
         for base_row in base._rows:
             row = 0
-            for b, word in enumerate(words):
-                if base_row >> b & 1:
-                    row |= word
+            while base_row:
+                bit = base_row & -base_row
+                row |= words[bit.bit_length() - 1]
+                base_row ^= bit
             self._rows.append(row)
 
     def a_tuple(self, rank: int) -> tuple[int, ...]:
@@ -497,13 +497,16 @@ def gap_certificate(base, composed, delta: Fraction, bound_factor=1) -> GapCerti
 
     Each solve is capped at DEFAULT_LABELING_CAP labelings.
     """
-    delta, bound_factor = Fraction(delta), Fraction(bound_factor)
+    if not isinstance(delta, Fraction):
+        delta = Fraction(delta)
+    if not isinstance(bound_factor, Fraction):
+        bound_factor = Fraction(bound_factor)
     before = maxcover_value(base)
     after = maxcover_value(composed)
     if before.value == 1:
         verdict = COMPLETENESS_OK if after.value == 1 else VERDICT_VIOLATION
     else:
-        bound = bound_factor * (1 - delta)
+        bound = 1 - delta if bound_factor == 1 else bound_factor * (1 - delta)
         verdict = SOUNDNESS_OK if after.value <= bound else VERDICT_VIOLATION
     return GapCertificate(before.value, after.value, delta, bound_factor,
                           verdict, after.labeling, after.labelings_examined)

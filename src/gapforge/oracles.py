@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 from . import threshold
 from .codes import Code
-from .frontends import Cnf3, DecidedNo, PartitionedGraph, _satisfies
+from .frontends import Cnf3, DecidedNo, PartitionedGraph
 from .maxcover import MaxCoverInstance
 
 
@@ -29,7 +29,8 @@ def cnf_satisfiable(cnf: Cnf3) -> bool:
     """2**n assignment enumeration."""
     for bits in product((0, 1), repeat=cnf.num_vars):
         assignment = {v: bits[v - 1] for v in range(1, cnf.num_vars + 1)}
-        if all(_satisfies(clause, assignment) for clause in cnf.clauses):
+        if all(any(assignment[abs(lit)] == (lit > 0) for lit in clause)
+               for clause in cnf.clauses):
             return True
     return False
 

@@ -150,19 +150,26 @@ class TestReferenceFrontends:
             oracles.sat_to_maxcover_reference(cnf, k))
 
     def test_random_cnfs(self):
-        rng = random.Random(1003)
-        compared = 0
-        for _ in range(150):
-            cnf = random_cnf3(rng, max_vars=8)
-            for k in (1, 2, 3):
-                if k > len(cnf.clauses):
-                    with pytest.raises(IndexRangeError):
-                        gf.sat_to_maxcover(cnf, k)
-                    continue
-                compared += 1
-                assert _frontend_view(gf.sat_to_maxcover(cnf, k)) == _frontend_view(
-                    oracles.sat_to_maxcover_reference(cnf, k))
-        assert compared > 400
+        # the second batch spans the benchmark's CNFs, up to 12 variables
+        compared = empty_parts = wide = 0
+        for seed, max_vars, count in ((1003, 8, 150), (1206, 12, 60)):
+            rng = random.Random(seed)
+            for _ in range(count):
+                cnf = random_cnf3(rng, max_vars=max_vars)
+                wide += cnf.num_vars > 8
+                for k in (1, 2, 3):
+                    if k > len(cnf.clauses):
+                        with pytest.raises(IndexRangeError):
+                            gf.sat_to_maxcover(cnf, k)
+                        continue
+                    compared += 1
+                    inst = gf.sat_to_maxcover(cnf, k)
+                    empty_parts += 0 in inst.v_parts
+                    assert _frontend_view(inst) == _frontend_view(
+                        oracles.sat_to_maxcover_reference(cnf, k))
+        assert compared > 550 and wide
+        # a group with no satisfying assignment leaves its V part empty
+        assert empty_parts
 
 
 class TestPartitionedGraph:

@@ -17,6 +17,7 @@ from gapforge.errors import (
 )
 from gapforge.generators import (
     random_bounded_degree_instance,
+    random_cnf3,
     random_pseudo_projection_instance,
 )
 from gapforge.maxcover import FULL, PROJECTION, VIOLATION
@@ -186,19 +187,22 @@ class TestProjectionProfile:
                 expected = PROJECTION if w in (i, j) else FULL
                 assert profile.entry(p, w) == expected
 
-    @pytest.mark.parametrize("route", ["gap", "k2"])
-    def test_degrees_match_adjacency_scan(self, route):
-        # profiles read degrees from rows; composed ones multiply over blocks
+    @pytest.mark.parametrize("source", ["gap", "k2", "clique", "sat", "violations"])
+    def test_entries_match_adjacency_scan(self, source):
+        # profiles read fields from rows; composed ones span several blocks
         rng = random.Random(23)
         code = gf.reed_solomon(3, 2)
-        for _ in range(10):
-            for g in random_composition(route, rng, code, {}):
-                w_off = g.num_v
-                for j, wj in enumerate(g.w_parts):
-                    for vg in range(g.num_v):
-                        scan = sum(g.adjacent(vg, w_off + p) for p in range(wj))
-                        assert g._degree(vg, j) == scan
-                    w_off += wj
+        seen = set()
+        for _ in range(12):
+            for inst in _profile_instances(source, rng, code):
+                entries = gf.projection_profile(inst).entries
+                assert entries == _profile_by_scan(inst)
+                seen.update(e for row in entries for e in row)
+        # every source classifies at least two kinds; a seeded violating
+        # base classifies all three
+        assert len(seen) >= 2
+        if source in ("k2", "violations"):
+            assert seen == {PROJECTION, FULL, VIOLATION}
 
     def test_violation(self):
         inst = gf.MaxCoverInstance((1,), (2, 1), [(0, 1), (0, 2), (0, 3)])
@@ -208,6 +212,50 @@ class TestProjectionProfile:
         profile2 = gf.projection_profile(inst2)
         assert profile2.entry(0, 0) == VIOLATION
         assert not profile2.is_pseudo_projection
+
+
+def _profile_instances(source, rng, code):
+    """Instances of one kind for the profile test, drawn from rng."""
+    if source in ("gap", "k2"):
+        return random_composition(source, rng, code, {})
+    if source == "clique":
+        graph = gf.colorful_lift(gf.make_graph(4, [(u, v) for u in range(4)
+                                                   for v in range(u + 1, 4)
+                                                   if rng.random() < 0.7]), 3)
+        result = gf.clique_to_maxcover(graph)
+        return [] if isinstance(result, gf.DecidedNo) else [result]
+    if source == "sat":
+        return [gf.sat_to_maxcover(random_cnf3(rng), rng.randint(1, 2))]
+    # arbitrary masks, empty left parts included, so all three kinds occur
+    v_parts = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
+    w_parts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+    masks = [[rng.choice((1 << rng.randrange(w), (1 << w) - 1, rng.randrange(1 << w)))
+              for w in w_parts] for _ in range(sum(v_parts))]
+    return [gf.MaxCoverInstance.from_masks(v_parts, w_parts, masks)]
+
+
+def _profile_by_scan(inst):
+    """The profile from its definition: W_j degrees counted by adjacent()."""
+    entries = []
+    v_off = 0
+    for vi in inst.v_parts:
+        row = []
+        w_off = inst.num_v
+        for wj in inst.w_parts:
+            degrees = {sum(inst.adjacent(vg, w_off + p) for p in range(wj))
+                       for vg in range(v_off, v_off + vi)}
+            if not degrees:
+                row.append(FULL)
+            elif degrees == {1}:
+                row.append(PROJECTION)
+            elif degrees == {wj}:
+                row.append(FULL)
+            else:
+                row.append(VIOLATION)
+            w_off += wj
+        entries.append(tuple(row))
+        v_off += vi
+    return tuple(entries)
 
 
 class TestComposeGap:
@@ -411,6 +459,18 @@ class TestGapCertificate:
         assert cert.witness is not None
         assert mutated.covered_count(cert.witness) > Fraction(1, 3) * 3
         assert cert.labelings_examined == gf.maxcover_value(mutated).labelings_examined
+
+    def test_bound_factor_scales_soundness(self):
+        # the composed value 1/3 exceeds 1 - 3/4 but not 2 * (1 - 3/4)
+        inst = soundness_instance()
+        composed = gf.compose_gap(inst, gf.reed_solomon(3, 2))
+        assert gf.gap_certificate(inst, composed, Fraction(3, 4)).verdict == "violation"
+        cert = gf.gap_certificate(inst, composed, Fraction(3, 4), 2)
+        assert cert.verdict == "soundness_ok"
+        # int and Fraction arguments give the same record
+        same = gf.gap_certificate(inst, composed, Fraction(3, 4), Fraction(2))
+        assert cert.to_json() == same.to_json()
+        assert isinstance(cert.bound_factor, Fraction)
 
     def test_certify_composition_entry_point(self):
         from gapforge.maxcover import certify_composition
