@@ -62,7 +62,7 @@ def _cmd_code(args) -> int:
         _dump(codes.code_to_json(code), args.output)
     else:
         code = codes.code_from_json(_load(args.file))
-        report = codes.relative_distance(code, method=args.method)
+        report = codes.relative_distance(code)
         col = codes.collision_number(code, args.col_cap, distance=report.delta)
         doc = {
             "q": code.q, "r": code.r, "ell": code.ell, "kind": code.kind,
@@ -225,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rand.add_argument("-o", "--output")
     p_meas = code_sub.add_parser("measure")
     p_meas.add_argument("file")
-    p_meas.add_argument("--method", default="auto", choices=["auto", "pairs", "rs"])
     p_meas.add_argument("--col-cap", type=int, default=None)
     p_code.set_defaults(func=_cmd_code)
 

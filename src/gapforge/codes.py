@@ -77,14 +77,16 @@ class Code:
     """A q-ary code: alphabet [q], message length r, block length ell.
 
     Codewords are indexed by message rank (lexicographic message order).
-    Structured codes (Reed-Solomon) may stay unmaterialized; table access is
-    guarded by the enumeration cap.  A stored table is validated and packed
-    once, in __init__: packed(rank) is codeword rank as ell one-hot fields
-    of q bits (see _field_packing), and an unmaterialized code packs the
-    encoded word on each call.  A Reed-Solomon code comes only from
-    reed_solomon(): its measurements rely on linearity, which neither a
-    table nor an arbitrary encoder promises.  Nothing is written after
-    __init__, so instances are immutable and safe to share across threads.
+    Structured codes (Reed-Solomon) may stay unmaterialized: an encoder's
+    table is stored only when its size * ell symbols are within the
+    enumeration cap, and table(cap) raises past it.  A stored table is
+    validated and packed once, in __init__: packed(rank) is codeword rank
+    as ell one-hot fields of q bits (see _field_packing), and an
+    unmaterialized code packs the encoded word on each call.  A
+    Reed-Solomon code comes only from reed_solomon(): its measurements rely
+    on linearity, which neither a table nor an arbitrary encoder promises.
+    Nothing is written after __init__, so instances are immutable and safe
+    to share across threads.
     """
 
     __slots__ = ("q", "r", "ell", "kind", "seed", "_size", "_table", "_encode_fn",
@@ -112,7 +114,7 @@ class Code:
         else:
             self._size = q ** r if size is None else size
         self._table = table
-        if self._size <= cap and table is None and encode_fn is not None:
+        if self._size * ell <= cap and table is None and encode_fn is not None:
             self._table = tuple(encode_fn(rank) for rank in range(self._size))
         self._pack, _, _ = _field_packing((q,) * ell)
         self._packed = None
@@ -154,11 +156,11 @@ class Code:
             yield self.codeword(rank)
 
     def table(self, cap: int = DEFAULT_ENUM_CAP) -> tuple[tuple[int, ...], ...]:
+        if self._size * self.ell > cap:
+            raise CapExceededError(
+                f"{self._size} codewords of length {self.ell} exceed cap {cap}")
         if self._table is not None:
             return self._table
-        if self._size > cap:
-            raise CapExceededError(
-                f"materializing {self._size} codewords exceeds cap {cap}")
         return tuple(self._encode_fn(rank) for rank in range(self._size))
 
     def message_of(self, rank: int) -> tuple[int, ...]:
@@ -260,8 +262,8 @@ def random_code(q: int, r: int, ell: int, seed: int, *, cap: int = DEFAULT_ENUM_
     GapforgeError (an alphabet below 2 is left to Code, which rejects it).
     """
     size = q ** r
-    if size > cap:
-        raise CapExceededError(f"q**r = {size} exceeds enumeration cap {cap}")
+    if size * ell > cap:
+        raise CapExceededError(f"q**r * ell = {size * ell} exceeds enumeration cap {cap}")
     if q > 1 and ell < r:
         raise GapforgeError(f"{q}**{ell} words cannot hold q**r = {size} distinct codewords")
     rng = random.Random(seed)
@@ -310,38 +312,25 @@ def _distance_between(x, y, ell: int) -> Fraction:
     return Fraction(sum(1 for a, b in zip(x, y) if a != b), ell)
 
 
-def relative_distance(code: Code, *, method: str = "auto",
-                      cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
+def relative_distance(code: Code, *, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
     """Exact minimum relative distance over all distinct codeword pairs.
 
-    method="pairs" scans every pair (requires q**r within the cap);
-    method="rs" runs the certified Reed-Solomon measurement, which stays
-    exact far beyond the pair-scan cap; "auto" picks "rs" for Reed-Solomon
-    codes and "pairs" otherwise.
+    Reed-Solomon codes take the certified measurement, which stays exact
+    far beyond the enumeration cap (see _rs_certified_distance); every
+    other code takes the pair scan, which needs its table within the cap.
     """
-    if method == "auto":
-        method = "rs" if code.kind == KIND_REED_SOLOMON else "pairs"
-    if method == "rs":
-        if code.kind != KIND_REED_SOLOMON:
-            raise GapforgeError("certified method applies to Reed-Solomon codes only")
+    if code.kind == KIND_REED_SOLOMON:
         return _rs_certified_distance(code)
-    if method != "pairs":
-        raise GapforgeError(f"unknown distance method {method!r}")
 
     table = code.table(cap)
-    n = len(table)
-    best = Fraction(1)
-    witness = (0, 1)
-    examined = 0
-    found = False
-    for a, b in combinations(range(n), 2):
-        examined += 1
-        d = _distance_between(table[a], table[b], code.ell)
-        if not found or d < best:
-            best, witness, found = d, (a, b), True
-    if not found:
+    if len(table) < 2:
         raise GapforgeError("distance undefined for codes with a single codeword")
-    return DistanceReport(best, witness, examined, "pairs")
+    best, witness = Fraction(2), None  # above every distance
+    for a, b in combinations(range(len(table)), 2):
+        d = _distance_between(table[a], table[b], code.ell)
+        if d < best:
+            best, witness = d, (a, b)
+    return DistanceReport(best, witness, math.comb(len(table), 2), "pairs")
 
 
 def _modinv(a: int, q: int) -> int:
@@ -384,8 +373,14 @@ def _rs_certified_distance(code: Code) -> DistanceReport:
        codeword's agreement count with the zero codeword is measured;
     3. linearity of the encoder (difference of codewords is the codeword of
        the message difference) is spot-checked on sampled message pairs.
+
+    Part 1 takes C(q, r) determinants, so more than DEFAULT_SUBSET_BUDGET
+    subsets raise BudgetExceededError before any is computed.
     """
     q, r = code.q, code.r
+    if math.comb(q, r) > DEFAULT_SUBSET_BUDGET:
+        raise BudgetExceededError(
+            f"C({q},{r}) evaluation-point subsets exceed budget {DEFAULT_SUBSET_BUDGET}")
     checks = 0
     for points in combinations(range(q), r):
         matrix = [[pow(x, j, q) for j in range(r)] for x in points]

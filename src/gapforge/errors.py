@@ -7,7 +7,7 @@ dedicated error instead of silently truncating a search.
 
 from __future__ import annotations
 
-# Max codeword-table entries materialized for a code (q**r).
+# Max symbols in a code's codeword table (size * ell), stored or materialized.
 DEFAULT_ENUM_CAP = 1 << 20
 # Max subsets probed by exhaustive subset searches (collision number,
 # threshold collision property, cover search).

@@ -175,6 +175,18 @@ def composed_adjacent_bruteforce(base: MaxCoverInstance, code: Code, matching,
     return False
 
 
+def relative_distance_pairs(code: Code):
+    """(delta, witness) by a Hamming count over every pair of code.table().
+
+    Pairs run in itertools.combinations order; the witness is the first
+    pair of message ranks at the minimum distance.
+    """
+    table = code.table()
+    differ, witness = min((sum(x != y for x, y in zip(table[a], table[b])), (a, b))
+                          for a, b in combinations(range(len(table)), 2))
+    return Fraction(differ, code.ell), witness
+
+
 def collision_number_bruteforce(code: Code, size_cap: int | None = None):
     """Col(code) by enumerating subsets of message ranks in full.
 

@@ -4,16 +4,16 @@ The graph for a code C and integer t is bipartite: ell parts A_i, each a
 copy of [q]**t, and t parts B_j, each a copy of the codewords of C.  A
 vertex b = (j, m) is adjacent to a = (i, v) iff C(m)_i = v_j.  The graph is
 never materialized; adjacency is a pure O(1) rule over the code's stored
-codeword table.  Verification reads the code's packed words (Code.packed)
-and takes the soundness bound (1 - delta) * ell as what it is by
-definition, the largest number of coordinates on which two distinct
-codewords agree, counted in its own pair loop; it does not call the
-distance measurement.
+codeword table.  Verification decides completeness exactly, once per
+realized (coordinate, column pattern), at every size; it reads the code's
+packed words (Code.packed) and takes the soundness bound (1 - delta) * ell
+as what it is by definition, the largest number of coordinates on which
+two distinct codewords agree, counted in its own pair loop; it does not
+call the distance measurement.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -108,12 +108,13 @@ def common_neighbor(graph: ThresholdGraph, message_ranks, i: int):
 class ThresholdVerdict:
     """Outcome of exhaustively checking the three threshold properties.
 
-    completeness_mode records whether every case (a tuple of message ranks,
-    one per B-part, and a part A_i) was decided or a seeded sample was.
-    completeness_checked counts the cases decided: all of them when every
-    case passes, else up to and including the first failing one, which is
-    completeness_counterexample as (ranks, i, hits).  completeness_patterns
-    counts the (i, column pattern) decisions behind them.
+    Completeness is decided for every case (a tuple of message ranks, one
+    per B-part, and a part A_i), so completeness_mode is always
+    "exhaustive".  completeness_checked is the 1-based index of the first
+    failing case in (ranks, i) order, which is completeness_counterexample
+    as (ranks, i, hits), or all size**t * ell cases when none fails.
+    completeness_patterns counts the (i, column pattern) decisions behind
+    them.
     soundness_max_shared is the worst-case number of A-parts in which two
     distinct same-part B-vertices share a neighbor, and must not exceed
     soundness_bound, the largest number of coordinates on which two
@@ -139,9 +140,6 @@ class ThresholdVerdict:
 
 
 def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
-                     exhaustive_limit: int = 100_000,
-                     sample_count: int = 1000,
-                     seed: int = 0,
                      budget: int = DEFAULT_SUBSET_BUDGET) -> ThresholdVerdict:
     """Check completeness, soundness, and the collision property.
 
@@ -151,10 +149,12 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     adjacent() once per B_j representative of each symbol realized at i
     (its first codeword carrying it), as a mask of its A_i neighbors; each
     realized (i, pattern) is then decided once, by AND-ing the pattern's
-    masks, which must leave exactly the pattern's own bit.  Cases are all
-    size**t * ell of them when that is within exhaustive_limit, otherwise
-    a seeded sample, with the mode recorded; they are walked only when some
-    pattern fails, to report the first failing case.  The helper
+    masks, which must leave exactly the pattern's own bit.  A case fails
+    iff its (i, pattern) does, so the cases are never walked: the first
+    failing case is the least (ranks, i) over the failing patterns, with
+    ranks[j] the representative of the pattern's j-th symbol, and its
+    1-based index rank(ranks in base size) * ell + i + 1 is the count
+    checked (size**t * ell when no pattern fails).  The helper
     common_neighbor is not read here; oracles.threshold_verdict_bruteforce
     checks it on every case.
 
@@ -203,26 +203,16 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
             if common != 1 << graph.a_rank(pattern):
                 failing[i, pattern] = common
 
-    total_cases = size ** t * ell
-    if total_cases <= exhaustive_limit:
-        mode, checked = "exhaustive", total_cases
-        cases = ((ranks, i) for ranks in product(range(size), repeat=t)
-                 for i in range(ell))
-    else:
-        mode, checked = "sampled", sample_count
-        rng = random.Random(seed)
-        cases = (
-            (tuple(rng.randrange(size) for _ in range(t)), rng.randrange(ell))
-            for _ in range(sample_count))
-    counterexample = None
+    counterexample, checked = None, size ** t * ell
     if failing:
-        for n, (ranks, i) in enumerate(cases, 1):
-            common = failing.get((i, tuple(words[m][i] for m in ranks)))
-            if common is not None:
-                counterexample = (ranks, i, tuple(v for rank, v in enumerate(vertices)
-                                                  if common >> rank & 1))
-                checked = n
-                break
+        # a case fails iff its (i, pattern) does, and a pattern's least case
+        # takes for each B_j the first codeword carrying its symbol at i
+        ranks, i = min((tuple(next(m for m, word in enumerate(words) if word[i] == s)
+                              for s in pattern), i) for i, pattern in failing)
+        common = failing[i, tuple(words[m][i] for m in ranks)]
+        counterexample = (ranks, i, tuple(v for rank, v in enumerate(vertices)
+                                          if common >> rank & 1))
+        checked = _rank_of_symbols(ranks, size) * ell + i + 1
 
     # B_j's row of word m sets bit i * q + b, the packed layout; B-parts
     # with equal rows have equal counts
@@ -267,7 +257,7 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     return ThresholdVerdict(
         completeness_ok=counterexample is None,
         completeness_counterexample=counterexample,
-        completeness_mode=mode,
+        completeness_mode="exhaustive",
         completeness_checked=checked,
         completeness_patterns=patterns,
         soundness_max_shared=max_shared,

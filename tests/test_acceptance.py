@@ -95,17 +95,15 @@ def test_criterion_4_threshold_properties(code_suite):
                 cap = col.value if col.status == "finite" else t * code.size + 1
             else:
                 cap = t + 1  # collision checked only on codes with |C| <= 9
-            verdict = gf.verify_threshold(graph, collision_cap=cap,
-                                          exhaustive_limit=100_000,
-                                          sample_count=1000, seed=0)
+            verdict = gf.verify_threshold(graph, collision_cap=cap)
             tag = (code.kind, code.q, code.seed, t)
             if not verdict.completeness_ok:
                 violations.append((tag, "completeness",
                                    verdict.completeness_counterexample))
-            if verdict.completeness_mode != (
-                    "exhaustive" if code.size ** t * code.ell <= 100_000
-                    else "sampled"):
-                violations.append((tag, "mode", verdict.completeness_mode))
+            if (verdict.completeness_mode, verdict.completeness_checked) != (
+                    "exhaustive", code.size ** t * code.ell):
+                violations.append((tag, "mode", verdict.completeness_mode,
+                                   verdict.completeness_checked))
             if Fraction(verdict.soundness_max_shared) != (1 - delta) * code.ell:
                 violations.append((tag, "soundness not exactly (1-delta)ell",
                                    verdict.soundness_max_shared))

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -79,9 +80,26 @@ class TestReedSolomon:
                 if q ** r > 700:
                     continue
                 code = gf.reed_solomon(q, r)
-                fast = gf.relative_distance(code, method="rs").delta
-                slow = gf.relative_distance(code, method="pairs").delta
-                assert fast == slow == Fraction(q - r + 1, q)
+                report = gf.relative_distance(code)
+                assert report.method == "rs_certified"
+                delta, _ = oracles.relative_distance_pairs(code)
+                assert report.delta == delta == Fraction(q - r + 1, q)
+
+    def test_large_code_stays_unmaterialized(self):
+        # 1009**2 words of 1009 symbols: past the cap on symbols, not on words
+        start = time.perf_counter()
+        code = gf.reed_solomon(1009, 2)
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(CapExceededError):
+            code.table()
+        assert code.codeword(1009 + 2) == tuple((1 + 2 * x) % 1009 for x in range(1009))
+
+    def test_certified_distance_budget(self):
+        # C(29, 14) = 77,558,760 determinants, past DEFAULT_SUBSET_BUDGET
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            gf.relative_distance(gf.reed_solomon(29, 14))
+        assert time.perf_counter() - start < 1.0
 
     def test_distance_witness_reverifies(self):
         code = gf.reed_solomon(5, 3)
@@ -127,15 +145,25 @@ class TestRelativeDistance:
         assert gf.relative_distance(code).delta == Fraction(1, 2)
 
     def test_rs_5_2_exhaustive(self):
-        report = gf.relative_distance(gf.reed_solomon(5, 2), method="pairs")
+        # a table code takes the pair scan
+        report = gf.relative_distance(gf.explicit_code(5, 5, gf.reed_solomon(5, 2).table()))
+        assert report.method == "pairs"
         assert report.delta == Fraction(4, 5)
         assert report.delta >= 1 - Fraction(2, 5)
         assert report.pairs_examined == 300
 
     def test_cap_exceeded(self):
-        code = gf.reed_solomon(11, 7)
+        code = gf.random_code(2, 8, 12, seed=0)  # 256 words of 12 symbols
         with pytest.raises(CapExceededError):
-            gf.relative_distance(code, method="pairs", cap=1000)
+            gf.relative_distance(code, cap=1000)
+
+    def test_pair_scan_matches_oracle(self, code_suite):
+        for code in code_suite:
+            if code.kind == "reed_solomon":
+                continue
+            report = gf.relative_distance(code)
+            assert report.method == "pairs"
+            assert (report.delta, report.witness) == oracles.relative_distance_pairs(code)
 
 
 class TestCollisionNumber:

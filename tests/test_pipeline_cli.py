@@ -243,7 +243,7 @@ class TestCodeCache:
         code, delta = _certified_code(q, r)
         fresh = gf.reed_solomon(q, r)
         assert code.table() == fresh.table()
-        assert delta == gf.relative_distance(fresh, method="pairs").delta
+        assert delta == oracles.relative_distance_pairs(fresh)[0]
         assert _certified_code(q, r)[0] is code
 
     def test_reports_repeat(self):
@@ -285,6 +285,24 @@ class TestCli:
         assert doc["lower_bound"] == 3 and doc["upper_bound"] == 4
         # 8 pairs holding rank 0, then (0, 1, 2) .. (0, 1, 5)
         assert doc["collision_subsets_examined"] == 12
+
+    @pytest.mark.parametrize("build,expected", [
+        (lambda: gf.reed_solomon(5, 2),
+         {"q": 5, "r": 2, "ell": 5, "kind": "reed_solomon", "size": 25, "delta": "4/5",
+          "delta_witness": [0, 1], "collision_number": 4, "collision_witness": [0, 1, 5, 12],
+          "collision_subsets_examined": 370, "lower_bound": 4, "upper_bound": 6}),
+        (lambda: gf.random_code(4, 2, 8, 3),
+         {"q": 4, "r": 2, "ell": 8, "kind": "random", "size": 16, "delta": "1/4",
+          "delta_witness": [10, 15], "collision_number": 3, "collision_witness": [0, 5, 10],
+          "collision_subsets_examined": 175, "lower_bound": 2, "upper_bound": 5}),
+    ], ids=["rs52", "random4_2_8_3"])
+    def test_code_measure_document(self, tmp_path, capsys, build, expected):
+        # the distance method follows the code's kind: certified for
+        # Reed-Solomon (witness (0, 1)), the pair scan otherwise
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(gf.code_to_json(build())))
+        assert main(["code", "measure", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == expected
 
     def test_code_random_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "r.json"
@@ -513,6 +531,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         [], ["setcover", "certify", "--code", "rs.json"], ["code", "rs", "--q", "x", "--r", "2"],
+        ["code", "measure", "rs.json", "--method", "pairs"],
     ])
     def test_usage_error_exit_code(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

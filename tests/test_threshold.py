@@ -128,13 +128,15 @@ class TestVerify:
             else:
                 assert verdict.collision_min_x is None
 
-    def test_sampled_mode_recorded(self):
-        g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
-        verdict = gf.verify_threshold(g, collision_cap=3, exhaustive_limit=10,
-                                      sample_count=50, seed=1)
-        assert verdict.completeness_mode == "sampled"
-        assert verdict.completeness_checked == 50
+    def test_large_graph_is_exhaustive(self):
+        # 121**2 * 11 = 161,051 cases, all decided through 1,331 patterns
+        g = gf.build_threshold(gf.reed_solomon(11, 2), 2)
+        verdict = gf.verify_threshold(g, collision_cap=3)
+        assert verdict.completeness_mode == "exhaustive"
+        assert verdict.completeness_checked == 161_051
+        assert verdict.completeness_patterns == 11 * 11 ** 2
         assert verdict.completeness_ok
+        assert verdict.completeness_counterexample is None
 
     @pytest.mark.parametrize("t", [1, 2])
     @pytest.mark.parametrize("build", [
@@ -183,8 +185,9 @@ class TestVerify:
         verdict = gf.verify_threshold(g, collision_cap=3)
         counterexample, max_shared, matches = oracles.threshold_verdict_bruteforce(g)
         assert counterexample is not None and not matches
-        assert verdict.completeness_counterexample == counterexample
-        assert verdict.completeness_checked == _case_index(g, counterexample)
+        assert verdict.completeness_counterexample == counterexample == ((2, 0), 1, ((0, 0),))
+        assert verdict.completeness_checked == _case_index(g, counterexample) == 56
+        assert verdict.completeness_ok is False
         assert verdict.soundness_max_shared == max_shared == 2
         assert verdict.soundness_matches_agreements is matches
 
@@ -255,26 +258,26 @@ class TestVerifyDifferential:
             assert verdict.soundness_max_shared == max_shared
             assert verdict.soundness_matches_agreements is matches
 
-    def test_sampled_cases_by_adjacent_scan(self, monkeypatch):
-        g = gf.build_threshold(gf.random_code(3, 2, 4, 7), 2)
-        monkeypatch.setattr(threshold, "adjacent",
-                            _symbol_shifted_adjacent(threshold.adjacent, {(2, 1, 0): 2}))
-        verdict = gf.verify_threshold(g, collision_cap=3, exhaustive_limit=10,
-                                      sample_count=200, seed=3)
-        rng = random.Random(3)
-        vertices = list(product(range(3), repeat=2))
-        expected = None, 200
-        for n in range(1, 201):
-            ranks = (rng.randrange(9), rng.randrange(9))
-            i = rng.randrange(4)
+    def test_first_failure_by_adjacent_scan(self, monkeypatch):
+        # 161,051 cases; the cases are walked here, in order, through
+        # adjacent() until the first whose common neighbours in A_i are not
+        # exactly its column pattern
+        g = gf.build_threshold(gf.reed_solomon(11, 2), 2)
+        monkeypatch.setattr(threshold, "adjacent", _symbol_shifted_adjacent(
+            threshold.adjacent, {(3, 1, 5): 2, (7, 0, 4): 1}))
+        verdict = gf.verify_threshold(g, collision_cap=3)
+        vertices = list(product(range(11), repeat=2))
+        cases = ((ranks, i) for ranks in product(range(121), repeat=2) for i in range(11))
+        expected = None
+        for n, (ranks, i) in enumerate(cases, 1):
             hits = tuple(u for u in vertices
                          if all(threshold.adjacent(g, (j, m), (i, u))
                                 for j, m in enumerate(ranks)))
             if hits != (tuple(g.code.codeword(m)[i] for m in ranks),):
                 expected = (ranks, i, hits), n
                 break
-        assert expected[0] is not None and expected[1] > 1
-        assert verdict.completeness_mode == "sampled"
+        assert expected is not None and expected[1] > 1
+        assert verdict.completeness_mode == "exhaustive"
         assert (verdict.completeness_counterexample, verdict.completeness_checked) == expected
         assert verdict.completeness_ok is False
 
