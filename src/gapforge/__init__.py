@@ -59,7 +59,6 @@ from .setcover import (
     CoverReport,
     SetCoverInstance,
     compose_setcover,
-    has_partitioned_cover,
     min_cover_size,
     setcover_certificate,
     setcover_from_json,

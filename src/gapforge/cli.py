@@ -133,7 +133,8 @@ def _cmd_setcover(args) -> int:
         _dump({"min_cover_size": report.min_size,
                "witness": [list(r) for r in report.witness] if report.witness else None,
                "cap": report.cap,
-               "partitioned_cover_exists": report.partitioned_exists})
+               "partitioned_cover_exists": report.partitioned_exists,
+               "subsets_examined": report.subsets_examined})
         return 0
     inst = setcover.setcover_from_json(_load(args.instance))
     code = codes.code_from_json(_load(args.code))

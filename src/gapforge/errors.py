@@ -85,6 +85,10 @@ class UniverseCapError(GapforgeError):
     """Composed SetCover universe would exceed the universe cap."""
 
 
+class InstanceMismatchError(GapforgeError):
+    """A certificate's base is not the instance its composition was built from."""
+
+
 class PartNotIndependentError(GapforgeError):
     """A graph part contains an internal edge."""
 

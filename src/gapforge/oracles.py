@@ -14,6 +14,7 @@ from . import threshold
 from .codes import Code
 from .frontends import Cnf3, DecidedNo, PartitionedGraph
 from .maxcover import MaxCoverInstance
+from .setcover import SetCoverInstance
 
 
 def has_colorful_clique(graph: PartitionedGraph) -> bool:
@@ -267,6 +268,31 @@ def setcover_first_uncovered(composed, refs):
             if not any(f[pos] in s for s, positions in adjacent for pos in positions):
                 return (i, f)
     return None
+
+
+def setcover_min_cover_bruteforce(instance, cap: int):
+    """First minimum cover of at most cap sets as (size, refs), or (None, None).
+
+    Tries combinations of (collection, index) refs in increasing size.  A
+    SetCoverInstance decides each by plain frozenset unions, a composition
+    by setcover_first_uncovered.
+    """
+    if isinstance(instance, SetCoverInstance):
+        collections, universe = instance.collections, frozenset(range(instance.universe_size))
+
+        def covers(combo):
+            return frozenset().union(*(collections[j][idx] for j, idx in combo)) == universe
+    else:
+        collections = instance.base.collections
+
+        def covers(combo):
+            return setcover_first_uncovered(instance, combo) is None
+    refs = [(j, idx) for j, coll in enumerate(collections) for idx in range(len(coll))]
+    for size in range(1, cap + 1):
+        for combo in combinations(refs, size):
+            if covers(combo):
+                return size, combo
+    return None, None
 
 
 def threshold_verdict_bruteforce(graph):

@@ -9,12 +9,15 @@ composed set for S (matched to codeword m(S) in collection j) contains
 kept as the A_i vertices adjacent to each set, answers membership and
 decides covers part by part, so nothing but export (materialize, capped at
 DEFAULT_UNIVERSE_CAP elements) enumerates the universe.
+
+The base minimum, the base one-set-per-collection cover and the composed
+minimum are all found by one pruned depth-first search, _first_cover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, product
 
 from .codes import Code, _match_parts, collision_number
 from .errors import (
@@ -24,6 +27,7 @@ from .errors import (
     CapExceededError,
     EmptyPartError,
     IndexRangeError,
+    InstanceMismatchError,
     UniverseCapError,
 )
 from .serialize import (
@@ -93,6 +97,8 @@ class CoverReport:
 
     min_size is None when no cover of size <= cap exists; the witness is the
     lexicographically-first minimum cover over (collection, index) refs.
+    The partitioned witness is the first one-set-per-collection cover in
+    product order.  subsets_examined counts the prefixes both searches visit.
     """
 
     min_size: int | None
@@ -103,49 +109,68 @@ class CoverReport:
     subsets_examined: int
 
 
-def has_partitioned_cover(instance: SetCoverInstance, *,
-                          budget: int = DEFAULT_SUBSET_BUDGET):
-    """Exact check for one-set-per-collection covers; returns (bool, witness)."""
-    total = 1
-    for coll in instance.collections:
-        total *= len(coll)
-    if total > budget:
-        raise BudgetExceededError(f"{total} partitioned tuples exceed budget {budget}")
-    full = instance.full_mask
-    for choice in product(*(range(len(c)) for c in instance.collections)):
-        union = 0
-        for j, idx in enumerate(choice):
-            union |= instance.mask((j, idx))
-        if union == full:
-            return True, tuple((j, idx) for j, idx in enumerate(choice))
-    return False, None
+def _first_cover(refs, vectors, covered, window_lists, budget: int, examined: int = 0):
+    """First covering choice of refs in the windows' order; (refs or None, examined).
+
+    vectors[p] packs ref p's base mask into every slot it reaches, and a
+    choice covers iff covered(OR of its vectors).  For each window list in
+    turn, depth d takes the position p in [max(lo_d, previous + 1), hi_d) of
+    its window (lo_d, hi_d): windows (0, n - s + d + 1) visit
+    combinations(refs, s) in order, and one window per collection visits
+    the product of the collections.  A prefix is dropped when it stays
+    uncovered even after OR-ing in every later vector, so the first
+    covering choice of the unpruned order is kept.  examined counts the
+    prefixes visited; the prefix numbered budget + 1 raises.
+    """
+    later = [0]
+    for vec in reversed(vectors):
+        later.append(vec | later[-1])
+    later.reverse()
+
+    if not covered(later[0]):
+        return None, examined
+    for windows in window_lists:
+        # depth d: the union of the refs chosen above it, and its next position
+        prefixes, nexts = [0], [windows[0][0]]
+        while nexts:
+            d, p = len(nexts) - 1, nexts[-1]
+            if p >= windows[d][1]:
+                prefixes.pop()
+                nexts.pop()
+                continue
+            nexts[d] = p + 1
+            examined += 1
+            if examined > budget:
+                raise BudgetExceededError(f"cover search exceeded budget {budget}")
+            state = prefixes[d] | vectors[p]
+            if d + 1 == len(windows):
+                if covered(state):
+                    return tuple(refs[n - 1] for n in nexts), examined
+            elif covered(state | later[p + 1]):
+                prefixes.append(state)
+                nexts.append(max(windows[d + 1][0], p + 1))
+    return None, examined
+
+
+def _size_windows(n: int, cap: int):
+    """Windows of combinations(range(n), s) for s = 1 .. min(cap, n)."""
+    if cap < 0:
+        raise CapExceededError(f"cover size cap must be >= 0, got {cap}")
+    return ([(0, n - s + d + 1) for d in range(s)] for s in range(1, min(cap, n) + 1))
 
 
 def min_cover_size(instance: SetCoverInstance, cap: int, *,
                    budget: int = DEFAULT_SUBSET_BUDGET) -> CoverReport:
     """Exhaustive minimum-cover search over unions of <= cap sets."""
-    if cap < 0:
-        raise CapExceededError(f"cover size cap must be >= 0, got {cap}")
     refs = instance.all_refs()
-    full = instance.full_mask
-    examined = 0
-    found: int | None = None
-    witness = None
-    for size in range(1, min(cap, len(refs)) + 1):
-        for combo in combinations(refs, size):
-            examined += 1
-            if examined > budget:
-                raise BudgetExceededError(f"cover search exceeded budget {budget}")
-            union = 0
-            for ref in combo:
-                union |= instance.mask(ref)
-            if union == full:
-                found, witness = size, combo
-                break
-        if found is not None:
-            break
-    part_ok, part_wit = has_partitioned_cover(instance, budget=budget)
-    return CoverReport(found, witness, cap, part_ok, part_wit, examined)
+    vectors = [instance.mask(ref) for ref in refs]
+    covered = instance.full_mask.__eq__
+    found, examined = _first_cover(refs, vectors, covered, _size_windows(len(refs), cap), budget)
+    ends = list(accumulate(len(coll) for coll in instance.collections))
+    per_collection = list(zip([0] + ends, ends))
+    part, examined = _first_cover(refs, vectors, covered, [per_collection], budget, examined)
+    return CoverReport(len(found) if found else None, found, cap,
+                       part is not None, part, examined)
 
 
 # ---------------------------------------------------------------------------
@@ -197,50 +222,52 @@ class ComposedSetCover:
             for f in product(range(u), repeat=self.fsize):
                 yield (i, f)
 
-    def _first_uncovered(self, refs):
-        """First uncovered element in enumeration order, or None (Thm 5.1).
+    def _slots(self, refs):
+        """Packed slot unions: bits from |U| * s on hold slot s = i * q**k + a,
+        the union of the refs' base sets adjacent to vertex a of A_i."""
+        u, state = self.base.universe_size, 0
+        for ref in refs:
+            mask = self.base.mask(ref)
+            for i, adjacent in enumerate(self._adj_ranks[ref]):
+                for a in adjacent:
+                    state |= mask << u * (i * self.fsize + a)
+        return state
 
-        (i, f) lies in no ref's set exactly when f(a) avoids, for every a in
-        A_i, the union of the base sets of the refs adjacent to a.  So part
-        i is covered iff some vertex's union is all of U, and otherwise the
-        lexicographically first uncovered f takes the lowest element
-        missing from each vertex's union.
-        """
-        full = self.base.full_mask
-        masks = [(self._adj_ranks[ref], self.base.mask(ref)) for ref in refs]
-        for i in range(self.ell):
-            unions = [0] * self.fsize
-            for adj, mask in masks:
-                for a in adj[i]:
-                    unions[a] |= mask
-            if full not in unions:
-                return (i, tuple(_lowest_missing(u) for u in unions))
-        return None
+    def _covered(self, state) -> bool:
+        """Whether every part of packed slot unions has a full slot."""
+        u, part_bits = self.base.universe_size, self.base.universe_size * self.fsize
+        slot_lows = ((1 << part_bits) - 1) // ((1 << u) - 1)
+        full_slots = state  # bit u * s ends set iff slot s is full
+        for b in range(1, u):
+            full_slots &= state >> b
+        return all(full_slots >> part_bits * i & slot_lows for i in range(self.ell))
 
     def covers(self, refs):
         """(True, None) if the refs cover the universe, else (False, witness).
 
-        Decided part by part from the base masks of the refs adjacent to
-        each A_i vertex, without enumerating the universe; the witness is
-        the first uncovered element in enumeration order.
+        (i, f) lies in no ref's set exactly when f(a) avoids, for every a in
+        A_i, the union of the base sets of the refs adjacent to a (Thm 5.1).
+        So part i is covered iff some vertex's union is all of U, and
+        otherwise the witness, the first uncovered element in enumeration
+        order, takes the lowest element missing from each vertex's union.
         """
-        element = self._first_uncovered(refs)
-        return element is None, element
+        state, u, full = self._slots(refs), self.base.universe_size, self.base.full_mask
+        for i in range(self.ell):
+            unions = [state >> u * (i * self.fsize + a) & full for a in range(self.fsize)]
+            if full not in unions:
+                return False, (i, tuple(_lowest_missing(x) for x in unions))
+        return True, None
 
     def min_cover(self, cap: int, *, budget: int = DEFAULT_SUBSET_BUDGET):
-        """Exhaustive minimum-cover search over the composed sets."""
+        """Exhaustive minimum-cover search over the composed sets.
+
+        Returns (size, refs, examined): the first minimum cover of at most
+        cap sets in combinations order, or (None, None, examined).
+        """
         refs = self.base.all_refs()
-        examined = 0
-        for size in range(1, min(cap, len(refs)) + 1):
-            for combo in combinations(refs, size):
-                examined += 1
-                if examined > budget:
-                    raise BudgetExceededError(
-                        f"composed cover search exceeded budget {budget}")
-                ok, _ = self.covers(combo)
-                if ok:
-                    return size, combo, examined
-        return None, None, examined
+        found, examined = _first_cover(refs, [self._slots((ref,)) for ref in refs],
+                                       self._covered, _size_windows(len(refs), cap), budget)
+        return (len(found) if found else None), found, examined
 
     def materialize(self) -> SetCoverInstance:
         """Explicit composed instance; element n is the n-th of iter_universe.
@@ -335,6 +362,8 @@ def setcover_certificate(base: SetCoverInstance, composed: ComposedSetCover, *,
     Col(code) exists (exhaustive search).  vacuous_ok: the base satisfies
     neither hypothesis.  The search covers every size below Col(code).
     """
+    if composed.base is not base:
+        raise InstanceMismatchError("the composition was built from another base instance")
     k = base.k
     base_report = min_cover_size(base, k, budget=budget)
     part_ok, part_wit = base_report.partitioned_exists, base_report.partitioned_witness
@@ -350,8 +379,7 @@ def setcover_certificate(base: SetCoverInstance, composed: ComposedSetCover, *,
         return SetCoverCertificate(VERDICT_VIOLATION, True, True, threshold,
                                    None, uncovered)
     if not has_k_cover:
-        refs = base.all_refs()
-        max_size = len(refs) if threshold == float("inf") else min(int(threshold) - 1, len(refs))
+        max_size = len(base.all_refs()) if threshold == float("inf") else int(threshold) - 1
         size, combo, _ = composed.min_cover(max_size, budget=budget)
         if size is None:
             return SetCoverCertificate(SOUNDNESS_OK, False, False, threshold,

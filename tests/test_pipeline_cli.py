@@ -359,6 +359,7 @@ class TestCli:
         assert main(["setcover", "solve", str(inst_path), "--cap", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["min_cover_size"] == 2 and doc["partitioned_cover_exists"]
+        assert doc["subsets_examined"] == 6
 
         assert main(["setcover", "certify", "--instance", str(inst_path),
                      "--code", str(code_path)]) == 0

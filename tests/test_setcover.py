@@ -6,8 +6,11 @@ import pytest
 import gapforge as gf
 from gapforge import oracles, setcover
 from gapforge.errors import (
+    BudgetExceededError,
+    CapExceededError,
     EmptyPartError,
     IndexRangeError,
+    InstanceMismatchError,
     MatchingOverflowError,
     SchemaVersionError,
     UniverseCapError,
@@ -69,25 +72,111 @@ class TestMinCover:
         assert report.witness is None
 
 
+def interleaved_singletons(per_collection):
+    """k = 2, |U| = 3; set m of each collection is {m % 3}."""
+    return gf.SetCoverInstance(3, [[{m % 3} for m in range(per_collection)]] * 2)
+
+
 class TestPartitionedCover:
     def test_positive(self):
-        inst = gf.SetCoverInstance(2, [[{0}], [{1}]])
-        ok, witness = gf.has_partitioned_cover(inst)
-        assert ok and witness == ((0, 0), (1, 0))
+        report = gf.min_cover_size(gf.SetCoverInstance(2, [[{0}], [{1}]]), cap=0)
+        assert report.partitioned_exists and report.partitioned_witness == ((0, 0), (1, 0))
 
     def test_negative(self):
-        inst = gf.SetCoverInstance(2, [[{0}], [{0}]])
-        ok, witness = gf.has_partitioned_cover(inst)
-        assert not ok and witness is None
+        report = gf.min_cover_size(gf.SetCoverInstance(2, [[{0}], [{0}]]), cap=0)
+        assert not report.partitioned_exists and report.partitioned_witness is None
 
     def test_matches_independent_enumeration(self):
         rng = random.Random(21)
+        universe_sizes = set()
         for _ in range(30):
-            inst = random_setcover_instance(rng)
-            expected = any(
-                frozenset().union(*choice) == frozenset(range(inst.universe_size))
-                for choice in product(*inst.collections))
-            assert gf.has_partitioned_cover(inst)[0] == expected
+            inst = random_setcover_instance(rng, max_universe=4, k=rng.randint(1, 3))
+            universe = frozenset(range(inst.universe_size))
+            expected = next((tuple(enumerate(choice)) for choice in product(
+                *(range(len(coll)) for coll in inst.collections))
+                if frozenset().union(*(inst.collections[j][idx]
+                                       for j, idx in enumerate(choice))) == universe), None)
+            report = gf.min_cover_size(inst, cap=0)
+            assert report.partitioned_exists == (expected is not None)
+            assert report.partitioned_witness == expected
+            universe_sizes.add(inst.universe_size)
+        assert universe_sizes == {2, 3, 4}
+
+
+class TestCoverSearch:
+    """One pruned search decides base, partitioned and composed covers."""
+
+    def test_base_min_cover_matches_oracle(self):
+        rng = random.Random(55)
+        outcomes = set()
+        for _ in range(60):
+            inst = random_setcover_instance(rng, max_universe=4, k=rng.randint(1, 3))
+            cap = rng.randint(0, len(inst.all_refs()))
+            report = gf.min_cover_size(inst, cap)
+            expected = oracles.setcover_min_cover_bruteforce(inst, cap)
+            assert (report.min_size, report.witness) == expected
+            outcomes.add(expected[0])
+        assert None in outcomes and {1, 2, 3} <= outcomes
+
+    def test_composed_min_cover_matches_oracle(self):
+        rng = random.Random(56)
+        code = gf.reed_solomon(3, 2)
+        outcomes = set()
+        for n in range(18):
+            if n % 3 == 0:
+                base = random_setcover_instance(rng, max_universe=2)
+            elif n % 3 == 1:  # sets of at most one element, up to four per collection
+                base = gf.SetCoverInstance(2, [[rng.sample(range(2), rng.randint(0, 1))
+                                                for _ in range(rng.randint(1, 4))]
+                                               for _ in range(2)])
+            else:  # singletons in one collection: covers need codeword collisions
+                base = gf.SetCoverInstance(2, [[{rng.randrange(2)} for _ in range(
+                    rng.randint(5, 9))], [set()]])
+            composed = gf.compose_setcover(base, code)
+            cap = len(base.all_refs())
+            size, combo, _ = composed.min_cover(cap)
+            assert (size, combo) == oracles.setcover_min_cover_bruteforce(composed, cap)
+            outcomes.add(size)
+        assert {None, 2} <= outcomes and max(outcomes - {None}) >= 4
+
+    @pytest.mark.parametrize("q,refs,size,witness,examined", [
+        (3, 18, 5, ((0, 0), (0, 1), (0, 3), (0, 4), (1, 2)), 4391),
+        (5, 18, 6, ((0, 0), (0, 4), (0, 8), (1, 3), (1, 4), (1, 5)), 7678),
+        (5, 24, 6, ((0, 0), (0, 1), (0, 8), (1, 2), (1, 3), (1, 10)), 32073),
+        (7, 18, None, None, 0),
+        (7, 24, None, None, 0),
+    ])
+    def test_interleaved_singleton_rows(self, q, refs, size, witness, examined):
+        # An unpruned combinations search visits 4,159, 17,371 and 61,291
+        # subsets for the first three rows and 262,143 for RS(7,2) with 18
+        # refs; with 24 refs it runs past 3,000,000.  In part 1 of either
+        # RS(7,2) row no A_i vertex is adjacent to sets holding all three
+        # elements, even with every set chosen, so the search refutes the row
+        # before its first ref.
+        composed = gf.compose_setcover(interleaved_singletons(refs // 2),
+                                       gf.reed_solomon(q, 2))
+        assert composed.min_cover(refs) == (size, witness, examined)
+
+    def test_budget_boundary(self):
+        base = interleaved_singletons(9)
+        composed = gf.compose_setcover(base, gf.reed_solomon(3, 2))
+        examined = composed.min_cover(18)[2]
+        assert composed.min_cover(18, budget=examined)[2] == examined
+        with pytest.raises(BudgetExceededError):
+            composed.min_cover(18, budget=examined - 1)
+        examined = gf.min_cover_size(base, 2).subsets_examined
+        assert gf.min_cover_size(base, 2, budget=examined).subsets_examined == examined
+        with pytest.raises(BudgetExceededError):
+            gf.min_cover_size(base, 2, budget=examined - 1)
+
+    def test_negative_cap_raises(self):
+        base = gf.SetCoverInstance(2, [[{0}], [{1}]])
+        composed = gf.compose_setcover(base, gf.reed_solomon(3, 2))
+        with pytest.raises(CapExceededError):
+            gf.min_cover_size(base, -1)
+        with pytest.raises(CapExceededError):
+            composed.min_cover(-1)
+        assert composed.min_cover(0) == (None, None, 0)
 
 
 class TestCompose:
@@ -246,19 +335,36 @@ class TestCertificate:
         assert {"completeness_ok", "soundness_ok"} <= set(verdicts)
 
     def test_partitioned_cover_searched_once(self, monkeypatch):
-        calls = []
-        inner = setcover.has_partitioned_cover
+        calls, searches = [], []
+        inner, search = setcover.min_cover_size, setcover._first_cover
 
-        def counted(instance, **kwargs):
-            calls.append(instance)
-            return inner(instance, **kwargs)
+        def counted(instance, cap, **kwargs):
+            calls.append((instance, cap))
+            return inner(instance, cap, **kwargs)
 
-        monkeypatch.setattr(setcover, "has_partitioned_cover", counted)
+        def counted_search(refs, *args, **kwargs):
+            searches.append(refs)
+            return search(refs, *args, **kwargs)
+
+        monkeypatch.setattr(setcover, "min_cover_size", counted)
+        monkeypatch.setattr(setcover, "_first_cover", counted_search)
         base = gf.SetCoverInstance(3, [[{0}], [{1}]])
         composed = gf.compose_setcover(base, gf.reed_solomon(3, 2))
         cert = gf.setcover_certificate(base, composed)
         assert cert.verdict == "soundness_ok"
-        assert calls == [base]
+        # one base report (its minimum and partitioned searches), one composed search
+        assert calls == [(base, 2)]
+        assert searches == [base.all_refs()] * 3
+
+    def test_mismatched_base_rejected(self):
+        composed = gf.compose_setcover(gf.SetCoverInstance(2, [[{0}], [{1}]]),
+                                       gf.reed_solomon(3, 2))
+        # unchecked, the composed 2-cover of the |U| = 2 base reads as a violation
+        with pytest.raises(InstanceMismatchError):
+            gf.setcover_certificate(gf.SetCoverInstance(3, [[{0}], [{1}]]), composed)
+        equal_copy = gf.SetCoverInstance(2, [[{0}], [{1}]])
+        with pytest.raises(InstanceMismatchError):
+            gf.setcover_certificate(equal_copy, composed)
 
 
 class TestSerialization:
