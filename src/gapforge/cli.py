@@ -163,6 +163,7 @@ def _cmd_from_cnf(args) -> int:
 
 
 def _cmd_from_graph(args) -> int:
+    frontends._check_clique_parts(args.t)
     parsed = frontends.parse_edge_list(_read(args.file))
     if isinstance(parsed, frontends.Graph) or args.lift:
         if isinstance(parsed, frontends.PartitionedGraph):

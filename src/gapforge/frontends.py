@@ -7,9 +7,11 @@ front-end splits the clauses into k near-equal groups and uses satisfying
 partial assignments as labels; it enumerates a group's assignments as
 integers and tests each clause as a pair of bit masks.  Both outputs have
 the pseudo-projection property and value 1 exactly on YES inputs.  Both
-build their instance from each label's part-local neighbor masks
-(MaxCoverInstance.from_masks), the instance's one layout; neither
-computes a global W id.
+hand over each label's packed row, the instance's one layout, as one int:
+the all-ones row of the right super-nodes the label does not touch, with
+one bit set in each field it does touch.  The instance checks only that
+every row fits; neither front-end computes a global W id.  The clique
+front-end needs t >= 2 parts.
 """
 
 from __future__ import annotations
@@ -129,38 +131,47 @@ def colorful_lift(graph: Graph, t: int) -> PartitionedGraph:
     return PartitionedGraph(parts, frozenset(edges))
 
 
+def _check_clique_parts(t: int) -> None:
+    """The clique front-end needs t >= 2 parts: a left super-node per part pair."""
+    if t < 2:
+        raise IndexRangeError(f"the clique front-end needs t >= 2 parts, got t={t}")
+
+
 def clique_to_maxcover(graph: PartitionedGraph):
     """Colorful-clique to MaxCover: left super-nodes are cross-edge classes.
 
     Left super-node (i,j) holds the edges between parts i and j, in sorted
     edge order; right super-node i holds part i's vertices; an edge label
     meets exactly its two endpoints in their parts and everything elsewhere.
-    An empty edge class means no colorful clique can exist, returned as a
-    DecidedNo.
+    Its row is the all-ones row of the other parts with the endpoints'
+    bits in fields i and j.  An empty edge class means no colorful clique
+    can exist, returned as a DecidedNo.  A graph needs t >= 2 parts.
     """
     t = graph.t
-    pair_list = list(combinations(range(t), 2))
+    _check_clique_parts(t)
+    # bit[w] is w's bit in a row: its rank in its part, in that part's field
     owner = graph._owner
-    classes = {pair: [] for pair in pair_list}
+    bit, fields, num_w = [0] * len(owner), [], 0
+    for part in graph.parts:
+        for p, w in enumerate(part):
+            bit[w] = 1 << (num_w + p)
+        fields.append(((1 << len(part)) - 1) << num_w)
+        num_w += len(part)
+    pair_list = list(combinations(range(t), 2))
+    # class (i, j): the row of every other part, and the labels' rows
+    classes = {(i, j): ((1 << num_w) - 1 ^ fields[i] ^ fields[j], [])
+               for i, j in pair_list}
     for u, v in sorted(graph.edges):
-        if owner[u] > owner[v]:
-            u, v = v, u
-        classes[owner[u], owner[v]].append((u, v))
-    empty = tuple(pair for pair in pair_list if not classes[pair])
+        i, j = owner[u], owner[v]
+        others, rows = classes[(i, j) if i < j else (j, i)]
+        rows.append(others | bit[u] | bit[v])
+    empty = tuple(pair for pair in pair_list if not classes[pair][1])
     if empty:
         return DecidedNo("empty cross-edge class rules out a colorful clique", empty)
-
-    pos = {w: p for part in graph.parts for p, w in enumerate(part)}
-    full = [(1 << len(part)) - 1 for part in graph.parts]
-    masks = []
-    for i, j in pair_list:
-        for u, v in classes[i, j]:
-            row = full.copy()
-            row[i], row[j] = 1 << pos[u], 1 << pos[v]
-            masks.append(row)
-    return MaxCoverInstance.from_masks(
-        tuple(len(classes[pair]) for pair in pair_list),
-        tuple(len(part) for part in graph.parts), masks,
+    return MaxCoverInstance._from_rows(
+        tuple(len(classes[pair][1]) for pair in pair_list),
+        tuple(len(part) for part in graph.parts),
+        [row for pair in pair_list for row in classes[pair][1]],
         provenance=f"clique_frontend(m={graph.num_vertices}, t={t})")
 
 
@@ -237,8 +248,9 @@ def sat_to_maxcover(cnf: Cnf3, k: int) -> MaxCoverInstance:
               for p in patterns_in_use}
 
     w_parts = tuple(1 << len(s_vars[p]) for p in patterns_in_use)
-    full = [(1 << size) - 1 for size in w_parts]
-    v_parts, masks = [], []
+    starts = [sum(w_parts[:j]) for j in range(len(w_parts))]
+    all_ones = (1 << sum(w_parts)) - 1
+    v_parts, rows = [], []
     for i, (vars_i, clauses) in enumerate(zip(group_vars, group_clauses)):
         n = len(vars_i)
         bit = {var: 1 << (n - 1 - p) for p, var in enumerate(vars_i)}
@@ -251,23 +263,27 @@ def sat_to_maxcover(cnf: Cnf3, k: int) -> MaxCoverInstance:
                 else:
                     neg |= bit[-lit]
             tests.append((pos, neg))
-        # a label is full on every W_J with i not in J; for the other
-        # patterns, (j, bits) pairs each variable's bit in a with its bit
-        # in the W_J rank
-        projections = [(j, [(bit[var], 1 << (len(s_vars[p]) - 1 - b))
-                            for b, var in enumerate(s_vars[p])])
+        # a label's row is full on every W_J with i not in J; for the other
+        # patterns, (start, bits) pairs each variable's bit in a with its
+        # bit in the W_J rank, and the rank's bit lies start bits up
+        projections = [(starts[j], [(bit[var], 1 << (len(s_vars[p]) - 1 - b))
+                                    for b, var in enumerate(s_vars[p])])
                        for j, p in enumerate(patterns_in_use) if i in p]
-        labels_before = len(masks)
+        others = all_ones
+        for j, p in enumerate(patterns_in_use):
+            if i in p:
+                others ^= (1 << w_parts[j]) - 1 << starts[j]
+        labels_before = len(rows)
         for a in range(1 << n):
             if all(a & pos or ~a & neg for pos, neg in tests):
-                row = full.copy()
-                for j, bits in projections:
-                    row[j] = 1 << sum(out for src, out in bits if a & src)
-                masks.append(row)
-        v_parts.append(len(masks) - labels_before)
+                row = others
+                for start, bits in projections:
+                    row |= 1 << start + sum(out for src, out in bits if a & src)
+                rows.append(row)
+        v_parts.append(len(rows) - labels_before)
     provenance = (f"sat_frontend(n={cnf.num_vars}, m={len(cnf.clauses)}, k={k}, "
                   f"omitted_patterns={omitted})")
-    return MaxCoverInstance.from_masks(v_parts, w_parts, masks, provenance=provenance)
+    return MaxCoverInstance._from_rows(v_parts, w_parts, rows, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------

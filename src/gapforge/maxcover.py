@@ -3,15 +3,19 @@
 An instance is a bipartite graph with left super-nodes V_1..V_k and right
 super-nodes W_1..W_t; its value is the maximal fraction of right
 super-nodes that admit a joint neighbor of one chosen vertex per left
-super-node.  Explicit instances are built from per-part neighbor masks or
-from an edge list; the composed instances of both gap routes (Thm 4.2 and
-Appendix B) are oracle-backed.  Both kinds keep one packed int row per
-left vertex, made of fields, one per right super-node in each of one or
-more blocks, so a labeling's coverage of every super-node is one AND of
-its rows, one word-wide nonzero-field test and, for composed instances,
-one AND per extra block.  The rows are the only layout; an explicit
-instance's edge list is derived from them for export.  All values are
-exact rationals.
+super-node.  Explicit instances are built from an edge list, from
+per-part neighbor masks, or, by the front-ends, straight from packed
+rows; the composed instances of both gap routes (Thm 4.2 and Appendix B)
+are oracle-backed.  Both kinds keep one packed int row per left vertex,
+made of fields, one per right super-node in each of one or more blocks,
+so a labeling's coverage of every super-node is one AND of its rows, one
+word-wide nonzero-field test and, for composed instances, one AND per
+extra block.  The rows are the only layout; an explicit instance's edge
+list is derived from them for export.  A layout (field starts and the
+masks of the coverage test) depends on the shape alone and is built once
+per shape.  A composed row ORs the packed codewords of its base row's set
+bits, and a full base field takes the OR of its whole part, computed once
+per part.  All values are exact rationals.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .codes import Code, _field_packing, _match_parts, _symbols_of_rank, relative_distance
@@ -61,17 +66,13 @@ class _PackedRows:
     __slots__ = ("v_parts", "w_parts", "provenance", "_v_offsets", "_rows",
                  "_low", "_top", "_fields", "_block_starts")
 
-    def _lay_out(self, widths, blocks: int) -> None:
+    def _lay_out(self, widths: tuple[int, ...], blocks: int) -> None:
         """Lay rows out as blocks copies of fields of the given widths.
 
-        Sets the masks of the coverage rule (see _field_packing).
+        Sets the masks of the coverage rule (see _field_packing), shared by
+        every instance of the same shape (_layout).
         """
-        _, low, top = _field_packing(widths)
-        block = sum(widths)
-        self._block_starts = tuple(range(0, block * blocks, block))
-        copies = sum(1 << start for start in self._block_starts)
-        self._low, self._top = low * copies, top * copies
-        self._fields = tuple(zip(_offsets(widths), widths))
+        self._block_starts, self._low, self._top, self._fields = _layout(widths, blocks)
 
     @property
     def k(self) -> int:
@@ -136,55 +137,75 @@ class MaxCoverInstance(_PackedRows):
     V-vertices are 0..|V|-1 in part order and W-vertices follow,
     |V|..|V|+|W|-1.  The row of V-vertex v has bit wg - |V| set for each
     neighbor wg, so it has one block whose field j is v's neighborhood in
-    W_j as a part-local mask.  Builders hand those masks to from_masks; the
-    edge-list constructor takes global ids, and edges is derived from the
-    rows for export.  Immutable after construction.
+    W_j as a part-local mask.  The front-ends build those rows themselves
+    (_from_rows), generators hand part-local masks to from_masks, and the
+    edge-list constructor takes global ids; all three end in one core,
+    which checks that every row fits in |W| bits.  edges is derived from
+    the rows for export.  Immutable after construction.
     """
 
     __slots__ = ()
 
     def __init__(self, v_parts, w_parts, edges, provenance: str = ""):
-        self.v_parts = tuple(v_parts)
-        self.w_parts = tuple(w_parts)
-        if not self.v_parts or not self.w_parts:
-            raise EmptyPartError("need at least one left and one right super-node")
-        if any(s < 0 for s in self.v_parts):
-            raise IndexRangeError("negative part size")
-        if any(s < 1 for s in self.w_parts):
-            raise EmptyPartError("right super-nodes must be non-empty")
-        self._v_offsets = _offsets(self.v_parts)
-        num_v, num_w = self.num_v, self.num_w
+        v_parts, w_parts = _checked_parts(v_parts, w_parts)
+        num_v, num_w = sum(v_parts), sum(w_parts)
         rows = [0] * num_v
         for vg, wg in edges:
             _check_ids(vg, wg, num_v, num_w)
             rows[vg] |= 1 << (wg - num_v)
+        self._set_rows(v_parts, w_parts, rows, provenance)
+
+    def _set_rows(self, v_parts: tuple[int, ...], w_parts: tuple[int, ...], rows,
+                  provenance: str) -> None:
+        """The constructor core: adopt one packed row per V vertex, in id order.
+
+        Takes parts checked by _checked_parts; rows must be a list with one
+        int per V vertex, each fitting in num_w bits.
+        """
+        self.v_parts, self.w_parts = v_parts, w_parts
+        self._v_offsets = _offsets(v_parts)
+        num_v, num_w = self._v_offsets[-1], sum(w_parts)
+        if len(rows) != num_v:
+            raise IndexRangeError(f"{len(rows)} rows or mask tuples for {num_v} V vertices")
+        if rows and (min(rows) < 0 or max(rows) >> num_w):
+            vg = next(vg for vg, row in enumerate(rows) if row < 0 or row >> num_w)
+            raise IndexRangeError(f"row {rows[vg]} of V vertex {vg} does not fit "
+                                  f"{num_w} W vertices")
         self._rows = rows
-        self._lay_out(self.w_parts, 1)
+        self._lay_out(w_parts, 1)
         self.provenance = provenance
+
+    @classmethod
+    def _from_rows(cls, v_parts, w_parts, rows, provenance: str = ""):
+        """Instance whose V-vertex vg has the packed row rows[vg] (see the class doc)."""
+        inst = cls.__new__(cls)
+        inst._set_rows(*_checked_parts(v_parts, w_parts), rows, provenance)
+        return inst
 
     @classmethod
     def from_masks(cls, v_parts, w_parts, masks, provenance: str = ""):
         """Instance whose V-vertex vg meets the members of W_j set in masks[vg][j].
 
         masks holds one sequence of t part-local bitmasks per V vertex, in
-        V id order; bit p of masks[vg][j] stands for rank p of W_j.
+        V id order; bit p of masks[vg][j] stands for rank p of W_j.  Each
+        mask is checked against its part's size and packed into its row.
         """
-        inst = cls(v_parts, w_parts, (), provenance)
-        if len(masks) != inst.num_v:
-            raise IndexRangeError(f"{len(masks)} mask tuples for {inst.num_v} V vertices")
-        rows = inst._rows
+        v_parts, w_parts = _checked_parts(v_parts, w_parts)
+        t = len(w_parts)
+        fields = tuple(zip(_offsets(w_parts), w_parts))
+        rows = []
         for vg, part_masks in enumerate(masks):
-            if len(part_masks) != inst.t:
+            if len(part_masks) != t:
                 raise IndexRangeError(f"V vertex {vg} has {len(part_masks)} masks, "
-                                      f"expected one per right part ({inst.t})")
+                                      f"expected one per right part ({t})")
             row = 0
-            for j, ((start, width), mask) in enumerate(zip(inst._fields, part_masks)):
+            for j, ((start, width), mask) in enumerate(zip(fields, part_masks)):
                 if not 0 <= mask < 1 << width:
                     raise IndexRangeError(f"mask {mask} of V vertex {vg} does not fit "
                                           f"W_{j} of size {width}")
                 row |= mask << start
-            rows[vg] = row
-        return inst
+            rows.append(row)
+        return cls._from_rows(v_parts, w_parts, rows, provenance)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -242,11 +263,41 @@ def _check_ids(vg: int, wg: int, num_v: int, num_w: int) -> None:
         raise IndexRangeError(f"W id {wg} outside [{num_v}, {num_v + num_w})")
 
 
+def _checked_parts(v_parts, w_parts) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The part sizes as tuples, once they are known to describe an instance."""
+    v_parts, w_parts = tuple(v_parts), tuple(w_parts)
+    if not v_parts or not w_parts:
+        raise EmptyPartError("need at least one left and one right super-node")
+    if any(s < 0 for s in v_parts):
+        raise IndexRangeError("negative part size")
+    if any(s < 1 for s in w_parts):
+        raise EmptyPartError("right super-nodes must be non-empty")
+    return v_parts, w_parts
+
+
 def _offsets(sizes) -> tuple[int, ...]:
     out = [0]
     for s in sizes:
         out.append(out[-1] + s)
     return tuple(out)
+
+
+# Layouts are keyed on shape, not on input, and a job meets few shapes.
+_LAYOUT_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _layout(widths: tuple[int, ...], blocks: int):
+    """(block starts, low, top, fields) of rows of blocks copies of the widths.
+
+    fields holds (start, width) per field of one block; low and top are
+    the masks of _field_packing repeated in every block.
+    """
+    _, low, top = _field_packing(widths)
+    block = sum(widths)
+    starts = tuple(range(0, block * blocks, block))
+    copies = sum(1 << start for start in starts)
+    return starts, low * copies, top * copies, tuple(zip(_offsets(widths), widths))
 
 
 @dataclass(frozen=True)
@@ -358,7 +409,8 @@ class ComposedMaxCover(_PackedRows):
     fields of q bits, field l holding a symbol at coordinate l one-hot.
     The row of v has t such blocks, block j the OR of the packed codewords
     of v's W_j-neighbors, so field l of block j is the set of symbols v
-    allows at coordinate l in column j.
+    allows at coordinate l in column j.  A v adjacent to all of W_j takes
+    block j from the OR of every matched codeword of W_j, computed once.
     """
 
     __slots__ = ("base", "code", "matching")
@@ -372,12 +424,23 @@ class ComposedMaxCover(_PackedRows):
         self.v_parts = base.v_parts
         self.w_parts = (code.q ** base.t,) * code.ell
         self._lay_out((code.q,) * code.ell, base.t)
-        # word b places the matched codeword of base W-vertex b in its block
+        # word b places the matched codeword of base W-vertex b in its block;
+        # a base row whose field j is full takes part j's words at once
         words = [code.packed(m) << start
                  for start, inj in zip(self._block_starts, matching) for m in inj]
+        full_fields = []
+        for start, width in base._fields:
+            part_or = 0
+            for word in words[start:start + width]:
+                part_or |= word
+            full_fields.append((((1 << width) - 1) << start, part_or))
         self._rows = []
         for base_row in base._rows:
             row = 0
+            for field, part_or in full_fields:
+                if base_row & field == field:
+                    row |= part_or
+                    base_row ^= field
             while base_row:
                 bit = base_row & -base_row
                 row |= words[bit.bit_length() - 1]

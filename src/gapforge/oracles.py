@@ -7,6 +7,7 @@ cannot hide in the other.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -293,6 +294,30 @@ def setcover_min_cover_bruteforce(instance, cap: int):
             if covers(combo):
                 return size, combo
     return None, None
+
+
+def collision_min_x_by_adjacency(graph, collision_cap: int):
+    """Smallest |X| < collision_cap meeting the collision hypothesis, or None.
+
+    X runs over the subsets of the B-vertices (j, m), in increasing size
+    from t + 1 and in itertools.combinations order within a size.  X meets
+    the hypothesis iff every A_i holds a vertex with at least t + 1
+    neighbours in X.  The graph is read through threshold.adjacent() only,
+    once per (B-vertex, A-vertex) pair, and the neighbours of X are counted
+    vertex by vertex; no codeword is read.
+    """
+    code, t, ell = graph.code, graph.t, graph.ell
+    vertices = list(product(range(code.q), repeat=t))
+    b_vertices = [(j, m) for j in range(t) for m in range(code.size)]
+    # neighbours[b][i]: the A_i vertices adjacent to B-vertex b
+    neighbours = [[[u for u in vertices if threshold.adjacent(graph, b, (i, u))]
+                   for i in range(ell)] for b in b_vertices]
+    for size in range(t + 1, collision_cap):
+        for x in combinations(range(len(b_vertices)), size):
+            if all(max(Counter(u for b in x for u in neighbours[b][i]).values(), default=0)
+                   >= t + 1 for i in range(ell)):
+                return size
+    return None
 
 
 def threshold_verdict_bruteforce(graph):

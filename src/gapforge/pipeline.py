@@ -12,7 +12,8 @@ by the smallest workable prime (recorded, overridable).
 A job uses only a handful of codes RS(q, r), so each certified code (the
 code and its exact relative distance) is built once and reused for later
 inputs within the same process.  The reuse is bounded: only the 32 most
-recently used codes are kept (_CODE_CACHE_SIZE).
+recently used codes are kept (_CODE_CACHE_SIZE).  The prime chosen for a
+(t, max_w) pair is kept the same way (_PRIME_CACHE_SIZE).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 from .codes import Code, is_prime, reed_solomon, relative_distance
 from .errors import GapforgeError, NotPrimeError, RankRangeError
 from .frontends import Cnf3, DecidedNo, Graph, PartitionedGraph, \
-    clique_to_maxcover, colorful_lift, sat_to_maxcover
+    _check_clique_parts, clique_to_maxcover, colorful_lift, sat_to_maxcover
 from .maxcover import compose_gap, gap_certificate
 from .serialize import COMPLETENESS_OK, FORMAT_TAG, SOUNDNESS_OK, VERDICT_VIOLATION
 
@@ -89,8 +90,16 @@ class PipelineReport:
         return {YES: 0, NO: 1, VIOLATION: 2}[self.verdict]
 
 
+_PRIME_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_PRIME_CACHE_SIZE)
 def smallest_workable_prime(t: int, max_w: int) -> int:
-    """Smallest prime q > t (so r = t <= q and 1 - t/q > 0) with q**t >= max_w."""
+    """Smallest prime q > t (so r = t <= q and 1 - t/q > 0) with q**t >= max_w.
+
+    A job meets few (t, max_w) pairs, so the answers are kept, at most
+    _PRIME_CACHE_SIZE of them.
+    """
     q = t + 1
     while True:
         if is_prime(q) and q ** t >= max_w:
@@ -132,7 +141,7 @@ def _run_gap_stages(frontend, frontend_start, q_override, stages) -> PipelineRep
 
     start = time.perf_counter()
     code, delta = _choose_code(frontend.t, max(frontend.w_parts), q_override)
-    delta_bound = 1 - Fraction(code.r, code.q)
+    delta_bound = Fraction(code.q - code.r, code.q)  # 1 - r/q
     composed = compose_gap(frontend, code)
     stages.append(Stage("compose", time.perf_counter() - start, {
         "q": code.q, "r": code.r, "ell": code.ell,
@@ -158,8 +167,9 @@ def wone_pipeline(graph: Graph | PartitionedGraph, t: int,
     """Colorful t-clique skeleton: clique front-end, then RS(q, r=t) composition.
 
     Plain graphs are lifted to t parts first; partitioned inputs must
-    already have t parts.
+    already have t parts.  t must be at least 2 (clique_to_maxcover).
     """
+    _check_clique_parts(t)
     stages: list[Stage] = []
     if isinstance(graph, Graph):
         start = time.perf_counter()

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 import gapforge as gf
-from gapforge import oracles
+from gapforge import maxcover, oracles
 from gapforge.errors import (
     DegreeBoundError,
     EmptyPartError,
@@ -358,6 +358,38 @@ class TestComposeGap:
                     for wg in range(inst.num_v, inst.num_v + inst.num_w):
                         assert inst.adjacent(vg, wg) == ((vg, wg) in edges)
 
+    @pytest.mark.parametrize("matched", ["default", "random"])
+    def test_full_fields_match_existential(self, matched):
+        # clique rows are full on t - 2 of the t parts, so their composed
+        # blocks come from the once-per-part OR of the matched words
+        rng = random.Random(f"full-fields/{matched}")
+        code = gf.reed_solomon(3, 2)
+        checked = 0
+        while checked < 4:
+            n = rng.randint(2, 3)
+            graph = gf.colorful_lift(gf.make_graph(n, [(u, v) for u in range(n)
+                                                       for v in range(u + 1, n)
+                                                       if rng.random() < 0.8]), 3)
+            inst = gf.clique_to_maxcover(graph)
+            if isinstance(inst, gf.DecidedNo):
+                continue
+            checked += 1
+            matching = None if matched == "default" else [
+                rng.sample(range(code.size), size) for size in inst.w_parts]
+            composed = gf.compose_gap(inst, code, matching)
+            assert {gf.projection_profile(inst).entry(i, j)
+                    for i in range(inst.k) for j in range(inst.t)} == {PROJECTION, FULL}
+            for vg in range(composed.num_v):
+                for l in range(composed.t):
+                    for rank in range(composed.w_parts[0]):
+                        tup = composed.a_tuple(rank)
+                        assert composed.adjacent_ref(vg, l, tup) == \
+                            oracles.composed_adjacent_bruteforce(
+                                inst, code, composed.matching, vg, l, tup)
+            for lab in product(*(range(s) for s in composed.v_parts)):
+                scans = [oracles.covered_by_scan(composed, lab, l) for l in range(composed.t)]
+                assert [composed.covered(lab, l) for l in range(composed.t)] == scans
+
     def test_materialize_preserves_value_and_edges(self):
         inst = soundness_instance()
         composed = gf.compose_gap(inst, gf.reed_solomon(3, 2))
@@ -537,6 +569,48 @@ class TestFromMasks:
         # V = {0, 1} in two parts; W_0 has 2 members, W_1 has 3
         with pytest.raises(IndexRangeError):
             gf.MaxCoverInstance.from_masks((1, 1), (2, 3), masks)
+
+    def test_random_masks_match_edge_constructor(self):
+        rng = random.Random(512)
+        for _ in range(200):
+            v_parts = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
+            w_parts = tuple(rng.randint(1, 70) for _ in range(rng.randint(1, 4)))
+            masks = [[rng.choice((0, 1 << rng.randrange(w), (1 << w) - 1,
+                                  rng.randrange(1 << w))) for w in w_parts]
+                     for _ in range(sum(v_parts))]
+            num_v = sum(v_parts)
+            edges = [(vg, num_v + sum(w_parts[:j]) + p)
+                     for vg, part_masks in enumerate(masks)
+                     for j, mask in enumerate(part_masks)
+                     for p in range(w_parts[j]) if mask >> p & 1]
+            rng.shuffle(edges)
+            packed = gf.MaxCoverInstance.from_masks(v_parts, w_parts, masks)
+            listed = gf.MaxCoverInstance(v_parts, w_parts, edges)
+            assert packed._rows == listed._rows
+            assert packed.edges == listed.edges == tuple(sorted(edges))
+            assert packed.num_edges == listed.num_edges == len(edges)
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([1], id="too-few-rows"),
+        pytest.param([1, 1, 1], id="too-many-rows"),
+        pytest.param([1, -1], id="negative-row"),
+        pytest.param([1, 1 << 5], id="row-past-W"),
+    ])
+    def test_row_core_rejects_rows_that_do_not_fit(self, rows):
+        # V = {0, 1}; |W| = 5
+        with pytest.raises(IndexRangeError):
+            gf.MaxCoverInstance._from_rows((1, 1), (2, 3), rows)
+        assert gf.MaxCoverInstance._from_rows((1, 1), (2, 3), [0, (1 << 5) - 1]).num_edges == 5
+
+    def test_layout_built_once_per_shape(self):
+        a = gf.MaxCoverInstance.from_masks((1, 1), (2, 3), [(1, 1), (2, 4)])
+        b = gf.MaxCoverInstance((1, 1), (2, 3), [(0, 2), (0, 4), (1, 3), (1, 6)])
+        other = gf.MaxCoverInstance((2,), (3, 2), [(0, 2)])
+        assert a._fields is b._fields and a._low is b._low and a._top is b._top
+        assert other._fields is not a._fields
+        code = gf.reed_solomon(3, 2)
+        assert gf.compose_gap(a, code)._fields is gf.compose_gap(b, code)._fields
+        assert maxcover._layout.cache_info().maxsize == maxcover._LAYOUT_CACHE_SIZE
 
     def test_edge_constructor_sorts_and_deduplicates(self):
         inst = gf.MaxCoverInstance((1, 1), (2,), [(1, 3), (0, 2), (1, 3), (0, 3)])

@@ -12,7 +12,7 @@ import pytest
 import gapforge as gf
 from gapforge import oracles, pipeline
 from gapforge.cli import build_parser, main
-from gapforge.errors import DEFAULT_LABELING_CAP, NotPrimeError
+from gapforge.errors import DEFAULT_LABELING_CAP, GapforgeError, NotPrimeError
 from gapforge.generators import random_cnf3
 from gapforge.pipeline import _certified_code, smallest_workable_prime
 
@@ -272,6 +272,8 @@ class TestCodeCache:
     def test_cache_is_bounded(self):
         maxsize = _certified_code.cache_parameters()["maxsize"]
         assert maxsize is not None and maxsize > 0
+        assert smallest_workable_prime.cache_parameters()["maxsize"] == \
+            pipeline._PRIME_CACHE_SIZE
 
 
 class TestCli:
@@ -404,6 +406,29 @@ class TestCli:
         assert main(["from-graph", str(path_path), "--t", "3"]) == 1
         assert json.loads(capsys.readouterr().out)["decided"] == "NO"
         assert main(["pipeline", "wone", "--graph", str(path_path), "--t", "3"]) == 1
+
+    @pytest.mark.parametrize("t", [1, 0, -1])
+    def test_clique_routes_need_two_parts(self, tmp_path, capsys, monkeypatch, t):
+        # plain and one-part partitioned graphs; the check comes before any lift
+        plain, one_part = tmp_path / "plain.txt", tmp_path / "one_part.txt"
+        plain.write_text("0 1\n1 2\n0 2\n")
+        one_part.write_text("part 0 0\npart 1 0\n")
+
+        def no_lift(graph, t):
+            raise AssertionError("lifted before t was checked")
+
+        monkeypatch.setattr(pipeline, "colorful_lift", no_lift)
+        monkeypatch.setattr(gf.frontends, "colorful_lift", no_lift)
+        for path in (plain, one_part):
+            for argv in (["pipeline", "wone", "--graph", str(path), "--t", str(t)],
+                         ["from-graph", str(path), "--t", str(t)]):
+                assert main(argv) == 3
+                err = capsys.readouterr().err
+                assert err == f"error: the clique front-end needs t >= 2 parts, got t={t}\n"
+            with pytest.raises(GapforgeError, match="t >= 2"):
+                pipeline.wone_pipeline(gf.parse_edge_list(path.read_text()), t)
+        with pytest.raises(GapforgeError, match="t >= 2"):
+            gf.clique_to_maxcover(gf.make_partitioned_graph([(0, 1)], []))
 
     def test_error_exit_code(self, tmp_path, capsys):
         assert main(["code", "measure", str(tmp_path / "missing.json")]) == 3

@@ -192,6 +192,46 @@ class TestVerify:
         assert verdict.soundness_matches_agreements is matches
 
 
+class TestCollisionOracle:
+    """verify_threshold's collision search against the oracle that reads the
+    graph through adjacent() alone."""
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_matches_verify_threshold(self, code_suite, t):
+        found = set()
+        for code in code_suite:
+            if code.size > 9:
+                continue
+            col = gf.collision_number(code)
+            g = gf.build_threshold(code, t)
+            # criterion 4's cap, and one past every size of X
+            for cap in {col.value if col.status == "finite" else t * code.size + 1,
+                        t * code.size + 1}:
+                verdict = gf.verify_threshold(g, collision_cap=cap)
+                assert oracles.collision_min_x_by_adjacency(g, cap) == \
+                    verdict.collision_min_x
+                found.add(verdict.collision_min_x)
+        assert None in found and len(found) > 2
+
+    def test_mutated_adjacent_caught(self, monkeypatch):
+        # RS(3,2), t = 1: with symbol 2 read as 1 at every coordinate, the
+        # constant words 1 and 2 share a neighbour in every A_i, so two
+        # B-vertices meet the hypothesis; the codewords alone need Col = 3
+        g = gf.build_threshold(gf.reed_solomon(3, 2), 1)
+        honest = threshold.adjacent
+        assert oracles.collision_min_x_by_adjacency(g, 5) == 3
+        monkeypatch.setattr(threshold, "adjacent", _symbol_shifted_adjacent(
+            honest, {(i, 0, 2): 2 for i in range(3)}))
+        assert gf.verify_threshold(g, collision_cap=5).collision_min_x == 3
+        assert oracles.collision_min_x_by_adjacency(g, 5) == 2
+        # only vertices carrying symbol 2 keep their neighbours, at every
+        # coordinate, so three B-vertices no longer suffice
+        monkeypatch.setattr(threshold, "adjacent", _symbol_shifted_adjacent(
+            honest, {(i, 0, s): None for i in range(3) for s in (0, 1)}))
+        assert gf.verify_threshold(g, collision_cap=5).collision_min_x == 3
+        assert oracles.collision_min_x_by_adjacency(g, 5) == 4
+
+
 def _symbol_shifted_adjacent(honest, shifts):
     """adjacent() with B_j vertices carrying symbol s at coordinate i moved.
 
