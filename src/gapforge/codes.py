@@ -12,7 +12,9 @@ composition read those words and pack nothing themselves.  The collision
 search walks subsets depth-first, in increasing size and lexicographic
 order within a size, so a subset's collision test is a few integer
 operations.  On Reed-Solomon codes it searches only subsets holding the
-zero word; by linearity that loses no witness (see collision_number).
+zero word; by linearity that loses no witness (see collision_number).  The
+same search, over one copy of the words per B-part, decides the threshold
+graph's collision property (see threshold.verify_threshold).
 """
 
 from __future__ import annotations
@@ -491,47 +493,89 @@ def _field_packing(widths):
     return pack, low, top
 
 
-def _first_collision(words, size: int, anchored: bool, low: int, top: int,
+def _first_collision(words, parts: int, size: int, anchored: bool, low: int, top: int,
                      examined: int, budget: int):
     """Depth-first search for the lexicographically-first colliding subset.
 
-    Visits the size-subsets of range(len(words)) in lexicographic order
-    (only those holding 0 when anchored).  A depth keeps seen, the OR of
-    the chosen words, and dup, the OR of their pairwise ANDs; a subset
-    collides on every coordinate iff every field of its dup is nonzero.
+    words holds parts copies of the n packed codewords, index p * n + m
+    for word m in copy p.  Visits, in lexicographic order, the size-subsets
+    of range(parts * n) that take a word from every copy (only those
+    holding 0 when anchored): a subset ascends, so it uses every copy iff
+    it starts in copy 0, never skips a copy and ends in the last, and a
+    depth only offers the indices that can still do so.  A depth keeps
+    seen, the OR of the chosen words of its copy, reset where the next
+    copy starts, and dup, the OR of the pairwise ANDs of same-copy words;
+    a subset collides on every coordinate iff every field of its dup is
+    nonzero.  With one copy these are all size-subsets of the words.
     Returns (witness or None, examined), examined counting complete
     subsets; the subset numbered budget + 1 raises BudgetExceededError
     untested.
     """
-    n = len(words)
+    n = len(words) // parts
+    total = len(words)
     chosen = []
 
-    def extend(start: int, seen: int, dup: int):
+    def extend(start: int, copy_end: int, unopened: int, seen: int, dup: int):
+        # the next word goes on in the current copy, [start, copy_end), or
+        # opens the next copy with seen reset; either way the copies left
+        # unopened must fit the slots left after it
         nonlocal examined
         depth = len(chosen)
         if depth == size - 1:
-            stop = min(n, start + budget - examined)
+            # one slot left: it opens the last copy or stays in it
+            if unopened:
+                start, copy_end, seen = copy_end, copy_end + n, 0
+            stop = min(copy_end, start + budget - examined)
             for m in range(start, stop):
                 d = dup | seen & words[m]
                 if ((d & low) + low | d) & top == top:
                     examined += m - start + 1
                     return (*chosen, m)
             examined += stop - start
-            if stop < n:
+            if stop < copy_end:
                 raise BudgetExceededError(
                     f"collision search exceeded budget {budget} at size {size}")
             return None
-        stop = 1 if anchored and depth == 0 else n - size + depth + 1
-        for m in range(start, stop):
-            c = words[m]
-            chosen.append(m)
-            witness = extend(m + 1, seen | c, dup | seen & c)
-            if witness is not None:
-                return witness
-            chosen.pop()
+        stop = 1 if anchored and depth == 0 else total - size + depth + 1
+        for lo, hi, prior, left in ((start, copy_end, seen, unopened),
+                                    (copy_end, copy_end + n, 0, unopened - 1)):
+            if not 0 <= left < size - depth:
+                continue
+            for m in range(lo, min(hi, stop)):
+                c = words[m]
+                chosen.append(m)
+                witness = extend(m + 1, hi, left, prior | c, dup | prior & c)
+                if witness is not None:
+                    return witness
+                chosen.pop()
         return None
 
-    return extend(0, 0, 0), examined
+    return extend(0, 0, parts, 0, 0), examined
+
+
+def _collision_search(code: Code, sizes, parts: int, budget: int):
+    """(size, witness, examined) for the first size in sizes with a collision.
+
+    The one collision search: _first_collision over parts copies of the
+    code's packed words, size by size; (None, None, examined) when no size
+    has one.  collision_number runs it on one copy, and
+    threshold.verify_threshold on one copy per B-part.  It owns the
+    Reed-Solomon anchor: on those codes only subsets holding rank 0 of
+    copy 0, the zero word, are searched.  Translating every member by a
+    copy-0 member's codeword keeps the agreements inside each copy and
+    puts the zero word in copy 0, so no size is lost (collision_number
+    says why its witness stays the first).
+    """
+    _, low, top = _field_packing((code.q,) * code.ell)
+    words = [code.packed(m) for m in range(code.size)] * parts
+    anchored = code.kind == KIND_REED_SOLOMON
+    examined = 0
+    for s in sizes:
+        witness, examined = _first_collision(words, parts, s, anchored, low, top,
+                                             examined, budget)
+        if witness is not None:
+            return s, witness, examined
+    return None, None, examined
 
 
 def collision_number(code: Code, size_cap: int | None = None, *,
@@ -569,15 +613,10 @@ def collision_number(code: Code, size_cap: int | None = None, *,
             return CollisionReport(INFINITE, "infinite", None, lower, upper,
                                    size_cap, examined)
 
-    _, low, top = _field_packing((code.q,) * code.ell)
-    words = [code.packed(m) for m in range(n)]
-    anchored = code.kind == KIND_REED_SOLOMON
-    for s in range(2, min(size_cap, n) + 1):
-        witness, examined = _first_collision(words, s, anchored, low, top,
-                                             examined, budget)
-        if witness is not None:
-            return CollisionReport(s, "finite", witness, lower, upper,
-                                   size_cap, examined)
+    s, witness, examined = _collision_search(code, range(2, min(size_cap, n) + 1), 1,
+                                             budget)
+    if witness is not None:
+        return CollisionReport(s, "finite", witness, lower, upper, size_cap, examined)
     # every coordinate has an agreeing pair, so the whole code collides;
     # reaching here means the cap stopped the search early
     return CollisionReport(None, "unknown_above", None, lower, upper,

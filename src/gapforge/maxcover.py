@@ -569,7 +569,7 @@ def gap_certificate(base, composed, delta: Fraction, bound_factor=1) -> GapCerti
     if before.value == 1:
         verdict = COMPLETENESS_OK if after.value == 1 else VERDICT_VIOLATION
     else:
-        bound = 1 - delta if bound_factor == 1 else bound_factor * (1 - delta)
+        bound = bound_factor * (1 - delta)
         verdict = SOUNDNESS_OK if after.value <= bound else VERDICT_VIOLATION
     return GapCertificate(before.value, after.value, delta, bound_factor,
                           verdict, after.labeling, after.labelings_examined)

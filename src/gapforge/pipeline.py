@@ -98,8 +98,11 @@ def smallest_workable_prime(t: int, max_w: int) -> int:
     """Smallest prime q > t (so r = t <= q and 1 - t/q > 0) with q**t >= max_w.
 
     A job meets few (t, max_w) pairs, so the answers are kept, at most
-    _PRIME_CACHE_SIZE of them.
+    _PRIME_CACHE_SIZE of them.  t < 1 raises RankRangeError: q**0 = 1 would
+    never reach max_w >= 2.
     """
+    if t < 1:
+        raise RankRangeError(f"need t >= 1, got t={t}")
     q = t + 1
     while True:
         if is_prime(q) and q ** t >= max_w:

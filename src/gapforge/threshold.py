@@ -9,7 +9,10 @@ realized (coordinate, column pattern), at every size; it reads the code's
 packed words (Code.packed) and takes the soundness bound (1 - delta) * ell
 as what it is by definition, the largest number of coordinates on which
 two distinct codewords agree, counted in its own pair loop; it does not
-call the distance measurement.
+call the distance measurement.  The collision property is decided by the
+collision number's search in codes, over one copy of the packed words per
+B-part, so it is read from the codewords, not through adjacent();
+oracles.collision_min_x_by_adjacency reads it through the graph.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .codes import Code, _rank_of_symbols, _symbols_of_rank
+from .codes import Code, _collision_search, _rank_of_symbols, _symbols_of_rank
 from .errors import (
     DEFAULT_EDGE_CAP,
     DEFAULT_SUBSET_BUDGET,
-    BudgetExceededError,
     CapExceededError,
     GapforgeError,
     IndexRangeError,
@@ -122,7 +124,9 @@ class ThresholdVerdict:
     delta; soundness_matches_agreements says whether every shared count
     equals the pair's coordinate agreements.  collision_min_x is the
     smallest |X| satisfying the collision-property hypothesis, or None if
-    nothing was found below collision_cap.
+    nothing was found below collision_cap; collision_subsets_examined
+    counts the complete X searched, each taking a vertex from every B-part
+    (and, on Reed-Solomon codes, the zero word in B_0).
     """
 
     completeness_ok: bool
@@ -171,9 +175,29 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     (i, j, a, b) it carries that breaks the rule.  On an honest graph every
     row is the packed word.
 
-    The collision search enumerates X across B with |X| < collision_cap in
-    increasing size and reports the smallest X for which every A_i has a
-    vertex with >= t+1 neighbors in X.
+    The collision property asks for the smallest X across the B-parts,
+    t + 1 <= |X| < collision_cap, for which every A_i has a vertex with
+    >= t+1 neighbors in X.  The best A_i vertex picks each symbol on its
+    own, so its count is the sum over j of best_j(i), the largest number
+    of X's B_j members sharing a symbol at coordinate i.  Two facts let
+    codes' collision search decide it, over t copies of the packed words,
+    copy j standing for B_j:
+    - Exchange: the smallest X uses every B-part.  If X meets the
+      hypothesis and leaves some B_j' empty, then since |X| >= t+1 some
+      part holds two members; moving one of them to B_j' lowers that
+      part's best_j(i) by at most 1 and raises best_j'(i) from 0 to 1, at
+      every i, and keeps |X|.
+    - Collision test: when every part is used each best_j(i) >= 1, so
+      the sum reaches t+1 iff some part repeats a symbol at coordinate i,
+      iff field i of the OR of same-part pairwise ANDs is nonzero.
+    On Reed-Solomon codes the search keeps only X holding the zero word in
+    B_0: translating every member by a B_0 member's codeword keeps the
+    agreements inside each part, so no size is lost.  budget bounds
+    collision_subsets_examined, as in collision_number.  The search reads
+    codewords, never adjacent(), so a corrupted graph does not move
+    collision_min_x; oracles.collision_min_x_by_adjacency decides the
+    hypothesis through adjacent() alone, and its mutation test in
+    tests/test_threshold.py shows the difference.
     """
     code, t, ell = graph.code, graph.t, graph.ell
     size = graph.b_part_size
@@ -239,20 +263,7 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
             if shared > max_shared:
                 max_shared = shared
 
-    min_x = None
-    examined = 0
-    b_vertices = [(j, m) for j in range(t) for m in range(size)]
-    for s in range(t + 1, collision_cap):
-        if min_x is not None:
-            break
-        for x in combinations(b_vertices, s):
-            examined += 1
-            if examined > budget:
-                raise BudgetExceededError(
-                    f"collision-property search exceeded budget {budget}")
-            if _x_satisfies_collision_hypothesis(x, words, ell, t):
-                min_x = s
-                break
+    min_x, _, examined = _collision_search(code, range(t + 1, collision_cap), t, budget)
 
     return ThresholdVerdict(
         completeness_ok=counterexample is None,
@@ -268,27 +279,6 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
         collision_cap=collision_cap,
         collision_subsets_examined=examined,
     )
-
-
-def _x_satisfies_collision_hypothesis(x, words, ell: int, t: int) -> bool:
-    """Does every A_i contain a vertex with >= t+1 neighbors in X?
-
-    The best A_i vertex chooses each coordinate independently, so its
-    neighbor count is the sum over j of the largest same-symbol multiplicity
-    among X's part-j members at coordinate i.
-    """
-    for i in range(ell):
-        counts: dict[tuple[int, int], int] = {}
-        for j, m in x:
-            key = (j, words[m][i])
-            counts[key] = counts.get(key, 0) + 1
-        best_per_part: dict[int, int] = {}
-        for (j, _), n in counts.items():
-            if n > best_per_part.get(j, 0):
-                best_per_part[j] = n
-        if sum(best_per_part.values()) < t + 1:
-            return False
-    return True
 
 
 def export_edges(graph: ThresholdGraph, *, cap: int = DEFAULT_EDGE_CAP):

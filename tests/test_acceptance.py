@@ -91,10 +91,7 @@ def test_criterion_4_threshold_properties(code_suite):
         col = gf.collision_number(code, distance=delta)
         for t in (1, 2):
             graph = gf.build_threshold(code, t)
-            if code.size <= 9:
-                cap = col.value if col.status == "finite" else t * code.size + 1
-            else:
-                cap = t + 1  # collision checked only on codes with |C| <= 9
+            cap = col.value if col.status == "finite" else t * code.size + 1
             verdict = gf.verify_threshold(graph, collision_cap=cap)
             tag = (code.kind, code.q, code.seed, t)
             if not verdict.completeness_ok:

@@ -12,7 +12,12 @@ import pytest
 import gapforge as gf
 from gapforge import oracles, pipeline
 from gapforge.cli import build_parser, main
-from gapforge.errors import DEFAULT_LABELING_CAP, GapforgeError, NotPrimeError
+from gapforge.errors import (
+    DEFAULT_LABELING_CAP,
+    GapforgeError,
+    NotPrimeError,
+    RankRangeError,
+)
 from gapforge.generators import random_cnf3
 from gapforge.pipeline import _certified_code, smallest_workable_prime
 
@@ -168,6 +173,11 @@ class TestWonePipeline:
         assert smallest_workable_prime(2, 2) == 3
         # q**t must reach the largest right super-node
         assert smallest_workable_prime(3, 256) == 7
+
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_prime_choice_needs_positive_t(self, t):
+        with pytest.raises(RankRangeError):
+            smallest_workable_prime(t, 2)
 
     def test_exit_codes(self):
         yes = gf.wone_pipeline(triangle(), 3)

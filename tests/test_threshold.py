@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -6,7 +7,12 @@ import pytest
 
 import gapforge as gf
 from gapforge import oracles, threshold
-from gapforge.errors import CapExceededError, GapforgeError, IndexRangeError
+from gapforge.errors import (
+    BudgetExceededError,
+    CapExceededError,
+    GapforgeError,
+    IndexRangeError,
+)
 
 
 class TestBuild:
@@ -116,17 +122,53 @@ class TestVerify:
         assert verdict.collision_min_x == 3
 
     def test_collision_min_at_least_col(self, code_suite):
+        # every suite code with finite Col: nothing below Col at t in {1, 2},
+        # and at t = 1 the smallest X is exactly Col
+        finite = 0
         for code in code_suite:
-            if code.size > 9:
-                continue
             col = gf.collision_number(code)
-            cap = (col.value if col.status == "finite" else code.size) + 2
-            g = gf.build_threshold(code, 1)
+            if col.status != "finite":
+                continue
+            finite += 1
+            for t in (1, 2):
+                verdict = gf.verify_threshold(gf.build_threshold(code, t),
+                                              collision_cap=col.value)
+                assert verdict.collision_min_x is None, (code, t)
+            verdict = gf.verify_threshold(gf.build_threshold(code, 1),
+                                          collision_cap=col.value + 1)
+            assert verdict.collision_min_x == col.value, code
+        assert finite == 11
+
+    def test_rs72_t2_at_col(self):
+        # Col(RS(7,2)) = 5; every X of size 3 or 4 across the two B-parts
+        # is ruled out
+        code = gf.reed_solomon(7, 2)
+        assert gf.collision_number(code).value == 5
+        verdict = gf.verify_threshold(gf.build_threshold(code, 2), collision_cap=5)
+        assert verdict.collision_min_x is None
+
+    def test_collision_counts_all_parts_subsets(self):
+        # size 3 only, at t = 2: the X that take a vertex from both B-parts,
+        # and on Reed-Solomon codes only those holding the zero word in B_0
+        rs = gf.verify_threshold(gf.build_threshold(gf.reed_solomon(3, 2), 2),
+                                 collision_cap=4)
+        assert rs.collision_subsets_examined == math.comb(17, 2) - math.comb(8, 2)
+        code = gf.random_code(3, 2, 6, 1)
+        verdict = gf.verify_threshold(gf.build_threshold(code, 2), collision_cap=4)
+        assert verdict.collision_min_x is None
+        assert verdict.collision_subsets_examined == math.comb(18, 3) - 2 * math.comb(9, 3)
+
+    def test_collision_budget_boundary(self):
+        # the search stops at the subset numbered budget + 1, untested
+        g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
+        for cap in (4, 6):
             verdict = gf.verify_threshold(g, collision_cap=cap)
-            if col.status == "finite":
-                assert verdict.collision_min_x == col.value
-            else:
-                assert verdict.collision_min_x is None
+            examined = verdict.collision_subsets_examined
+            assert examined > 0
+            assert gf.verify_threshold(g, collision_cap=cap,
+                                       budget=examined) == verdict
+            with pytest.raises(BudgetExceededError):
+                gf.verify_threshold(g, collision_cap=cap, budget=examined - 1)
 
     def test_large_graph_is_exhaustive(self):
         # 121**2 * 11 = 161,051 cases, all decided through 1,331 patterns
@@ -212,6 +254,19 @@ class TestCollisionOracle:
                     verdict.collision_min_x
                 found.add(verdict.collision_min_x)
         assert None in found and len(found) > 2
+
+    @pytest.mark.parametrize("build,cap", [
+        (lambda: gf.reed_solomon(2, 2), 3 * 4 + 1),
+        (lambda: gf.explicit_code(3, 3, [(0, 0, 0), (0, 1, 1), (1, 0, 2),
+                                          (1, 1, 0), (2, 2, 1)]), 3 * 5 + 1),
+        (lambda: gf.reed_solomon(3, 2), 6),
+    ], ids=["rs22", "explicit5", "rs32"])
+    def test_matches_verify_threshold_t3(self, build, cap):
+        # three B-parts: the search crosses two copy boundaries
+        g = gf.build_threshold(build(), 3)
+        verdict = gf.verify_threshold(g, collision_cap=cap)
+        assert verdict.collision_min_x == 5
+        assert oracles.collision_min_x_by_adjacency(g, cap) == 5
 
     def test_mutated_adjacent_caught(self, monkeypatch):
         # RS(3,2), t = 1: with symbol 2 read as 1 at every coordinate, the
