@@ -12,10 +12,12 @@ so a labeling's coverage of every super-node is one AND of its rows, one
 word-wide nonzero-field test and, for composed instances, one AND per
 extra block.  The rows are the only layout; an explicit instance's edge
 list is derived from them for export.  A layout (field starts and the
-masks of the coverage test) depends on the shape alone and is built once
-per shape.  A composed row ORs the packed codewords of its base row's set
-bits, and a full base field takes the OR of its whole part, computed once
-per part.  All values are exact rationals.
+masks of the coverage test and the profile) depends on the shape alone and
+is built once per shape.  The pseudo-projection profile tests every field
+of a whole row at once.  A composed row ORs the packed codewords of its
+base row's set bits, and a full base field takes the OR of its whole
+part; for the default matching those words and ORs are built once per
+(code, right part sizes).  All values are exact rationals.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import (
     EmptyPartError,
     GapforgeError,
     IndexRangeError,
+    InstanceMismatchError,
     NotPseudoProjectionError,
     NotTwoPartsError,
     ParseError,
@@ -64,15 +67,17 @@ class _PackedRows:
     """
 
     __slots__ = ("v_parts", "w_parts", "provenance", "_v_offsets", "_rows",
-                 "_low", "_top", "_fields", "_block_starts")
+                 "_low", "_top", "_ones", "_fields", "_block_starts")
 
     def _lay_out(self, widths: tuple[int, ...], blocks: int) -> None:
         """Lay rows out as blocks copies of fields of the given widths.
 
-        Sets the masks of the coverage rule (see _field_packing), shared by
-        every instance of the same shape (_layout).
+        Sets the masks of the coverage rule (see _field_packing) and of the
+        projection profile, shared by every instance of the same shape
+        (_layout).
         """
-        self._block_starts, self._low, self._top, self._fields = _layout(widths, blocks)
+        (self._block_starts, self._low, self._top, self._ones,
+         self._fields) = _layout(widths, blocks)
 
     @property
     def k(self) -> int:
@@ -209,10 +214,15 @@ class MaxCoverInstance(_PackedRows):
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """(V id, W id) pairs read off the rows, in ascending order."""
+        """(V id, W id) pairs read off the rows' set bits, in ascending order."""
         num_v = self.num_v
-        return tuple((vg, num_v + b) for vg, row in enumerate(self._rows)
-                     for b in range(row.bit_length()) if row >> b & 1)
+        edges = []
+        for vg, row in enumerate(self._rows):
+            while row:
+                bit = row & -row
+                edges.append((vg, num_v + bit.bit_length() - 1))
+                row ^= bit
+        return tuple(edges)
 
     @property
     def num_edges(self) -> int:
@@ -288,16 +298,20 @@ _LAYOUT_CACHE_SIZE = 256
 
 @lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
 def _layout(widths: tuple[int, ...], blocks: int):
-    """(block starts, low, top, fields) of rows of blocks copies of the widths.
+    """(block starts, low, top, ones, fields) of rows of blocks copies of the widths.
 
     fields holds (start, width) per field of one block; low and top are
-    the masks of _field_packing repeated in every block.
+    the masks of _field_packing and ones the bottom bit of every field,
+    each repeated in every block.
     """
     _, low, top = _field_packing(widths)
-    block = sum(widths)
+    offsets = _offsets(widths)
+    block = offsets[-1]
     starts = tuple(range(0, block * blocks, block))
     copies = sum(1 << start for start in starts)
-    return starts, low * copies, top * copies, tuple(zip(_offsets(widths), widths))
+    ones = sum(1 << start for start in offsets[:-1])
+    return (starts, low * copies, top * copies, ones * copies,
+            tuple(zip(offsets, widths)))
 
 
 @dataclass(frozen=True)
@@ -367,27 +381,41 @@ def projection_profile(instance) -> ProjectionProfile:
     Entries with an empty V_i are vacuously FULL.  Each entry is read from
     the fields of V_i's packed rows that belong to W_j, one per block, so
     no W vertex is scanned: a vertex meets exactly one member of W_j iff
-    each such field is a power of two, and every member iff each is all
-    ones.
+    each such field has one bit set, and every member iff each is all
+    ones.  Both are tested on whole rows with the nonzero-field test of
+    _covered_fields, nz(x) = ((x & low) + low | x) & top:
+    - x & ((x | top) - ones) is x with the lowest set bit of every field
+      cleared, so a field has two or more bits iff nz of it is set.  OR-ing
+      top first makes every field at least its bottom bit, so subtracting
+      ones borrows within no field, not even a zero one, into the next.
+    - a field is all ones iff nz(~x & (low | top)) is clear there.
+    The per-field answers are ANDed over V_i's rows and then over the
+    blocks, as _covered_fields does.
     """
-    rows = instance._rows
-    shifts = instance._block_starts
+    rows, offsets = instance._rows, instance._v_offsets
+    low, top, ones = instance._low, instance._top, instance._ones
+    field_bits = low | top
     entries = []
     for i, vi in enumerate(instance.v_parts):
         if vi == 0:
             entries.append((FULL,) * instance.t)
             continue
-        part_rows = rows[instance._v_offsets[i]:instance._v_offsets[i + 1]]
+        # top bits of the fields that have one bit / all bits in every row
+        single = full = top
+        for x in rows[offsets[i]:offsets[i + 1]]:
+            rest = x & ((x | top) - ones)
+            gaps = ~x & field_bits
+            single &= ((x & low) + low | x) & ~((rest & low) + low | rest)
+            full &= ~((gaps & low) + low | gaps)
+        # AND every block into block 0, as in _covered_fields
+        one_bit = all_bits = -1
+        for start in instance._block_starts:
+            one_bit &= single >> start
+            all_bits &= full >> start
         row = []
         for start, width in instance._fields:
-            full = (1 << width) - 1
-            fields = {r >> (shift + start) & full for r in part_rows for shift in shifts}
-            if all(f and not f & (f - 1) for f in fields):
-                row.append(PROJECTION)
-            elif fields == {full}:
-                row.append(FULL)
-            else:
-                row.append(VIOLATION)
+            bit = 1 << (start + width - 1)
+            row.append(PROJECTION if one_bit & bit else FULL if all_bits & bit else VIOLATION)
         entries.append(tuple(row))
     return ProjectionProfile(tuple(entries))
 
@@ -411,6 +439,8 @@ class ComposedMaxCover(_PackedRows):
     of v's W_j-neighbors, so field l of block j is the set of symbols v
     allows at coordinate l in column j.  A v adjacent to all of W_j takes
     block j from the OR of every matched codeword of W_j, computed once.
+    matching=None takes the default rank matching, whose words come from
+    _default_words; a given matching is checked and builds its own.
     """
 
     __slots__ = ("base", "code", "matching")
@@ -418,22 +448,16 @@ class ComposedMaxCover(_PackedRows):
     def __init__(self, base: MaxCoverInstance, code: Code, matching, provenance: str):
         self.base = base
         self.code = code
-        self.matching = matching
         self.provenance = provenance
         self._v_offsets = base._v_offsets
         self.v_parts = base.v_parts
         self.w_parts = (code.q ** base.t,) * code.ell
         self._lay_out((code.q,) * code.ell, base.t)
-        # word b places the matched codeword of base W-vertex b in its block;
-        # a base row whose field j is full takes part j's words at once
-        words = [code.packed(m) << start
-                 for start, inj in zip(self._block_starts, matching) for m in inj]
-        full_fields = []
-        for start, width in base._fields:
-            part_or = 0
-            for word in words[start:start + width]:
-                part_or |= word
-            full_fields.append((((1 << width) - 1) << start, part_or))
+        if matching is None:
+            self.matching, words, full_fields = _default_words(code, base.w_parts)
+        else:
+            self.matching = _match_parts(code, base.w_parts, matching)
+            words, full_fields = _matched_words(code, base.w_parts, self.matching)
         self._rows = []
         for base_row in base._rows:
             row = 0
@@ -486,6 +510,36 @@ class ComposedMaxCover(_PackedRows):
         }
 
 
+def _matched_words(code: Code, w_parts: tuple[int, ...], matching):
+    """(words, full_fields) of a composition's rows for a checked matching.
+
+    Word b is the packed codeword matched to base W-vertex b, in the block
+    of its part; full_fields pairs each base field's mask with the OR of
+    its part's words, which a base row whose field is full takes at once.
+    """
+    block = code.q * code.ell
+    words = tuple(code.packed(m) << (j * block)
+                  for j, inj in enumerate(matching) for m in inj)
+    full_fields = []
+    for start, width in zip(_offsets(w_parts), w_parts):
+        part_or = 0
+        for word in words[start:start + width]:
+            part_or |= word
+        full_fields.append((((1 << width) - 1) << start, part_or))
+    return words, tuple(full_fields)
+
+
+@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _default_words(code: Code, w_parts: tuple[int, ...]):
+    """(matching, words, full_fields) for the default rank matching.
+
+    Keyed on the shape of a composition (the code and the base's right
+    part sizes), like _layout; a job composes few shapes.
+    """
+    matching = _match_parts(code, w_parts)
+    return (matching, *_matched_words(code, w_parts, matching))
+
+
 def compose_gap(base: MaxCoverInstance, code: Code, matching=None) -> ComposedMaxCover:
     """Gap-creating composition with the threshold graph of (code, t=base.t).
 
@@ -497,7 +551,6 @@ def compose_gap(base: MaxCoverInstance, code: Code, matching=None) -> ComposedMa
     if not profile.is_pseudo_projection:
         raise NotPseudoProjectionError(
             f"instance violates pseudo-projection at {profile.violations()}")
-    matching = _match_parts(code, base.w_parts, matching)
     return ComposedMaxCover(base, code, matching, (
         f"compose_gap({base.provenance or 'instance'}; "
         f"{code.kind} q={code.q} r={code.r} ell={code.ell})"))
@@ -514,7 +567,6 @@ def compose_gap_k2_bounded(base: MaxCoverInstance, code: Code, d: int,
             if deg > d:
                 raise DegreeBoundError(
                     f"vertex {vg} has {deg} neighbors in W_{j}, bound d={d}")
-    matching = _match_parts(code, base.w_parts, matching)
     return ComposedMaxCover(base, code, matching, (
         f"compose_gap_k2_bounded({base.provenance or 'instance'}; "
         f"{code.kind} q={code.q} r={code.r} ell={code.ell}; d={d})"))
@@ -558,8 +610,12 @@ class GapCertificate:
 def gap_certificate(base, composed, delta: Fraction, bound_factor=1) -> GapCertificate:
     """Solve both sides exactly and check the composition guarantees.
 
-    Each solve is capped at DEFAULT_LABELING_CAP labelings.
+    Each solve is capped at DEFAULT_LABELING_CAP labelings.  A composition
+    must have been built from base; an explicit composed instance (say, a
+    materialized one) carries no base and is taken as given.
     """
+    if isinstance(composed, ComposedMaxCover) and composed.base is not base:
+        raise InstanceMismatchError("the composition was built from another base instance")
     if not isinstance(delta, Fraction):
         delta = Fraction(delta)
     if not isinstance(bound_factor, Fraction):

@@ -14,7 +14,7 @@ from itertools import combinations, product
 from . import threshold
 from .codes import Code
 from .frontends import Cnf3, DecidedNo, PartitionedGraph
-from .maxcover import MaxCoverInstance
+from .maxcover import FULL, PROJECTION, VIOLATION, MaxCoverInstance
 from .setcover import SetCoverInstance
 
 
@@ -100,20 +100,25 @@ def sat_to_maxcover_reference(cnf: Cnf3, k: int) -> MaxCoverInstance:
     pattern_vars = [[var for var in sorted(pattern) if pattern[var] == p] for p in patterns]
     labels = []
     for i, g in enumerate(groups):
+        literals = [[(abs(lit), lit > 0) for lit in clause] for clause in g]
         for bits in product((0, 1), repeat=len(group_vars[i])):
             value = dict(zip(group_vars[i], bits))
-            if all(any(value[abs(lit)] == (lit > 0) for lit in clause) for clause in g):
+            if all(any(value[var] == positive for var, positive in clause)
+                   for clause in literals):
                 labels.append((i, value))
     w_members = [list(product((0, 1), repeat=len(vs))) for vs in pattern_vars]
+    # each label agrees with one member of W_J when its group is in J
+    positions = [{member: n for n, member in enumerate(members)} for members in w_members]
     num_v = len(labels)
     edges = []
     for vg, (i, value) in enumerate(labels):
         wg = num_v
-        for p, vs, members in zip(patterns, pattern_vars, w_members):
-            for member in members:
-                if i not in p or all(value[var] == b for var, b in zip(vs, member)):
-                    edges.append((vg, wg))
-                wg += 1
+        for p, vs, members, position in zip(patterns, pattern_vars, w_members, positions):
+            if i in p:
+                edges.append((vg, wg + position[tuple(value[var] for var in vs)]))
+            else:
+                edges.extend((vg, wg + n) for n in range(len(members)))
+            wg += len(members)
     return MaxCoverInstance([sum(1 for i, _ in labels if i == g) for g in range(k)],
                             [len(members) for members in w_members], edges,
                             provenance=f"sat_frontend(n={cnf.num_vars}, m={m}, k={k}, "
@@ -151,6 +156,34 @@ def maxcover_value_recount(instance: MaxCoverInstance) -> Fraction:
                 covered += 1
         best = max(best, covered)
     return Fraction(best, instance.t)
+
+
+def projection_profile_by_adjacency(instance):
+    """The projection profile's entries from their definition, by adjacent().
+
+    Counts the W_j neighbours of every V_i vertex one adjacent() call at a
+    time: PROJECTION when every count is 1, FULL when every count is |W_j|
+    or V_i is empty, VIOLATION otherwise.  Reads the part sizes and
+    adjacent() only, so it serves explicit and composed instances alike.
+    """
+    entries = []
+    v_off = 0
+    for vi in instance.v_parts:
+        row = []
+        w_off = instance.num_v
+        for wj in instance.w_parts:
+            degrees = {sum(instance.adjacent(vg, w_off + p) for p in range(wj))
+                       for vg in range(v_off, v_off + vi)}
+            if degrees == {1}:
+                row.append(PROJECTION)
+            elif degrees <= {wj}:
+                row.append(FULL)
+            else:
+                row.append(VIOLATION)
+            w_off += wj
+        entries.append(tuple(row))
+        v_off += vi
+    return tuple(entries)
 
 
 def composed_adjacent_bruteforce(base: MaxCoverInstance, code: Code, matching,

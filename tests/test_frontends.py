@@ -152,7 +152,7 @@ class TestReferenceFrontends:
     def test_random_cnfs(self):
         # the second batch spans the benchmark's CNFs, up to 12 variables
         compared = empty_parts = wide = 0
-        for seed, max_vars, count in ((1003, 8, 150), (1206, 12, 60)):
+        for seed, max_vars, count in ((1003, 8, 150), (1206, 12, 200)):
             rng = random.Random(seed)
             for _ in range(count):
                 cnf = random_cnf3(rng, max_vars=max_vars)

@@ -10,6 +10,7 @@ from gapforge.errors import (
     DegreeBoundError,
     EmptyPartError,
     IndexRangeError,
+    InstanceMismatchError,
     MatchingOverflowError,
     NotPseudoProjectionError,
     NotTwoPartsError,
@@ -196,13 +197,72 @@ class TestProjectionProfile:
         for _ in range(12):
             for inst in _profile_instances(source, rng, code):
                 entries = gf.projection_profile(inst).entries
-                assert entries == _profile_by_scan(inst)
+                assert entries == oracles.projection_profile_by_adjacency(inst)
                 seen.update(e for row in entries for e in row)
         # every source classifies at least two kinds; a seeded violating
         # base classifies all three
         assert len(seen) >= 2
         if source in ("k2", "violations"):
             assert seen == {PROJECTION, FULL, VIOLATION}
+
+    @pytest.mark.parametrize("v_parts, w_parts, masks, expected", [
+        # a zero field directly below a one-bit field, at either bit
+        pytest.param((1,), (2, 2), [(0, 0b01)], ((VIOLATION, PROJECTION),),
+                     id="zero-below-single-low"),
+        pytest.param((2,), (2, 2), [(0, 0b10), (0b01, 0b01)], ((VIOLATION, PROJECTION),),
+                     id="zero-below-single-high"),
+        # a zero field directly below a full field
+        pytest.param((1,), (2, 3), [(0, 0b111)], ((VIOLATION, FULL),), id="zero-below-full"),
+        pytest.param((2,), (1, 2), [(0, 0b11), (1, 0b11)], ((VIOLATION, FULL),),
+                     id="zero-width-1-below-full"),
+        # width-1 fields: one bit is both single and full, so PROJECTION
+        pytest.param((2,), (1, 1, 1), [(1, 0, 1), (1, 1, 1)],
+                     ((PROJECTION, VIOLATION, PROJECTION),), id="width-1"),
+        pytest.param((1, 2), (1, 1), [(0, 1), (1, 1), (1, 0)],
+                     ((VIOLATION, PROJECTION), (PROJECTION, VIOLATION)), id="width-1-zeros"),
+        # an empty V part is vacuously FULL, next to parts that are not
+        pytest.param((0, 1, 0), (2, 1), [(0b10, 1)],
+                     ((FULL, FULL), (PROJECTION, PROJECTION), (FULL, FULL)), id="empty-v"),
+        # a field of more than one bit that is not full
+        pytest.param((1,), (3, 1), [(0b101, 1)], ((VIOLATION, PROJECTION),),
+                     id="two-of-three"),
+    ])
+    def test_explicit_fields(self, v_parts, w_parts, masks, expected):
+        inst = gf.MaxCoverInstance.from_masks(v_parts, w_parts, masks)
+        assert gf.projection_profile(inst).entries == expected
+        assert oracles.projection_profile_by_adjacency(inst) == expected
+
+    def test_multi_block_composed_rows(self):
+        # v = 0 meets no member of W_0, so block 0 of its composed row is
+        # all zero fields, each directly below a one-hot field of block 1
+        base = gf.MaxCoverInstance.from_masks((1, 1), (2, 1), [(0, 1), (0b01, 1)])
+        for code in (gf.reed_solomon(3, 2), gf.reed_solomon(2, 1)):
+            composed = gf.compose_gap_k2_bounded(base, code, 1)
+            expected = ((VIOLATION,) * code.ell, (PROJECTION,) * code.ell)
+            assert gf.projection_profile(composed).entries == expected
+            assert oracles.projection_profile_by_adjacency(composed) == expected
+        # a full base field ORs its whole part: codewords (0, 0, 0) and
+        # (0, 1, 2) leave one symbol at coordinate 0 and two, of q = 3, at
+        # the others
+        base = gf.MaxCoverInstance.from_masks((1, 1), (2, 1), [(0b11, 1), (0b01, 1)])
+        composed = gf.compose_gap_k2_bounded(base, gf.reed_solomon(3, 2), 2)
+        expected = ((PROJECTION, VIOLATION, VIOLATION), (PROJECTION,) * 3)
+        assert gf.projection_profile(composed).entries == expected
+        assert oracles.projection_profile_by_adjacency(composed) == expected
+
+    def test_zero_field_borrows_nothing(self):
+        # the two-bit test without OR-ing top first: field 0 is zero, so
+        # x - ones borrows from field 1, whose one bit then reads as two
+        inst = gf.MaxCoverInstance.from_masks((1,), (2, 2), [(0, 0b01)])
+        x, low, top, ones = inst._rows[0], inst._low, inst._top, inst._ones
+
+        def nonzero(v):
+            return ((v & low) + low | v) & top
+
+        field_1_top = 1 << 3
+        assert nonzero(x & (x - ones)) & field_1_top
+        assert not nonzero(x & ((x | top) - ones)) & field_1_top
+        assert gf.projection_profile(inst).entry(0, 1) == PROJECTION
 
     def test_violation(self):
         inst = gf.MaxCoverInstance((1,), (2, 1), [(0, 1), (0, 2), (0, 3)])
@@ -232,30 +292,6 @@ def _profile_instances(source, rng, code):
     masks = [[rng.choice((1 << rng.randrange(w), (1 << w) - 1, rng.randrange(1 << w)))
               for w in w_parts] for _ in range(sum(v_parts))]
     return [gf.MaxCoverInstance.from_masks(v_parts, w_parts, masks)]
-
-
-def _profile_by_scan(inst):
-    """The profile from its definition: W_j degrees counted by adjacent()."""
-    entries = []
-    v_off = 0
-    for vi in inst.v_parts:
-        row = []
-        w_off = inst.num_v
-        for wj in inst.w_parts:
-            degrees = {sum(inst.adjacent(vg, w_off + p) for p in range(wj))
-                       for vg in range(v_off, v_off + vi)}
-            if not degrees:
-                row.append(FULL)
-            elif degrees == {1}:
-                row.append(PROJECTION)
-            elif degrees == {wj}:
-                row.append(FULL)
-            else:
-                row.append(VIOLATION)
-            w_off += wj
-        entries.append(tuple(row))
-        v_off += vi
-    return tuple(entries)
 
 
 class TestComposeGap:
@@ -288,6 +324,21 @@ class TestComposeGap:
         inst = gf.MaxCoverInstance((1,), (4,), [(0, w) for w in range(1, 5)])
         with pytest.raises(MatchingOverflowError):
             gf.compose_gap(inst, gf.reed_solomon(3, 1))  # only 3 codewords
+
+    def test_default_words_built_once_per_shape(self):
+        code = gf.reed_solomon(3, 2)
+        a = gf.MaxCoverInstance.from_masks((1, 1), (2, 1), [(1, 1), (2, 1)])
+        b = gf.MaxCoverInstance.from_masks((2,), (2, 1), [(2, 1), (1, 1)])
+        composed_a, composed_b = gf.compose_gap(a, code), gf.compose_gap(b, code)
+        assert composed_a.matching is composed_b.matching == ((0, 1), (0,))
+        assert maxcover._default_words.cache_info().maxsize == maxcover._LAYOUT_CACHE_SIZE
+        # an explicit matching builds its words directly, to the same rows
+        explicit = gf.compose_gap(a, code, [[0, 1], [0]])
+        assert explicit.matching == composed_a.matching
+        assert explicit._rows == composed_a._rows
+        # a code of another shape gets its own words
+        other = gf.compose_gap(a, gf.reed_solomon(5, 2))
+        assert other._rows != composed_a._rows
 
     def test_matching_override(self):
         inst = soundness_instance()
@@ -503,6 +554,21 @@ class TestGapCertificate:
         same = gf.gap_certificate(inst, composed, Fraction(3, 4), Fraction(2))
         assert cert.to_json() == same.to_json()
         assert isinstance(cert.bound_factor, Fraction)
+
+    def test_composition_of_another_base_rejected(self):
+        # soundness_instance has value 0; the composition of a value-1 base
+        # must not be read as a failed soundness bound
+        yes_base = gf.MaxCoverInstance((1, 1), (1, 1), [(0, 2), (1, 2), (0, 3), (1, 3)])
+        no_base = soundness_instance()
+        code = gf.reed_solomon(3, 2)
+        composed = gf.compose_gap(yes_base, code)
+        with pytest.raises(InstanceMismatchError):
+            gf.gap_certificate(no_base, composed, Fraction(2, 3))
+        with pytest.raises(InstanceMismatchError):
+            gf.gap_certificate(soundness_instance(), gf.compose_gap(no_base, code),
+                               Fraction(2, 3))
+        assert gf.gap_certificate(yes_base, composed, Fraction(2, 3)).verdict \
+            == "completeness_ok"
 
     def test_certify_composition_entry_point(self):
         from gapforge.maxcover import certify_composition
