@@ -260,9 +260,12 @@ def covered_by_scan(composed, labeling, l: int) -> bool:
 
 
 def setcover_covers_bruteforce(composed, refs) -> bool:
-    """Cover check by iterating every composed universe element."""
-    return all(any(composed.contains(ref, elem) for ref in refs)
-               for elem in composed.iter_universe())
+    """Cover check by iterating every composed universe element.
+
+    Decides membership by definition (setcover_first_uncovered), so it
+    reads only the base sets, the code and the matching.
+    """
+    return setcover_first_uncovered(composed, refs) is None
 
 
 def setcover_member(composed, ref, element) -> bool:

@@ -5,10 +5,11 @@ is the code's collision number.
 The composed universe is {(i, f) : i in [ell], f : A_i -> U} with f encoded
 as a length-q**k sequence over U in lexicographic A-vertex order; the
 composed set for S (matched to codeword m(S) in collection j) contains
-(i, f) iff some a in A_i has a_j = C(m(S))_i and f(a) in S.  That one rule,
-kept as the A_i vertices adjacent to each set, answers membership and
-decides covers part by part, so nothing but export (materialize, capped at
-DEFAULT_UNIVERSE_CAP elements) enumerates the universe.
+(i, f) iff some a in A_i has a_j = C(m(S))_i and f(a) in S.  That one rule
+is kept as one packed slot vector per base set (ComposedSetCover), which
+membership, covers and the cover search all read; so nothing but export
+(materialize, capped at DEFAULT_UNIVERSE_CAP elements) enumerates the
+universe.
 
 The base minimum, the base one-set-per-collection cover and the composed
 minimum are all found by one pruned depth-first search, _first_cover.
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, product
 
-from .codes import Code, _match_parts, collision_number
+from .codes import Code, _field_packing, _match_parts, collision_number
 from .errors import (
     DEFAULT_SUBSET_BUDGET,
     DEFAULT_UNIVERSE_CAP,
@@ -66,10 +67,7 @@ class SetCoverInstance:
         self._masks = {}
         for j, coll in enumerate(colls):
             for idx, s in enumerate(coll):
-                mask = 0
-                for e in s:
-                    mask |= 1 << e
-                self._masks[(j, idx)] = mask
+                self._masks[(j, idx)] = sum(1 << e for e in s)
 
     @property
     def k(self) -> int:
@@ -80,7 +78,7 @@ class SetCoverInstance:
         return (1 << self.universe_size) - 1
 
     def mask(self, ref) -> int:
-        return self._masks[ref]
+        return _lookup(self._masks, ref)
 
     def all_refs(self) -> tuple[tuple[int, int], ...]:
         return tuple((j, idx) for j, coll in enumerate(self.collections)
@@ -89,6 +87,14 @@ class SetCoverInstance:
     def __repr__(self):
         sizes = [len(c) for c in self.collections]
         return f"SetCoverInstance(|U|={self.universe_size}, k={self.k}, sets={sizes})"
+
+
+def _lookup(table: dict, ref):
+    """table[ref] for a (collection, index) ref; IndexRangeError if it names no set."""
+    try:
+        return table[ref]
+    except (KeyError, TypeError):
+        raise IndexRangeError(f"no set {ref!r} in the base instance") from None
 
 
 @dataclass(frozen=True)
@@ -109,11 +115,11 @@ class CoverReport:
     subsets_examined: int
 
 
-def _first_cover(refs, vectors, covered, window_lists, budget: int, examined: int = 0):
+def _first_cover(refs, vectors, missing, window_lists, budget: int, examined: int = 0):
     """First covering choice of refs in the windows' order; (refs or None, examined).
 
     vectors[p] packs ref p's base mask into every slot it reaches, and a
-    choice covers iff covered(OR of its vectors).  For each window list in
+    choice covers iff missing(OR of its vectors) is 0.  For each window list in
     turn, depth d takes the position p in [max(lo_d, previous + 1), hi_d) of
     its window (lo_d, hi_d): windows (0, n - s + d + 1) visit
     combinations(refs, s) in order, and one window per collection visits
@@ -127,7 +133,7 @@ def _first_cover(refs, vectors, covered, window_lists, budget: int, examined: in
         later.append(vec | later[-1])
     later.reverse()
 
-    if not covered(later[0]):
+    if missing(later[0]):
         return None, examined
     for windows in window_lists:
         # depth d: the union of the refs chosen above it, and its next position
@@ -144,9 +150,9 @@ def _first_cover(refs, vectors, covered, window_lists, budget: int, examined: in
                 raise BudgetExceededError(f"cover search exceeded budget {budget}")
             state = prefixes[d] | vectors[p]
             if d + 1 == len(windows):
-                if covered(state):
+                if not missing(state):
                     return tuple(refs[n - 1] for n in nexts), examined
-            elif covered(state | later[p + 1]):
+            elif not missing(state | later[p + 1]):
                 prefixes.append(state)
                 nexts.append(max(windows[d + 1][0], p + 1))
     return None, examined
@@ -164,11 +170,11 @@ def min_cover_size(instance: SetCoverInstance, cap: int, *,
     """Exhaustive minimum-cover search over unions of <= cap sets."""
     refs = instance.all_refs()
     vectors = [instance.mask(ref) for ref in refs]
-    covered = instance.full_mask.__eq__
-    found, examined = _first_cover(refs, vectors, covered, _size_windows(len(refs), cap), budget)
+    missing = instance.full_mask.__xor__
+    found, examined = _first_cover(refs, vectors, missing, _size_windows(len(refs), cap), budget)
     ends = list(accumulate(len(coll) for coll in instance.collections))
     per_collection = list(zip([0] + ends, ends))
-    part, examined = _first_cover(refs, vectors, covered, [per_collection], budget, examined)
+    part, examined = _first_cover(refs, vectors, missing, [per_collection], budget, examined)
     return CoverReport(len(found) if found else None, found, cap,
                        part is not None, part, examined)
 
@@ -178,15 +184,24 @@ def min_cover_size(instance: SetCoverInstance, cap: int, *,
 
 
 class ComposedSetCover:
-    """Oracle-backed composed instance over universe {(i, f) : f : A_i -> U}."""
+    """Oracle-backed composed instance over universe {(i, f) : f : A_i -> U}.
+
+    Each base set keeps one packed slot vector, built here: bits from
+    |U| * s on hold slot s = i * q**k + a, the base set itself when vertex
+    a of A_i is adjacent to the set's codeword and nothing otherwise.  So
+    (i, f) lies in the set iff the vector has bit f(a) of some slot (i, a),
+    and sets cover part i iff the OR of their vectors has a full slot there.
+    Membership, covers, the cover search and export read only these vectors.
+    matching=None takes the default rank matching; a given one is checked.
+    """
 
     __slots__ = ("base", "code", "matching", "ell", "k", "fsize",
-                 "universe_size", "provenance", "_adj_ranks")
+                 "universe_size", "provenance", "_vectors", "_layout")
 
-    def __init__(self, base: SetCoverInstance, code: Code, matching):
+    def __init__(self, base: SetCoverInstance, code: Code, matching=None):
+        self.matching = _match_parts(code, [len(coll) for coll in base.collections], matching)
         self.base = base
         self.code = code
-        self.matching = matching
         self.k = base.k
         self.ell = code.ell
         self.fsize = code.q ** base.k
@@ -194,53 +209,51 @@ class ComposedSetCover:
         self.provenance = (f"compose_setcover({base.provenance or 'instance'}; "
                            f"{code.kind} q={code.q} r={code.r} ell={code.ell})")
 
-        self._adj_ranks = {}
-        for j, coll in enumerate(base.collections):
-            for idx in range(len(coll)):
-                word = code.codeword(matching[j][idx])
-                self._adj_ranks[(j, idx)] = tuple(
-                    _ranks_with_symbol(code.q, base.k, j, symbol) for symbol in word)
+        u = base.universe_size
+        part_bits = u * self.fsize
+        # spread[j][symbol]: bit |U| * a of every A-vertex a with a_j == symbol
+        spread = [[sum(1 << u * a for a in _ranks_with_symbol(code.q, base.k, j, symbol))
+                   for symbol in range(code.q)] for j in range(base.k)]
+        self._vectors = {}
+        for ref in base.all_refs():
+            word = code.codeword(self.matching[ref[0]][ref[1]])
+            slots = sum(spread[ref[0]][symbol] << part_bits * i
+                        for i, symbol in enumerate(word))
+            self._vectors[ref] = base.mask(ref) * slots
+        # slot fields of |U| bits, then part fields of q**k slots (see _field_packing)
+        _, low, top = _field_packing((u,) * (code.ell * self.fsize))
+        _, part_low, part_top = _field_packing((part_bits,) * code.ell)
+        self._layout = (low | top, low, top, part_low, part_top)
+
+    def _element_bits(self, element) -> int:
+        """The bits of element (i, f): bit f(a) of slot (i, a) for every a."""
+        (i, f), u = element, self.base.universe_size
+        if not (0 <= i < self.ell and len(f) == self.fsize and all(0 <= x < u for x in f)):
+            raise IndexRangeError(f"element needs a part in [0, {self.ell}) and a function "
+                                  f"of length {self.fsize} into [0, {u})")
+        first = u * self.fsize * i
+        return sum(1 << first + u * a + x for a, x in enumerate(f))
 
     def contains(self, ref, element) -> bool:
         """Membership oracle: element = (i, f) with f a length-q**k sequence."""
-        i, f = element
-        if not 0 <= i < self.ell:
-            raise IndexRangeError(f"part index {i} outside [0, {self.ell})")
-        if len(f) != self.fsize:
-            raise IndexRangeError(f"function must have length {self.fsize}")
-        u = self.base.universe_size
-        if not all(0 <= x < u for x in f):
-            raise IndexRangeError(f"function values must lie in [0, {u})")
-        if ref not in self._adj_ranks:
-            raise IndexRangeError(f"no set {ref!r} in the base instance")
-        base_set = self.base.collections[ref[0]][ref[1]]
-        return any(f[a] in base_set for a in self._adj_ranks[ref][i])
+        bits = self._element_bits(element)
+        return bool(_lookup(self._vectors, ref) & bits)
 
     def iter_universe(self):
-        u = self.base.universe_size
-        for i in range(self.ell):
-            for f in product(range(u), repeat=self.fsize):
-                yield (i, f)
+        values = range(self.base.universe_size)
+        return ((i, f) for i in range(self.ell) for f in product(values, repeat=self.fsize))
 
-    def _slots(self, refs):
-        """Packed slot unions: bits from |U| * s on hold slot s = i * q**k + a,
-        the union of the refs' base sets adjacent to vertex a of A_i."""
-        u, state = self.base.universe_size, 0
-        for ref in refs:
-            mask = self.base.mask(ref)
-            for i, adjacent in enumerate(self._adj_ranks[ref]):
-                for a in adjacent:
-                    state |= mask << u * (i * self.fsize + a)
-        return state
+    def _uncovered(self, state) -> int:
+        """The top bit of part i's field is set iff state has no full slot there.
 
-    def _covered(self, state) -> bool:
-        """Whether every part of packed slot unions has a full slot."""
-        u, part_bits = self.base.universe_size, self.base.universe_size * self.fsize
-        slot_lows = ((1 << part_bits) - 1) // ((1 << u) - 1)
-        full_slots = state  # bit u * s ends set iff slot s is full
-        for b in range(1, u):
-            full_slots &= state >> b
-        return all(full_slots >> part_bits * i & slot_lows for i in range(self.ell))
+        Two nonzero-field tests (see _field_packing): a slot is full iff its
+        gaps, ~state within the slots, make a zero field, and a part has a
+        full slot iff its field of full-slot top bits is nonzero.
+        """
+        slot_bits, low, top, part_low, part_top = self._layout
+        gaps = state ^ slot_bits
+        full = top ^ ((gaps & low) + low | gaps) & top
+        return part_top ^ ((full & part_low) + part_low | full) & part_top
 
     def covers(self, refs):
         """(True, None) if the refs cover the universe, else (False, witness).
@@ -251,12 +264,16 @@ class ComposedSetCover:
         otherwise the witness, the first uncovered element in enumeration
         order, takes the lowest element missing from each vertex's union.
         """
-        state, u, full = self._slots(refs), self.base.universe_size, self.base.full_mask
-        for i in range(self.ell):
-            unions = [state >> u * (i * self.fsize + a) & full for a in range(self.fsize)]
-            if full not in unions:
-                return False, (i, tuple(_lowest_missing(x) for x in unions))
-        return True, None
+        state = 0
+        for ref in refs:
+            state |= _lookup(self._vectors, ref)
+        missing = self._uncovered(state)
+        if not missing:
+            return True, None
+        u, full = self.base.universe_size, self.base.full_mask
+        i = (missing & -missing).bit_length() // (u * self.fsize) - 1
+        unions = (state >> u * (i * self.fsize + a) & full for a in range(self.fsize))
+        return False, (i, tuple((~x & x + 1).bit_length() - 1 for x in unions))
 
     def min_cover(self, cap: int, *, budget: int = DEFAULT_SUBSET_BUDGET):
         """Exhaustive minimum-cover search over the composed sets.
@@ -265,44 +282,32 @@ class ComposedSetCover:
         cap sets in combinations order, or (None, None, examined).
         """
         refs = self.base.all_refs()
-        found, examined = _first_cover(refs, [self._slots((ref,)) for ref in refs],
-                                       self._covered, _size_windows(len(refs), cap), budget)
+        found, examined = _first_cover(refs, [self._vectors[ref] for ref in refs],
+                                       self._uncovered, _size_windows(len(refs), cap), budget)
         return (len(found) if found else None), found, examined
 
     def materialize(self) -> SetCoverInstance:
         """Explicit composed instance; element n is the n-th of iter_universe.
 
-        Asks contains of every element, so this is the one library path that
-        enumerates the universe and the one place DEFAULT_UNIVERSE_CAP applies.
+        Tests every element against every vector: the one library path that
+        enumerates the universe, and the one place DEFAULT_UNIVERSE_CAP applies.
         """
         if self.universe_size > DEFAULT_UNIVERSE_CAP:
             raise UniverseCapError(f"composed universe of {self.universe_size} elements "
                                    f"exceeds export cap {DEFAULT_UNIVERSE_CAP}")
-        refs = self.base.all_refs()
         collections = [[set() for _ in coll] for coll in self.base.collections]
         for n, element in enumerate(self.iter_universe()):
-            for j, idx in refs:
-                if self.contains((j, idx), element):
+            bits = self._element_bits(element)
+            for (j, idx), vector in self._vectors.items():
+                if vector & bits:
                     collections[j][idx].add(n)
         return SetCoverInstance(self.universe_size, collections,
                                 provenance=self.provenance + "; materialized")
 
     def describe(self) -> dict:
-        return {
-            "universe": self.universe_size,
-            "k": self.k,
-            "set_counts": [len(c) for c in self.base.collections],
-            "fsize": self.fsize,
-            "ell": self.ell,
-            "provenance": self.provenance,
-        }
-
-
-def _lowest_missing(mask: int) -> int:
-    e = 0
-    while mask >> e & 1:
-        e += 1
-    return e
+        return {"universe": self.universe_size, "k": self.k,
+                "set_counts": [len(c) for c in self.base.collections],
+                "fsize": self.fsize, "ell": self.ell, "provenance": self.provenance}
 
 
 def compose_setcover(base: SetCoverInstance, code: Code, matching=None) -> ComposedSetCover:
@@ -313,7 +318,6 @@ def compose_setcover(base: SetCoverInstance, code: Code, matching=None) -> Compo
     covers over; if the base has no k-set cover at all, every composed cover
     needs at least Col(code) sets.
     """
-    matching = _match_parts(code, [len(coll) for coll in base.collections], matching)
     return ComposedSetCover(base, code, matching)
 
 
@@ -374,18 +378,14 @@ def setcover_certificate(base: SetCoverInstance, composed: ComposedSetCover, *,
     if part_ok:
         ok, uncovered = composed.covers(part_wit)
         if ok:
-            return SetCoverCertificate(COMPLETENESS_OK, True, True, threshold,
-                                       k, part_wit)
-        return SetCoverCertificate(VERDICT_VIOLATION, True, True, threshold,
-                                   None, uncovered)
+            return SetCoverCertificate(COMPLETENESS_OK, True, True, threshold, k, part_wit)
+        return SetCoverCertificate(VERDICT_VIOLATION, True, True, threshold, None, uncovered)
     if not has_k_cover:
         max_size = len(base.all_refs()) if threshold == float("inf") else int(threshold) - 1
         size, combo, _ = composed.min_cover(max_size, budget=budget)
         if size is None:
-            return SetCoverCertificate(SOUNDNESS_OK, False, False, threshold,
-                                       None, None)
-        return SetCoverCertificate(VERDICT_VIOLATION, False, False, threshold,
-                                   size, combo)
+            return SetCoverCertificate(SOUNDNESS_OK, False, False, threshold, None, None)
+        return SetCoverCertificate(VERDICT_VIOLATION, False, False, threshold, size, combo)
     return SetCoverCertificate(VACUOUS_OK, False, True, threshold, None, None)
 
 

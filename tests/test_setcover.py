@@ -259,6 +259,61 @@ class TestCompose:
                     covered += expected is None
         assert covered and covered < checked
 
+    def test_k3_matches_definition_oracles(self):
+        # q = 2, k = 3: f has 2**3 = 8 values, so part i has |U|**8 functions
+        rng = random.Random(303)
+        code = gf.random_code(2, 2, 3, seed=3)
+        outcomes, matchings = set(), 0
+        for n in range(24):
+            if n % 3 == 0:
+                base = random_setcover_instance(rng, max_universe=2, k=3, max_sets=2)
+            elif n % 3 == 1:  # sets of at most one element
+                base = gf.SetCoverInstance(2, [[rng.sample(range(2), rng.randint(0, 1))
+                                                for _ in range(rng.randint(1, 3))]
+                                               for _ in range(3)])
+            else:  # singletons in one collection: covers need codeword collisions
+                base = gf.SetCoverInstance(2, [[{rng.randrange(2)} for _ in range(
+                    rng.randint(3, code.size))], [set()], [set()]])
+            matching = None
+            if n % 4 >= 2:
+                matching = [rng.sample(range(code.size), len(coll)) for coll in base.collections]
+                matchings += 1
+            composed = gf.compose_setcover(base, code, matching)
+            assert composed.fsize == 8
+            refs = base.all_refs()
+            for _ in range(20):
+                element = (rng.randrange(code.ell), tuple(rng.randrange(2) for _ in range(8)))
+                for ref in refs:
+                    assert composed.contains(ref, element) == \
+                        oracles.setcover_member(composed, ref, element)
+            for size in range(1, len(refs) + 1):
+                for combo in combinations(refs, size):
+                    expected = oracles.setcover_first_uncovered(composed, combo)
+                    assert composed.covers(combo) == (expected is None, expected)
+            size, combo, _ = composed.min_cover(len(refs))
+            assert (size, combo) == oracles.setcover_min_cover_bruteforce(composed, len(refs))
+            outcomes.add(size)
+        assert matchings and {None, 2, 3} <= outcomes
+
+    def test_bad_refs_raise_index_range(self):
+        base = gf.SetCoverInstance(2, [[{0}], [{1}]])
+        composed = gf.compose_setcover(base, gf.reed_solomon(3, 2))
+        with pytest.raises(IndexRangeError):
+            composed.covers([(5, 0)])
+        with pytest.raises(IndexRangeError):
+            base.mask((3, 3))
+        with pytest.raises(IndexRangeError):
+            composed.contains([0, 0], (0, (0,) * composed.fsize))
+
+    def test_constructor_checks_matching(self):
+        base = gf.SetCoverInstance(2, [[{0}], [{1}]])
+        code = gf.reed_solomon(3, 2)
+        assert gf.ComposedSetCover(base, code).matching == ((0,), (0,))
+        assert gf.ComposedSetCover(base, code, [[4], [2]]).matching == ((4,), (2,))
+        for matching in ([[0], [0, 1]], [[0]], [[0], [9]]):
+            with pytest.raises(MatchingOverflowError):
+                gf.ComposedSetCover(base, code, matching)
+
     def test_matching_overflow(self):
         base = gf.SetCoverInstance(2, [[{0}, {1}, {0, 1}, {0}], [{1}]])
         with pytest.raises(MatchingOverflowError):
@@ -307,15 +362,22 @@ class TestCertificate:
     def test_mutated_membership_violation(self):
         base = gf.SetCoverInstance(2, [[{0}], [{1}]])
         composed = gf.compose_setcover(base, gf.reed_solomon(3, 2))
-        per_part = list(composed._adj_ranks[(0, 0)])
-        per_part[0] = tuple(a for a in per_part[0] if a != 0)
-        composed._adj_ranks[(0, 0)] = tuple(per_part)
+        refs = [(0, 0), (1, 0)]
+        witness = (0, (0, 1, 1, 0, 0, 0, 0, 0, 0))
+        assert composed.contains((0, 0), witness)
+        assert composed.covers(refs) == (True, None)
+        assert gf.setcover_certificate(base, composed).verdict == "completeness_ok"
+        # clear slot (0, 0), vertex 0 of A_0, in set (0, 0)'s vector: its one bit is element 0
+        composed._vectors[(0, 0)] &= ~1
+        assert not any(composed.contains(ref, witness) for ref in refs)
+        assert composed.covers(refs) == (False, witness)
         cert = gf.setcover_certificate(base, composed)
         assert cert.verdict == "violation"
         first = next(e for e in composed.iter_universe()
-                     if not any(composed.contains(ref, e) for ref in [(0, 0), (1, 0)]))
-        assert cert.witness == first
-        assert cert.witness == (0, (0, 1, 1, 0, 0, 0, 0, 0, 0))
+                     if not any(composed.contains(ref, e) for ref in refs))
+        assert cert.witness == first == witness
+        # the definition oracle reads no vector, so the mutation does not reach it
+        assert oracles.setcover_first_uncovered(composed, refs) is None
 
     @pytest.mark.parametrize("q,count", [(5, 24), (7, 2)])
     def test_certificates_past_old_universe_cap(self, q, count):
