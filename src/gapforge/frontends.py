@@ -4,8 +4,10 @@ The clique front-end turns a partitioned graph with independent parts into
 a MaxCover instance with one left super-node per part pair (the cross
 edges) and one right super-node per part (the vertices).  The 3-SAT
 front-end splits the clauses into k near-equal groups and uses satisfying
-partial assignments as labels; it enumerates a group's assignments as
-integers and tests each clause as a pair of bit masks.  Both outputs have
+partial assignments as labels; a group's labels are the set bits of the
+AND of its clauses' truth tables over its 2**n assignments, each clause
+the OR of its literals' tables, so a group costs O(clauses * 2**n / 64)
+word operations plus O(labels * patterns).  Both outputs have
 the pseudo-projection property and value 1 exactly on YES inputs.  Both
 hand over each label's packed row, the instance's one layout, as one int:
 the all-ones row of the right super-nodes the label does not touch, with
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import (
@@ -211,6 +214,93 @@ class Cnf3:
         return tuple(counts)
 
 
+def _byte_bits() -> tuple[tuple[int, ...], ...]:
+    """table[b] lists the set bits of byte b, lowest first."""
+    table = [()]
+    for p in range(8):
+        table += [bits + (p,) for bits in table]
+    return tuple(table)
+
+
+_SET_BITS = _byte_bits()
+# a group wider than this runs in blocks of 2**_BLOCK_BITS assignments
+_BLOCK_BITS = 16
+
+
+@lru_cache(maxsize=_BLOCK_BITS + 1)
+def _bit_tables(width: int) -> tuple[int, ...]:
+    """Truth table of each bit b over [0, 2**width): bit a is set iff a has bit b.
+
+    Bit b's table is one period, 2**b zeros then 2**b ones, doubled by
+    shift-OR.  Built once per width.
+    """
+    size, tables = 1 << width, []
+    for b in range(width):
+        half = 1 << b
+        table, period = (1 << half) - 1 << half, half << 1
+        while period < size:
+            table |= table << period
+            period <<= 1
+        tables.append(table)
+    return tuple(tables)
+
+
+def _satisfying(clauses, bit, n: int) -> list[int]:
+    """Every a in [0, 2**n) satisfying all clauses, in increasing a.
+
+    Variable var is bit bit[var] of a.  A block fixes the high bits
+    h = a >> w, w = min(n, _BLOCK_BITS), and holds one truth table over the
+    2**w low bits: a clause is everything when one of its high literals is
+    true under h and otherwise the OR of its low literals' tables, and the
+    block's satisfying set is the AND of its clauses.  Set bits are read a
+    byte at a time through _SET_BITS.
+    """
+    w = min(n, _BLOCK_BITS)
+    size = 1 << w
+    full = (1 << size) - 1
+    tables = _bit_tables(w)
+    # clauses with no high literal are ANDed once; the others per block,
+    # with (pos, neg) masks of their positive and negated high literals
+    always, split = full, []
+    for clause in clauses:
+        table = pos = neg = 0
+        for lit in clause:
+            b = bit[abs(lit)]
+            if b >= w:
+                if lit > 0:
+                    pos |= 1 << b - w
+                else:
+                    neg |= 1 << b - w
+            else:
+                table |= tables[b] if lit > 0 else tables[b] ^ full
+        if pos or neg:
+            split.append((pos, neg, table))
+        else:
+            always &= table
+    num_bytes = size + 7 >> 3
+    labels = []
+    for high in range(1 << n - w):
+        sat = always
+        for pos, neg, table in split:
+            if not (high & pos or ~high & neg):
+                sat &= table
+        if sat:
+            block = high << w
+            for index, byte in enumerate(sat.to_bytes(num_bytes, "little")):
+                if byte:
+                    first = block | index << 3
+                    labels += [first | p for p in _SET_BITS[byte]]
+    return labels
+
+
+def _rank_table(bits, start: int) -> list[int]:
+    """table[x] is start plus bits[b] for each set bit b of x."""
+    table = [start]
+    for bit in bits:
+        table += [rank + bit for rank in table] if bit else table
+    return table
+
+
 def sat_to_maxcover(cnf: Cnf3, k: int) -> MaxCoverInstance:
     """3-SAT to MaxCover: labels are group-satisfying partial assignments.
 
@@ -224,28 +314,31 @@ def sat_to_maxcover(cnf: Cnf3, k: int) -> MaxCoverInstance:
 
     An assignment to variables (x_1, ..., x_n) is the integer a whose bit
     n - 1 - p holds x_{p+1}, so labels come in increasing a, and a member's
-    rank in W_J is its assignment's integer over the variables of J.  A
-    clause is a pair of masks (pos, neg) of its positive and negated
-    variables, and a satisfies it iff a & pos or ~a & neg.
+    rank in W_J is its assignment's integer over the variables of J.  The
+    group's labels are the set bits of the AND of its clauses' truth tables
+    over the 2**n assignments (_satisfying), and a label's W_J ranks come
+    from two lookup tables per pattern, one over each half of a.  A group
+    costs O(clauses * 2**n / 64) word operations plus O(labels * patterns).
     """
     if k < 1 or k > len(cnf.clauses):
         raise IndexRangeError(f"need 1 <= k <= number of clauses, got k={k}")
-    occurrences = cnf.occurrences
-    for var in range(1, cnf.num_vars + 1):
-        if occurrences[var - 1] == 0:
-            raise UnusedVariableError(f"variable {var} occurs in no clause")
-
     base, extra = divmod(len(cnf.clauses), k)
     cuts = [i * base + min(i, extra) for i in range(k + 1)]
     group_clauses = [cnf.clauses[a:b] for a, b in zip(cuts, cuts[1:])]
-    group_vars = [tuple(sorted({abs(lit) for cl in clauses for lit in cl}))
+    group_vars = [sorted({abs(lit) for cl in clauses for lit in cl})
                   for clauses in group_clauses]
-    pattern = {var: tuple(i for i, gv in enumerate(group_vars) if var in gv)
-               for var in range(1, cnf.num_vars + 1)}
-    patterns_in_use = sorted(set(pattern.values()), key=lambda p: (len(p), p))
+    # pattern[var] is the tuple of groups var occurs in
+    pattern = [()] * (cnf.num_vars + 1)
+    for i, vars_i in enumerate(group_vars):
+        for var in vars_i:
+            pattern[var] += (i,)
+    s_vars = {}
+    for var in range(1, cnf.num_vars + 1):
+        if not pattern[var]:
+            raise UnusedVariableError(f"variable {var} occurs in no clause")
+        s_vars.setdefault(pattern[var], []).append(var)
+    patterns_in_use = sorted(s_vars, key=lambda p: (len(p), p))
     omitted = sum(math.comb(k, size) for size in (1, 2, 3)) - len(patterns_in_use)
-    s_vars = {p: tuple(sorted(v for v in pattern if pattern[v] == p))
-              for p in patterns_in_use}
 
     w_parts = tuple(1 << len(s_vars[p]) for p in patterns_in_use)
     starts = [sum(w_parts[:j]) for j in range(len(w_parts))]
@@ -253,34 +346,28 @@ def sat_to_maxcover(cnf: Cnf3, k: int) -> MaxCoverInstance:
     v_parts, rows = [], []
     for i, (vars_i, clauses) in enumerate(zip(group_vars, group_clauses)):
         n = len(vars_i)
-        bit = {var: 1 << (n - 1 - p) for p, var in enumerate(vars_i)}
-        tests = []
-        for clause in clauses:
-            pos = neg = 0
-            for lit in clause:
-                if lit > 0:
-                    pos |= bit[lit]
-                else:
-                    neg |= bit[-lit]
-            tests.append((pos, neg))
-        # a label's row is full on every W_J with i not in J; for the other
-        # patterns, (start, bits) pairs each variable's bit in a with its
-        # bit in the W_J rank, and the rank's bit lies start bits up
-        projections = [(starts[j], [(bit[var], 1 << (len(s_vars[p]) - 1 - b))
-                                    for b, var in enumerate(s_vars[p])])
-                       for j, p in enumerate(patterns_in_use) if i in p]
-        others = all_ones
+        bit = {var: n - 1 - p for p, var in enumerate(vars_i)}
+        # a label's row is full on every W_J with i not in J; on the others
+        # it holds bit start + rank, which is lows[a & mask] + highs[a >> half]
+        half = n >> 1
+        mask = (1 << half) - 1
+        others, projections = all_ones, []
         for j, p in enumerate(patterns_in_use):
             if i in p:
                 others ^= (1 << w_parts[j]) - 1 << starts[j]
-        labels_before = len(rows)
-        for a in range(1 << n):
-            if all(a & pos or ~a & neg for pos, neg in tests):
-                row = others
-                for start, bits in projections:
-                    row |= 1 << start + sum(out for src, out in bits if a & src)
-                rows.append(row)
-        v_parts.append(len(rows) - labels_before)
+                # rank_bits[b] is the rank bit of the variable in bit b of a
+                rank_bits = [0] * n
+                for r, var in enumerate(reversed(s_vars[p])):
+                    rank_bits[bit[var]] = 1 << r
+                projections.append((_rank_table(rank_bits[:half], starts[j]),
+                                    _rank_table(rank_bits[half:], 0)))
+        labels = _satisfying(clauses, bit, n)
+        for a in labels:
+            row = others
+            for lows, highs in projections:
+                row |= 1 << lows[a & mask] + highs[a >> half]
+            rows.append(row)
+        v_parts.append(len(labels))
     provenance = (f"sat_frontend(n={cnf.num_vars}, m={len(cnf.clauses)}, k={k}, "
                   f"omitted_patterns={omitted})")
     return MaxCoverInstance._from_rows(v_parts, w_parts, rows, provenance=provenance)

@@ -63,10 +63,12 @@ class _PackedRows:
 
     A row is blocks of fields, every block with the same field widths, and
     field j of a block belongs to right part j.  A labeling covers part j
-    iff field j of the AND of its rows is nonzero in every block.
+    iff field j of the AND of its rows is nonzero in every block.  base is
+    the instance a composition was built from, kept when it is
+    materialized, and None on any other instance.
     """
 
-    __slots__ = ("v_parts", "w_parts", "provenance", "_v_offsets", "_rows",
+    __slots__ = ("v_parts", "w_parts", "provenance", "base", "_v_offsets", "_rows",
                  "_low", "_top", "_ones", "_fields", "_block_starts")
 
     def _lay_out(self, widths: tuple[int, ...], blocks: int) -> None:
@@ -179,6 +181,7 @@ class MaxCoverInstance(_PackedRows):
         self._rows = rows
         self._lay_out(w_parts, 1)
         self.provenance = provenance
+        self.base = None
 
     @classmethod
     def _from_rows(cls, v_parts, w_parts, rows, provenance: str = ""):
@@ -443,7 +446,7 @@ class ComposedMaxCover(_PackedRows):
     _default_words; a given matching is checked and builds its own.
     """
 
-    __slots__ = ("base", "code", "matching")
+    __slots__ = ("code", "matching")
 
     def __init__(self, base: MaxCoverInstance, code: Code, matching, provenance: str):
         self.base = base
@@ -496,8 +499,10 @@ class ComposedMaxCover(_PackedRows):
         edges = [(vg, wg) for vg in range(self.num_v)
                  for wg in range(self.num_v, self.num_v + self.num_w)
                  if self.adjacent(vg, wg)]
-        return MaxCoverInstance(self.v_parts, self.w_parts, edges,
-                                provenance=self.provenance + "; materialized")
+        explicit = MaxCoverInstance(self.v_parts, self.w_parts, edges,
+                                    provenance=self.provenance + "; materialized")
+        explicit.base = self.base
+        return explicit
 
     def describe(self) -> dict:
         return {
@@ -610,11 +615,11 @@ class GapCertificate:
 def gap_certificate(base, composed, delta: Fraction, bound_factor=1) -> GapCertificate:
     """Solve both sides exactly and check the composition guarantees.
 
-    Each solve is capped at DEFAULT_LABELING_CAP labelings.  A composition
-    must have been built from base; an explicit composed instance (say, a
-    materialized one) carries no base and is taken as given.
+    Each solve is capped at DEFAULT_LABELING_CAP labelings.  A composition,
+    materialized or not, must have been built from base; an explicit
+    instance with no base (say, an edited copy) is taken as given.
     """
-    if isinstance(composed, ComposedMaxCover) and composed.base is not base:
+    if composed.base is not None and composed.base is not base:
         raise InstanceMismatchError("the composition was built from another base instance")
     if not isinstance(delta, Fraction):
         delta = Fraction(delta)

@@ -227,10 +227,14 @@ class ComposedSetCover:
 
     def _element_bits(self, element) -> int:
         """The bits of element (i, f): bit f(a) of slot (i, a) for every a."""
-        (i, f), u = element, self.base.universe_size
-        if not (0 <= i < self.ell and len(f) == self.fsize and all(0 <= x < u for x in f)):
+        u = self.base.universe_size
+        if not (isinstance(element, (tuple, list)) and len(element) == 2
+                and isinstance(element[0], int) and 0 <= element[0] < self.ell
+                and isinstance(element[1], (tuple, list)) and len(element[1]) == self.fsize
+                and all(isinstance(x, int) and 0 <= x < u for x in element[1])):
             raise IndexRangeError(f"element needs a part in [0, {self.ell}) and a function "
                                   f"of length {self.fsize} into [0, {u})")
+        i, f = element
         first = u * self.fsize * i
         return sum(1 << first + u * a + x for a, x in enumerate(f))
 

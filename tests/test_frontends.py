@@ -100,6 +100,12 @@ def _frontend_view(result):
     return (result.v_parts, result.w_parts, result.edges, result.provenance)
 
 
+def _chain(n, extra=None):
+    """x_1 -> x_2 -> ... -> x_n as 2-clauses, then the extra clause if given."""
+    clauses = tuple((-v, v + 1) for v in range(1, n))
+    return gf.Cnf3(n, clauses + ((extra,) if extra else ()))
+
+
 def _hand_graphs():
     rng = random.Random(8)
     graphs = [triangle(),
@@ -148,6 +154,34 @@ class TestReferenceFrontends:
     def test_hand_cnfs(self, cnf, k):
         assert _frontend_view(gf.sat_to_maxcover(cnf, k)) == _frontend_view(
             oracles.sat_to_maxcover_reference(cnf, k))
+
+    @pytest.mark.parametrize("cnf,width", [
+        (gf.Cnf3(1, ((1, -1),)), 1),                   # tautological clause
+        (gf.Cnf3(2, ((1, 1, -2), (-1, 2))), 2),        # duplicate literal
+        (gf.Cnf3(3, ((1, -1, 2), (-2, 3), (3, -3))), 3),
+        (_chain(3), 3),
+        (_chain(8, (1, -5)), 8),
+        (_chain(9, (1, -5, 9)), 9),
+        (_chain(17, (1, -9)), 17),                     # two blocks of 2**16
+    ])
+    def test_group_widths(self, cnf, width):
+        assert cnf.num_vars == width
+        m = len(cnf.clauses)
+        for k in sorted({1, min(2, m), m}):
+            inst = gf.sat_to_maxcover(cnf, k)
+            assert _frontend_view(inst) == _frontend_view(
+                oracles.sat_to_maxcover_reference(cnf, k)), k
+        # k = 1 is one group over every variable
+        assert gf.sat_to_maxcover(cnf, 1).w_parts == (1 << width,)
+
+    def test_unsatisfiable_group_leaves_empty_part(self):
+        cnf = gf.Cnf3(2, ((1,), (-1,), (2,)))
+        for k in (1, 2, 3):
+            inst = gf.sat_to_maxcover(cnf, k)
+            assert _frontend_view(inst) == _frontend_view(
+                oracles.sat_to_maxcover_reference(cnf, k))
+        assert gf.sat_to_maxcover(cnf, 1).v_parts == (0,)
+        assert gf.sat_to_maxcover(cnf, 2).v_parts == (0, 1)
 
     def test_random_cnfs(self):
         # the second batch spans the benchmark's CNFs, up to 12 variables

@@ -570,6 +570,16 @@ class TestGapCertificate:
         assert gf.gap_certificate(yes_base, composed, Fraction(2, 3)).verdict \
             == "completeness_ok"
 
+    def test_materialized_composition_keeps_its_base(self):
+        yes_base = gf.MaxCoverInstance((1, 1), (1, 1), [(0, 2), (1, 2), (0, 3), (1, 3)])
+        no_base = soundness_instance()
+        explicit = gf.compose_gap(yes_base, gf.reed_solomon(3, 2)).materialize()
+        assert explicit.base is yes_base and yes_base.base is None
+        with pytest.raises(InstanceMismatchError):
+            gf.gap_certificate(no_base, explicit, Fraction(2, 3))
+        assert gf.gap_certificate(yes_base, explicit, Fraction(2, 3)).verdict \
+            == "completeness_ok"
+
     def test_certify_composition_entry_point(self):
         from gapforge.maxcover import certify_composition
         cert = certify_composition(soundness_instance(), gf.reed_solomon(3, 2))

@@ -305,6 +305,15 @@ class TestCompose:
         with pytest.raises(IndexRangeError):
             composed.contains([0, 0], (0, (0,) * composed.fsize))
 
+    @pytest.mark.parametrize("element", [(0, 5), (0, (0,) * 9, 0), ("0", (0,) * 9)],
+                             ids=["function_not_a_sequence", "three_tuple", "string_part"])
+    def test_malformed_element_raises_index_range(self, element):
+        composed = gf.compose_setcover(gf.SetCoverInstance(2, [[{0}], [{1}]]),
+                                       gf.reed_solomon(3, 2))
+        assert composed.fsize == 9 and composed.contains((0, 0), (0, (0,) * 9))
+        with pytest.raises(IndexRangeError):
+            composed.contains((0, 0), element)
+
     def test_constructor_checks_matching(self):
         base = gf.SetCoverInstance(2, [[{0}], [{1}]])
         code = gf.reed_solomon(3, 2)
