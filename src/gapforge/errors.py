@@ -10,7 +10,7 @@ from __future__ import annotations
 # Max symbols in a code's codeword table (size * ell), stored or materialized.
 DEFAULT_ENUM_CAP = 1 << 20
 # Max subsets probed by exhaustive subset searches (collision number,
-# threshold collision property, cover search).
+# threshold collision property, cover search, PHF verification).
 DEFAULT_SUBSET_BUDGET = 10_000_000
 # Max labelings enumerated by the exact MaxCover solver.
 DEFAULT_LABELING_CAP = 1_000_000

@@ -75,7 +75,7 @@ class TestReedSolomon:
             gf.reed_solomon(4, 2)
 
     def test_certified_matches_pair_scan(self):
-        for q in (2, 3, 5, 7):
+        for q in (2, 3, 5, 7, 11):
             for r in range(1, q + 1):
                 if q ** r > 700:
                     continue
@@ -84,6 +84,8 @@ class TestReedSolomon:
                 assert report.method == "rs_certified"
                 delta, _ = oracles.relative_distance_pairs(code)
                 assert report.delta == delta == Fraction(q - r + 1, q)
+                wa, wb = map(code.codeword, report.witness)
+                assert sum(x != y for x, y in zip(wa, wb)) == q - r + 1
 
     def test_large_code_stays_unmaterialized(self):
         # 1009**2 words of 1009 symbols: past the cap on symbols, not on words
@@ -94,12 +96,31 @@ class TestReedSolomon:
             code.table()
         assert code.codeword(1009 + 2) == tuple((1 + 2 * x) % 1009 for x in range(1009))
 
-    def test_certified_distance_budget(self):
-        # C(29, 14) = 77,558,760 determinants, past DEFAULT_SUBSET_BUDGET
-        start = time.perf_counter()
-        with pytest.raises(BudgetExceededError):
-            gf.relative_distance(gf.reed_solomon(29, 14))
-        assert time.perf_counter() - start < 1.0
+    def test_certified_distance_at_any_prime(self):
+        # distinct evaluation points settle the bound with no search over
+        # point subsets; pairs_examined is the witness + 20 spot-checked pairs
+        wide = gf.relative_distance(gf.reed_solomon(29, 14))
+        assert wide.delta == Fraction(16, 29)
+        assert wide.pairs_examined == 21
+        code = gf.reed_solomon(1009, 2)
+        with pytest.raises(CapExceededError):
+            code.table()
+        long = gf.relative_distance(code)
+        assert long.delta == Fraction(1008, 1009)
+        assert long.pairs_examined == 21
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_encoder_linear_exhaustive(self, q):
+        # E(m1) - E(m2) = E(m1 - m2) mod q for every message pair
+        for r in range(1, q + 1):
+            if q ** (2 * r) > 20_000:
+                continue
+            code = gf.reed_solomon(q, r)
+            messages = list(product(range(q), repeat=r))
+            for m1, m2 in product(messages, repeat=2):
+                diff = tuple((a - b) % q for a, b in zip(m1, m2))
+                w1, w2 = gf.encode(code, m1), gf.encode(code, m2)
+                assert tuple((a - b) % q for a, b in zip(w1, w2)) == gf.encode(code, diff)
 
     def test_distance_witness_reverifies(self):
         code = gf.reed_solomon(5, 3)

@@ -417,6 +417,15 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["decided"] == "NO"
         assert main(["pipeline", "wone", "--graph", str(path_path), "--t", "3"]) == 1
 
+    def test_pipeline_wone_large_prime(self, tmp_path, capsys):
+        # RS(1009, 2) is past the table cap; its distance needs no subset loop
+        graph_path = tmp_path / "two_edges.txt"
+        graph_path.write_text("0 1\n2 3\npart 0 0\npart 1 1\npart 2 0\npart 3 1\n")
+        assert main(["pipeline", "wone", "--graph", str(graph_path),
+                     "--t", "2", "--q", "1009", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["code"]["delta_exact"] == "1008/1009"
+
     @pytest.mark.parametrize("t", [1, 0, -1])
     def test_clique_routes_need_two_parts(self, tmp_path, capsys, monkeypatch, t):
         # plain and one-part partitioned graphs; the check comes before any lift
