@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 from .codes import Code, _collision_search, _rank_of_symbols, _symbols_of_rank
 from .errors import (
@@ -86,9 +86,12 @@ def adjacent(graph: ThresholdGraph, b_ref, a_ref) -> bool:
         raise IndexRangeError(f"message rank {m} outside [0, {code.size})")
     if not 0 <= i < code.ell:
         raise IndexRangeError(f"A-part index {i} outside [0, {code.ell})")
-    q = code.q
-    if len(v) != t or any(not 0 <= s < q for s in v):
+    if len(v) != t:
         raise IndexRangeError(f"A-vertex tuple {v} not in [q]^{t}")
+    q = code.q
+    for s in v:
+        if not 0 <= s < q:
+            raise IndexRangeError(f"A-vertex tuple {v} not in [q]^{t}")
     return code.codeword(m)[i] == v[j]
 
 
@@ -126,7 +129,9 @@ class ThresholdVerdict:
     smallest |X| satisfying the collision-property hypothesis, or None if
     nothing was found below collision_cap; collision_subsets_examined
     counts the complete X searched, each taking a vertex from every B-part
-    (and, on Reed-Solomon codes, the zero word in B_0).
+    (and, on Reed-Solomon codes, the zero word in B_0).  adjacency_reads
+    counts the adjacent() calls made: sum over i of (symbols realized at
+    i) * t * q**t.
     """
 
     completeness_ok: bool
@@ -141,6 +146,7 @@ class ThresholdVerdict:
     collision_min_x: int | None
     collision_cap: int
     collision_subsets_examined: int
+    adjacency_reads: int
 
 
 def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
@@ -150,30 +156,36 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     A case (ranks, i) asks whether the B-vertices (j, ranks[j]) have exactly
     one common neighbor in A_i, namely their column pattern: the symbols
     their codewords carry at coordinate i.  The graph is read through
-    adjacent() once per B_j representative of each symbol realized at i
-    (its first codeword carrying it), as a mask of its A_i neighbors; each
-    realized (i, pattern) is then decided once, by AND-ing the pattern's
-    masks, which must leave exactly the pattern's own bit.  A case fails
-    iff its (i, pattern) does, so the cases are never walked: the first
-    failing case is the least (ranks, i) over the failing patterns, with
-    ranks[j] the representative of the pattern's j-th symbol, and its
-    1-based index rank(ranks in base size) * ell + i + 1 is the count
-    checked (size**t * ell when no pattern fails).  The helper
+    adjacent() once per (i, j, representative, v), where the representative
+    is B_j's first codeword carrying a symbol realized at i and v runs over
+    A_i; so adjacency_reads is sum over i of (symbols realized at i) * t *
+    q**t.  The reads of one representative form the mask of its A_i
+    neighbors.  Each realized (i, pattern) is then decided once, by AND-ing
+    the pattern's masks, which must leave exactly the pattern's own bit.  A
+    case fails iff its (i, pattern) does, so the cases are never walked:
+    the first failing case is the least (ranks, i) over the failing
+    patterns, with ranks[j] the representative of the pattern's j-th
+    symbol, and its 1-based index rank(ranks in base size) * ell + i + 1 is
+    the count checked (size**t * ell when no pattern fails).  The helper
     common_neighbor is not read here; oracles.threshold_verdict_bruteforce
     checks it on every case.
 
     Soundness counts a pair's agreements as the popcount of the AND of its
     packed words (Code.packed), and the largest count over all pairs is
     the bound (1 - delta) * ell, so relative_distance is not called; a
-    code with a single codeword has no pair and raises GapforgeError.  Two
-    B_j representatives of symbols a and b realized at i must share an A_i
-    neighbor exactly when a == b, which the masks decide once per
-    (i, j, a, b).  A pair's shared count in B_j is the popcount of the AND
-    of one word's B_j row (in field i, every symbol whose representative
-    shares an A_i neighbor with that of the word's own symbol) with the
-    other packed word: its agreements, plus or minus one for each
-    (i, j, a, b) it carries that breaks the rule.  On an honest graph every
-    row is the packed word.
+    code with a single codeword has no pair and raises GapforgeError
+    before any read.  Two B_j representatives of symbols a and b realized
+    at i must share an A_i neighbor exactly when a == b, which the masks
+    decide once per (i, j, a, b).  A pair's shared count in B_j is the
+    popcount of the AND of one word's B_j row (in field i, every symbol
+    whose representative shares an A_i neighbor with that of the word's
+    own symbol) with the other packed word: its agreements, plus or minus
+    one for each (i, j, a, b) it carries that breaks the rule.  On an
+    honest graph every row is the packed words, whose shared count is the
+    pair's agreements on every pair.  So that row is not walked pair by
+    pair: when some B_j has it, the largest agreements count stands for
+    its shared counts.  Every other row, as on a corrupted graph, is
+    counted on every pair.
 
     The collision property asks for the smallest X across the B-parts,
     t + 1 <= |X| < collision_cap, for which every A_i has a vertex with
@@ -201,20 +213,25 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     """
     code, t, ell = graph.code, graph.t, graph.ell
     size = graph.b_part_size
+    if size < 2:
+        raise GapforgeError("soundness bound undefined for codes with a single codeword")
     words = [code.codeword(m) for m in range(size)]
     vertices = list(product(range(code.q), repeat=t))
+    bits = [1 << rank for rank in range(len(vertices))]
 
     # masks[i][j][s]: the A_i neighbors, by rank, of B_j's representative of
     # symbol s, for each symbol s realized at coordinate i
     masks = []
+    reads = 0
     for i in range(ell):
         reps: dict[int, int] = {}
         for m, word in enumerate(words):
             reps.setdefault(word[i], m)
-        masks.append([{s: sum(1 << rank for rank, v in enumerate(vertices)
-                              if adjacent(graph, (j, m), (i, v)))
+        a_refs = [(i, v) for v in vertices]
+        masks.append([{s: _neighbor_mask(graph, (j, m), a_refs, bits)
                        for s, m in sorted(reps.items())}
                       for j in range(t)])
+        reads += len(reps) * t * len(vertices)
 
     failing: dict[tuple[int, tuple[int, ...]], int] = {}
     patterns = 0
@@ -248,20 +265,27 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
                   for a in part[j]}
                  for i, part in enumerate(masks)]
         rows.add(tuple(sum(share[i][s] for i, s in enumerate(word)) for word in words))
-    if size < 2:
-        raise GapforgeError("soundness bound undefined for codes with a single codeword")
+    # the honest row gives every pair its agreements, so only the rows
+    # that differ from it are counted pair by pair
+    honest = tuple(packed)
+    has_honest = honest in rows
+    rows.discard(honest)
     max_agreements = 0
     max_shared = 0
     matches = True
-    for m1, m2 in combinations(range(size), 2):
-        agreements = (packed[m1] & packed[m2]).bit_count()
-        if agreements > max_agreements:
-            max_agreements = agreements
+    for m1 in range(size - 1):
+        p1, later = packed[m1], packed[m1 + 1:]
+        agreements = [(p1 & p2).bit_count() for p2 in later]
+        max_agreements = max(max_agreements, *agreements)
         for row in rows:
-            shared = (row[m1] & packed[m2]).bit_count()
-            matches = matches and shared == agreements
-            if shared > max_shared:
-                max_shared = shared
+            r1 = row[m1]
+            for p2, agreed in zip(later, agreements):
+                shared = (r1 & p2).bit_count()
+                matches = matches and shared == agreed
+                if shared > max_shared:
+                    max_shared = shared
+    if has_honest:
+        max_shared = max(max_shared, max_agreements)
 
     min_x, _, examined = _collision_search(code, range(t + 1, collision_cap), t, budget)
 
@@ -278,7 +302,13 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
         collision_min_x=min_x,
         collision_cap=collision_cap,
         collision_subsets_examined=examined,
+        adjacency_reads=reads,
     )
+
+
+def _neighbor_mask(graph: ThresholdGraph, b_ref, a_refs, bits) -> int:
+    """The bits of the a_refs adjacent to b_ref, each read through adjacent() once."""
+    return sum(bit for bit, a_ref in zip(bits, a_refs) if adjacent(graph, b_ref, a_ref))
 
 
 def export_edges(graph: ThresholdGraph, *, cap: int = DEFAULT_EDGE_CAP):

@@ -63,6 +63,29 @@ class TestAdjacency:
         with pytest.raises(IndexRangeError):
             gf.adjacent(g, (0, 0), (0, (0, 3)))
 
+    @pytest.mark.parametrize("b_ref,a_ref", [
+        ((2, 0), (0, (0, 0))),      # B-part index past t
+        ((-1, 0), (0, (0, 0))),     # negative B-part index
+        ((0, 3), (0, (0, 0))),      # message rank past the code's size
+        ((0, -1), (0, (0, 0))),     # negative message rank
+        ((0, 0), (3, (0, 0))),      # A-part index past ell
+        ((0, 0), (-1, (0, 0))),     # negative A-part index
+        ((0, 0), (0, (0,))),        # tuple shorter than t
+        ((0, 0), (0, (0, 0, 0))),   # tuple longer than t
+        ((0, 0), (0, (0, 3))),      # symbol >= q
+        ((0, 0), (0, (-1, 0))),     # negative symbol
+    ], ids=["j-high", "j-negative", "m-high", "m-negative", "i-high", "i-negative",
+            "short", "long", "symbol-high", "symbol-negative"])
+    def test_every_argument_check(self, b_ref, a_ref):
+        g = gf.build_threshold(gf.reed_solomon(3, 1), 2)
+        with pytest.raises(IndexRangeError):
+            gf.adjacent(g, b_ref, a_ref)
+
+    def test_list_vertex_reads_as_tuple(self):
+        g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
+        for m, i, v in product(range(9), range(3), product(range(3), repeat=2)):
+            assert gf.adjacent(g, (1, m), (i, list(v))) == gf.adjacent(g, (1, m), (i, v))
+
 
 class TestCommonNeighbor:
     def test_spec_example(self):
@@ -115,6 +138,32 @@ class TestVerify:
         g = gf.build_threshold(gf.explicit_code(2, 2, [(0, 1)]), 1)
         with pytest.raises(GapforgeError):
             gf.verify_threshold(g, collision_cap=2)
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_single_codeword_raises_before_any_read(self, t, monkeypatch):
+        g = gf.build_threshold(gf.explicit_code(3, 4, [(0, 1, 2, 1)]), t)
+        calls = _count_adjacent(monkeypatch)
+        with pytest.raises(GapforgeError,
+                           match="soundness bound undefined for codes with a single codeword"):
+            gf.verify_threshold(g, collision_cap=t + 1)
+        assert calls == [0]
+
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("build", [
+        lambda: gf.reed_solomon(3, 2),
+        lambda: gf.reed_solomon(5, 2),
+        lambda: gf.random_code(3, 2, 6, 1),
+        lambda: gf.phf_to_code(gf.find_phf(8, 2, 16, seed=0)),
+    ], ids=["rs32", "rs52", "random3_2_6_1", "phf8_2"])
+    def test_adjacency_reads(self, build, t, monkeypatch):
+        # one read per (i, j, representative, v): every symbol realized at
+        # coordinate i has one representative per B-part
+        code = build()
+        g = gf.build_threshold(code, t)
+        calls = _count_adjacent(monkeypatch)
+        verdict = gf.verify_threshold(g, collision_cap=t + 1)
+        realized = sum(len({word[i] for word in code.codewords()}) for i in range(code.ell))
+        assert verdict.adjacency_reads == calls[0] == realized * t * code.q ** t
 
     def test_t1_collision_min_equals_col(self):
         g = gf.build_threshold(gf.reed_solomon(3, 2), 1)
@@ -287,6 +336,17 @@ class TestCollisionOracle:
         assert oracles.collision_min_x_by_adjacency(g, 5) == 4
 
 
+def _count_adjacent(monkeypatch) -> list[int]:
+    """Wrap threshold.adjacent; the returned one-item list counts its calls."""
+    honest, calls = threshold.adjacent, [0]
+
+    def counted(graph, b_ref, a_ref):
+        calls[0] += 1
+        return honest(graph, b_ref, a_ref)
+    monkeypatch.setattr(threshold, "adjacent", counted)
+    return calls
+
+
 def _symbol_shifted_adjacent(honest, shifts):
     """adjacent() with B_j vertices carrying symbol s at coordinate i moved.
 
@@ -352,6 +412,41 @@ class TestVerifyDifferential:
                 else _case_index(g, counterexample))
             assert verdict.soundness_max_shared == max_shared
             assert verdict.soundness_matches_agreements is matches
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_one_part_row_adds_shared(self, t, monkeypatch):
+        # B_{t-1} vertices carrying 0 at coordinate 1 also meet the A_1
+        # vertices of symbol 1, so pairs with 0 and 1 there share one more
+        # part; the other B-parts keep the honest row
+        g = gf.build_threshold(gf.random_code(3, 2, 5, 4), t)
+        monkeypatch.setattr(threshold, "adjacent",
+                            _symbol_shifted_adjacent(threshold.adjacent, {(1, t - 1, 0): 1}))
+        verdict = gf.verify_threshold(g, collision_cap=t + 1)
+        _, max_shared, matches = oracles.threshold_verdict_bruteforce(g)
+        assert not matches
+        assert verdict.soundness_max_shared == max_shared
+        assert verdict.soundness_matches_agreements is matches
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_one_part_row_removes_shared(self, t, monkeypatch):
+        # B_{t-1} vertices meet A-vertices only through symbol 2, so that
+        # part's shared counts fall below the agreements; the largest count
+        # comes from the honest row of the other B-parts
+        code = gf.random_code(3, 2, 5, 4)
+        g = gf.build_threshold(code, t)
+        words = list(code.codewords())
+        agreements = [sum(a == b for a, b in zip(w1, w2))
+                      for n, w1 in enumerate(words) for w2 in words[n + 1:]]
+        on_symbol_2 = [sum(a == b == 2 for a, b in zip(w1, w2))
+                       for n, w1 in enumerate(words) for w2 in words[n + 1:]]
+        assert max(on_symbol_2) < max(agreements)
+        monkeypatch.setattr(threshold, "adjacent", _symbol_shifted_adjacent(
+            threshold.adjacent, {(i, t - 1, s): None for i in range(code.ell) for s in (0, 1)}))
+        verdict = gf.verify_threshold(g, collision_cap=t + 1)
+        _, max_shared, matches = oracles.threshold_verdict_bruteforce(g)
+        assert not matches and max_shared == max(agreements)
+        assert verdict.soundness_max_shared == max_shared
+        assert verdict.soundness_matches_agreements is matches
 
     def test_first_failure_by_adjacent_scan(self, monkeypatch):
         # 161,051 cases; the cases are walked here, in order, through
