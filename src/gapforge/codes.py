@@ -79,50 +79,37 @@ class Code:
     """A q-ary code: alphabet [q], message length r, block length ell.
 
     Codewords are indexed by message rank (lexicographic message order).
-    Structured codes (Reed-Solomon) may stay unmaterialized: an encoder's
-    table is stored only when its size * ell symbols are within the
-    enumeration cap, and table(cap) raises past it.  A stored table is
-    validated and packed once, in __init__: packed(rank) is codeword rank
-    as ell one-hot fields of q bits (see _field_packing), and an
-    unmaterialized code packs the encoded word on each call.  A
-    Reed-Solomon code comes only from reed_solomon(): its measurements rely
-    on linearity, which neither a table nor an arbitrary encoder promises.
-    Nothing is written after __init__, so instances are immutable and safe
-    to share across threads.
+    A code is its table, validated and then packed once, in __init__:
+    packed(rank) is codeword rank as ell one-hot fields of q bits (see
+    _field_packing).  Only reed_solomon() builds Reed-Solomon codes, whose
+    measurements rely on linearity, and only they may omit the table (see
+    _ReedSolomonCode).  Nothing is written after __init__, so instances are
+    immutable and safe to share across threads.
     """
 
-    __slots__ = ("q", "r", "ell", "kind", "seed", "_size", "_table", "_encode_fn",
-                 "_pack", "_packed")
+    __slots__ = ("q", "r", "ell", "kind", "seed", "_size", "_table", "_pack", "_packed")
 
-    def __init__(self, q, r, ell, kind, *, table=None, encode_fn=None, seed=None,
-                 size=None, cap=DEFAULT_ENUM_CAP):
+    def __init__(self, q, r, ell, kind, table, *, seed=None):
         if q < 2:
             raise SymbolRangeError(f"alphabet size must be >= 2, got {q}")
         if r < 1 or ell < 1:
             raise MessageLengthError(f"need r >= 1 and ell >= 1, got r={r}, ell={ell}")
-        if table is None and encode_fn is None:
-            raise GapforgeError("a code needs a table or an encoder")
-        if kind == KIND_REED_SOLOMON and type(self) is not _ReedSolomonCode:
-            raise GapforgeError("Reed-Solomon codes are built by reed_solomon() only")
+        if (kind == KIND_REED_SOLOMON or table is None) and type(self) is not _ReedSolomonCode:
+            raise GapforgeError("a code needs a table; only reed_solomon() builds RS codes")
         self.q = q
         self.r = r
         self.ell = ell
         self.kind = kind
         self.seed = seed
-        self._encode_fn = encode_fn
+        self._table = None
+        self._size = q ** r
         if table is not None:
-            table = tuple(tuple(word) for word in table)
-            self._size = len(table)
-        else:
-            self._size = q ** r if size is None else size
-        self._table = table
-        if self._size * ell <= cap and table is None and encode_fn is not None:
-            self._table = tuple(encode_fn(rank) for rank in range(self._size))
-        self._pack, _, _ = _field_packing((q,) * ell)
-        self._packed = None
-        if self._table is not None:
+            self._table = tuple(tuple(word) for word in table)
+            self._size = len(self._table)
+            # before the packing, whose set-up is quadratic in ell
             self._validate_table()
-            self._packed = tuple(map(self._pack, self._table))
+        self._pack, _, _ = _field_packing((q,) * ell)
+        self._packed = None if self._table is None else tuple(map(self._pack, self._table))
 
     def _validate_table(self) -> None:
         for word in self._table:
@@ -137,7 +124,7 @@ class Code:
 
     @property
     def size(self) -> int:
-        """Number of codewords (q**r for structured codes, len(table) otherwise)."""
+        """Number of codewords (len(table), or q**r for Reed-Solomon codes)."""
         return self._size
 
     def codeword(self, rank: int) -> tuple[int, ...]:
@@ -145,7 +132,7 @@ class Code:
             raise MessageRangeError(f"message rank {rank} outside [0, {self._size})")
         if self._table is not None:
             return self._table[rank]
-        return self._encode_fn(rank)
+        return self._encode(rank)
 
     def packed(self, rank: int) -> int:
         """codeword(rank) packed: bit i * q + symbol is set for each coordinate i."""
@@ -163,7 +150,7 @@ class Code:
                 f"{self._size} codewords of length {self.ell} exceed cap {cap}")
         if self._table is not None:
             return self._table
-        return tuple(self._encode_fn(rank) for rank in range(self._size))
+        return tuple(map(self._encode, range(self._size)))
 
     def message_of(self, rank: int) -> tuple[int, ...]:
         return _symbols_of_rank(rank, self.q, self.r)
@@ -233,27 +220,33 @@ def _poly_from_roots(roots, q: int) -> list[int]:
 def reed_solomon(q: int, r: int, *, cap: int = DEFAULT_ENUM_CAP) -> Code:
     """Reed-Solomon code: evaluations of degree-<r polynomials at 0..q-1.
 
-    Message symbol i is the coefficient of x**i.  Prime fields only.
+    Message symbol i is the coefficient of x**i.  Prime fields only.  Past
+    cap symbols no table is stored, and each codeword is encoded when read.
     """
     if not is_prime(q):
         raise NotPrimeError(f"q={q} is not prime")
     if not 1 <= r <= q:
         raise RankRangeError(f"need 1 <= r <= q, got r={r}, q={q}")
-
-    def encode_rank(rank: int, _q=q, _r=r) -> tuple[int, ...]:
-        msg = _symbols_of_rank(rank, _q, _r)
-        return tuple(_poly_eval(msg, x, _q) for x in range(_q))
-
-    return _ReedSolomonCode(q, r, q, KIND_REED_SOLOMON, encode_fn=encode_rank, cap=cap)
+    return _ReedSolomonCode(q, r, cap)
 
 
 class _ReedSolomonCode(Code):
-    """The only class that may carry the Reed-Solomon kind; see reed_solomon()."""
+    """The only class that may carry the Reed-Solomon kind or omit its table."""
 
     __slots__ = ()
 
+    def __init__(self, q: int, r: int, cap: int):
+        self.q, self.r = q, r  # _encode reads them before Code.__init__ runs
+        table = [self._encode(rank) for rank in range(q ** r)] if q ** r * q <= cap else None
+        super().__init__(q, r, q, KIND_REED_SOLOMON, table)
 
-def random_code(q: int, r: int, ell: int, seed: int, *, cap: int = DEFAULT_ENUM_CAP) -> Code:
+    def _encode(self, rank: int) -> tuple[int, ...]:
+        q = self.q
+        msg = _symbols_of_rank(rank, q, self.r)
+        return tuple(_poly_eval(msg, x, q) for x in range(q))
+
+
+def random_code(q: int, r: int, ell: int, seed: int) -> Code:
     """Code whose q**r codewords are i.i.d. uniform in [q]**ell.
 
     Deterministic function of the seed: symbols are drawn row-major from
@@ -264,8 +257,8 @@ def random_code(q: int, r: int, ell: int, seed: int, *, cap: int = DEFAULT_ENUM_
     GapforgeError (an alphabet below 2 is left to Code, which rejects it).
     """
     size = q ** r
-    if size * ell > cap:
-        raise CapExceededError(f"q**r * ell = {size * ell} exceeds enumeration cap {cap}")
+    if size * ell > DEFAULT_ENUM_CAP:
+        raise CapExceededError(f"q**r * ell = {size * ell} exceeds cap {DEFAULT_ENUM_CAP}")
     if q > 1 and ell < r:
         raise GapforgeError(f"{q}**{ell} words cannot hold q**r = {size} distinct codewords")
     rng = random.Random(seed)
@@ -277,15 +270,13 @@ def random_code(q: int, r: int, ell: int, seed: int, *, cap: int = DEFAULT_ENUM_
             word = tuple(rng.randrange(q) for _ in range(ell))
         seen.add(word)
         table.append(word)
-    return Code(q, r, ell, KIND_RANDOM, table=table, seed=seed)
+    return Code(q, r, ell, KIND_RANDOM, table, seed=seed)
 
 
-def explicit_code(q: int, ell: int, table, *, r: int | None = None) -> Code:
+def explicit_code(q: int, ell: int, table) -> Code:
     """Wrap an explicit codeword table (lexicographic message order)."""
     table = tuple(tuple(w) for w in table)
-    if r is None:
-        r = _table_message_length(q, len(table))
-    return Code(q, r, ell, KIND_EXPLICIT, table=table)
+    return Code(q, _table_message_length(q, len(table)), ell, KIND_EXPLICIT, table)
 
 
 def _table_message_length(q: int, size: int) -> int:
@@ -324,7 +315,9 @@ def relative_distance(code: Code, *, cap: int = DEFAULT_ENUM_CAP) -> DistanceRep
 
     Reed-Solomon codes take the certified measurement, which stays exact
     far beyond the enumeration cap (see _rs_certified_distance); every
-    other code takes the pair scan, which needs its table within the cap.
+    other code takes the pair scan, which needs its table within cap and
+    its C(|C|, 2) pairs within DEFAULT_SUBSET_BUDGET, and raises
+    BudgetExceededError before scanning otherwise.
     """
     if code.kind == KIND_REED_SOLOMON:
         return _rs_certified_distance(code)
@@ -332,12 +325,16 @@ def relative_distance(code: Code, *, cap: int = DEFAULT_ENUM_CAP) -> DistanceRep
     table = code.table(cap)
     if len(table) < 2:
         raise GapforgeError("distance undefined for codes with a single codeword")
+    pairs = math.comb(len(table), 2)
+    if pairs > DEFAULT_SUBSET_BUDGET:
+        raise BudgetExceededError(f"{pairs} codeword pairs exceed budget "
+                                  f"{DEFAULT_SUBSET_BUDGET}")
     best, witness = Fraction(2), None  # above every distance
     for a, b in combinations(range(len(table)), 2):
         d = _distance_between(table[a], table[b], code.ell)
         if d < best:
             best, witness = d, (a, b)
-    return DistanceReport(best, witness, math.comb(len(table), 2), "pairs")
+    return DistanceReport(best, witness, pairs, "pairs")
 
 
 def _rs_certified_distance(code: Code) -> DistanceReport:
@@ -549,7 +546,6 @@ def _collision_search(code: Code, sizes, parts: int, budget: int):
 
 def collision_number(code: Code, size_cap: int | None = None, *,
                      budget: int = DEFAULT_SUBSET_BUDGET,
-                     cap: int = DEFAULT_ENUM_CAP,
                      distance: Fraction | None = None) -> CollisionReport:
     """Smallest subset of codewords colliding on every coordinate.
 
@@ -568,7 +564,7 @@ def collision_number(code: Code, size_cap: int | None = None, *,
     """
     if size_cap is not None and size_cap < 0:
         raise CapExceededError(f"collision size cap must be >= 0, got {size_cap}")
-    table = code.table(cap)
+    table = code.table()
     n = len(table)
     if size_cap is None:
         size_cap = n
@@ -609,40 +605,40 @@ class PerfectHashFamily:
         return len(self.functions)
 
 
-def verify_phf(domain_size: int, q: int, functions, *,
-               budget: int = DEFAULT_SUBSET_BUDGET):
+def verify_phf(domain_size: int, q: int, functions):
     """Exhaustively check the separation property.
 
     Subsets of size exactly min(q, N) suffice: a function injective on T is
     injective on every subset of T.  Returns (ok, first failing subset).
+    More than DEFAULT_SUBSET_BUDGET such subsets raise BudgetExceededError
+    before any is checked.
     """
     size = min(q, domain_size)
-    if math.comb(domain_size, size) > budget:
-        raise CapExceededError(
-            f"C({domain_size},{size}) subsets exceed verification budget {budget}")
+    if math.comb(domain_size, size) > DEFAULT_SUBSET_BUDGET:
+        raise BudgetExceededError(f"C({domain_size},{size}) subsets exceed verification "
+                                  f"budget {DEFAULT_SUBSET_BUDGET}")
     for subset in combinations(range(domain_size), size):
         if not any(len({h[x] for x in subset}) == size for h in functions):
             return False, subset
     return True, None
 
 
-def find_phf(domain_size: int, q: int, ell_max: int, seed: int, *,
-             attempts_per_ell: int = 64,
-             budget: int = DEFAULT_SUBSET_BUDGET) -> PerfectHashFamily:
+def find_phf(domain_size: int, q: int, ell_max: int, seed: int) -> PerfectHashFamily:
     """Randomized search for a perfect hash family, verified exhaustively.
 
-    Samples families of growing size ell = 1..ell_max (deterministic in the
-    seed) and returns the first family passing verification.
+    Samples 64 families of each size ell = 1..ell_max (deterministic in
+    the seed) and returns the first family passing verify_phf, which
+    raises BudgetExceededError when C(N, min(q, N)) exceeds its budget.
     """
     if domain_size < 1 or q < 1:
         raise SymbolRangeError("domain_size and q must be positive")
     rng = random.Random(seed)
     for ell in range(1, ell_max + 1):
-        for _ in range(attempts_per_ell):
+        for _ in range(64):
             functions = tuple(
                 tuple(rng.randrange(q) for _ in range(domain_size))
                 for _ in range(ell))
-            ok, _ = verify_phf(domain_size, q, functions, budget=budget)
+            ok, _ = verify_phf(domain_size, q, functions)
             if ok:
                 return PerfectHashFamily(domain_size, q, functions)
     raise PhfNotFoundError(ell_max)
@@ -655,15 +651,14 @@ def phf_to_code(phf: PerfectHashFamily) -> Code:
     ceil(log_q N) and the table length N is authoritative.
     """
     table = tuple(tuple(h[x] for h in phf.functions) for x in range(phf.domain_size))
-    return Code(phf.q, _table_message_length(phf.q, phf.domain_size), phf.ell, KIND_PHF,
-                table=table)
+    return Code(phf.q, _table_message_length(phf.q, phf.domain_size), phf.ell, KIND_PHF, table)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
 
-def code_to_json(code: Code, *, cap: int = DEFAULT_ENUM_CAP) -> dict:
+def code_to_json(code: Code) -> dict:
     """JSON document with the table in lexicographic message order."""
     doc = {
         "format": FORMAT_TAG,
@@ -671,7 +666,7 @@ def code_to_json(code: Code, *, cap: int = DEFAULT_ENUM_CAP) -> dict:
         "r": code.r,
         "ell": code.ell,
         "kind": code.kind,
-        "table": [list(word) for word in code.table(cap)],
+        "table": [list(word) for word in code.table()],
     }
     if code.seed is not None:
         doc["seed"] = code.seed
@@ -694,7 +689,7 @@ def code_from_json(doc: dict) -> Code:
         if code.table() != table or code.ell != ell:
             raise SchemaVersionError("reed_solomon table does not match its parameters")
         return code
-    code = Code(q, r, ell, kind, table=table, seed=doc.get("seed"))
+    code = Code(q, r, ell, kind, table, seed=doc.get("seed"))
     # r is the one phf_to_code and explicit_code give; a random code has
     # exactly q**r words
     fit = _table_message_length(q, code.size)

@@ -10,7 +10,8 @@ from __future__ import annotations
 # Max symbols in a code's codeword table (size * ell), stored or materialized.
 DEFAULT_ENUM_CAP = 1 << 20
 # Max subsets probed by exhaustive subset searches (collision number,
-# threshold collision property, cover search, PHF verification).
+# threshold collision property, cover search, PHF verification), and max
+# codeword pairs compared by the relative-distance pair scan.
 DEFAULT_SUBSET_BUDGET = 10_000_000
 # Max labelings enumerated by the exact MaxCover solver.
 DEFAULT_LABELING_CAP = 1_000_000

@@ -106,11 +106,10 @@ def random_setcover_instance(rng: random.Random, *, max_universe: int = 3,
     return SetCoverInstance(universe, collections, provenance="random_setcover")
 
 
-def random_cnf3(rng: random.Random, *, max_vars: int = 8,
-                max_clauses: int | None = None) -> Cnf3:
+def random_cnf3(rng: random.Random, *, max_vars: int = 8) -> Cnf3:
     """Random 3-CNF respecting the <=3 occurrences bound, no unused variables."""
     n = rng.randint(3, max_vars)
-    m = rng.randint(2, max_clauses if max_clauses is not None else n)
+    m = rng.randint(2, n)
     budget = {v: 3 for v in range(1, n + 1)}
     clauses = []
     for _ in range(m):

@@ -492,10 +492,12 @@ class ComposedMaxCover(_PackedRows):
         l, rank = divmod(wg - self.num_v, self.w_parts[0])
         return self.adjacent_ref(vg, l, self.a_tuple(rank))
 
-    def materialize(self, *, cap: int = DEFAULT_EDGE_CAP) -> MaxCoverInstance:
+    def materialize(self) -> MaxCoverInstance:
+        """The explicit instance, keeping the base; tests every (v, w) pair,
+        and raises CapExceededError first if they exceed DEFAULT_EDGE_CAP."""
         pairs = self.num_v * self.num_w
-        if pairs > cap:
-            raise CapExceededError(f"materializing {pairs} candidate edges exceeds cap {cap}")
+        if pairs > DEFAULT_EDGE_CAP:
+            raise CapExceededError(f"{pairs} candidate edges exceed cap {DEFAULT_EDGE_CAP}")
         edges = [(vg, wg) for vg in range(self.num_v)
                  for wg in range(self.num_v, self.num_v + self.num_w)
                  if self.adjacent(vg, wg)]
@@ -561,8 +563,7 @@ def compose_gap(base: MaxCoverInstance, code: Code, matching=None) -> ComposedMa
         f"{code.kind} q={code.q} r={code.r} ell={code.ell})"))
 
 
-def compose_gap_k2_bounded(base: MaxCoverInstance, code: Code, d: int,
-                           matching=None) -> ComposedMaxCover:
+def compose_gap_k2_bounded(base: MaxCoverInstance, code: Code, d: int) -> ComposedMaxCover:
     """Degree-bounded composition: completeness preserved, soundness d**2 * (1-delta)."""
     if base.k != 2:
         raise NotTwoPartsError(f"degree-bounded composition needs k=2, got k={base.k}")
@@ -572,7 +573,7 @@ def compose_gap_k2_bounded(base: MaxCoverInstance, code: Code, d: int,
             if deg > d:
                 raise DegreeBoundError(
                     f"vertex {vg} has {deg} neighbors in W_{j}, bound d={d}")
-    return ComposedMaxCover(base, code, matching, (
+    return ComposedMaxCover(base, code, None, (
         f"compose_gap_k2_bounded({base.provenance or 'instance'}; "
         f"{code.kind} q={code.q} r={code.r} ell={code.ell}; d={d})"))
 

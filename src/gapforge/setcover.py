@@ -359,8 +359,8 @@ def _jsonable(obj):
     return obj
 
 
-def setcover_certificate(base: SetCoverInstance, composed: ComposedSetCover, *,
-                         budget: int = DEFAULT_SUBSET_BUDGET) -> SetCoverCertificate:
+def setcover_certificate(base: SetCoverInstance,
+                         composed: ComposedSetCover) -> SetCoverCertificate:
     """Verify the composition's completeness and soundness implications.
 
     completeness_ok: the base has a partitioned cover and its matched
@@ -369,11 +369,12 @@ def setcover_certificate(base: SetCoverInstance, composed: ComposedSetCover, *,
     the base has no cover of size k and no composed cover smaller than
     Col(code) exists (exhaustive search).  vacuous_ok: the base satisfies
     neither hypothesis.  The search covers every size below Col(code).
+    Each search runs within DEFAULT_SUBSET_BUDGET.
     """
     if composed.base is not base:
         raise InstanceMismatchError("the composition was built from another base instance")
     k = base.k
-    base_report = min_cover_size(base, k, budget=budget)
+    base_report = min_cover_size(base, k)
     part_ok, part_wit = base_report.partitioned_exists, base_report.partitioned_witness
     has_k_cover = base_report.min_size is not None
     col = collision_number(composed.code)
@@ -386,7 +387,7 @@ def setcover_certificate(base: SetCoverInstance, composed: ComposedSetCover, *,
         return SetCoverCertificate(VERDICT_VIOLATION, True, True, threshold, None, uncovered)
     if not has_k_cover:
         max_size = len(base.all_refs()) if threshold == float("inf") else int(threshold) - 1
-        size, combo, _ = composed.min_cover(max_size, budget=budget)
+        size, combo, _ = composed.min_cover(max_size)
         if size is None:
             return SetCoverCertificate(SOUNDNESS_OK, False, False, threshold, None, None)
         return SetCoverCertificate(VERDICT_VIOLATION, False, False, threshold, size, combo)

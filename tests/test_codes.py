@@ -6,8 +6,8 @@ from itertools import combinations, product
 import pytest
 
 import gapforge as gf
-from gapforge import oracles
-from gapforge.codes import INFINITE, _field_packing, ceil_sqrt_ratio
+from gapforge import codes, oracles
+from gapforge.codes import INFINITE, _field_packing, ceil_sqrt_ratio, verify_phf
 from gapforge.errors import (
     BudgetExceededError,
     CapExceededError,
@@ -145,7 +145,7 @@ class TestRandomCode:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            gf.random_code(2, 30, 4, seed=0, cap=1 << 20)
+            gf.random_code(2, 30, 4, seed=0)
 
     @pytest.mark.parametrize("q,r,ell", [(2, 2, 1), (3, 3, 2)])
     def test_too_few_words(self, q, r, ell):
@@ -177,6 +177,18 @@ class TestRelativeDistance:
         code = gf.random_code(2, 8, 12, seed=0)  # 256 words of 12 symbols
         with pytest.raises(CapExceededError):
             gf.relative_distance(code, cap=1000)
+
+    def test_pair_scan_budget(self, monkeypatch):
+        # 8,192 words within the enumeration cap, but C(8192, 2) = 33,550,336
+        # pairs exceed the subset budget: raised before any pair is compared
+        code = gf.random_code(2, 13, 16, seed=0)
+
+        def no_scan(*args):
+            raise AssertionError("pair scanned past the budget")
+
+        monkeypatch.setattr(codes, "_distance_between", no_scan)
+        with pytest.raises(BudgetExceededError, match="33550336 codeword pairs"):
+            gf.relative_distance(code)
 
     def test_pair_scan_matches_oracle(self, code_suite):
         for code in code_suite:
@@ -273,20 +285,15 @@ class TestCollisionSearchDifferential:
 
     def test_reed_solomon_kind_needs_its_constructor(self):
         # the zero-word anchor is exact for RS codes only; this table tagged
-        # reed_solomon, given as a table or through an encoder, was searched
-        # anchored and reported Col 4, witness (0, 1, 2, 3)
+        # reed_solomon was searched anchored and reported Col 4, witness
+        # (0, 1, 2, 3)
         table = [(2, 2), (0, 0), (0, 1), (1, 0)]
         with pytest.raises(GapforgeError):
             gf.Code(3, 2, 2, "reed_solomon", table=table)
-        with pytest.raises(GapforgeError):
-            gf.Code(3, 2, 2, "reed_solomon", encode_fn=lambda r: table[r], size=4)
+        code = gf.Code(3, 2, 2, "explicit", table=table)
+        report = gf.collision_number(code, distance=Fraction(1, 2))
+        assert (report.value, report.witness) == (3, (1, 2, 3))
         rs = gf.reed_solomon(3, 2)
-        with pytest.raises(GapforgeError):
-            gf.Code(3, 2, 3, "reed_solomon", encode_fn=rs.codeword)
-        for code in (gf.Code(3, 2, 2, "explicit", table=table),
-                     gf.Code(3, 2, 2, "explicit", encode_fn=lambda r: table[r], size=4)):
-            report = gf.collision_number(code, distance=Fraction(1, 2))
-            assert (report.value, report.witness) == (3, (1, 2, 3))
         assert rs.kind == "reed_solomon"
         assert gf.code_from_json(gf.code_to_json(rs)).kind == "reed_solomon"
 
@@ -410,6 +417,14 @@ class TestPerfectHashFamilies:
         b = gf.find_phf(8, 2, 16, seed=9)
         assert a == b
 
+    def test_verification_budget(self):
+        # C(100, 5) = 75,287,520 subsets exceed the subset budget, as in the
+        # collision, threshold and cover searches
+        with pytest.raises(BudgetExceededError, match=r"C\(100,5\)"):
+            verify_phf(100, 5, ((0,) * 100,))
+        with pytest.raises(BudgetExceededError, match=r"C\(100,5\)"):
+            gf.find_phf(100, 5, 1, seed=0)
+
 
 class TestPhfToCode:
     def test_two_point_identity_family(self):
@@ -474,6 +489,18 @@ class TestSerialization:
         messages = [code.message_of(i) for i in range(9)]
         assert messages == sorted(messages)
         assert doc["table"][1] == [0, 1, 2]
+
+    def test_table_checked_before_packing(self, monkeypatch):
+        # packing's set-up is quadratic in ell; a short table claiming a
+        # huge block length is rejected before it
+        def no_packing(widths):
+            raise AssertionError("packed a table that fails validation")
+
+        monkeypatch.setattr(codes, "_field_packing", no_packing)
+        doc = {"format": "gapforge-v1", "q": 2, "r": 1, "ell": 10 ** 6, "kind": "explicit",
+               "table": [[0], [1]]}
+        with pytest.raises(MessageLengthError):
+            gf.code_from_json(doc)
 
     def test_bad_format_tag(self):
         doc = gf.code_to_json(gf.reed_solomon(3, 2))

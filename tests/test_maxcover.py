@@ -7,6 +7,7 @@ import pytest
 import gapforge as gf
 from gapforge import maxcover, oracles
 from gapforge.errors import (
+    CapExceededError,
     DegreeBoundError,
     EmptyPartError,
     IndexRangeError,
@@ -449,6 +450,20 @@ class TestComposeGap:
         for vg in range(composed.num_v):
             for wg in range(composed.num_v, composed.num_v + composed.num_w):
                 assert explicit.adjacent(vg, wg) == composed.adjacent(vg, wg)
+
+    def test_materialize_edge_cap(self, monkeypatch):
+        # 70 V-vertices times 11 parts of 11**3 A-vertices: 1,024,870
+        # candidate pairs, past DEFAULT_EDGE_CAP before any pair is tested
+        inst = gf.MaxCoverInstance.from_masks((70,), (1, 1, 1), [[1, 1, 1]] * 70)
+        composed = gf.compose_gap(inst, gf.reed_solomon(11, 2))
+        assert composed.num_v * composed.num_w == 1_024_870
+
+        def no_test(*args):
+            raise AssertionError("materialize tested a pair past the cap")
+
+        monkeypatch.setattr(maxcover.ComposedMaxCover, "adjacent", no_test)
+        with pytest.raises(CapExceededError, match="1024870 candidate edges"):
+            composed.materialize()
 
 
 class TestComposeK2Bounded:
