@@ -19,7 +19,10 @@ from .errors import DEFAULT_LABELING_CAP, GapforgeError, ParseError
 
 
 def _dump(doc, path=None) -> None:
-    text = json.dumps(doc, indent=2)
+    try:
+        text = json.dumps(doc, indent=2)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        raise GapforgeError("output holds an integer past the int-to-text digit limit") from None
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -32,6 +35,8 @@ def _load(path) -> dict:
         return json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not JSON: {exc.msg}", exc.lineno) from exc
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        raise ParseError(f"{path}: an integer is past the text-to-int digit limit") from None
 
 
 def _read(path) -> str:
@@ -54,11 +59,9 @@ def _ints(text: str, option: str, count: int | None = None) -> tuple[int, ...]:
 
 
 def _cmd_code(args) -> int:
-    if args.code_cmd == "rs":
-        code = codes.reed_solomon(args.q, args.r)
-        _dump(codes.code_to_json(code), args.output)
-    elif args.code_cmd == "random":
-        code = codes.random_code(args.q, args.r, args.ell, args.seed)
+    if args.code_cmd != "measure":
+        code = (codes.reed_solomon(args.q, args.r) if args.code_cmd == "rs"
+                else codes.random_code(args.q, args.r, args.ell, args.seed))
         _dump(codes.code_to_json(code), args.output)
     else:
         code = codes.code_from_json(_load(args.file))
@@ -163,15 +166,8 @@ def _cmd_from_cnf(args) -> int:
 
 
 def _cmd_from_graph(args) -> int:
-    frontends._check_clique_parts(args.t)
-    parsed = frontends.parse_edge_list(_read(args.file))
-    if isinstance(parsed, frontends.Graph) or args.lift:
-        if isinstance(parsed, frontends.PartitionedGraph):
-            raise GapforgeError("--lift applies to plain (unpartitioned) graphs")
-        parsed = frontends.colorful_lift(parsed, args.t)
-    if parsed.t != args.t:
-        raise GapforgeError(f"graph has {parsed.t} parts, expected --t {args.t}")
-    result = frontends.clique_to_maxcover(parsed)
+    graph = frontends._clique_graph(frontends.parse_edge_list(_read(args.file)), args.t)
+    result = frontends.clique_to_maxcover(graph)
     if isinstance(result, frontends.DecidedNo):
         _dump({"decided": "NO", "reason": result.reason,
                "empty_classes": [list(p) for p in result.empty_classes]})
@@ -215,16 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_code = sub.add_parser("code", help="construct and measure codes")
     code_sub = p_code.add_subparsers(dest="code_cmd", required=True)
-    p_rs = code_sub.add_parser("rs")
-    p_rs.add_argument("--q", type=int, required=True)
-    p_rs.add_argument("--r", type=int, required=True)
-    p_rs.add_argument("-o", "--output")
-    p_rand = code_sub.add_parser("random")
-    p_rand.add_argument("--q", type=int, required=True)
-    p_rand.add_argument("--r", type=int, required=True)
-    p_rand.add_argument("--ell", type=int, required=True)
-    p_rand.add_argument("--seed", type=int, required=True)
-    p_rand.add_argument("-o", "--output")
+    for name, ints in (("rs", ("--q", "--r")), ("random", ("--q", "--r", "--ell", "--seed"))):
+        p = code_sub.add_parser(name)
+        for option in ints:
+            p.add_argument(option, type=int, required=True)
+        p.add_argument("-o", "--output")
     p_meas = code_sub.add_parser("measure")
     p_meas.add_argument("file")
     p_meas.add_argument("--col-cap", type=int, default=None)
@@ -268,31 +259,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--set", required=True)
     p_sc.set_defaults(func=_cmd_setcover)
 
-    p_cnf = sub.add_parser("from-cnf", help="3-SAT front-end")
-    p_cnf.add_argument("file")
-    p_cnf.add_argument("--k", type=int, required=True)
-    p_cnf.add_argument("-o", "--output")
-    p_cnf.set_defaults(func=_cmd_from_cnf)
-
-    p_gr = sub.add_parser("from-graph", help="clique front-end")
-    p_gr.add_argument("file")
-    p_gr.add_argument("--t", type=int, required=True)
-    p_gr.add_argument("--lift", action="store_true")
-    p_gr.add_argument("-o", "--output")
-    p_gr.set_defaults(func=_cmd_from_graph)
+    for name, size, func, text in (("from-cnf", "--k", _cmd_from_cnf, "3-SAT front-end"),
+                                   ("from-graph", "--t", _cmd_from_graph, "clique front-end")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file")
+        p.add_argument(size, type=int, required=True)
+        p.add_argument("-o", "--output")
+        p.set_defaults(func=func)
 
     p_pl = sub.add_parser("pipeline", help="end-to-end reductions")
     pl_sub = p_pl.add_subparsers(dest="pl_cmd", required=True)
-    p_w = pl_sub.add_parser("wone")
-    p_w.add_argument("--graph", required=True)
-    p_w.add_argument("--t", type=int, required=True)
-    p_w.add_argument("--q", type=int, default=None)
-    p_w.add_argument("--json", action="store_true")
-    p_e = pl_sub.add_parser("eth")
-    p_e.add_argument("--cnf", required=True)
-    p_e.add_argument("--k", type=int, required=True)
-    p_e.add_argument("--q", type=int, default=None)
-    p_e.add_argument("--json", action="store_true")
+    for name, source, size in (("wone", "--graph", "--t"), ("eth", "--cnf", "--k")):
+        p = pl_sub.add_parser(name)
+        p.add_argument(source, required=True)
+        p.add_argument(size, type=int, required=True)
+        p.add_argument("--q", type=int, default=None)
+        p.add_argument("--json", action="store_true")
     p_pl.set_defaults(func=_cmd_pipeline)
 
     return parser
@@ -303,10 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GapforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (GapforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

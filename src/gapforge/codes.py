@@ -39,7 +39,7 @@ from .errors import (
     RankRangeError,
     SymbolRangeError,
 )
-from .errors import ParseError, SchemaVersionError
+from .errors import ParseError, SchemaVersionError, count_text
 from .serialize import FORMAT_TAG, check_format, require_ints, require_keys
 
 INFINITE = float("inf")
@@ -59,6 +59,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def next_prime(n: int) -> int:
+    """The smallest prime >= n."""
+    while not is_prime(n):
+        n += 1
+    return n
+
+
 def _rank_of_symbols(symbols, q: int) -> int:
     """Big-endian base-q rank; lexicographic tuple order equals rank order."""
     rank = 0
@@ -73,6 +80,14 @@ def _symbols_of_rank(rank: int, q: int, length: int) -> tuple[int, ...]:
         out[pos] = rank % q
         rank //= q
     return tuple(out)
+
+
+def _check_shape(q: int, ell: int, r: int = 1) -> None:
+    """A code's shape rule: q >= 2, r >= 1 and ell >= 1 (table codes derive r >= 1)."""
+    if q < 2:
+        raise SymbolRangeError(f"alphabet size must be >= 2, got {q}")
+    if r < 1 or ell < 1:
+        raise MessageLengthError(f"need r >= 1 and ell >= 1, got r={r}, ell={ell}")
 
 
 class Code:
@@ -90,10 +105,7 @@ class Code:
     __slots__ = ("q", "r", "ell", "kind", "seed", "_size", "_table", "_pack", "_packed")
 
     def __init__(self, q, r, ell, kind, table, *, seed=None):
-        if q < 2:
-            raise SymbolRangeError(f"alphabet size must be >= 2, got {q}")
-        if r < 1 or ell < 1:
-            raise MessageLengthError(f"need r >= 1 and ell >= 1, got r={r}, ell={ell}")
+        _check_shape(q, ell, r)
         if (kind == KIND_REED_SOLOMON or table is None) and type(self) is not _ReedSolomonCode:
             raise GapforgeError("a code needs a table; only reed_solomon() builds RS codes")
         self.q = q
@@ -147,7 +159,7 @@ class Code:
     def table(self, cap: int = DEFAULT_ENUM_CAP) -> tuple[tuple[int, ...], ...]:
         if self._size * self.ell > cap:
             raise CapExceededError(
-                f"{self._size} codewords of length {self.ell} exceed cap {cap}")
+                f"{count_text(self._size)} codewords of length {self.ell} exceed cap {cap}")
         if self._table is not None:
             return self._table
         return tuple(map(self._encode, range(self._size)))
@@ -254,12 +266,13 @@ def random_code(q: int, r: int, ell: int, seed: int) -> Code:
     stable across platforms and supported Python versions.  Colliding rows
     are redrawn in place so the table is injective, preserving determinism;
     ell < r leaves q**ell < q**r words, too few for that, and raises
-    GapforgeError (an alphabet below 2 is left to Code, which rejects it).
+    GapforgeError.  Every check runs before the first draw.
     """
+    _check_shape(q, ell, r)
     size = q ** r
     if size * ell > DEFAULT_ENUM_CAP:
-        raise CapExceededError(f"q**r * ell = {size * ell} exceeds cap {DEFAULT_ENUM_CAP}")
-    if q > 1 and ell < r:
+        raise CapExceededError(f"{q}**{r} * {ell} symbols exceed cap {DEFAULT_ENUM_CAP}")
+    if ell < r:
         raise GapforgeError(f"{q}**{ell} words cannot hold q**r = {size} distinct codewords")
     rng = random.Random(seed)
     seen: set[tuple[int, ...]] = set()
@@ -275,14 +288,15 @@ def random_code(q: int, r: int, ell: int, seed: int) -> Code:
 
 def explicit_code(q: int, ell: int, table) -> Code:
     """Wrap an explicit codeword table (lexicographic message order)."""
+    _check_shape(q, ell)
     table = tuple(tuple(w) for w in table)
     return Code(q, _table_message_length(q, len(table)), ell, KIND_EXPLICIT, table)
 
 
 def _table_message_length(q: int, size: int) -> int:
-    """A table code's r: the smallest r >= 1 with q**r >= size (1 if q < 2; Code rejects it)."""
+    """A table code's r: the smallest r >= 1 with q**r >= size (q >= 2)."""
     r = 1
-    while q > 1 and q ** r < size:
+    while q ** r < size:
         r += 1
     return r
 
@@ -650,6 +664,7 @@ def phf_to_code(phf: PerfectHashFamily) -> Code:
     The message space is re-indexed as [N]; the nominal message length is
     ceil(log_q N) and the table length N is authoritative.
     """
+    _check_shape(phf.q, phf.ell)
     table = tuple(tuple(h[x] for h in phf.functions) for x in range(phf.domain_size))
     return Code(phf.q, _table_message_length(phf.q, phf.domain_size), phf.ell, KIND_PHF, table)
 

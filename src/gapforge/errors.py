@@ -15,11 +15,19 @@ DEFAULT_ENUM_CAP = 1 << 20
 DEFAULT_SUBSET_BUDGET = 10_000_000
 # Max labelings enumerated by the exact MaxCover solver.
 DEFAULT_LABELING_CAP = 1_000_000
-# Max composed SetCover universe size (ell * |U| ** q**k) that materialize
-# exports; composing, membership and cover checks never enumerate it.
+# Max size of a stored universe: a SetCover instance's, a composed one's when
+# materialize exports it, and each side of an explicit MaxCover instance.
 DEFAULT_UNIVERSE_CAP = 10_000_000
 # Max edges materialized for implicit (threshold / composed) graphs.
 DEFAULT_EDGE_CAP = 1_000_000
+
+
+def count_text(n: int) -> str:
+    """n in decimal, or a power-of-two bound past the int-to-text digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"2**{n.bit_length() - 1} or more"
 
 
 class GapforgeError(Exception):
@@ -83,7 +91,7 @@ class NotTwoPartsError(GapforgeError):
 
 
 class UniverseCapError(GapforgeError):
-    """Composed SetCover universe would exceed the universe cap."""
+    """A SetCover universe would exceed the universe cap."""
 
 
 class InstanceMismatchError(GapforgeError):

@@ -134,10 +134,15 @@ def colorful_lift(graph: Graph, t: int) -> PartitionedGraph:
     return PartitionedGraph(parts, frozenset(edges))
 
 
-def _check_clique_parts(t: int) -> None:
-    """The clique front-end needs t >= 2 parts: a left super-node per part pair."""
+def _clique_graph(graph, t: int) -> PartitionedGraph:
+    """graph on the clique front-end's t >= 2 parts; a plain graph is lifted to them."""
     if t < 2:
         raise IndexRangeError(f"the clique front-end needs t >= 2 parts, got t={t}")
+    if isinstance(graph, Graph):
+        return colorful_lift(graph, t)
+    if graph.t != t:
+        raise IndexRangeError(f"graph has {graph.t} parts, expected t={t}")
+    return graph
 
 
 def clique_to_maxcover(graph: PartitionedGraph):
@@ -151,7 +156,7 @@ def clique_to_maxcover(graph: PartitionedGraph):
     can exist, returned as a DecidedNo.  A graph needs t >= 2 parts.
     """
     t = graph.t
-    _check_clique_parts(t)
+    _clique_graph(graph, t)  # checks t >= 2
     # bit[w] is w's bit in a row: its rank in its part, in that part's field
     owner = graph._owner
     bit, fields, num_w = [0] * len(owner), [], 0
@@ -406,9 +411,6 @@ def parse_dimacs_cnf(text: str) -> Cnf3:
             except ValueError:
                 raise ParseError(f"bad literal {tok!r}", lineno) from None
             if lit == 0:
-                if len(current) > 3:
-                    raise ClauseWidthError(
-                        f"clause {len(clauses)} has {len(current)} literals")
                 clauses.append(tuple(current))
                 current = []
             else:

@@ -32,6 +32,7 @@ from .codes import Code, _field_packing, _match_parts, _symbols_of_rank, relativ
 from .errors import (
     DEFAULT_EDGE_CAP,
     DEFAULT_LABELING_CAP,
+    DEFAULT_UNIVERSE_CAP,
     CapExceededError,
     DegreeBoundError,
     EmptyPartError,
@@ -41,6 +42,7 @@ from .errors import (
     NotPseudoProjectionError,
     NotTwoPartsError,
     ParseError,
+    count_text,
 )
 from .serialize import (
     COMPLETENESS_OK,
@@ -285,6 +287,8 @@ def _checked_parts(v_parts, w_parts) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise IndexRangeError("negative part size")
     if any(s < 1 for s in w_parts):
         raise EmptyPartError("right super-nodes must be non-empty")
+    if max(sum(v_parts), sum(w_parts)) > DEFAULT_UNIVERSE_CAP:
+        raise CapExceededError(f"a side exceeds the cap of {DEFAULT_UNIVERSE_CAP} vertices")
     return v_parts, w_parts
 
 
@@ -338,7 +342,7 @@ def maxcover_value(instance, labeling_cap: int = DEFAULT_LABELING_CAP) -> MaxCov
     t = instance.t
     total = math.prod(sizes)
     if total > labeling_cap:
-        raise CapExceededError(f"{total} labelings exceed cap {labeling_cap}")
+        raise CapExceededError(f"{count_text(total)} labelings exceed cap {labeling_cap}")
     if total == 0:
         return MaxCoverResult(Fraction(0), None, 0)
     best = -1
@@ -497,7 +501,8 @@ class ComposedMaxCover(_PackedRows):
         and raises CapExceededError first if they exceed DEFAULT_EDGE_CAP."""
         pairs = self.num_v * self.num_w
         if pairs > DEFAULT_EDGE_CAP:
-            raise CapExceededError(f"{pairs} candidate edges exceed cap {DEFAULT_EDGE_CAP}")
+            raise CapExceededError(f"{count_text(pairs)} candidate edges exceed cap "
+                                   f"{DEFAULT_EDGE_CAP}")
         edges = [(vg, wg) for vg in range(self.num_v)
                  for wg in range(self.num_v, self.num_v + self.num_w)
                  if self.adjacent(vg, wg)]

@@ -7,7 +7,9 @@ bound), and violation is VIOLATION.  Each exact solve is capped at
 errors.DEFAULT_LABELING_CAP labelings.  The report records the exact
 measured code distance and the formula-level distance bound 1 - r/q so the
 achieved gap is parameter-honest; asymptotic parameter choices are replaced
-by the smallest workable prime (recorded, overridable).
+by the smallest workable prime (recorded, overridable).  An override is
+checked by reed_solomon (NotPrimeError, or RankRangeError for q < t) and by
+the matching (MatchingOverflowError for q**t below the largest right part).
 
 A job uses only a handful of codes RS(q, r), so each certified code (the
 code and its exact relative distance) is built once and reused for later
@@ -23,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .codes import Code, is_prime, reed_solomon, relative_distance
-from .errors import GapforgeError, NotPrimeError, RankRangeError
+from .codes import Code, next_prime, reed_solomon, relative_distance
+from .errors import RankRangeError
 from .frontends import Cnf3, DecidedNo, Graph, PartitionedGraph, \
-    _check_clique_parts, clique_to_maxcover, colorful_lift, sat_to_maxcover
+    _clique_graph, clique_to_maxcover, sat_to_maxcover
 from .maxcover import compose_gap, gap_certificate
 from .serialize import COMPLETENESS_OK, FORMAT_TAG, SOUNDNESS_OK, VERDICT_VIOLATION
 
@@ -104,10 +106,9 @@ def smallest_workable_prime(t: int, max_w: int) -> int:
     if t < 1:
         raise RankRangeError(f"need t >= 1, got t={t}")
     q = t + 1
-    while True:
-        if is_prime(q) and q ** t >= max_w:
-            return q
+    while q ** t < max_w:
         q += 1
+    return next_prime(q)
 
 
 _CODE_CACHE_SIZE = 32
@@ -120,22 +121,6 @@ def _certified_code(q: int, r: int) -> tuple[Code, Fraction]:
     return code, relative_distance(code).delta
 
 
-def _choose_code(t: int, max_w: int,
-                 q_override: int | None) -> tuple[Code, Fraction]:
-    if q_override is None:
-        q = smallest_workable_prime(t, max_w)
-    else:
-        q = q_override
-        if not is_prime(q):
-            raise NotPrimeError(f"q override {q} is not prime")
-        if q < t:
-            raise RankRangeError(f"q override {q} is below r = t = {t}")
-        if q ** t < max_w:
-            raise GapforgeError(
-                f"q override {q} cannot match right super-nodes of size {max_w}")
-    return _certified_code(q, t)
-
-
 def _run_gap_stages(frontend, frontend_start, q_override, stages) -> PipelineReport:
     """Record the front-end stage begun at frontend_start, then compose and solve."""
     stages.append(Stage("frontend", time.perf_counter() - frontend_start, {
@@ -143,7 +128,9 @@ def _run_gap_stages(frontend, frontend_start, q_override, stages) -> PipelineRep
         "v": frontend.num_v, "w": frontend.num_w, "edges": frontend.num_edges}))
 
     start = time.perf_counter()
-    code, delta = _choose_code(frontend.t, max(frontend.w_parts), q_override)
+    q = (smallest_workable_prime(frontend.t, max(frontend.w_parts))
+         if q_override is None else q_override)
+    code, delta = _certified_code(q, frontend.t)
     delta_bound = Fraction(code.q - code.r, code.q)  # 1 - r/q
     composed = compose_gap(frontend, code)
     stages.append(Stage("compose", time.perf_counter() - start, {
@@ -170,20 +157,17 @@ def wone_pipeline(graph: Graph | PartitionedGraph, t: int,
     """Colorful t-clique skeleton: clique front-end, then RS(q, r=t) composition.
 
     Plain graphs are lifted to t parts first; partitioned inputs must
-    already have t parts.  t must be at least 2 (clique_to_maxcover).
+    already have t parts.  t must be at least 2 (frontends._clique_graph).
     """
-    _check_clique_parts(t)
     stages: list[Stage] = []
-    if isinstance(graph, Graph):
-        start = time.perf_counter()
-        graph = colorful_lift(graph, t)
+    start = time.perf_counter()
+    parts = _clique_graph(graph, t)
+    if parts is not graph:
         stages.append(Stage("lift", time.perf_counter() - start,
-                            {"vertices": graph.num_vertices}))
-    if graph.t != t:
-        raise GapforgeError(f"graph has {graph.t} parts, expected t={t}")
+                            {"vertices": parts.num_vertices}))
 
     start = time.perf_counter()
-    frontend = clique_to_maxcover(graph)
+    frontend = clique_to_maxcover(parts)
     if isinstance(frontend, DecidedNo):
         stages.append(Stage("frontend", time.perf_counter() - start,
                             {"decided_no": True}))

@@ -30,6 +30,7 @@ from .errors import (
     IndexRangeError,
     InstanceMismatchError,
     UniverseCapError,
+    count_text,
 )
 from .serialize import (
     COMPLETENESS_OK,
@@ -53,6 +54,9 @@ class SetCoverInstance:
     def __init__(self, universe_size: int, collections, provenance: str = ""):
         if universe_size < 1:
             raise IndexRangeError("universe must be non-empty")
+        if universe_size > DEFAULT_UNIVERSE_CAP:
+            raise UniverseCapError(f"universe of {count_text(universe_size)} elements "
+                                   f"exceeds cap {DEFAULT_UNIVERSE_CAP}")
         colls = tuple(tuple(frozenset(s) for s in coll) for coll in collections)
         if not colls or any(not coll for coll in colls):
             raise EmptyPartError("every collection must contain at least one set")
@@ -294,11 +298,12 @@ class ComposedSetCover:
         """Explicit composed instance; element n is the n-th of iter_universe.
 
         Tests every element against every vector: the one library path that
-        enumerates the universe, and the one place DEFAULT_UNIVERSE_CAP applies.
+        enumerates the universe, so DEFAULT_UNIVERSE_CAP, which bounds every
+        stored universe, is checked before the first element.
         """
         if self.universe_size > DEFAULT_UNIVERSE_CAP:
-            raise UniverseCapError(f"composed universe of {self.universe_size} elements "
-                                   f"exceeds export cap {DEFAULT_UNIVERSE_CAP}")
+            raise UniverseCapError(f"composed universe of {count_text(self.universe_size)} "
+                                   f"elements exceeds export cap {DEFAULT_UNIVERSE_CAP}")
         collections = [[set() for _ in coll] for coll in self.base.collections]
         for n, element in enumerate(self.iter_universe()):
             bits = self._element_bits(element)

@@ -28,6 +28,7 @@ from .errors import (
     CapExceededError,
     GapforgeError,
     IndexRangeError,
+    count_text,
 )
 
 
@@ -324,7 +325,7 @@ def export_edges(graph: ThresholdGraph, *, cap: int = DEFAULT_EDGE_CAP):
     offset = ell * a_size
     total = graph.num_b * ell * q ** (t - 1)
     if total > cap:
-        raise CapExceededError(f"edge export of {total} edges exceeds cap {cap}")
+        raise CapExceededError(f"edge export of {count_text(total)} edges exceeds cap {cap}")
     edges = []
     for j in range(t):
         for m in range(code.size):

@@ -46,10 +46,18 @@ class TestEncode:
         with pytest.raises(SymbolRangeError):
             gf.encode(code, (0, 3))
 
-    def test_unary_alphabet_table(self):
-        # no r has 1**r >= 2 words, so r is not searched for: Code rejects q = 1
+    def test_unary_alphabet_table(self, monkeypatch):
+        # no r has 1**r >= 2 words, so the shape check runs before r is searched
+        def no_search(q, size):
+            raise AssertionError("message length searched before the shape check")
+
+        monkeypatch.setattr(codes, "_table_message_length", no_search)
         with pytest.raises(SymbolRangeError):
             gf.explicit_code(1, 1, [(0,), (0,)])
+        with pytest.raises(SymbolRangeError):
+            gf.phf_to_code(gf.PerfectHashFamily(3, 1, ((0, 0, 0),)))
+        with pytest.raises(MessageLengthError):
+            gf.explicit_code(2, 0, [(), ()])
 
 
 class TestReedSolomon:
@@ -146,6 +154,19 @@ class TestRandomCode:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             gf.random_code(2, 30, 4, seed=0)
+
+    @pytest.mark.parametrize("q,r,ell,error", [
+        (-2, 2, 3, SymbolRangeError), (1, 2, 3, SymbolRangeError), (0, 2, 3, SymbolRangeError),
+        (3, -1, 3, MessageLengthError), (3, 0, 3, MessageLengthError),
+        (3, 2, 0, MessageLengthError), (3, 2, -4, MessageLengthError),
+    ])
+    def test_shape_checked_before_any_draw(self, monkeypatch, q, r, ell, error):
+        def no_draw(seed):
+            raise AssertionError("drew before the shape check")
+
+        monkeypatch.setattr(codes.random, "Random", no_draw)
+        with pytest.raises(error):
+            gf.random_code(q, r, ell, seed=0)
 
     @pytest.mark.parametrize("q,r,ell", [(2, 2, 1), (3, 3, 2)])
     def test_too_few_words(self, q, r, ell):

@@ -328,6 +328,11 @@ class TestDimacsParser:
         cnf = gf.parse_dimacs_cnf("c hello\np cnf 3 2\n1 -2\n3 0\n2 0\n")
         assert cnf.clauses == ((1, -2, 3), (2,))
 
+    def test_wide_clause(self):
+        # the clause width is Cnf3's rule; the parser does not restate it
+        with pytest.raises(ClauseWidthError, match="clause 1 has 4 literals"):
+            gf.parse_dimacs_cnf("p cnf 4 2\n1 0\n1 2 3 4 0\n")
+
     def test_unterminated_clause(self):
         with pytest.raises(ParseError):
             gf.parse_dimacs_cnf("p cnf 1 1\n1\n")

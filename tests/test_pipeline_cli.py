@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from gapforge.cli import build_parser, main
 from gapforge.errors import (
     DEFAULT_LABELING_CAP,
     GapforgeError,
+    MatchingOverflowError,
     NotPrimeError,
     RankRangeError,
 )
@@ -25,6 +27,13 @@ from gapforge.pipeline import _certified_code, smallest_workable_prime
 _SETCOVER = {"universe": 2, "collections": [[[0]], [[1]]]}
 _MEMBER = ["setcover", "member", "--instance", "{doc}", "--code", "{code}", "--i", "0"]
 _F_ZERO = ",".join(["0"] * 9)
+_RANDOM = ["code", "random", "--seed", "0", "--ell", "3"]
+_SC_COMPOSE = ["setcover", "compose", "--instance", "{doc}", "--code", "{code}"]
+# composed over RS(3,2), 9 one-set collections give a universe of 3 * 3**19683
+_SETCOVER_9 = {"universe": 3, "collections": [[[0]]] * 9}
+# an int past the interpreter's 4,300-digit text-to-int limit
+_HUGE_INT_CODE = ('{"q": ' + "9" * 5000
+                  + ', "r": 1, "ell": 1, "kind": "explicit", "table": [[0]]}')
 
 
 def triangle():
@@ -173,6 +182,24 @@ class TestWonePipeline:
         assert smallest_workable_prime(2, 2) == 3
         # q**t must reach the largest right super-node
         assert smallest_workable_prime(3, 256) == 7
+        for t in range(1, 5):
+            for max_w in range(1, 300):
+                by_definition = next(q for q in range(t + 1, 400) if q ** t >= max_w
+                                     and all(q % p for p in range(2, q)))
+                assert smallest_workable_prime(t, max_w) == by_definition
+
+    @pytest.mark.parametrize("t,q,error,match", [
+        (3, 4, NotPrimeError, "q=4 is not prime"),
+        (3, 2, RankRangeError, "r=3, q=2"),
+        (2, 2, MatchingOverflowError, "part 0 has 5 members, the code has 4 codewords"),
+    ])
+    def test_bad_override_raises_owners_error(self, t, q, error, match):
+        # reed_solomon and the composition's matching check an override
+        parts = [tuple(range(5 * i, 5 * i + 5)) for i in range(t)]
+        edges = [(u, v) for a, b in combinations(parts, 2) for u in a for v in b]
+        graph = gf.make_partitioned_graph(parts, edges)
+        with pytest.raises(error, match=match):
+            gf.wone_pipeline(graph, t, q)
 
     @pytest.mark.parametrize("t", [0, -1])
     def test_prime_choice_needs_positive_t(self, t):
@@ -436,7 +463,6 @@ class TestCli:
         def no_lift(graph, t):
             raise AssertionError("lifted before t was checked")
 
-        monkeypatch.setattr(pipeline, "colorful_lift", no_lift)
         monkeypatch.setattr(gf.frontends, "colorful_lift", no_lift)
         for path in (plain, one_part):
             for argv in (["pipeline", "wone", "--graph", str(path), "--t", str(t)],
@@ -448,6 +474,15 @@ class TestCli:
                 pipeline.wone_pipeline(gf.parse_edge_list(path.read_text()), t)
         with pytest.raises(GapforgeError, match="t >= 2"):
             gf.clique_to_maxcover(gf.make_partitioned_graph([(0, 1)], []))
+
+    def test_part_count_must_match_t(self, tmp_path, capsys):
+        # one rule for both clique routes, stated by the front-end
+        path = tmp_path / "tri.txt"
+        path.write_text("0 1\n0 2\n1 2\npart 0 0\npart 1 1\npart 2 2\n")
+        for argv in (["from-graph", str(path), "--t", "4"],
+                     ["pipeline", "wone", "--graph", str(path), "--t", "4"]):
+            assert main(argv) == 3
+            assert capsys.readouterr().err == "error: graph has 3 parts, expected t=4\n"
 
     def test_error_exit_code(self, tmp_path, capsys):
         assert main(["code", "measure", str(tmp_path / "missing.json")]) == 3
@@ -494,13 +529,36 @@ class TestCli:
         (_MEMBER + ["--f", ",".join(["5"] * 9), "--set", "0,0"], _SETCOVER),
         (["setcover", "solve", "{doc}", "--cap", "-1"], _SETCOVER),
         (["code", "measure", "{code}", "--col-cap", "-1"], _SETCOVER),
+        # each shape rule runs before random_code draws
+        (_RANDOM + ["--q", "-2", "--r", "2"], _SETCOVER),
+        (_RANDOM + ["--q", "3", "--r", "-1"], _SETCOVER),
+        # sizes are checked before anything of that size is allocated
+        (["setcover", "solve", "{doc}", "--cap", "2"],
+         {"universe": 10 ** 12, "collections": [[[0]], [[0]]]}),
+        (["maxcover", "solve", "{doc}"],
+         {"k": 1, "t": 1, "v_parts": [1], "w_parts": [10 ** 11], "edges": []}),
+        (["maxcover", "solve", "{doc}"],
+         {"k": 1, "t": 1, "v_parts": [10 ** 9], "w_parts": [1], "edges": []}),
+        # integers past the interpreter's digit limit, in output and in input
+        (["threshold", "--code", "{code}", "--t", "10000"], _SETCOVER),
+        (["threshold", "--code", "{code}", "--t", "10000", "--export", "{out}"], _SETCOVER),
+        (_SC_COMPOSE, _SETCOVER_9),
+        (_SC_COMPOSE + ["--export", "{out}"], _SETCOVER_9),
+        pytest.param(["code", "measure", "{doc}"], _HUGE_INT_CODE, id="huge-int-input"),
+        (["code", "rs", "--q", "1511", "--r", "1511"], _SETCOVER),
+        (["maxcover", "solve", "{doc}"],
+         {"k": 20000, "t": 1, "v_parts": [2] * 20000, "w_parts": [1], "edges": []}),
+        (["maxcover", "compose", "--instance", "{doc}", "--code", "{code}", "--materialize"],
+         {"k": 1, "t": 10000, "v_parts": [1], "w_parts": [1] * 10000,
+          "edges": [[0, w] for w in range(1, 10001)]}),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, argv, doc):
         doc_path = tmp_path / "doc.json"
-        doc_path.write_text(json.dumps(doc))
+        doc_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code_path = tmp_path / "rs.json"
         code_path.write_text(json.dumps(gf.code_to_json(gf.reed_solomon(3, 2))))
-        argv = [a.format(doc=doc_path, code=code_path) for a in argv]
+        argv = [a.format(doc=doc_path, code=code_path, out=tmp_path / "out.json")
+                for a in argv]
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
@@ -577,6 +635,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         [], ["setcover", "certify", "--code", "rs.json"], ["code", "rs", "--q", "x", "--r", "2"],
         ["code", "measure", "rs.json", "--method", "pairs"],
+        ["from-graph", "g.txt", "--t", "3", "--lift"],
     ])
     def test_usage_error_exit_code(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -593,6 +652,6 @@ class TestCli:
     def test_lift_flag(self, tmp_path, capsys):
         graph_path = tmp_path / "g.txt"
         graph_path.write_text("0 1\n0 2\n1 2\n")
-        assert main(["from-graph", str(graph_path), "--t", "3", "--lift"]) == 0
+        assert main(["from-graph", str(graph_path), "--t", "3"]) == 0
         inst = gf.maxcover_from_json(json.loads(capsys.readouterr().out))
         assert gf.maxcover_value(inst).value == 1
