@@ -11,10 +11,13 @@ collision search, the threshold soundness check and the MaxCover
 composition read those words and pack nothing themselves.  The collision
 search walks subsets depth-first, in increasing size and lexicographic
 order within a size, so a subset's collision test is a few integer
-operations.  On Reed-Solomon codes it searches only subsets holding the
-zero word; by linearity that loses no witness (see collision_number).  The
-same search, over one copy of the words per B-part, decides the threshold
-graph's collision property (see threshold.verify_threshold).
+operations.  It prunes by the paper's counting fact: two distinct
+codewords agree on at most ell * (1 - delta) coordinates, so a prefix
+whose remaining pairs cannot cover the coordinates it lacks is dropped,
+at every depth (see _first_collision).  Its counters count every subset
+visited, prefixes included.  The same search, over one copy of the words
+per B-part, decides the threshold graph's collision property (see
+threshold.verify_threshold).
 """
 
 from __future__ import annotations
@@ -408,7 +411,9 @@ class CollisionReport:
     subset of any size collides there), or "unknown_above" (nothing found up
     to the size cap, which was below |C|).  Finiteness of the bounds:
     lower_bound is ceil(sqrt(2/(1-delta))) (INFINITE when delta = 1) and
-    upper_bound is q+1, defined only when |C| >= q+1.
+    upper_bound is q+1, defined only when |C| >= q+1.  subsets_examined
+    counts the subsets the pruned search visited, prefixes and complete
+    subsets alike.
     """
 
     value: int | float | None
@@ -474,7 +479,7 @@ def _field_packing(widths):
 
 
 def _first_collision(words, parts: int, size: int, anchored: bool, low: int, top: int,
-                     examined: int, budget: int):
+                     agree: int, examined: int, budget: int):
     """Depth-first search for the lexicographically-first colliding subset.
 
     words holds parts copies of the n packed codewords, index p * n + m
@@ -487,12 +492,28 @@ def _first_collision(words, parts: int, size: int, anchored: bool, low: int, top
     copy starts, and dup, the OR of the pairwise ANDs of same-copy words;
     a subset collides on every coordinate iff every field of its dup is
     nonzero.  With one copy these are all size-subsets of the words.
-    Returns (witness or None, examined), examined counting complete
-    subsets; the subset numbered budget + 1 raises BudgetExceededError
-    untested.
+
+    Two distinct words agree on at most agree coordinates, so each pair
+    still to be formed fills at most agree of the fields dup lacks.  A
+    prefix of d words is dropped when the C(size, 2) - C(d, 2) pairs that
+    involve a word not yet chosen cannot fill them: ell - covered > agree *
+    (C(size, 2) - C(d, 2)), covered counting the nonzero fields of dup.  At
+    d = 0 that refutes the whole size unless C(size, 2) * agree >= ell.
+    Across copies, pairs in different copies fill nothing, so the bound
+    holds there too.  Only prefixes that cannot complete are dropped, so
+    the first colliding subset of the unpruned order is kept.  Returns
+    (witness or None, examined), examined counting the subsets visited,
+    prefixes and complete subsets alike; the one numbered budget + 1
+    raises BudgetExceededError untested.
     """
     n = len(words) // parts
     total = len(words)
+    ell = top.bit_count()  # one top bit per field
+    pairs = math.comb(size, 2)
+    if agree * pairs < ell:
+        return None, examined
+    # need[d]: the fewest nonzero fields of dup that d chosen words must have
+    need = [ell - agree * (pairs - math.comb(d, 2)) for d in range(size)]
     chosen = []
 
     def extend(start: int, copy_end: int, unopened: int, seen: int, dup: int):
@@ -517,14 +538,22 @@ def _first_collision(words, parts: int, size: int, anchored: bool, low: int, top
                     f"collision search exceeded budget {budget} at size {size}")
             return None
         stop = 1 if anchored and depth == 0 else total - size + depth + 1
+        floor = need[depth + 1]
         for lo, hi, prior, left in ((start, copy_end, seen, unopened),
                                     (copy_end, copy_end + n, 0, unopened - 1)):
             if not 0 <= left < size - depth:
                 continue
             for m in range(lo, min(hi, stop)):
+                examined += 1
+                if examined > budget:
+                    raise BudgetExceededError(
+                        f"collision search exceeded budget {budget} at size {size}")
                 c = words[m]
+                d = dup | prior & c
+                if (((d & low) + low | d) & top).bit_count() < floor:
+                    continue
                 chosen.append(m)
-                witness = extend(m + 1, hi, left, prior | c, dup | prior & c)
+                witness = extend(m + 1, hi, left, prior | c, d)
                 if witness is not None:
                     return witness
                 chosen.pop()
@@ -533,25 +562,26 @@ def _first_collision(words, parts: int, size: int, anchored: bool, low: int, top
     return extend(0, 0, parts, 0, 0), examined
 
 
-def _collision_search(code: Code, sizes, parts: int, budget: int):
+def _collision_search(code: Code, sizes, parts: int, agree: int, budget: int):
     """(size, witness, examined) for the first size in sizes with a collision.
 
     The one collision search: _first_collision over parts copies of the
     code's packed words, size by size; (None, None, examined) when no size
-    has one.  collision_number runs it on one copy, and
-    threshold.verify_threshold on one copy per B-part.  It owns the
-    Reed-Solomon anchor: on those codes only subsets holding rank 0 of
-    copy 0, the zero word, are searched.  Translating every member by a
-    copy-0 member's codeword keeps the agreements inside each copy and
-    puts the zero word in copy 0, so no size is lost (collision_number
-    says why its witness stays the first).
+    has one.  agree is the most coordinates on which two distinct
+    codewords agree, ell * (1 - delta), which the search's prune rests on.
+    collision_number runs it on one copy, and threshold.verify_threshold on
+    one copy per B-part.  It owns the Reed-Solomon anchor: on those codes
+    only subsets holding rank 0 of copy 0, the zero word, are searched.
+    Translating every member by a copy-0 member's codeword keeps the
+    agreements inside each copy and puts the zero word in copy 0, so no
+    size is lost (collision_number says why its witness stays the first).
     """
     _, low, top = _field_packing((code.q,) * code.ell)
     words = [code.packed(m) for m in range(code.size)] * parts
     anchored = code.kind == KIND_REED_SOLOMON
     examined = 0
     for s in sizes:
-        witness, examined = _first_collision(words, parts, s, anchored, low, top,
+        witness, examined = _first_collision(words, parts, s, anchored, low, top, agree,
                                              examined, budget)
         if witness is not None:
             return s, witness, examined
@@ -568,13 +598,28 @@ def collision_number(code: Code, size_cap: int | None = None, *,
     coordinate has pairwise-distinct values across the whole code, no
     subset collides there and the collision number is INFINITE.
 
+    The search is pruned by counting: two distinct codewords agree on at
+    most A = ell * (1 - delta) coordinates, so a colliding s-set needs
+    C(s, 2) * A >= ell, and a prefix is dropped once the pairs it may still
+    form cannot cover the coordinates it lacks (see _first_collision).  The
+    prune drops only prefixes that cannot complete, so the value and
+    witness are those of the unpruned search.
+
     Reed-Solomon codes are searched only over subsets holding rank 0, the
     zero word.  This is exact: the code is linear, so for c in a colliding
     set S, S - c is a set of codewords of the same size that agrees exactly
     where S agrees and holds 0, and it precedes S when 0 is not in S.  So
     the lexicographically-first minimal witness holds 0.  Random, PHF and
-    explicit codes are searched in full.  subsets_examined counts the
-    complete subsets tested; budget bounds it.
+    explicit codes are searched over all subsets.  Below Col the anchor
+    saves nothing when the prune refutes each size at its root, as it does
+    on every RS code measured; the threshold search above Col is where it
+    saves visits.
+
+    subsets_examined counts the subsets visited, prefixes and complete
+    subsets alike; budget bounds it.  A given distance must be the code's
+    exact delta: a larger one would make the prune drop colliding sets.
+    One for which ell * (1 - delta) is not an integer in [0, ell] raises
+    GapforgeError.
     """
     if size_cap is not None and size_cap < 0:
         raise CapExceededError(f"collision size cap must be >= 0, got {size_cap}")
@@ -584,6 +629,11 @@ def collision_number(code: Code, size_cap: int | None = None, *,
         size_cap = n
     if distance is None:
         distance = relative_distance(code).delta
+    agree, rest = divmod(code.ell * (distance.denominator - distance.numerator),
+                         distance.denominator)
+    if rest or not 0 <= agree <= code.ell:
+        raise GapforgeError(f"distance {distance} is no relative distance of a code "
+                            f"of block length {code.ell}")
     lower, upper = col_bounds(code, distance=distance)
 
     examined = 0
@@ -593,7 +643,7 @@ def collision_number(code: Code, size_cap: int | None = None, *,
                                    size_cap, examined)
 
     s, witness, examined = _collision_search(code, range(2, min(size_cap, n) + 1), 1,
-                                             budget)
+                                             agree, budget)
     if witness is not None:
         return CollisionReport(s, "finite", witness, lower, upper, size_cap, examined)
     # every coordinate has an agreeing pair, so the whole code collides;

@@ -24,6 +24,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import (
+    DEFAULT_UNIVERSE_CAP,
+    CapExceededError,
     ClauseWidthError,
     EmptyPartError,
     IndexRangeError,
@@ -324,6 +326,9 @@ def sat_to_maxcover(cnf: Cnf3, k: int) -> MaxCoverInstance:
     over the 2**n assignments (_satisfying), and a label's W_J ranks come
     from two lookup tables per pattern, one over each half of a.  A group
     costs O(clauses * 2**n / 64) word operations plus O(labels * patterns).
+    Each row holds |W| bits, so once a group's labels are known, more than
+    DEFAULT_UNIVERSE_CAP bits over the rows so far and the group's raise
+    CapExceededError before any of the group's rows is built.
     """
     if k < 1 or k > len(cnf.clauses):
         raise IndexRangeError(f"need 1 <= k <= number of clauses, got k={k}")
@@ -347,11 +352,19 @@ def sat_to_maxcover(cnf: Cnf3, k: int) -> MaxCoverInstance:
 
     w_parts = tuple(1 << len(s_vars[p]) for p in patterns_in_use)
     starts = [sum(w_parts[:j]) for j in range(len(w_parts))]
-    all_ones = (1 << sum(w_parts)) - 1
+    len_w = sum(w_parts)
+    all_ones = (1 << len_w) - 1
     v_parts, rows = [], []
     for i, (vars_i, clauses) in enumerate(zip(group_vars, group_clauses)):
         n = len(vars_i)
         bit = {var: n - 1 - p for p, var in enumerate(vars_i)}
+        labels = _satisfying(clauses, bit, n)
+        # a row holds |W| bits: check the rows so far and this group's
+        # before any of its rows, or the tables that build them, exist
+        count = len(rows) + len(labels)
+        if count * len_w > DEFAULT_UNIVERSE_CAP:
+            raise CapExceededError(f"{count} labels of {len_w} row bits each exceed cap "
+                                   f"{DEFAULT_UNIVERSE_CAP}")
         # a label's row is full on every W_J with i not in J; on the others
         # it holds bit start + rank, which is lows[a & mask] + highs[a >> half]
         half = n >> 1
@@ -366,7 +379,6 @@ def sat_to_maxcover(cnf: Cnf3, k: int) -> MaxCoverInstance:
                     rank_bits[bit[var]] = 1 << r
                 projections.append((_rank_table(rank_bits[:half], starts[j]),
                                     _rank_table(rank_bits[half:], 0)))
-        labels = _satisfying(clauses, bit, n)
         for a in labels:
             row = others
             for lows, highs in projections:

@@ -129,10 +129,11 @@ class ThresholdVerdict:
     equals the pair's coordinate agreements.  collision_min_x is the
     smallest |X| satisfying the collision-property hypothesis, or None if
     nothing was found below collision_cap; collision_subsets_examined
-    counts the complete X searched, each taking a vertex from every B-part
-    (and, on Reed-Solomon codes, the zero word in B_0).  adjacency_reads
-    counts the adjacent() calls made: sum over i of (symbols realized at
-    i) * t * q**t.
+    counts the X the pruned search visits, each complete X taking a vertex
+    from every B-part (and, on Reed-Solomon codes, the zero word in B_0),
+    and the prefixes leading to them.  adjacency_reads counts the
+    adjacent() calls made: sum over i of (symbols realized at i) * t *
+    q**t.
     """
 
     completeness_ok: bool
@@ -203,14 +204,19 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     - Collision test: when every part is used each best_j(i) >= 1, so
       the sum reaches t+1 iff some part repeats a symbol at coordinate i,
       iff field i of the OR of same-part pairwise ANDs is nonzero.
-    On Reed-Solomon codes the search keeps only X holding the zero word in
-    B_0: translating every member by a B_0 member's codeword keeps the
-    agreements inside each part, so no size is lost.  budget bounds
-    collision_subsets_examined, as in collision_number.  The search reads
-    codewords, never adjacent(), so a corrupted graph does not move
-    collision_min_x; oracles.collision_min_x_by_adjacency decides the
-    hypothesis through adjacent() alone, and its mutation test in
-    tests/test_threshold.py shows the difference.
+    The search takes max_agreements, counted in the soundness pair loop,
+    as the most coordinates two distinct codewords agree on, and drops a
+    prefix whose remaining pairs cannot cover the coordinates it lacks, as
+    in collision_number: only same-part pairs count here, which are a
+    subset of all pairs, so the bound holds.  On Reed-Solomon codes the
+    search keeps only X holding the zero word in B_0: translating every
+    member by a B_0 member's codeword keeps the agreements inside each
+    part, so no size is lost.  budget bounds collision_subsets_examined,
+    prefixes included.  The search reads codewords, never adjacent(), so a
+    corrupted graph does not move collision_min_x;
+    oracles.collision_min_x_by_adjacency decides the hypothesis through
+    adjacent() alone, and its mutation test in tests/test_threshold.py
+    shows the difference.
     """
     code, t, ell = graph.code, graph.t, graph.ell
     size = graph.b_part_size
@@ -288,7 +294,8 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     if has_honest:
         max_shared = max(max_shared, max_agreements)
 
-    min_x, _, examined = _collision_search(code, range(t + 1, collision_cap), t, budget)
+    min_x, _, examined = _collision_search(code, range(t + 1, collision_cap), t,
+                                           max_agreements, budget)
 
     return ThresholdVerdict(
         completeness_ok=counterexample is None,

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -245,9 +246,13 @@ class TestCollisionNumber:
         assert report.value is None
 
     def test_budget_exceeded(self):
-        from gapforge.errors import BudgetExceededError
+        # the budget bounds prefixes too: RS(5,2)'s search visits 7 complete
+        # subsets and 6 prefixes, so 10 stop it
         with pytest.raises(BudgetExceededError):
             gf.collision_number(gf.reed_solomon(5, 2), budget=10)
+        # RS(29,2) needs 4,124,425 visits for Col 9
+        with pytest.raises(BudgetExceededError, match="at size 9"):
+            gf.collision_number(gf.reed_solomon(29, 2), budget=10_000)
 
     def test_witness_collides_everywhere(self, code_suite):
         for code in code_suite:
@@ -260,49 +265,92 @@ class TestCollisionNumber:
                 assert len(set(column)) < len(column), (code, i)
 
 
+def _plain_visits(n: int, size_cap: int, witness) -> int:
+    """Subsets a depth-first search of sizes 2..size_cap visits without a
+    prune, prefixes included, up to the witness: every prefix of each
+    combination it tries.  A size searched in full has C(n - s + d, d)
+    prefixes of length d (their last member leaves room for s - d more)."""
+    visits = 0
+    for size in range(2, min(size_cap, n) + 1):
+        if witness is None or len(witness) > size:
+            visits += sum(math.comb(n - size + d, d) for d in range(1, size + 1))
+            continue
+        seen = set()
+        for subset in combinations(range(n), size):
+            seen.update(subset[:d] for d in range(1, size + 1))
+            if subset == witness:
+                return visits + len(seen)
+    return visits
+
+
 class TestCollisionSearchDifferential:
-    """collision_number against the plain enumeration in oracles."""
+    """collision_number against the plain enumeration in oracles.
+
+    The pruned search counts the subsets it visits, prefixes included.  It
+    visits only prefixes that the same depth-first search without the prune
+    visits before its witness, so its count is at most that search's
+    (_plain_visits); each count is also pinned to its exact value.
+    """
 
     @staticmethod
-    def check(code, size_cap=None):
+    def check(code, size_cap=None, examined=None):
         report = gf.collision_number(code, size_cap)
-        value, status, witness, examined = oracles.collision_number_bruteforce(
-            code, size_cap)
+        value, status, witness, _ = oracles.collision_number_bruteforce(code, size_cap)
         assert (report.value, report.status, report.witness) == (value, status, witness), code
-        if code.kind == "reed_solomon":
-            # only subsets holding rank 0 are searched
-            assert report.subsets_examined <= examined, code
-        else:
+        if status != "infinite":
+            n = code.size
+            plain = _plain_visits(n, n if size_cap is None else size_cap, witness)
+            assert report.subsets_examined <= plain, code
+        if examined is not None:
             assert report.subsets_examined == examined, code
         return report
 
     def test_code_suite(self, code_suite):
-        for code in code_suite:
-            self.check(code)
+        examined = (0, 3, 0, 6, 13, 27, 4, 21, 61, 123, 23, 3, 123)
+        for code, count in zip(code_suite, examined, strict=True):
+            self.check(code, examined=count)
 
     @pytest.mark.parametrize("q,r,col", [(3, 2, 3), (3, 3, 3), (5, 2, 4), (5, 3, 3),
                                          (7, 2, 5)])
     def test_reed_solomon(self, q, r, col):
-        assert self.check(gf.reed_solomon(q, r)).value == col
+        examined = {(3, 2): 6, (3, 3): 6, (5, 2): 13, (5, 3): 54, (7, 2): 48}[q, r]
+        assert self.check(gf.reed_solomon(q, r), examined=examined).value == col
 
     def test_random_codes(self):
-        for q, r, ell in ((2, 2, 3), (2, 3, 4), (2, 3, 6), (3, 2, 3), (3, 2, 5),
-                          (3, 3, 4), (4, 2, 4), (4, 2, 8)):
-            for seed in range(4):
-                self.check(gf.random_code(q, r, ell, seed))
+        shapes = {(2, 2, 3): (3, 3, 3, 3), (2, 3, 4): (3, 3, 3, 3), (2, 3, 6): (3, 3, 3, 3),
+                  (3, 2, 3): (3, 4, 5, 3), (3, 2, 5): (7, 4, 3, 5), (3, 3, 4): (4, 3, 3, 4),
+                  (4, 2, 4): (5, 3, 30, 3), (4, 2, 8): (27, 4, 21, 61)}
+        for (q, r, ell), examined in shapes.items():
+            for seed, count in enumerate(examined):
+                self.check(gf.random_code(q, r, ell, seed), examined=count)
+        for shape in ((3, 2, 6), (4, 2, 8), (4, 2, 12), (3, 3, 9), (5, 2, 10)):
+            for seed in range(10):
+                self.check(gf.random_code(*shape, seed))
 
     def test_phf_codes(self):
         for seed in range(3):
-            self.check(gf.phf_to_code(gf.find_phf(8, 2, 16, seed=seed)))
-            self.check(gf.phf_to_code(gf.find_phf(9, 3, 32, seed=seed)))
-        self.check(gf.phf_to_code(gf.find_phf(4, 4, 1, seed=2)))
+            self.check(gf.phf_to_code(gf.find_phf(8, 2, 16, seed=seed)), examined=3)
+            self.check(gf.phf_to_code(gf.find_phf(9, 3, 32, seed=seed)), examined=123)
+        self.check(gf.phf_to_code(gf.find_phf(4, 4, 1, seed=2)), examined=0)
 
     def test_anchored_and_full_search_agree(self):
+        # the prune refutes every size below Col at its root and the first
+        # witness holds the zero word, so the anchored search of an RS code
+        # and the full search of its table visit the same subsets
+        for q, r in ((3, 2), (5, 2), (7, 2), (5, 3), (11, 2), (13, 2), (7, 3)):
+            rs = gf.reed_solomon(q, r)
+            anchored = gf.collision_number(rs)
+            full = gf.collision_number(gf.explicit_code(q, q, rs.table()),
+                                       distance=gf.relative_distance(rs).delta)
+            assert (anchored.value, anchored.witness, anchored.subsets_examined) == \
+                (full.value, full.witness, full.subsets_examined), (q, r)
+        # the threshold search above Col is where the anchor saves visits
         rs = gf.reed_solomon(3, 2)
-        anchored = self.check(rs)
-        full = self.check(gf.explicit_code(3, 3, rs.table()))
-        assert (anchored.value, anchored.witness) == (full.value, full.witness)
-        assert anchored.subsets_examined < full.subsets_examined
+        for cap, min_x, visits in ((4, None, (71, 360)), (5, 4, (105, 394))):
+            verdicts = [gf.verify_threshold(gf.build_threshold(code, 2), collision_cap=cap)
+                        for code in (rs, gf.explicit_code(3, 3, rs.table()))]
+            assert tuple(v.collision_min_x for v in verdicts) == (min_x, min_x)
+            assert tuple(v.collision_subsets_examined for v in verdicts) == visits
 
     def test_reed_solomon_kind_needs_its_constructor(self):
         # the zero-word anchor is exact for RS codes only; this table tagged
@@ -319,12 +367,15 @@ class TestCollisionSearchDifferential:
         assert gf.code_from_json(gf.code_to_json(rs)).kind == "reed_solomon"
 
     def test_size_caps(self):
-        codes = (gf.reed_solomon(5, 2), gf.reed_solomon(7, 2), gf.random_code(3, 2, 5, 1),
-                 gf.explicit_code(2, 2, [(0, 0), (0, 1), (1, 0)]))
-        for code in codes:
+        codes = ((gf.reed_solomon(5, 2), (0, 0, 0, 0, 13)),
+                 (gf.reed_solomon(7, 2), (0, 0, 0, 0, 0, 48)),
+                 (gf.random_code(3, 2, 5, 1), (0, 0, 0, 4)),
+                 (gf.explicit_code(2, 2, [(0, 0), (0, 1), (1, 0)]), (0, 0, 0, 3)))
+        for code, examined in codes:
             col = gf.collision_number(code).value
+            assert len(examined) == col + 1
             for size_cap in range(col + 1):
-                report = self.check(code, size_cap)
+                report = self.check(code, size_cap, examined[size_cap])
                 assert report.size_cap == size_cap
                 assert report.status == ("finite" if size_cap == col else "unknown_above")
 
@@ -343,12 +394,39 @@ class TestCollisionSearchDifferential:
         report = gf.collision_number(code)
         assert (report.value, report.status) == (6, "finite")
         assert report.witness == (0, 1, 2, 11, 14, 64)
-        assert report.subsets_examined == 8_554_031
+        assert report.subsets_examined == 65
         table = code.table()
         for i in range(code.ell):
             column = [table[m][i] for m in report.witness]
             assert len(set(column)) < len(column), i
         assert report.lower_bound <= 6 <= report.upper_bound == 12
+
+    @pytest.mark.parametrize("q,col,witness,examined", [
+        (13, 6, (0, 1, 2, 16, 36, 96), 230),
+        (17, 7, (0, 1, 2, 17, 21, 45, 54), 3_966),
+        (19, 7, (0, 1, 2, 22, 50, 258, 312), 12_072),
+        (23, 8, (0, 1, 2, 3, 27, 61, 134, 284), 9_188),
+    ], ids=["q13", "q17", "q19", "q23"])
+    def test_rs_q_2_reach(self, q, col, witness, examined):
+        # past the plain enumeration's reach: re-verify the witness symbol
+        # by symbol, and check the counting bound refutes every smaller size
+        code = gf.reed_solomon(q, 2)
+        report = gf.collision_number(code)
+        assert (report.value, report.status, report.witness) == (col, "finite", witness)
+        assert report.subsets_examined == examined
+        for x in range(q):
+            symbols = [gf.encode(code, code.message_of(m))[x] for m in witness]
+            assert len(set(symbols)) < col, x
+        agree = q * (1 - gf.relative_distance(code).delta)
+        assert agree == 1
+        assert math.comb(col - 1, 2) * agree < q <= math.comb(col, 2) * agree
+
+    @pytest.mark.parametrize("distance", [Fraction(1, 4), Fraction(2, 7), Fraction(-1, 3),
+                                          Fraction(4, 3)])
+    def test_distance_must_give_whole_agreements(self, distance):
+        # ell * (1 - delta) must be a whole number of coordinates in [0, ell]
+        with pytest.raises(GapforgeError, match="no relative distance"):
+            gf.collision_number(gf.random_code(3, 2, 6, 1), distance=distance)
 
 
 class TestFieldPacking:

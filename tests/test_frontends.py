@@ -4,8 +4,10 @@ from itertools import combinations, product
 import pytest
 
 import gapforge as gf
-from gapforge import oracles
+from gapforge import frontends, oracles
 from gapforge.errors import (
+    DEFAULT_UNIVERSE_CAP,
+    CapExceededError,
     ClauseWidthError,
     IndexRangeError,
     OccurrenceBoundError,
@@ -293,6 +295,27 @@ class TestSatFrontend:
             per_group = -(-len(cnf.clauses) // k)  # ceil
             limit = 2 ** (3 * per_group)
             assert all(s <= limit for s in inst.v_parts)
+
+    def test_row_bits_capped_before_any_row(self, monkeypatch):
+        # 20 variables and 5 * 5 * 3 * 3 * 2**4 = 3,600 satisfying
+        # assignments: two 3-variable chains (a or b, b or c), two 2-clauses,
+        # four XORs and two units.  At k = 1 every row is one-hot over
+        # |W| = 2**20 members, 3,600 * 2**20 bits in all
+        clauses = [(1, 2), (2, 3), (4, 5), (5, 6), (7, 8), (9, 10)]
+        for a in (11, 13, 15, 17):
+            clauses += [(a, a + 1), (-a, -(a + 1))]
+        clauses += [(19,), (20,)]
+        cnf = gf.Cnf3(20, tuple(clauses))
+
+        def no_tables(bits, start):
+            raise AssertionError("row tables built before the cap check")
+
+        monkeypatch.setattr(frontends, "_rank_table", no_tables)
+        with pytest.raises(CapExceededError, match="3600 labels of 1048576 row bits"):
+            gf.sat_to_maxcover(cnf, 1)
+        monkeypatch.undo()
+        inst = gf.sat_to_maxcover(cnf, 4)
+        assert sum(inst.v_parts) * sum(inst.w_parts) <= DEFAULT_UNIVERSE_CAP
 
     def test_unused_variable(self):
         cnf = gf.Cnf3(2, ((1,),))

@@ -322,18 +322,19 @@ class TestCli:
         assert doc["delta"] == "2/3"
         assert doc["collision_number"] == 3
         assert doc["lower_bound"] == 3 and doc["upper_bound"] == 4
-        # 8 pairs holding rank 0, then (0, 1, 2) .. (0, 1, 5)
-        assert doc["collision_subsets_examined"] == 12
+        # size 2 is refuted before any visit; then (0,), (0, 1) and
+        # (0, 1, 2) .. (0, 1, 5)
+        assert doc["collision_subsets_examined"] == 6
 
     @pytest.mark.parametrize("build,expected", [
         (lambda: gf.reed_solomon(5, 2),
          {"q": 5, "r": 2, "ell": 5, "kind": "reed_solomon", "size": 25, "delta": "4/5",
           "delta_witness": [0, 1], "collision_number": 4, "collision_witness": [0, 1, 5, 12],
-          "collision_subsets_examined": 370, "lower_bound": 4, "upper_bound": 6}),
+          "collision_subsets_examined": 13, "lower_bound": 4, "upper_bound": 6}),
         (lambda: gf.random_code(4, 2, 8, 3),
          {"q": 4, "r": 2, "ell": 8, "kind": "random", "size": 16, "delta": "1/4",
           "delta_witness": [10, 15], "collision_number": 3, "collision_witness": [0, 5, 10],
-          "collision_subsets_examined": 175, "lower_bound": 2, "upper_bound": 5}),
+          "collision_subsets_examined": 61, "lower_bound": 2, "upper_bound": 5}),
     ], ids=["rs52", "random4_2_8_3"])
     def test_code_measure_document(self, tmp_path, capsys, build, expected):
         # the distance method follows the code's kind: certified for

@@ -196,16 +196,34 @@ class TestVerify:
         verdict = gf.verify_threshold(gf.build_threshold(code, 2), collision_cap=5)
         assert verdict.collision_min_x is None
 
+    @pytest.mark.parametrize("q", [11, 13])
+    def test_rs_q2_t2_at_col(self, q):
+        # Col(RS(q,2)) = 6 at q = 11 and 13; two words agree on at most one
+        # coordinate, so C(5, 2) < q refutes sizes 3 to 5 before any visit
+        code = gf.reed_solomon(q, 2)
+        assert gf.collision_number(code).value == 6
+        verdict = gf.verify_threshold(gf.build_threshold(code, 2), collision_cap=6)
+        assert verdict.completeness_ok and verdict.soundness_ok
+        assert verdict.soundness_matches_agreements and verdict.soundness_bound == 1
+        assert verdict.collision_min_x is None
+        assert verdict.collision_subsets_examined == 0
+
     def test_collision_counts_all_parts_subsets(self):
         # size 3 only, at t = 2: the X that take a vertex from both B-parts,
-        # and on Reed-Solomon codes only those holding the zero word in B_0
-        rs = gf.verify_threshold(gf.build_threshold(gf.reed_solomon(3, 2), 2),
-                                 collision_cap=4)
-        assert rs.collision_subsets_examined == math.comb(17, 2) - math.comb(8, 2)
+        # and their prefixes: 9 first members in B_0, then 9 * 8 second
+        # members in B_1 (room for a third there) or C(9, 2) pairs in B_0
+        visits = 9 + 9 * 8 + math.comb(9, 2) + math.comb(18, 3) - 2 * math.comb(9, 3)
         code = gf.random_code(3, 2, 6, 1)
         verdict = gf.verify_threshold(gf.build_threshold(code, 2), collision_cap=4)
         assert verdict.collision_min_x is None
-        assert verdict.collision_subsets_examined == math.comb(18, 3) - 2 * math.comb(9, 3)
+        assert verdict.collision_subsets_examined == visits == 765
+        # on Reed-Solomon codes only X holding the zero word in B_0; two
+        # RS(3,2) words agree on at most 1 of 3 coordinates, so every
+        # two-member prefix that covers none yet is dropped with its X
+        rs = gf.verify_threshold(gf.build_threshold(gf.reed_solomon(3, 2), 2),
+                                 collision_cap=4)
+        assert rs.collision_min_x is None
+        assert rs.collision_subsets_examined == 71
 
     def test_collision_budget_boundary(self):
         # the search stops at the subset numbered budget + 1, untested
