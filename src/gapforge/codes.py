@@ -17,7 +17,8 @@ whose remaining pairs cannot cover the coordinates it lacks is dropped,
 at every depth (see _first_collision).  Its counters count every subset
 visited, prefixes included.  The same search, over one copy of the words
 per B-part, decides the threshold graph's collision property (see
-threshold.verify_threshold).
+threshold.verify_threshold), and over a hash family's packed columns it
+decides whether the family is perfect (verify_phf, find_phf).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     BudgetExceededError,
     CapExceededError,
     GapforgeError,
+    IndexRangeError,
     MatchingOverflowError,
     MessageLengthError,
     MessageRangeError,
@@ -99,13 +101,15 @@ class Code:
     Codewords are indexed by message rank (lexicographic message order).
     A code is its table, validated and then packed once, in __init__:
     packed(rank) is codeword rank as ell one-hot fields of q bits (see
-    _field_packing).  Only reed_solomon() builds Reed-Solomon codes, whose
+    _field_packing), and the masks of that layout are kept for the
+    collision search.  Only reed_solomon() builds Reed-Solomon codes, whose
     measurements rely on linearity, and only they may omit the table (see
     _ReedSolomonCode).  Nothing is written after __init__, so instances are
     immutable and safe to share across threads.
     """
 
-    __slots__ = ("q", "r", "ell", "kind", "seed", "_size", "_table", "_pack", "_packed")
+    __slots__ = ("q", "r", "ell", "kind", "seed", "_size", "_table", "_pack", "_low", "_top",
+                 "_packed")
 
     def __init__(self, q, r, ell, kind, table, *, seed=None):
         _check_shape(q, ell, r)
@@ -121,9 +125,9 @@ class Code:
         if table is not None:
             self._table = tuple(tuple(word) for word in table)
             self._size = len(self._table)
-            # before the packing, whose set-up is quadratic in ell
+            # before the packing, whose cost grows with ell
             self._validate_table()
-        self._pack, _, _ = _field_packing((q,) * ell)
+        self._pack, self._low, self._top = _field_packing((q,) * ell)
         self._packed = None if self._table is None else tuple(map(self._pack, self._table))
 
     def _validate_table(self) -> None:
@@ -265,7 +269,8 @@ def random_code(q: int, r: int, ell: int, seed: int) -> Code:
     """Code whose q**r codewords are i.i.d. uniform in [q]**ell.
 
     Deterministic function of the seed: symbols are drawn row-major from
-    CPython's Mersenne Twister (random.Random(seed).randrange(q)), which is
+    CPython's Mersenne Twister, each exactly as
+    random.Random(seed).randrange(q) draws it (see _draw_symbols), which is
     stable across platforms and supported Python versions.  Colliding rows
     are redrawn in place so the table is injective, preserving determinism;
     ell < r leaves q**ell < q**r words, too few for that, and raises
@@ -281,12 +286,31 @@ def random_code(q: int, r: int, ell: int, seed: int) -> Code:
     seen: set[tuple[int, ...]] = set()
     table = []
     for _ in range(size):
-        word = tuple(rng.randrange(q) for _ in range(ell))
+        word = tuple(_draw_symbols(rng, q, ell))
         while word in seen:
-            word = tuple(rng.randrange(q) for _ in range(ell))
+            word = tuple(_draw_symbols(rng, q, ell))
         seen.add(word)
         table.append(word)
     return Code(q, r, ell, KIND_RANDOM, table, seed=seed)
+
+
+def _draw_symbols(rng: random.Random, q: int, count: int) -> list[int]:
+    """count symbols of [q], each drawn exactly as rng.randrange(q) draws it.
+
+    randrange(q) takes q.bit_length() bits from the Mersenne Twister and
+    draws again while the value is >= q.  Doing the same without its
+    argument handling yields the same symbols and leaves rng in the same
+    state, at a fraction of the cost per symbol.
+    """
+    bits = q.bit_length()
+    getrandbits = rng.getrandbits
+    symbols = []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= q:
+            r = getrandbits(bits)
+        symbols.append(r)
+    return symbols
 
 
 def explicit_code(q: int, ell: int, table) -> Code:
@@ -466,11 +490,13 @@ def _field_packing(widths):
     exactly the nonzero fields of x: adding low carries into a field's top
     bit iff one of its lower bits is set, without reaching the next field,
     and OR-ing x adds the top bit itself.  A field of width 1 has no low
-    bits; its one bit is its top.
+    bits; its one bit is its top.  top is read from its binary digits, most
+    significant field first, and low is every other bit, so the masks take
+    time linear in sum(widths).
     """
     starts = (0, *accumulate(widths))
-    low = sum(((1 << (w - 1)) - 1) << s for s, w in zip(starts, widths))
-    top = sum(1 << (s + w - 1) for s, w in zip(starts, widths))
+    top = int("".join("1" + "0" * (w - 1) for w in reversed(widths)) or "0", 2)
+    low = ((1 << starts[-1]) - 1) ^ top
 
     def pack(word) -> int:
         return sum(1 << (s + w) for s, w in zip(starts, word))
@@ -576,13 +602,12 @@ def _collision_search(code: Code, sizes, parts: int, agree: int, budget: int):
     agreements inside each copy and puts the zero word in copy 0, so no
     size is lost (collision_number says why its witness stays the first).
     """
-    _, low, top = _field_packing((code.q,) * code.ell)
     words = [code.packed(m) for m in range(code.size)] * parts
     anchored = code.kind == KIND_REED_SOLOMON
     examined = 0
     for s in sizes:
-        witness, examined = _first_collision(words, parts, s, anchored, low, top, agree,
-                                             examined, budget)
+        witness, examined = _first_collision(words, parts, s, anchored, code._low, code._top,
+                                             agree, examined, budget)
         if witness is not None:
             return s, witness, examined
     return None, None, examined
@@ -669,42 +694,94 @@ class PerfectHashFamily:
         return len(self.functions)
 
 
-def verify_phf(domain_size: int, q: int, functions):
-    """Exhaustively check the separation property.
+def _phf_subset_size(domain_size: int, q: int) -> int:
+    """min(q, N), the size of the subsets a perfect hash family must separate.
 
-    Subsets of size exactly min(q, N) suffice: a function injective on T is
-    injective on every subset of T.  Returns (ok, first failing subset).
-    More than DEFAULT_SUBSET_BUDGET such subsets raise BudgetExceededError
-    before any is checked.
+    Raises SymbolRangeError unless N, q >= 1, and BudgetExceededError when
+    more than DEFAULT_SUBSET_BUDGET such subsets would have to be checked.
     """
+    if domain_size < 1 or q < 1:
+        raise SymbolRangeError("domain_size and q must be positive")
     size = min(q, domain_size)
     if math.comb(domain_size, size) > DEFAULT_SUBSET_BUDGET:
         raise BudgetExceededError(f"C({domain_size},{size}) subsets exceed verification "
                                   f"budget {DEFAULT_SUBSET_BUDGET}")
-    for subset in combinations(range(domain_size), size):
-        if not any(len({h[x] for x in subset}) == size for h in functions):
-            return False, subset
-    return True, None
+    return size
+
+
+def _check_function_lengths(domain_size: int, functions) -> None:
+    """Every function of a family takes one value per point of [N], else IndexRangeError."""
+    for f, h in enumerate(functions):
+        if len(h) != domain_size:
+            raise IndexRangeError(f"function {f} has {len(h)} values for a domain of "
+                                  f"{domain_size} points")
+
+
+def _first_unseparated(domain_size: int, q: int, functions, size: int, low: int, top: int):
+    """The first size-subset of [N] on which no function is injective, or None.
+
+    Column x of the family is codeword x of phf_to_code's table, packed as
+    Code.packed packs it: bit f * q + h_f(x) set in field f, one function
+    at a time.  No function is injective on a subset iff its columns
+    collide on every field, so this is the collision search over the
+    columns at the one size, in combinations order.  Its prune is idle,
+    agree = ell being the trivial bound, and its budget is every node of
+    the search tree, C(N + 1, size) - 1, so the budget _phf_subset_size
+    checked is the only one.
+    """
+    columns = [0] * domain_size
+    for base, h in zip(range(0, len(functions) * q, q), functions):
+        columns = [c | 1 << base + s for c, s in zip(columns, h)]
+    witness, _ = _first_collision(columns, 1, size, False, low, top, len(functions), 0,
+                                  math.comb(domain_size + 1, size))
+    return witness
+
+
+def verify_phf(domain_size: int, q: int, functions):
+    """(ok, first failing subset) for a family of functions [N] -> [q].
+
+    The family is perfect iff none of its min(q, N)-subsets of [N] collides
+    under every function, i.e. iff no min(q, N) columns of phf_to_code's
+    table collide on every coordinate: a function injective on T is
+    injective on every subset of T, so that one size suffices.  The first
+    failing subset is the first in itertools.combinations order, found by
+    the one collision search (see _first_unseparated).  N, q >= 1, every
+    function of length N and every value an int in [q] are checked first
+    (SymbolRangeError, IndexRangeError); more than DEFAULT_SUBSET_BUDGET
+    subsets raise BudgetExceededError before any is searched.
+    """
+    size = _phf_subset_size(domain_size, q)
+    functions = tuple(tuple(h) for h in functions)
+    _check_function_lengths(domain_size, functions)
+    for f, h in enumerate(functions):
+        for s in h:
+            if not isinstance(s, int) or not 0 <= s < q:
+                raise SymbolRangeError(f"value {s!r} of function {f} outside [{q}]")
+    _, low, top = _field_packing((q,) * len(functions))
+    witness = _first_unseparated(domain_size, q, functions, size, low, top)
+    return (True, None) if witness is None else (False, witness)
 
 
 def find_phf(domain_size: int, q: int, ell_max: int, seed: int) -> PerfectHashFamily:
     """Randomized search for a perfect hash family, verified exhaustively.
 
-    Samples 64 families of each size ell = 1..ell_max (deterministic in
-    the seed) and returns the first family passing verify_phf, which
-    raises BudgetExceededError when C(N, min(q, N)) exceeds its budget.
+    Samples 64 families of each size ell = 1..ell_max and returns the first
+    perfect one: none of its min(q, N)-subsets collides under every
+    function (see verify_phf).  A family's ell functions are drawn in turn,
+    each as its N values h(0), .., h(N - 1), every value exactly as
+    random.Random(seed).randrange(q) would draw it (see _draw_symbols), so
+    the family is a deterministic function of the arguments.
+    BudgetExceededError, when C(N, min(q, N)) exceeds the verification
+    budget, is raised before the first draw.
     """
-    if domain_size < 1 or q < 1:
-        raise SymbolRangeError("domain_size and q must be positive")
+    size = _phf_subset_size(domain_size, q)
     rng = random.Random(seed)
     for ell in range(1, ell_max + 1):
+        _, low, top = _field_packing((q,) * ell)
         for _ in range(64):
-            functions = tuple(
-                tuple(rng.randrange(q) for _ in range(domain_size))
-                for _ in range(ell))
-            ok, _ = verify_phf(domain_size, q, functions)
-            if ok:
-                return PerfectHashFamily(domain_size, q, functions)
+            functions = [_draw_symbols(rng, q, domain_size) for _ in range(ell)]
+            if _first_unseparated(domain_size, q, functions, size, low, top) is None:
+                return PerfectHashFamily(domain_size, q, tuple(map(tuple, functions)))
     raise PhfNotFoundError(ell_max)
 
 
@@ -712,9 +789,11 @@ def phf_to_code(phf: PerfectHashFamily) -> Code:
     """Interpret a PHF as a code: codeword x has i-th coordinate h_i(x).
 
     The message space is re-indexed as [N]; the nominal message length is
-    ceil(log_q N) and the table length N is authoritative.
+    ceil(log_q N) and the table length N is authoritative.  A function
+    with other than N values raises IndexRangeError.
     """
     _check_shape(phf.q, phf.ell)
+    _check_function_lengths(phf.domain_size, phf.functions)
     table = tuple(tuple(h[x] for h in phf.functions) for x in range(phf.domain_size))
     return Code(phf.q, _table_message_length(phf.q, phf.domain_size), phf.ell, KIND_PHF, table)
 

@@ -308,17 +308,18 @@ def _layout(widths: tuple[int, ...], blocks: int):
     """(block starts, low, top, ones, fields) of rows of blocks copies of the widths.
 
     fields holds (start, width) per field of one block; low and top are
-    the masks of _field_packing and ones the bottom bit of every field,
-    each repeated in every block.
+    the masks of _field_packing over every field of the row and ones the
+    bottom bit of every field.  A field's bottom bit is the one above the
+    previous field's top bit, so ones is top shifted up a bit, the first
+    field's bottom bit added and the bit past the row dropped: linear time,
+    like the masks.
     """
-    _, low, top = _field_packing(widths)
+    _, low, top = _field_packing(widths * blocks)
     offsets = _offsets(widths)
     block = offsets[-1]
     starts = tuple(range(0, block * blocks, block))
-    copies = sum(1 << start for start in starts)
-    ones = sum(1 << start for start in offsets[:-1])
-    return (starts, low * copies, top * copies, ones * copies,
-            tuple(zip(offsets, widths)))
+    ones = (top << 1 | 1) & (low | top)
+    return starts, low, top, ones, tuple(zip(offsets, widths))
 
 
 @dataclass(frozen=True)

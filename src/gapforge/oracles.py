@@ -7,6 +7,7 @@ cannot hide in the other.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -244,6 +245,54 @@ def collision_number_bruteforce(code: Code, size_cap: int | None = None):
             if all(len({column[m] for m in subset}) < size for column in columns):
                 return size, "finite", subset, examined
     return None, "unknown_above", None, examined
+
+
+def verify_phf_bruteforce(domain_size: int, q: int, functions):
+    """(ok, first failing subset) of a hash family, one set per (subset, function).
+
+    Every min(q, N)-subset of [N] is tried in itertools.combinations order,
+    and the first on which no function takes pairwise distinct values
+    fails.  Reads no packed column and runs no collision search.
+    """
+    size = min(q, domain_size)
+    for subset in combinations(range(domain_size), size):
+        if not any(len({h[x] for x in subset}) == size for h in functions):
+            return False, subset
+    return True, None
+
+
+def find_phf_by_randrange(domain_size: int, q: int, ell_max: int, seed: int):
+    """The functions of find_phf's family, drawn by randrange, or None.
+
+    Samples 64 families of each size ell = 1..ell_max from
+    random.Random(seed), one rng.randrange(q) call per value, function by
+    function, and returns the first that verify_phf_bruteforce accepts.
+    """
+    rng = random.Random(seed)
+    for ell in range(1, ell_max + 1):
+        for _ in range(64):
+            functions = tuple(tuple(rng.randrange(q) for _ in range(domain_size))
+                              for _ in range(ell))
+            if verify_phf_bruteforce(domain_size, q, functions)[0]:
+                return functions
+    return None
+
+
+def field_masks_by_sum(widths):
+    """(low, top, ones) of ints made of fields of the given bit widths, by summation.
+
+    Field i holds widths[i] bits from sum(widths[:i]) up; low is every bit
+    of a field but its top one, top the top bits and ones the bottom bits.
+    Each mask is a sum of one shifted int per field: time quadratic in the
+    bits, and no string of binary digits as codes._field_packing reads.
+    """
+    low = top = ones = start = 0
+    for w in widths:
+        low += ((1 << (w - 1)) - 1) << start
+        top += 1 << (start + w - 1)
+        ones += 1 << start
+        start += w
+    return low, top, ones
 
 
 def covered_by_scan(composed, labeling, l: int) -> bool:

@@ -8,15 +8,17 @@ import pytest
 
 import gapforge as gf
 from gapforge import codes, oracles
-from gapforge.codes import INFINITE, _field_packing, ceil_sqrt_ratio, verify_phf
+from gapforge.codes import INFINITE, _draw_symbols, _field_packing, ceil_sqrt_ratio, verify_phf
 from gapforge.errors import (
     BudgetExceededError,
     CapExceededError,
     GapforgeError,
+    IndexRangeError,
     MessageLengthError,
     MessageRangeError,
     NotPrimeError,
     ParseError,
+    PhfNotFoundError,
     RankRangeError,
     SchemaVersionError,
     SymbolRangeError,
@@ -445,6 +447,16 @@ class TestFieldPacking:
                        if x >> s & ((1 << w) - 1)]
             assert ((x & low) + low | x) & top == sum(1 << b for b in nonzero), (widths, x)
 
+    def test_masks_match_summation(self, code_suite):
+        # the masks read from binary digits are the sums of one shifted int per field
+        widths = [(1,), (5,), (1, 1, 1, 1), (2, 1, 3), (7, 1, 1, 64, 2), (3,) * 45, (4,) * 45,
+                  (101,) * 101, tuple(range(1, 40))]
+        for w in widths:
+            assert _field_packing(w)[1:] == oracles.field_masks_by_sum(w)[:2], w
+        for code in [*code_suite, gf.reed_solomon(11, 2), gf.random_code(4, 2, 45, 0)]:
+            assert (code._low, code._top) == \
+                oracles.field_masks_by_sum((code.q,) * code.ell)[:2], code
+
 
 class TestPackedWords:
     """Code.packed against a packing computed here, straight from codeword()."""
@@ -516,11 +528,104 @@ class TestPerfectHashFamilies:
         b = gf.find_phf(8, 2, 16, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("domain_size,q,functions,error", [
+        (3, 2, ((0, 1),), IndexRangeError),  # a function shorter than the domain
+        (3, 2, ((0, 1, 1, 0),), IndexRangeError),
+        (3, 2, ((0, 1, 1), (0, 1)), IndexRangeError),
+        (3, 2, ((0, 5, 1),), SymbolRangeError),  # a value outside [q]
+        (3, 2, ((0, -1, 1),), SymbolRangeError),
+        (3, 2, ((0, 1.0, 1),), SymbolRangeError),
+        (3, 2, ((0, "1", 1),), SymbolRangeError),
+        (3, 0, (), SymbolRangeError),
+        (3, -1, ((0, 0, 0),), SymbolRangeError),
+        (0, 2, (), SymbolRangeError),
+    ])
+    def test_malformed_families(self, domain_size, q, functions, error, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched a malformed family")
+
+        monkeypatch.setattr(codes, "_first_collision", no_search)
+        with pytest.raises(error):
+            verify_phf(domain_size, q, functions)
+
+    @pytest.mark.parametrize("domain_size,q,functions,answer", [
+        (1, 2, (), (False, (0,))),  # one point: only a family with no functions fails
+        (1, 2, ((1,),), (True, None)),
+        (1, 1, ((0,),), (True, None)),
+        (3, 2, (), (False, (0, 1))),
+        (3, 1, (), (False, (0,))),
+        (3, 1, ((0, 0, 0),), (True, None)),
+        (4, 4, ((0, 1, 2, 3),), (True, None)),  # N <= q: only the whole domain
+        (4, 4, ((0, 1, 2, 2), (3, 3, 1, 0)), (False, (0, 1, 2, 3))),
+        (4, 2, ((0, 0, 1, 1), (0, 1, 0, 1)), (True, None)),
+        (4, 2, ((0, 0, 1, 1), (0, 1, 0, 0)), (False, (2, 3))),
+    ])
+    def test_edge_cases(self, domain_size, q, functions, answer):
+        assert verify_phf(domain_size, q, functions) == answer
+        assert oracles.verify_phf_bruteforce(domain_size, q, functions) == answer
+
+    def test_verify_against_bruteforce(self):
+        # seeded families of every small shape, with duplicate columns (two
+        # points no function separates), N <= q, N = 1 and no functions
+        rng = random.Random(2027)
+        outcomes = {True: 0, False: 0}
+        for _ in range(12_000):
+            n, q, ell = rng.randint(1, 7), rng.randint(1, 5), rng.randint(0, 6)
+            functions = [[rng.randrange(q) for _ in range(n)] for _ in range(ell)]
+            if n > 1 and rng.random() < 0.25:
+                x, y = rng.sample(range(n), 2)
+                for h in functions:
+                    h[y] = h[x]
+            got = verify_phf(n, q, functions)
+            assert got == oracles.verify_phf_bruteforce(n, q, functions), (n, q, functions)
+            outcomes[got[0]] += 1
+        assert min(outcomes.values()) > 2_000, outcomes
+
+    def test_draw_symbols_match_randrange(self):
+        # the same symbols as randrange(q), and the generator left in the same state
+        for seed in (0, 1, 7, 2027):
+            for q in range(1, 71):
+                drawn, reference = random.Random(seed), random.Random(seed)
+                symbols = _draw_symbols(drawn, q, 300)
+                assert symbols == [reference.randrange(q) for _ in range(300)], (seed, q)
+                assert drawn.getstate() == reference.getstate(), (seed, q)
+
+    def test_random_code_matches_randrange(self):
+        # rows drawn row-major by randrange, a row that repeats an earlier one redrawn
+        for q, r, ell, seed in ((2, 2, 2, 0), (2, 2, 2, 5), (3, 2, 5, 7), (4, 2, 45, 11),
+                                (5, 1, 3, 2), (7, 2, 4, 3)):
+            rng, seen, table = random.Random(seed), set(), []
+            for _ in range(q ** r):
+                word = tuple(rng.randrange(q) for _ in range(ell))
+                while word in seen:
+                    word = tuple(rng.randrange(q) for _ in range(ell))
+                seen.add(word)
+                table.append(word)
+            assert gf.random_code(q, r, ell, seed).table() == tuple(table), (q, r, ell, seed)
+
+    def test_find_phf_matches_randrange_search(self):
+        # code_search's pool, (16, 3, 40) and a search that finds nothing
+        cases = [(8, 2, 16, s) for s in range(8)] + [(9, 3, 32, s) for s in range(8)]
+        for n, q, ell_max, seed in cases + [(16, 3, 40, 0)]:
+            functions = oracles.find_phf_by_randrange(n, q, ell_max, seed)
+            assert gf.find_phf(n, q, ell_max, seed=seed).functions == functions, (n, q, seed)
+        assert oracles.find_phf_by_randrange(8, 2, 2, 0) is None
+        with pytest.raises(PhfNotFoundError):
+            gf.find_phf(8, 2, 2, seed=0)
+
     def test_verification_budget(self):
         # C(100, 5) = 75,287,520 subsets exceed the subset budget, as in the
         # collision, threshold and cover searches
         with pytest.raises(BudgetExceededError, match=r"C\(100,5\)"):
             verify_phf(100, 5, ((0,) * 100,))
+        with pytest.raises(BudgetExceededError, match=r"C\(100,5\)"):
+            gf.find_phf(100, 5, 1, seed=0)
+
+    def test_budget_checked_before_the_first_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a family past the verification budget")
+
+        monkeypatch.setattr(codes, "_draw_symbols", no_draw)
         with pytest.raises(BudgetExceededError, match=r"C\(100,5\)"):
             gf.find_phf(100, 5, 1, seed=0)
 
@@ -535,6 +640,24 @@ class TestPhfToCode:
         code = gf.phf_to_code(gf.find_phf(8, 2, 16, seed=0))
         report = gf.collision_number(code)
         assert report.value == 3 == code.q + 1
+
+    @pytest.mark.parametrize("n,q,ell_max,ell,delta", [(16, 3, 40, 18, Fraction(4, 9)),
+                                                       (27, 3, 40, 25, Fraction(11, 25)),
+                                                       (16, 4, 64, 58, Fraction(17, 29))])
+    def test_lin_parameters(self, n, q, ell_max, ell, delta):
+        # a PHF code's Col is q + 1, the optimum that recovers Lin's bound
+        code = gf.phf_to_code(gf.find_phf(n, q, ell_max, seed=0))
+        report = gf.collision_number(code)
+        assert (code.ell, gf.relative_distance(code).delta) == (ell, delta)
+        assert report.value == q + 1 == report.upper_bound
+        value, status, witness, _ = oracles.collision_number_bruteforce(code)
+        assert (value, status, witness) == (report.value, "finite", report.witness)
+
+    def test_function_length_checked(self):
+        # every function takes one value per point; shorter and longer ones raise
+        for functions in (((0, 1),), ((0, 1, 1, 0),), ((0, 1, 1), (1, 0))):
+            with pytest.raises(IndexRangeError):
+                gf.phf_to_code(gf.PerfectHashFamily(3, 2, functions))
 
     def test_small_domain_single_map(self):
         code = gf.phf_to_code(gf.find_phf(4, 4, 1, seed=2))
@@ -590,7 +713,7 @@ class TestSerialization:
         assert doc["table"][1] == [0, 1, 2]
 
     def test_table_checked_before_packing(self, monkeypatch):
-        # packing's set-up is quadratic in ell; a short table claiming a
+        # packing takes time and memory in ell; a short table claiming a
         # huge block length is rejected before it
         def no_packing(widths):
             raise AssertionError("packed a table that fails validation")

@@ -703,6 +703,18 @@ class TestFromMasks:
         assert gf.compose_gap(a, code)._fields is gf.compose_gap(b, code)._fields
         assert maxcover._layout.cache_info().maxsize == maxcover._LAYOUT_CACHE_SIZE
 
+    def test_layout_masks_match_summation(self, layout_masks_checked):
+        # conftest checks every row layout the suite builds against the
+        # summation oracle; explicit and composed rows both meet it
+        a = gf.MaxCoverInstance((1, 1), (2, 3), [(0, 2), (0, 4), (1, 3), (1, 6)])
+        composed = gf.compose_gap(a, gf.reed_solomon(5, 2))
+        assert {((2, 3), 1), ((5, 5, 5, 5, 5), 2)} <= layout_masks_checked
+        for widths, blocks in (((2, 3), 1), ((5,) * 5, 2), ((1, 4, 1, 7), 3), ((121,) * 11, 4)):
+            _, low, top, ones, _ = maxcover._layout(widths, blocks)
+            assert (low, top, ones) == oracles.field_masks_by_sum(widths * blocks), widths
+        assert (composed._low, composed._top, composed._ones) == \
+            maxcover._layout((5,) * 5, 2)[1:4]
+
     def test_edge_constructor_sorts_and_deduplicates(self):
         inst = gf.MaxCoverInstance((1, 1), (2,), [(1, 3), (0, 2), (1, 3), (0, 3)])
         assert inst.edges == ((0, 2), (0, 3), (1, 3))
