@@ -454,13 +454,12 @@ class CollisionReport:
 
 
 def ceil_sqrt_ratio(num: int, den: int) -> int:
-    """Smallest integer n with n*n >= num/den, in exact arithmetic."""
-    n = math.isqrt((num + den - 1) // den)
-    while n * n * den < num:
-        n += 1
-    while n >= 1 and (n - 1) * (n - 1) * den >= num:
-        n -= 1
-    return n
+    """Smallest integer n with n*n >= num/den > 0, in exact arithmetic.
+
+    n*n is whole, so n*n >= num/den iff n*n >= m = ceil(num/den), and the
+    smallest such n is isqrt(m - 1) + 1.
+    """
+    return math.isqrt(-(-num // den) - 1) + 1
 
 
 def col_bounds(code: Code, *, distance: Fraction | None = None):

@@ -90,7 +90,7 @@ class NotTwoPartsError(GapforgeError):
     """The degree-bounded composition is defined only for k = 2."""
 
 
-class UniverseCapError(GapforgeError):
+class UniverseCapError(CapExceededError):
     """A SetCover universe would exceed the universe cap."""
 
 

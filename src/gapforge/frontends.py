@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
     PartNotIndependentError,
     UnusedVariableError,
+    count_text,
 )
 from .maxcover import MaxCoverInstance
 
@@ -252,15 +253,17 @@ def _bit_tables(width: int) -> tuple[int, ...]:
     return tuple(tables)
 
 
-def _satisfying(clauses, bit, n: int) -> list[int]:
-    """Every a in [0, 2**n) satisfying all clauses, in increasing a.
+def _satisfying(clauses, bit, n: int, room: int) -> tuple[list[int], int]:
+    """(labels, count): every a in [0, 2**n) satisfying all clauses, in increasing a.
 
     Variable var is bit bit[var] of a.  A block fixes the high bits
     h = a >> w, w = min(n, _BLOCK_BITS), and holds one truth table over the
     2**w low bits: a clause is everything when one of its high literals is
     true under h and otherwise the OR of its low literals' tables, and the
     block's satisfying set is the AND of its clauses.  Set bits are read a
-    byte at a time through _SET_BITS.
+    byte at a time through _SET_BITS.  count is the number of satisfying
+    a; once it passes room, later blocks are counted and not listed, so at
+    most room plus one block's 2**w labels are ever listed.
     """
     w = min(n, _BLOCK_BITS)
     size = 1 << w
@@ -285,19 +288,22 @@ def _satisfying(clauses, bit, n: int) -> list[int]:
         else:
             always &= table
     num_bytes = size + 7 >> 3
-    labels = []
+    labels, count = [], 0
     for high in range(1 << n - w):
         sat = always
         for pos, neg, table in split:
             if not (high & pos or ~high & neg):
                 sat &= table
-        if sat:
+        if count > room:
+            count += sat.bit_count()
+        elif sat:
             block = high << w
             for index, byte in enumerate(sat.to_bytes(num_bytes, "little")):
                 if byte:
                     first = block | index << 3
                     labels += [first | p for p in _SET_BITS[byte]]
-    return labels
+            count = len(labels)
+    return labels, count
 
 
 def _rank_table(bits, start: int) -> list[int]:
@@ -326,9 +332,10 @@ def sat_to_maxcover(cnf: Cnf3, k: int) -> MaxCoverInstance:
     over the 2**n assignments (_satisfying), and a label's W_J ranks come
     from two lookup tables per pattern, one over each half of a.  A group
     costs O(clauses * 2**n / 64) word operations plus O(labels * patterns).
-    Each row holds |W| bits, so once a group's labels are known, more than
-    DEFAULT_UNIVERSE_CAP bits over the rows so far and the group's raise
-    CapExceededError before any of the group's rows is built.
+    Each row holds |W| bits, so once a group's labels are counted, more
+    than DEFAULT_UNIVERSE_CAP bits over the rows so far and the group's
+    raise CapExceededError before any of the group's rows is built; a
+    group lists no more labels than fit, plus one block of _satisfying.
     """
     if k < 1 or k > len(cnf.clauses):
         raise IndexRangeError(f"need 1 <= k <= number of clauses, got k={k}")
@@ -353,15 +360,19 @@ def sat_to_maxcover(cnf: Cnf3, k: int) -> MaxCoverInstance:
     w_parts = tuple(1 << len(s_vars[p]) for p in patterns_in_use)
     starts = [sum(w_parts[:j]) for j in range(len(w_parts))]
     len_w = sum(w_parts)
+    if len_w > DEFAULT_UNIVERSE_CAP:  # before the all-ones row of |W| bits exists
+        raise CapExceededError(f"{count_text(len_w)} W vertices exceed the cap of "
+                               f"{DEFAULT_UNIVERSE_CAP}")
     all_ones = (1 << len_w) - 1
     v_parts, rows = [], []
     for i, (vars_i, clauses) in enumerate(zip(group_vars, group_clauses)):
         n = len(vars_i)
         bit = {var: n - 1 - p for p, var in enumerate(vars_i)}
-        labels = _satisfying(clauses, bit, n)
         # a row holds |W| bits: check the rows so far and this group's
-        # before any of its rows, or the tables that build them, exist
-        count = len(rows) + len(labels)
+        # before any of its rows, or the tables that build them, exist, and
+        # list no more of the group's labels than fit
+        labels, count = _satisfying(clauses, bit, n, DEFAULT_UNIVERSE_CAP // len_w - len(rows))
+        count += len(rows)
         if count * len_w > DEFAULT_UNIVERSE_CAP:
             raise CapExceededError(f"{count} labels of {len_w} row bits each exceed cap "
                                    f"{DEFAULT_UNIVERSE_CAP}")

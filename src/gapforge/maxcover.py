@@ -3,32 +3,28 @@
 An instance is a bipartite graph with left super-nodes V_1..V_k and right
 super-nodes W_1..W_t; its value is the maximal fraction of right
 super-nodes that admit a joint neighbor of one chosen vertex per left
-super-node.  Explicit instances are built from an edge list, from
-per-part neighbor masks, or, by the front-ends, straight from packed
-rows; the composed instances of both gap routes (Thm 4.2 and Appendix B)
-are oracle-backed.  Both kinds keep one packed int row per left vertex,
-made of fields, one per right super-node in each of one or more blocks,
-so a labeling's coverage of every super-node is one AND of its rows, one
-word-wide nonzero-field test and, for composed instances, one AND per
-extra block.  The rows are the only layout; an explicit instance's edge
-list is derived from them for export.  A layout (field starts and the
-masks of the coverage test and the profile) depends on the shape alone and
-is built once per shape.  The pseudo-projection profile tests every field
-of a whole row at once.  A composed row ORs the packed codewords of its
-base row's set bits, and a full base field takes the OR of its whole
-part; for the default matching those words and ORs are built once per
-(code, right part sizes).  All values are exact rationals.
+super-node.  MaxCoverInstance is the one instance type, with one edge
+rule: a V vertex keeps one packed int row of blocks copies of one field
+per right super-node, so a labeling's coverage of every super-node is one
+AND of its rows, one word-wide nonzero-field test and one AND per extra
+block.  Explicit instances have one block, the compositions of both gap
+routes (Thm 4.2 and Appendix B) one per right super-node of their base.
+The edge list is derived from the rows for export.  A layout depends on
+the shape alone and is built once per shape, as are a default-matching
+composition's shifted codewords, per (code, right part sizes).  All
+values are exact rationals.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .codes import Code, _field_packing, _match_parts, _symbols_of_rank, relative_distance
+from .codes import Code, _field_packing, _match_parts, relative_distance
 from .errors import (
     DEFAULT_EDGE_CAP,
     DEFAULT_LABELING_CAP,
@@ -60,28 +56,122 @@ FULL = "full"
 VIOLATION = "violation"
 
 
-class _PackedRows:
-    """Instance members shared by both kinds: one packed int row per V vertex.
+class MaxCoverInstance:
+    """A MaxCover instance with global vertex ids and one packed int row per V vertex.
 
-    A row is blocks of fields, every block with the same field widths, and
-    field j of a block belongs to right part j.  A labeling covers part j
-    iff field j of the AND of its rows is nonzero in every block.  base is
-    the instance a composition was built from, kept when it is
-    materialized, and None on any other instance.
+    V-vertices are 0..|V|-1 and W-vertices follow, each side in part order.
+    A row is blocks copies of fields of the widths, field j for part j, and
+    W_j has widths[j] ** blocks vertices: the one of rank p meets v iff, in
+    every block b, field j of v's row has bit d_b set, d being p's
+    big-endian base-widths[j] digits.  An explicit instance has one block
+    (d = (p,)), whose field j is v's neighbor mask in W_j; the front-ends
+    (_from_rows), generators (from_masks) and the edge-list constructor end
+    in one core that checks every row fits in |W| bits.  A composition
+    (_composed) keeps base, code and matching, an explicit instance None
+    for each (materialize() keeps the base).  Immutable after construction.
     """
 
-    __slots__ = ("v_parts", "w_parts", "provenance", "base", "_v_offsets", "_rows",
-                 "_low", "_top", "_ones", "_fields", "_block_starts")
+    __slots__ = ("v_parts", "w_parts", "provenance", "base", "code", "matching",
+                 "_v_offsets", "_w_offsets", "_rows", "_low", "_top", "_ones", "_fields",
+                 "_block_starts")
+
+    def __init__(self, v_parts, w_parts, edges, provenance: str = ""):
+        v_parts, w_parts = _checked_parts(v_parts, w_parts)
+        num_v, num_w = sum(v_parts), sum(w_parts)
+        rows = [0] * num_v
+        for vg, wg in edges:
+            _check_ids(vg, wg, num_v, num_w)
+            rows[vg] |= 1 << (wg - num_v)
+        self._set_rows(v_parts, w_parts, rows, provenance)
 
     def _lay_out(self, widths: tuple[int, ...], blocks: int) -> None:
-        """Lay rows out as blocks copies of fields of the given widths.
+        """Lay rows out as blocks copies of fields of the given widths (_layout)."""
+        (self._block_starts, self._low, self._top, self._ones, self._fields,
+         self.w_parts, self._w_offsets) = _layout(widths, blocks)
 
-        Sets the masks of the coverage rule (see _field_packing) and of the
-        projection profile, shared by every instance of the same shape
-        (_layout).
+    def _set_rows(self, v_parts: tuple[int, ...], w_parts: tuple[int, ...], rows,
+                  provenance: str) -> None:
+        """The one-block constructor core: adopt one packed row per V vertex, in id
+        order, from parts checked by _checked_parts, once each row fits |W| bits."""
+        self.v_parts = v_parts
+        self._v_offsets = _offsets(v_parts)
+        num_v, num_w = self._v_offsets[-1], sum(w_parts)
+        if len(rows) != num_v:
+            raise IndexRangeError(f"{len(rows)} rows or mask tuples for {num_v} V vertices")
+        if rows and (min(rows) < 0 or max(rows) >> num_w):
+            vg = next(vg for vg, row in enumerate(rows) if row < 0 or row >> num_w)
+            raise IndexRangeError(f"row {rows[vg]} of V vertex {vg} does not fit "
+                                  f"{num_w} W vertices")
+        self._rows = rows
+        self._lay_out(w_parts, 1)
+        self.provenance = provenance
+        self.base = self.code = self.matching = None
+
+    @classmethod
+    def _from_rows(cls, v_parts, w_parts, rows, provenance: str = ""):
+        """Instance whose V-vertex vg has the packed row rows[vg] (see the class doc)."""
+        inst = cls.__new__(cls)
+        inst._set_rows(*_checked_parts(v_parts, w_parts), rows, provenance)
+        return inst
+
+    @classmethod
+    def from_masks(cls, v_parts, w_parts, masks, provenance: str = ""):
+        """Instance whose V-vertex vg meets the members of W_j set in masks[vg][j].
+
+        masks holds one sequence of t part-local bitmasks per V vertex, in
+        V id order; bit p of masks[vg][j] stands for rank p of W_j.  Each
+        mask is checked against its part's size and packed into its row.
         """
-        (self._block_starts, self._low, self._top, self._ones,
-         self._fields) = _layout(widths, blocks)
+        v_parts, w_parts = _checked_parts(v_parts, w_parts)
+        t = len(w_parts)
+        fields = tuple(zip(_offsets(w_parts), w_parts))
+        rows = []
+        for vg, part_masks in enumerate(masks):
+            if len(part_masks) != t:
+                raise IndexRangeError(f"V vertex {vg} has {len(part_masks)} masks, "
+                                      f"expected one per right part ({t})")
+            row = 0
+            for j, ((start, width), mask) in enumerate(zip(fields, part_masks)):
+                if not 0 <= mask < 1 << width:
+                    raise IndexRangeError(f"mask {mask} of V vertex {vg} does not fit "
+                                          f"W_{j} of size {width}")
+                row |= mask << start
+            rows.append(row)
+        return cls._from_rows(v_parts, w_parts, rows, provenance)
+
+    @classmethod
+    def _composed(cls, base: MaxCoverInstance, code: Code, matching, provenance: str):
+        """The composition of base with the threshold graph of (code, t=base.t).
+
+        v meets (l, tup) of A_l = [q]**t iff for every column j some
+        W_j-neighbor of v has a matched codeword with symbol tup[j] at
+        coordinate l.  Block j of v's row ORs the packed codewords
+        (Code.packed) of v's W_j-neighbors, so the class rule, with tup as
+        the rank's digits, is that edge rule; a full base field takes its
+        part's OR at once.  matching=None is the default rank matching.
+        """
+        inst = cls.__new__(cls)
+        inst.v_parts, inst._v_offsets = base.v_parts, base._v_offsets
+        inst._lay_out((code.q,) * code.ell, base.t)
+        if matching is None:
+            matching, words, full_fields = _default_words(code, base.w_parts)
+        else:
+            matching = _match_parts(code, base.w_parts, matching)
+            words, full_fields = _matched_words(code, base.w_parts, matching)
+        inst._rows = []
+        for base_row in base._rows:
+            row = 0
+            for field, part_or in full_fields:
+                if base_row & field == field:
+                    row |= part_or
+                    base_row ^= field
+            while base_row:
+                bit = base_row & -base_row
+                row |= words[bit.bit_length() - 1]
+                base_row ^= bit
+            inst._rows.append(row)
+        inst.provenance, inst.base, inst.code, inst.matching = provenance, base, code, matching
+        return inst
 
     @property
     def k(self) -> int:
@@ -97,7 +187,7 @@ class _PackedRows:
 
     @property
     def num_w(self) -> int:
-        return sum(self.w_parts)
+        return self._w_offsets[-1]
 
     def _part_field(self, vg: int, j: int, shift: int = 0) -> int:
         """Field j of V-vertex vg's row, in the block that starts at bit shift."""
@@ -139,90 +229,31 @@ class _PackedRows:
         self._check_labeling(labeling)
         return self._covered_fields(labeling).bit_count()
 
+    def _one_block_rows(self) -> list[int]:
+        """The same graph's rows in one block (bit wg - |V| set iff v meets wg).
 
-class MaxCoverInstance(_PackedRows):
-    """Explicit instance with global vertex ids.
-
-    V-vertices are 0..|V|-1 in part order and W-vertices follow,
-    |V|..|V|+|W|-1.  The row of V-vertex v has bit wg - |V| set for each
-    neighbor wg, so it has one block whose field j is v's neighborhood in
-    W_j as a part-local mask.  The front-ends build those rows themselves
-    (_from_rows), generators hand part-local masks to from_masks, and the
-    edge-list constructor takes global ids; all three end in one core,
-    which checks that every row fits in |W| bits.  edges is derived from
-    the rows for export.  Immutable after construction.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, v_parts, w_parts, edges, provenance: str = ""):
-        v_parts, w_parts = _checked_parts(v_parts, w_parts)
-        num_v, num_w = sum(v_parts), sum(w_parts)
-        rows = [0] * num_v
-        for vg, wg in edges:
-            _check_ids(vg, wg, num_v, num_w)
-            rows[vg] |= 1 << (wg - num_v)
-        self._set_rows(v_parts, w_parts, rows, provenance)
-
-    def _set_rows(self, v_parts: tuple[int, ...], w_parts: tuple[int, ...], rows,
-                  provenance: str) -> None:
-        """The constructor core: adopt one packed row per V vertex, in id order.
-
-        Takes parts checked by _checked_parts; rows must be a list with one
-        int per V vertex, each fitting in num_w bits.
+        More blocks can hold far more edges than row bits, so their |V|·|W|
+        candidate pairs must fit DEFAULT_EDGE_CAP before any field's ranks
+        are read off its set bits (_ranks).
         """
-        self.v_parts, self.w_parts = v_parts, w_parts
-        self._v_offsets = _offsets(v_parts)
-        num_v, num_w = self._v_offsets[-1], sum(w_parts)
-        if len(rows) != num_v:
-            raise IndexRangeError(f"{len(rows)} rows or mask tuples for {num_v} V vertices")
-        if rows and (min(rows) < 0 or max(rows) >> num_w):
-            vg = next(vg for vg, row in enumerate(rows) if row < 0 or row >> num_w)
-            raise IndexRangeError(f"row {rows[vg]} of V vertex {vg} does not fit "
-                                  f"{num_w} W vertices")
-        self._rows = rows
-        self._lay_out(w_parts, 1)
-        self.provenance = provenance
-        self.base = None
-
-    @classmethod
-    def _from_rows(cls, v_parts, w_parts, rows, provenance: str = ""):
-        """Instance whose V-vertex vg has the packed row rows[vg] (see the class doc)."""
-        inst = cls.__new__(cls)
-        inst._set_rows(*_checked_parts(v_parts, w_parts), rows, provenance)
-        return inst
-
-    @classmethod
-    def from_masks(cls, v_parts, w_parts, masks, provenance: str = ""):
-        """Instance whose V-vertex vg meets the members of W_j set in masks[vg][j].
-
-        masks holds one sequence of t part-local bitmasks per V vertex, in
-        V id order; bit p of masks[vg][j] stands for rank p of W_j.  Each
-        mask is checked against its part's size and packed into its row.
-        """
-        v_parts, w_parts = _checked_parts(v_parts, w_parts)
-        t = len(w_parts)
-        fields = tuple(zip(_offsets(w_parts), w_parts))
-        rows = []
-        for vg, part_masks in enumerate(masks):
-            if len(part_masks) != t:
-                raise IndexRangeError(f"V vertex {vg} has {len(part_masks)} masks, "
-                                      f"expected one per right part ({t})")
-            row = 0
-            for j, ((start, width), mask) in enumerate(zip(fields, part_masks)):
-                if not 0 <= mask < 1 << width:
-                    raise IndexRangeError(f"mask {mask} of V vertex {vg} does not fit "
-                                          f"W_{j} of size {width}")
-                row |= mask << start
-            rows.append(row)
-        return cls._from_rows(v_parts, w_parts, rows, provenance)
+        if len(self._block_starts) == 1:
+            return self._rows
+        pairs = self.num_v * self.num_w
+        if pairs > DEFAULT_EDGE_CAP:
+            raise CapExceededError(f"{count_text(pairs)} candidate edges exceed cap "
+                                   f"{DEFAULT_EDGE_CAP}")
+        # part j's ranks as a mask, shifted to W_j's offset
+        blocks = self._block_starts
+        return [sum(sum(1 << rank for rank in _ranks(row, field, blocks)) << offset
+                    for field, offset in zip(self._fields, self._w_offsets))
+                for row in self._rows]
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """(V id, W id) pairs read off the rows' set bits, in ascending order."""
-        num_v = self.num_v
-        edges = []
-        for vg, row in enumerate(self._rows):
+        """(V id, W id) pairs in ascending order: the set bits of _one_block_rows,
+        in O(|V| + |E|) big-int steps."""
+        num_v, edges = self.num_v, []
+        for vg, row in enumerate(self._one_block_rows()):
             while row:
                 bit = row & -row
                 edges.append((vg, num_v + bit.bit_length() - 1))
@@ -231,7 +262,13 @@ class MaxCoverInstance(_PackedRows):
 
     @property
     def num_edges(self) -> int:
-        return sum(row.bit_count() for row in self._rows)
+        """Σ popcount(row) with one block; with more, v meets the product over
+        blocks of field j's popcounts in W_j."""
+        if len(self._block_starts) == 1:
+            return sum(row.bit_count() for row in self._rows)
+        return sum(math.prod(self._part_field(vg, j, shift).bit_count()
+                             for shift in self._block_starts)
+                   for vg in range(self.num_v) for j in range(self.t))
 
     def v_global(self, i: int, rank: int) -> int:
         _check_index("left part", i, self.k)
@@ -241,29 +278,64 @@ class MaxCoverInstance(_PackedRows):
     def w_global(self, j: int, rank: int) -> int:
         _check_index("part", j, self.t)
         _check_index(f"rank in part {j}", rank, self.w_parts[j])
-        return self.num_v + self._fields[j][0] + rank
+        return self.num_v + self._w_offsets[j] + rank
 
     def w_part_of(self, wg: int) -> tuple[int, int]:
         local = wg - self.num_v
-        if local >= 0:
-            for j, (start, width) in enumerate(self._fields):
-                if local < start + width:
-                    return j, local - start
-        raise IndexRangeError(f"W id {wg} outside [{self.num_v}, {self.num_v + self.num_w})")
+        if not 0 <= local < self.num_w:
+            raise IndexRangeError(f"W id {wg} outside [{self.num_v}, {self.num_v + self.num_w})")
+        j = bisect_right(self._w_offsets, local) - 1
+        return j, local - self._w_offsets[j]
 
     def adjacent(self, vg: int, wg: int) -> bool:
-        _check_ids(vg, wg, self.num_v, self.num_w)
-        return bool(self._rows[vg] >> (wg - self.num_v) & 1)
+        """The class rule: the last block holds the least significant digit."""
+        _check_index("V id", vg, self.num_v)
+        j, rank = self.w_part_of(wg)
+        width = self._fields[j][1]
+        for shift in reversed(self._block_starts):
+            rank, digit = divmod(rank, width)
+            if not self._part_field(vg, j, shift) >> digit & 1:
+                return False
+        return True
 
     def neighbors_in_part(self, vg: int, j: int) -> tuple[int, ...]:
+        """Ranks of vg's neighbors in W_j, ascending: the set bits of field j
+        of each block are the rank's digits in that block."""
         _check_index("V id", vg, self.num_v)
         _check_index("part", j, self.t)
-        mask = self._part_field(vg, j)
-        return tuple(p for p in range(self.w_parts[j]) if mask >> p & 1)
+        return tuple(_ranks(self._rows[vg], self._fields[j], self._block_starts))
+
+    def materialize(self) -> MaxCoverInstance:
+        """The same graph as a one-block instance, keeping the base (_one_block_rows)."""
+        explicit = MaxCoverInstance._from_rows(self.v_parts, self.w_parts,
+                                               self._one_block_rows(),
+                                               self.provenance + "; materialized")
+        explicit.base = self.base
+        return explicit
+
+    def describe(self) -> dict:
+        return {"k": self.k, "t": self.t, "v_parts": list(self.v_parts),
+                "w_parts": list(self.w_parts), "oracle": self.code is not None,
+                "provenance": self.provenance}
 
     def __repr__(self):
         return (f"MaxCoverInstance(k={self.k}, t={self.t}, "
                 f"|V|={self.num_v}, |W|={self.num_w}, |E|={self.num_edges})")
+
+
+def _ranks(row: int, field: tuple[int, int], block_starts) -> list[int]:
+    """The ranks, ascending, whose digit in each block is a set bit of row's
+    field (start, width) there: the class rule, read off the set bits."""
+    start, width = field
+    ranks = [0]
+    for shift in block_starts:
+        x, digits = row >> (shift + start) & ((1 << width) - 1), []
+        while x:
+            bit = x & -x
+            digits.append(bit.bit_length() - 1)
+            x ^= bit
+        ranks = [rank * width + digit for rank in ranks for digit in digits]
+    return ranks
 
 
 def _check_index(name: str, value: int, end: int) -> None:
@@ -305,21 +377,22 @@ _LAYOUT_CACHE_SIZE = 256
 
 @lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
 def _layout(widths: tuple[int, ...], blocks: int):
-    """(block starts, low, top, ones, fields) of rows of blocks copies of the widths.
+    """(block starts, low, top, ones, fields, w_parts, W offsets) of rows of blocks
+    copies of fields of the widths.
 
-    fields holds (start, width) per field of one block; low and top are
-    the masks of _field_packing over every field of the row and ones the
-    bottom bit of every field.  A field's bottom bit is the one above the
-    previous field's top bit, so ones is top shifted up a bit, the first
-    field's bottom bit added and the bit past the row dropped: linear time,
-    like the masks.
+    fields holds (start, width) per field of one block; low and top are the
+    masks of _field_packing over every field of the row and ones the bottom
+    bit of every field: top shifted up a bit, the first field's bottom bit
+    added and the bit past the row dropped, in linear time like the masks.
+    Part j has widths[j] ** blocks W vertices, placed at running offsets.
     """
     _, low, top = _field_packing(widths * blocks)
     offsets = _offsets(widths)
     block = offsets[-1]
     starts = tuple(range(0, block * blocks, block))
     ones = (top << 1 | 1) & (low | top)
-    return starts, low, top, ones, tuple(zip(offsets, widths))
+    w_parts = tuple(width ** blocks for width in widths)
+    return starts, low, top, ones, tuple(zip(offsets, widths)), w_parts, _offsets(w_parts)
 
 
 @dataclass(frozen=True)
@@ -432,97 +505,6 @@ def projection_profile(instance) -> ProjectionProfile:
 # Gap compositions (Thm 4.2 and Appendix B)
 
 
-class ComposedMaxCover(_PackedRows):
-    """Oracle-backed composition of a base instance with a code.
-
-    Left super-nodes are carried over; right super-nodes are the ell parts
-    of the threshold graph, each a copy of [q]**t.  v is adjacent to
-    a = (l, tup) iff for every column j some W_j-neighbor of v has a
-    matched codeword with symbol tup[j] at coordinate l.  Both gap routes
-    build this graph; they differ only in their hypotheses and soundness.
-
-    A block has the layout of the code's packed words (Code.packed): ell
-    fields of q bits, field l holding a symbol at coordinate l one-hot.
-    The row of v has t such blocks, block j the OR of the packed codewords
-    of v's W_j-neighbors, so field l of block j is the set of symbols v
-    allows at coordinate l in column j.  A v adjacent to all of W_j takes
-    block j from the OR of every matched codeword of W_j, computed once.
-    matching=None takes the default rank matching, whose words come from
-    _default_words; a given matching is checked and builds its own.
-    """
-
-    __slots__ = ("code", "matching")
-
-    def __init__(self, base: MaxCoverInstance, code: Code, matching, provenance: str):
-        self.base = base
-        self.code = code
-        self.provenance = provenance
-        self._v_offsets = base._v_offsets
-        self.v_parts = base.v_parts
-        self.w_parts = (code.q ** base.t,) * code.ell
-        self._lay_out((code.q,) * code.ell, base.t)
-        if matching is None:
-            self.matching, words, full_fields = _default_words(code, base.w_parts)
-        else:
-            self.matching = _match_parts(code, base.w_parts, matching)
-            words, full_fields = _matched_words(code, base.w_parts, self.matching)
-        self._rows = []
-        for base_row in base._rows:
-            row = 0
-            for field, part_or in full_fields:
-                if base_row & field == field:
-                    row |= part_or
-                    base_row ^= field
-            while base_row:
-                bit = base_row & -base_row
-                row |= words[bit.bit_length() - 1]
-                base_row ^= bit
-            self._rows.append(row)
-
-    def a_tuple(self, rank: int) -> tuple[int, ...]:
-        return _symbols_of_rank(rank, self.code.q, self.base.t)
-
-    def adjacent_ref(self, vg: int, l: int, tup) -> bool:
-        q, ell = self.code.q, self.code.ell
-        if not (0 <= vg < self.num_v and 0 <= l < ell
-                and len(tup) == self.base.t and min(tup) >= 0 and max(tup) < q):
-            raise IndexRangeError(f"adjacent_ref({vg}, {l}, {tup!r}) needs a V id in "
-                                  f"[0, {self.num_v}), a part in [0, {ell}) "
-                                  f"and a vertex of [{q}]**{self.base.t}")
-        return all(self._part_field(vg, l, start) >> s & 1
-                   for start, s in zip(self._block_starts, tup))
-
-    def adjacent(self, vg: int, wg: int) -> bool:
-        _check_ids(vg, wg, self.num_v, self.num_w)
-        l, rank = divmod(wg - self.num_v, self.w_parts[0])
-        return self.adjacent_ref(vg, l, self.a_tuple(rank))
-
-    def materialize(self) -> MaxCoverInstance:
-        """The explicit instance, keeping the base; tests every (v, w) pair,
-        and raises CapExceededError first if they exceed DEFAULT_EDGE_CAP."""
-        pairs = self.num_v * self.num_w
-        if pairs > DEFAULT_EDGE_CAP:
-            raise CapExceededError(f"{count_text(pairs)} candidate edges exceed cap "
-                                   f"{DEFAULT_EDGE_CAP}")
-        edges = [(vg, wg) for vg in range(self.num_v)
-                 for wg in range(self.num_v, self.num_v + self.num_w)
-                 if self.adjacent(vg, wg)]
-        explicit = MaxCoverInstance(self.v_parts, self.w_parts, edges,
-                                    provenance=self.provenance + "; materialized")
-        explicit.base = self.base
-        return explicit
-
-    def describe(self) -> dict:
-        return {
-            "k": self.k,
-            "t": self.t,
-            "v_parts": list(self.v_parts),
-            "w_parts": list(self.w_parts),
-            "oracle": True,
-            "provenance": self.provenance,
-        }
-
-
 def _matched_words(code: Code, w_parts: tuple[int, ...], matching):
     """(words, full_fields) of a composition's rows for a checked matching.
 
@@ -553,33 +535,48 @@ def _default_words(code: Code, w_parts: tuple[int, ...]):
     return (matching, *_matched_words(code, w_parts, matching))
 
 
-def compose_gap(base: MaxCoverInstance, code: Code, matching=None) -> ComposedMaxCover:
+def _check_one_block(base: MaxCoverInstance) -> None:
+    """A composition reads its base row's set bits as W vertices, so its base
+    must have one block: a composition's materialize() composes, it does not."""
+    if len(base._block_starts) > 1:
+        raise GapforgeError(f"the base has {len(base._block_starts)} blocks per row, so its "
+                            f"row bits are not W vertices; compose base.materialize() instead")
+
+
+def compose_gap(base: MaxCoverInstance, code: Code, matching=None) -> MaxCoverInstance:
     """Gap-creating composition with the threshold graph of (code, t=base.t).
 
-    Requires the pseudo-projection property and an injective matching of
-    every W_j into the codewords (default: lexicographic ranks).  Value 1
-    is preserved; any value below 1 drops to at most 1 - delta.
+    Requires a one-block base (an explicit instance), the pseudo-projection
+    property and an injective matching of every W_j into the codewords
+    (default: lexicographic ranks).  Value 1 is preserved; any value below
+    1 drops to at most 1 - delta.  The result has base.t blocks (see
+    MaxCoverInstance._composed).
     """
+    _check_one_block(base)
     profile = projection_profile(base)
     if not profile.is_pseudo_projection:
         raise NotPseudoProjectionError(
             f"instance violates pseudo-projection at {profile.violations()}")
-    return ComposedMaxCover(base, code, matching, (
+    return MaxCoverInstance._composed(base, code, matching, (
         f"compose_gap({base.provenance or 'instance'}; "
         f"{code.kind} q={code.q} r={code.r} ell={code.ell})"))
 
 
-def compose_gap_k2_bounded(base: MaxCoverInstance, code: Code, d: int) -> ComposedMaxCover:
-    """Degree-bounded composition: completeness preserved, soundness d**2 * (1-delta)."""
+def compose_gap_k2_bounded(base: MaxCoverInstance, code: Code, d: int) -> MaxCoverInstance:
+    """Degree-bounded composition: completeness preserved, soundness d**2 * (1-delta).
+
+    Requires a one-block base with k = 2, checked before the degree bound.
+    """
     if base.k != 2:
         raise NotTwoPartsError(f"degree-bounded composition needs k=2, got k={base.k}")
+    _check_one_block(base)
     for vg in range(base.num_v):
         for j in range(base.t):
             deg = base._part_field(vg, j).bit_count()
             if deg > d:
                 raise DegreeBoundError(
                     f"vertex {vg} has {deg} neighbors in W_{j}, bound d={d}")
-    return ComposedMaxCover(base, code, None, (
+    return MaxCoverInstance._composed(base, code, None, (
         f"compose_gap_k2_bounded({base.provenance or 'instance'}; "
         f"{code.kind} q={code.q} r={code.r} ell={code.ell}; d={d})"))
 

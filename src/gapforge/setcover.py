@@ -27,6 +27,7 @@ from .errors import (
     BudgetExceededError,
     CapExceededError,
     EmptyPartError,
+    GapforgeError,
     IndexRangeError,
     InstanceMismatchError,
     UniverseCapError,
@@ -325,8 +326,12 @@ def compose_setcover(base: SetCoverInstance, code: Code, matching=None) -> Compo
     Sets of collection j are matched injectively to codewords (default by
     rank within the collection).  Completeness carries one-per-collection
     covers over; if the base has no k-set cover at all, every composed cover
-    needs at least Col(code) sets.
+    needs at least Col(code) sets.  A composition is no base: compose its
+    materialize() instead.
     """
+    if isinstance(base, ComposedSetCover):
+        raise GapforgeError("a composed SetCover instance is no base; compose its "
+                            "materialize() instead")
     return ComposedSetCover(base, code, matching)
 
 

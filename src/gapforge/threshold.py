@@ -25,6 +25,7 @@ from .codes import Code, _collision_search, _rank_of_symbols, _symbols_of_rank
 from .errors import (
     DEFAULT_EDGE_CAP,
     DEFAULT_SUBSET_BUDGET,
+    BudgetExceededError,
     CapExceededError,
     GapforgeError,
     IndexRangeError,
@@ -161,9 +162,12 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     adjacent() once per (i, j, representative, v), where the representative
     is B_j's first codeword carrying a symbol realized at i and v runs over
     A_i; so adjacency_reads is sum over i of (symbols realized at i) * t *
-    q**t.  The reads of one representative form the mask of its A_i
-    neighbors.  Each realized (i, pattern) is then decided once, by AND-ing
-    the pattern's masks, which must leave exactly the pattern's own bit.  A
+    q**t.  The codewords come from code.table(), which raises
+    CapExceededError past the enumeration cap, and more reads than
+    DEFAULT_SUBSET_BUDGET raise BudgetExceededError, both before any read.
+    The reads of one representative form the mask of its A_i neighbors.
+    Each realized (i, pattern) is then decided once, by AND-ing the
+    pattern's masks, which must leave exactly the pattern's own bit.  A
     case fails iff its (i, pattern) does, so the cases are never walked:
     the first failing case is the least (ranks, i) over the failing
     patterns, with ranks[j] the representative of the pattern's j-th
@@ -222,23 +226,28 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     size = graph.b_part_size
     if size < 2:
         raise GapforgeError("soundness bound undefined for codes with a single codeword")
-    words = [code.codeword(m) for m in range(size)]
+    words = code.table()
+    # reps[i][s]: the first codeword carrying symbol s at coordinate i
+    reps = []
+    for i in range(ell):
+        reps.append({})
+        for m, word in enumerate(words):
+            reps[i].setdefault(word[i], m)
+    reads = sum(map(len, reps)) * t * code.q ** t
+    if reads > DEFAULT_SUBSET_BUDGET:
+        raise BudgetExceededError(f"{count_text(reads)} adjacency reads exceed budget "
+                                  f"{DEFAULT_SUBSET_BUDGET}")
     vertices = list(product(range(code.q), repeat=t))
     bits = [1 << rank for rank in range(len(vertices))]
 
     # masks[i][j][s]: the A_i neighbors, by rank, of B_j's representative of
     # symbol s, for each symbol s realized at coordinate i
     masks = []
-    reads = 0
     for i in range(ell):
-        reps: dict[int, int] = {}
-        for m, word in enumerate(words):
-            reps.setdefault(word[i], m)
         a_refs = [(i, v) for v in vertices]
         masks.append([{s: _neighbor_mask(graph, (j, m), a_refs, bits)
-                       for s, m in sorted(reps.items())}
+                       for s, m in sorted(reps[i].items())}
                       for j in range(t)])
-        reads += len(reps) * t * len(vertices)
 
     failing: dict[tuple[int, tuple[int, ...]], int] = {}
     patterns = 0
@@ -255,8 +264,7 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     if failing:
         # a case fails iff its (i, pattern) does, and a pattern's least case
         # takes for each B_j the first codeword carrying its symbol at i
-        ranks, i = min((tuple(next(m for m, word in enumerate(words) if word[i] == s)
-                              for s in pattern), i) for i, pattern in failing)
+        ranks, i = min((tuple(reps[i][s] for s in pattern), i) for i, pattern in failing)
         common = failing[i, tuple(words[m][i] for m in ranks)]
         counterexample = (ranks, i, tuple(v for rank, v in enumerate(vertices)
                                           if common >> rank & 1))

@@ -29,12 +29,12 @@ def code_suite():
 def layout_masks_checked():
     """Every MaxCover row layout the suite builds, checked against summed masks.
 
-    Wraps _PackedRows._lay_out for the session: the first time a shape
+    Wraps MaxCoverInstance._lay_out for the session: the first time a shape
     (widths, blocks) is laid out, its low, top and ones masks must equal
     oracles.field_masks_by_sum over the row's fields.  Yields the set of
     shapes checked so far.
     """
-    lay_out = maxcover._PackedRows._lay_out
+    lay_out = maxcover.MaxCoverInstance._lay_out
     checked = set()
 
     def checked_lay_out(self, widths, blocks):
@@ -44,6 +44,6 @@ def layout_masks_checked():
             assert (self._low, self._top, self._ones) == masks, (widths, blocks)
             checked.add((widths, blocks))
 
-    maxcover._PackedRows._lay_out = checked_lay_out
+    maxcover.MaxCoverInstance._lay_out = checked_lay_out
     yield checked
-    maxcover._PackedRows._lay_out = lay_out
+    maxcover.MaxCoverInstance._lay_out = lay_out

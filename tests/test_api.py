@@ -87,6 +87,6 @@ def test_walk_reaches_the_public_api():
     exported = {name for name, obj in vars(gapforge).items()
                 if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))}
     assert exported <= {key.split(".")[1] for key in keys if key.count(".") == 1}
-    assert {"codes.Code.codeword", "codes.verify_phf", "maxcover.ComposedMaxCover.materialize",
-            "maxcover.ComposedMaxCover.covered", "setcover.ComposedSetCover.covers",
+    assert {"codes.Code.codeword", "codes.verify_phf", "maxcover.MaxCoverInstance.materialize",
+            "maxcover.MaxCoverInstance.covered", "setcover.ComposedSetCover.covers",
             "generators.random_cnf3"} <= keys

@@ -107,6 +107,11 @@ class TestReedSolomon:
             code.table()
         assert code.codeword(1009 + 2) == tuple((1 + 2 * x) % 1009 for x in range(1009))
 
+    def test_table_of_unmaterialized_code(self):
+        # past its own cap the code keeps no table, and table() encodes one
+        code = gf.reed_solomon(5, 3, cap=10)
+        assert code.table() == gf.reed_solomon(5, 3).table()
+
     def test_certified_distance_at_any_prime(self):
         # distinct evaluation points settle the bound with no search over
         # point subsets; pairs_examined is the witness + 20 spot-checked pairs
@@ -183,11 +188,20 @@ class TestRandomCode:
             code = gf.random_code(2, 2, 2, seed=seed)
             assert len(set(code.table())) == 4
 
+    def test_duplicate_codewords_rejected(self):
+        with pytest.raises(GapforgeError, match="duplicate codewords"):
+            gf.explicit_code(2, 2, [(0, 1), (1, 0), (0, 1)])
+
 
 class TestRelativeDistance:
     def test_single_pair(self):
         code = gf.explicit_code(2, 2, [(0, 0), (0, 1)])
         assert gf.relative_distance(code).delta == Fraction(1, 2)
+
+    def test_single_codeword(self):
+        code = gf.explicit_code(3, 2, [(0, 2)])
+        with pytest.raises(GapforgeError, match="single codeword"):
+            gf.relative_distance(code)
 
     def test_rs_5_2_exhaustive(self):
         # a table code takes the pair scan
@@ -501,6 +515,14 @@ class TestColBounds:
         assert ceil_sqrt_ratio(9, 1) == 3
         assert ceil_sqrt_ratio(10, 4) == 2  # sqrt(2.5)
         assert ceil_sqrt_ratio(6, 1) == 3  # the RS(3,2) lower bound
+
+        # against the smallest n with n*n*den >= num, found by counting up
+        for num in range(1, 400):
+            for den in range(1, 60):
+                n = 0
+                while n * n * den < num:
+                    n += 1
+                assert ceil_sqrt_ratio(num, den) == n, (num, den)
 
 
 class TestPerfectHashFamilies:

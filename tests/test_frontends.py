@@ -9,6 +9,7 @@ from gapforge.errors import (
     DEFAULT_UNIVERSE_CAP,
     CapExceededError,
     ClauseWidthError,
+    EmptyPartError,
     IndexRangeError,
     OccurrenceBoundError,
     ParseError,
@@ -235,6 +236,25 @@ class TestPartitionedGraph:
         assert a == b and hash(a) == hash(b)
         assert "_owner" not in repr(a)
 
+    @pytest.mark.parametrize("parts,edges,error", [
+        (((0,), (2,)), (), IndexRangeError),  # not a partition of 0..m-1
+        (((0, 1), ()), (), EmptyPartError),
+        (((0,), (1,)), ((1, 0),), IndexRangeError),  # not stored as (min, max)
+        (((0,), (1,)), ((1, 1),), IndexRangeError),  # a self-loop
+    ])
+    def test_malformed_parts_and_edges(self, parts, edges, error):
+        with pytest.raises(error):
+            gf.PartitionedGraph(parts, frozenset(edges))
+
+    @pytest.mark.parametrize("edge,match", [
+        ((0, 0), "self-loop at vertex 0"),
+        ((0, 5), "out of range"),
+        ((1, 0), "stored as"),
+    ])
+    def test_graph_edges_checked(self, edge, match):
+        with pytest.raises(IndexRangeError, match=match):
+            gf.Graph(2, frozenset({edge}))
+
 
 class TestColorfulLift:
     def test_triangle_lift(self):
@@ -330,6 +350,48 @@ class TestSatFrontend:
         with pytest.raises(ClauseWidthError):
             gf.Cnf3(4, ((1, 2, 3, 4),))
 
+    @pytest.mark.parametrize("clauses,error", [
+        (((),), ClauseWidthError),
+        (((2,),), IndexRangeError),
+        (((1, 0),), IndexRangeError),
+        (((-2,),), IndexRangeError),
+    ])
+    def test_malformed_clauses(self, clauses, error):
+        with pytest.raises(error):
+            gf.Cnf3(1, clauses)
+
+    def test_labels_listed_up_to_the_cap(self, monkeypatch):
+        # a group's labels are listed only while its rows fit: past that,
+        # its blocks are counted, so the error keeps the exact count
+        set_bits, listed = frontends._SET_BITS, [0]
+
+        class CountedSetBits:
+            def __getitem__(self, byte):
+                listed[0] += len(set_bits[byte])
+                return set_bits[byte]
+
+        monkeypatch.setattr(frontends, "_SET_BITS", CountedSetBits())
+        # 20 variables at k = 1: |W| = 2**20, so 9 labels fit, and
+        # 7**6 * 3 = 352,947 assignments satisfy the seven clauses
+        clauses = [tuple(range(a, a + 3)) for a in range(1, 19, 3)] + [(19, 20)]
+        with pytest.raises(CapExceededError, match="352947 labels of 1048576 row bits"):
+            gf.sat_to_maxcover(gf.Cnf3(20, tuple(clauses)), 1)
+        assert 9 < listed[0] <= 9 + 2 ** 16
+        # 8 clauses on 24 variables, then each negated: at k = 2 the first
+        # group has 7**8 labels, and |W| = 2**24 leaves room for none
+        listed[0] = 0
+        clauses = [tuple(range(a, a + 3)) for a in range(1, 25, 3)]
+        cnf = gf.Cnf3(24, tuple(clauses + [tuple(-x for x in c) for c in clauses]))
+        with pytest.raises(CapExceededError):
+            gf.sat_to_maxcover(cnf, 2)
+        assert listed[0] <= DEFAULT_UNIVERSE_CAP // 2 ** 24 + 2 ** 16
+        # 15,000 variables of one group: |W| = 2**15000, past the digit limit
+        listed[0] = 0
+        clauses = tuple(tuple(range(a, a + 3)) for a in range(1, 15001, 3))
+        with pytest.raises(CapExceededError, match=r"2\*\*15000 or more W vertices"):
+            gf.sat_to_maxcover(gf.Cnf3(15000, clauses), 1)
+        assert listed[0] == 0
+
 
 class TestDimacsParser:
     def test_contradiction_example(self):
@@ -386,3 +448,7 @@ class TestEdgeListParser:
     def test_self_loop(self):
         with pytest.raises(ParseError):
             gf.parse_edge_list("a a\n")
+
+    def test_blank_and_comment_lines(self):
+        g = gf.parse_edge_list("# a path\n\n0 1\n   \n  # middle\n1 2\n")
+        assert g == gf.parse_edge_list("0 1\n1 2\n")

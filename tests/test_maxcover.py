@@ -123,13 +123,14 @@ class TestInstance:
             for l in (-1, g.t):
                 with pytest.raises(IndexRangeError):
                     g.covered((0, 0), l)
-        # no negative indexing, zip truncation or out-of-range symbol reads
+        # no negative indexing or reads past a part, in a part or in a row
         composed = gf.compose_gap(inst, gf.reed_solomon(3, 2))
-        for vg, l, tup in ((-1, 0, (0,)), (composed.num_v, 0, (0,)), (0, 0, (0, 0)),
-                           (0, 0, ()), (0, -1, (0,)), (0, 5, (0,)), (0, 0, (3,)),
-                           (0, 0, (-1,))):
+        for l, rank in ((0, -1), (0, 3), (-1, 0), (3, 0), (5, 0)):
             with pytest.raises(IndexRangeError):
-                composed.adjacent_ref(vg, l, tup)
+                composed.w_global(l, rank)
+        for vg, j in ((-1, 0), (composed.num_v, 0), (0, -1), (0, 3)):
+            with pytest.raises(IndexRangeError):
+                composed.neighbors_in_part(vg, j)
         for j in (-1, 1):
             with pytest.raises(IndexRangeError):
                 inst.covered((0, 0), j)
@@ -362,9 +363,8 @@ class TestComposeGap:
             inst, composed = random_composition(route, rng, code, limits)
             for vg in range(composed.num_v):
                 for l in range(composed.t):
-                    for rank in range(composed.w_parts[0]):
-                        tup = composed.a_tuple(rank)
-                        assert composed.adjacent_ref(vg, l, tup) == \
+                    for rank, tup in enumerate(product(range(code.q), repeat=inst.t)):
+                        assert composed.adjacent(vg, composed.w_global(l, rank)) == \
                             oracles.composed_adjacent_bruteforce(
                                 inst, code, composed.matching, vg, l, tup)
 
@@ -379,12 +379,11 @@ class TestComposeGap:
             b = gf.compose_gap(inst, unmaterialized, matching)
             for vg in range(a.num_v):
                 for l in range(a.t):
-                    for rank in range(a.w_parts[0]):
-                        tup = a.a_tuple(rank)
+                    for rank, tup in enumerate(product(range(5), repeat=inst.t)):
                         expected = oracles.composed_adjacent_bruteforce(
                             inst, stored, a.matching, vg, l, tup)
-                        assert a.adjacent_ref(vg, l, tup) == expected
-                        assert b.adjacent_ref(vg, l, tup) == expected
+                        assert a.adjacent(vg, a.w_global(l, rank)) == expected
+                        assert b.adjacent(vg, b.w_global(l, rank)) == expected
             assert gf.maxcover_value(b) == gf.maxcover_value(a)
 
     @pytest.mark.parametrize("route,qname", [
@@ -433,9 +432,8 @@ class TestComposeGap:
                     for i in range(inst.k) for j in range(inst.t)} == {PROJECTION, FULL}
             for vg in range(composed.num_v):
                 for l in range(composed.t):
-                    for rank in range(composed.w_parts[0]):
-                        tup = composed.a_tuple(rank)
-                        assert composed.adjacent_ref(vg, l, tup) == \
+                    for rank, tup in enumerate(product(range(code.q), repeat=inst.t)):
+                        assert composed.adjacent(vg, composed.w_global(l, rank)) == \
                             oracles.composed_adjacent_bruteforce(
                                 inst, code, composed.matching, vg, l, tup)
             for lab in product(*(range(s) for s in composed.v_parts)):
@@ -459,11 +457,99 @@ class TestComposeGap:
         assert composed.num_v * composed.num_w == 1_024_870
 
         def no_test(*args):
-            raise AssertionError("materialize tested a pair past the cap")
+            raise AssertionError("materialize listed an edge past the cap")
 
-        monkeypatch.setattr(maxcover.ComposedMaxCover, "adjacent", no_test)
+        monkeypatch.setattr(maxcover, "_ranks", no_test)
         with pytest.raises(CapExceededError, match="1024870 candidate edges"):
             composed.materialize()
+
+
+class TestOneInstanceType:
+    def test_composition_is_no_base(self):
+        # a two-block composition's row bits are not its W vertices: read as
+        # a base, this one composed to 2/3 where its graph composes to 1/3
+        base = gf.MaxCoverInstance((1, 2), (2, 2),
+                                   [(0, 3), (0, 5), (1, 4), (1, 6), (2, 4), (2, 5)])
+        composed = gf.compose_gap(base, gf.reed_solomon(2, 1))
+        code = gf.reed_solomon(3, 2)
+        # d = 0 would fail the degree check, which comes after this one
+        for compose in (lambda b: gf.compose_gap(b, code),
+                        lambda b: gf.compose_gap_k2_bounded(b, code, 0)):
+            with pytest.raises(gf.GapforgeError, match=r"materialize\(\)") as exc:
+                compose(composed)
+            assert exc.type is gf.GapforgeError
+        explicit = composed.materialize()
+        assert gf.maxcover_value(gf.compose_gap(explicit, code)).value == Fraction(1, 3)
+
+    def test_one_block_composition_composes_as_its_graph(self):
+        # a base with one right part composes to one block, whose row bits
+        # are its W vertices, so it composes like its materialization
+        composed = gf.compose_gap(soundness_instance(), gf.reed_solomon(3, 2))
+        assert len(composed._block_starts) == 1
+        code = gf.reed_solomon(5, 2)
+        again = gf.compose_gap(composed, code)
+        assert again._rows == gf.compose_gap(composed.materialize(), code)._rows
+        assert gf.maxcover_value(again) == gf.maxcover_value(
+            gf.compose_gap(composed.materialize(), code))
+
+    @pytest.mark.parametrize("route", ["gap", "k2"])
+    def test_accessors_agree_with_adjacency(self, route):
+        rng = random.Random(f"accessors/{route}")
+        code = gf.reed_solomon(3, 2)
+        for _ in range(15):
+            inst, composed = random_composition(route, rng, code, {})
+            num_v = composed.num_v
+            assert composed.w_parts == (3 ** inst.t,) * 3
+            assert composed.num_w == 3 * 3 ** inst.t
+            scan = tuple((vg, wg) for vg in range(num_v)
+                         for wg in range(num_v, num_v + composed.num_w)
+                         if composed.adjacent(vg, wg))
+            assert composed.edges == scan
+            assert composed.num_edges == len(scan)
+            assert repr(composed).endswith(f"|E|={len(scan)})")
+            explicit = composed.materialize()
+            assert explicit.edges == scan and explicit.base is inst
+            assert explicit.code is explicit.matching is None
+            for vg in range(num_v):
+                for j in range(composed.t):
+                    ranks = composed.neighbors_in_part(vg, j)
+                    assert ranks == explicit.neighbors_in_part(vg, j)
+                    assert ranks == tuple(p for p in range(composed.w_parts[j])
+                                          if composed.adjacent(vg, composed.w_global(j, p)))
+            for j in range(composed.t):
+                for p in range(composed.w_parts[j]):
+                    # W offsets are part sizes, 3**t apart, not field starts
+                    assert composed.w_global(j, p) == num_v + j * 3 ** inst.t + p
+                    assert composed.w_part_of(composed.w_global(j, p)) == (j, p)
+
+    def test_describe(self):
+        inst = soundness_instance()
+        composed = gf.compose_gap(inst, gf.reed_solomon(3, 2))
+        assert composed.describe() == {
+            "k": 2, "t": 3, "v_parts": [1, 1], "w_parts": [3, 3, 3], "oracle": True,
+            "provenance": "compose_gap(instance; reed_solomon q=3 r=2 ell=3)"}
+        assert composed.materialize().describe()["oracle"] is False
+        assert inst.describe()["oracle"] is False
+
+    def test_multi_block_edges_capped(self, monkeypatch):
+        inst = gf.MaxCoverInstance.from_masks((70,), (1, 1, 1), [[1, 1, 1]] * 70)
+        composed = gf.compose_gap(inst, gf.reed_solomon(11, 2))
+
+        def no_list(*args):
+            raise AssertionError("edges listed past the cap")
+
+        monkeypatch.setattr(maxcover, "_ranks", no_list)
+        with pytest.raises(CapExceededError, match="1024870 candidate edges"):
+            composed.edges
+        # one block lists its row bits whatever |V|·|W|
+        monkeypatch.undo()
+        wide = gf.MaxCoverInstance.from_masks((1100,), (1000,), [[1]] * 1100)
+        assert wide.edges == tuple((vg, 1100) for vg in range(1100))
+
+    def test_parts_must_be_given(self):
+        for v_parts, w_parts in (((), (1,)), ((1,), ())):
+            with pytest.raises(EmptyPartError):
+                gf.MaxCoverInstance(v_parts, w_parts, [])
 
 
 class TestComposeK2Bounded:
@@ -513,13 +599,12 @@ class TestComposeK2Bounded:
             composed = gf.compose_gap_k2_bounded(inst, code, 2)
             for vg in range(composed.num_v):
                 for l in range(composed.t):
-                    for rank in range(composed.w_parts[0]):
-                        tup = composed.a_tuple(rank)
+                    for rank, tup in enumerate(product(range(code.q), repeat=inst.t)):
                         expect = all(
                             any(code.codeword(composed.matching[j][p])[l] == tup[j]
                                 for p in inst.neighbors_in_part(vg, j))
                             for j in range(inst.t))
-                        assert composed.adjacent_ref(vg, l, tup) == expect
+                        assert composed.adjacent(vg, composed.w_global(l, rank)) == expect
 
 
 class TestGapCertificate:
@@ -710,7 +795,7 @@ class TestFromMasks:
         composed = gf.compose_gap(a, gf.reed_solomon(5, 2))
         assert {((2, 3), 1), ((5, 5, 5, 5, 5), 2)} <= layout_masks_checked
         for widths, blocks in (((2, 3), 1), ((5,) * 5, 2), ((1, 4, 1, 7), 3), ((121,) * 11, 4)):
-            _, low, top, ones, _ = maxcover._layout(widths, blocks)
+            _, low, top, ones, *_ = maxcover._layout(widths, blocks)
             assert (low, top, ones) == oracles.field_masks_by_sum(widths * blocks), widths
         assert (composed._low, composed._top, composed._ones) == \
             maxcover._layout((5,) * 5, 2)[1:4]

@@ -388,6 +388,25 @@ class TestCli:
                      "--code", str(code_path)]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "soundness_ok"
 
+    def test_maxcover_compose_document_and_bounded_route(self, tmp_path, capsys):
+        inst = gf.MaxCoverInstance((1, 1), (2,), [(0, 2), (1, 3)])
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(gf.maxcover_to_json(inst)))
+        code = gf.reed_solomon(3, 2)
+        code_path = tmp_path / "rs.json"
+        code_path.write_text(json.dumps(gf.code_to_json(code)))
+        argv = ["maxcover", "compose", "--instance", str(inst_path), "--code", str(code_path)]
+
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "k": 2, "t": 3, "v_parts": [1, 1], "w_parts": [3, 3, 3], "oracle": True,
+            "provenance": "compose_gap(instance; reed_solomon q=3 r=2 ell=3)"}
+        assert main(argv + ["--d", "1", "--materialize"]) == 0
+        composed = gf.maxcover_from_json(json.loads(capsys.readouterr().out))
+        bounded = gf.compose_gap_k2_bounded(inst, code, 1)
+        assert composed.edges == bounded.edges
+        assert composed.provenance == bounded.provenance + "; materialized"
+
     def test_setcover_commands(self, tmp_path, capsys):
         base = gf.SetCoverInstance(2, [[{0}], [{1}]])
         inst_path = tmp_path / "sc.json"
@@ -563,6 +582,24 @@ class TestCli:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,text", [
+        ("from-cnf", "1 0\n"),  # a clause before the header
+        ("from-cnf", "p cnf 1 1\np cnf 1 1\n1 0\n"),  # a second header
+        ("from-cnf", "p cnf x 1\n1 0\n"),
+        ("from-cnf", "p cnf 1 1\n1 y 0\n"),
+        ("from-cnf", "c no header\n"),
+        ("from-graph", "0 1\npart 0\n"),
+        ("from-graph", "0 1\npart 0 x\npart 1 1\n"),
+        ("from-graph", "0 1 2\n"),
+    ], ids=["clause-before-header", "second-header", "header-count", "literal", "no-header",
+            "part-line", "part-index", "three-fields"])
+    def test_parse_error_exit_code(self, tmp_path, capsys, command, text):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        assert main([command, str(path), "--k" if command == "from-cnf" else "--t", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and err.count("\n") == 1
 
     def test_setcover_compose_past_export_cap(self, tmp_path, capsys):
         inst_path = tmp_path / "sc.json"

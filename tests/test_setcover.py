@@ -335,6 +335,16 @@ class TestCompose:
         assert composed.universe_size == 5 * 3 ** 25
         with pytest.raises(UniverseCapError):
             composed.materialize()
+        # one cap, one error family
+        assert issubclass(UniverseCapError, CapExceededError)
+
+    def test_composition_is_no_base(self):
+        base = gf.SetCoverInstance(2, [[{0}], [{1}]])
+        composed = gf.compose_setcover(base, gf.explicit_code(2, 2, [(0, 0), (0, 1), (1, 0)]))
+        with pytest.raises(gf.GapforgeError, match=r"materialize\(\)"):
+            gf.compose_setcover(composed, gf.reed_solomon(2, 1))
+        again = gf.compose_setcover(composed.materialize(), gf.reed_solomon(2, 1))
+        assert again.base.universe_size == composed.universe_size
 
     def test_materialize_round_trip(self):
         base = gf.SetCoverInstance(2, [[{0}], [{1}]])

@@ -110,6 +110,12 @@ class TestCommonNeighbor:
                     if all(gf.adjacent(g, (j, ranks[j]), (i, u)) for j in range(2))]
             assert hits == [v]
 
+    def test_arguments_range_checked(self):
+        g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
+        for ranks, i in (((0,), 0), ((0, 0, 0), 0), ((0, 0), -1), ((0, 0), 3)):
+            with pytest.raises(IndexRangeError):
+                gf.common_neighbor(g, ranks, i)
+
 
 class TestVerify:
     def test_rs32_t2(self):
@@ -146,6 +152,21 @@ class TestVerify:
         with pytest.raises(GapforgeError,
                            match="soundness bound undefined for codes with a single codeword"):
             gf.verify_threshold(g, collision_cap=t + 1)
+        assert calls == [0]
+
+    @pytest.mark.parametrize("q,r,t,error,match", [
+        # 10,609 codewords of length 103, past the enumeration cap
+        (103, 2, 1, CapExceededError, "10609 codewords of length 103"),
+        # sum over i of 3 realized symbols * 11 * 3**11 = 17,537,553 reads
+        (3, 2, 11, BudgetExceededError, "17537553 adjacency reads"),
+        # a count past the int-to-text digit limit is still a message
+        (3, 2, 10000, BudgetExceededError, "or more adjacency reads"),
+    ])
+    def test_caps_checked_before_any_read(self, q, r, t, error, match, monkeypatch):
+        g = gf.build_threshold(gf.reed_solomon(q, r), t)
+        calls = _count_adjacent(monkeypatch)
+        with pytest.raises(error, match=match):
+            gf.verify_threshold(g, collision_cap=3)
         assert calls == [0]
 
     @pytest.mark.parametrize("t", [1, 2])
