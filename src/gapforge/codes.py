@@ -18,7 +18,9 @@ at every depth (see _first_collision).  Its counters count every subset
 visited, prefixes included.  The same search, over one copy of the words
 per B-part, decides the threshold graph's collision property (see
 threshold.verify_threshold), and over a hash family's packed columns it
-decides whether the family is perfect (verify_phf, find_phf).
+decides whether the family is perfect (verify_phf, find_phf).  find_phf
+packs each candidate family in one pass and rejects one with two equal
+columns before any search: those two points collide under every function.
 """
 
 from __future__ import annotations
@@ -716,23 +718,40 @@ def _check_function_lengths(domain_size: int, functions) -> None:
                                   f"{domain_size} points")
 
 
-def _first_unseparated(domain_size: int, q: int, functions, size: int, low: int, top: int):
+def _phf_packing(domain_size: int, q: int, ell: int):
+    """(columns, low, top) for families of ell functions [N] -> [q].
+
+    columns(symbols) packs the family whose function f is symbols[f * N:
+    (f + 1) * N] into its N columns.  Column x is codeword x of
+    phf_to_code's table, packed as Code.packed packs it: bit f * q + h_f(x)
+    set in field f.  One pass makes the one-hot int of every symbol, and
+    column x sums every N-th of them from x, one per function.  low and top
+    are the masks of _field_packing((q,) * ell).
+    """
+    _, low, top = _field_packing((q,) * ell)
+    bases = [f * q for f in range(ell) for _ in range(domain_size)]
+
+    def columns(symbols) -> list[int]:
+        ones = [1 << b + s for b, s in zip(bases, symbols)]
+        return [sum(ones[x::domain_size]) for x in range(domain_size)]
+
+    return columns, low, top
+
+
+def _first_unseparated(columns, size: int, low: int, top: int):
     """The first size-subset of [N] on which no function is injective, or None.
 
-    Column x of the family is codeword x of phf_to_code's table, packed as
-    Code.packed packs it: bit f * q + h_f(x) set in field f, one function
-    at a time.  No function is injective on a subset iff its columns
-    collide on every field, so this is the collision search over the
-    columns at the one size, in combinations order.  Its prune is idle,
-    agree = ell being the trivial bound, and its budget is every node of
-    the search tree, C(N + 1, size) - 1, so the budget _phf_subset_size
-    checked is the only one.
+    columns are the family's packed columns (see _phf_packing).  No
+    function is injective on a subset iff its columns collide on every
+    field, so this is the collision search over the columns at the one
+    size, in combinations order.  Its prune is idle, agree = ell (one top
+    bit per function) being the trivial bound, and its budget is every
+    node of the search tree, C(N + 1, size) - 1, which a perfect family's
+    search visits in full; so the budget _phf_subset_size checked is the
+    only one.
     """
-    columns = [0] * domain_size
-    for base, h in zip(range(0, len(functions) * q, q), functions):
-        columns = [c | 1 << base + s for c, s in zip(columns, h)]
-    witness, _ = _first_collision(columns, 1, size, False, low, top, len(functions), 0,
-                                  math.comb(domain_size + 1, size))
+    witness, _ = _first_collision(columns, 1, size, False, low, top, top.bit_count(), 0,
+                                  math.comb(len(columns) + 1, size) - 1)
     return witness
 
 
@@ -744,10 +763,11 @@ def verify_phf(domain_size: int, q: int, functions):
     table collide on every coordinate: a function injective on T is
     injective on every subset of T, so that one size suffices.  The first
     failing subset is the first in itertools.combinations order, found by
-    the one collision search (see _first_unseparated).  N, q >= 1, every
-    function of length N and every value an int in [q] are checked first
-    (SymbolRangeError, IndexRangeError); more than DEFAULT_SUBSET_BUDGET
-    subsets raise BudgetExceededError before any is searched.
+    the one collision search over the columns _phf_packing packs (see
+    _first_unseparated).  N, q >= 1, every function of length N and every
+    value an int in [q] are checked first (SymbolRangeError,
+    IndexRangeError); more than DEFAULT_SUBSET_BUDGET subsets raise
+    BudgetExceededError before any is searched.
     """
     size = _phf_subset_size(domain_size, q)
     functions = tuple(tuple(h) for h in functions)
@@ -756,8 +776,9 @@ def verify_phf(domain_size: int, q: int, functions):
         for s in h:
             if not isinstance(s, int) or not 0 <= s < q:
                 raise SymbolRangeError(f"value {s!r} of function {f} outside [{q}]")
-    _, low, top = _field_packing((q,) * len(functions))
-    witness = _first_unseparated(domain_size, q, functions, size, low, top)
+    columns, low, top = _phf_packing(domain_size, q, len(functions))
+    packed = columns([s for h in functions for s in h])
+    witness = _first_unseparated(packed, size, low, top)
     return (True, None) if witness is None else (False, witness)
 
 
@@ -766,21 +787,30 @@ def find_phf(domain_size: int, q: int, ell_max: int, seed: int) -> PerfectHashFa
 
     Samples 64 families of each size ell = 1..ell_max and returns the first
     perfect one: none of its min(q, N)-subsets collides under every
-    function (see verify_phf).  A family's ell functions are drawn in turn,
-    each as its N values h(0), .., h(N - 1), every value exactly as
-    random.Random(seed).randrange(q) would draw it (see _draw_symbols), so
-    the family is a deterministic function of the arguments.
-    BudgetExceededError, when C(N, min(q, N)) exceeds the verification
-    budget, is raised before the first draw.
+    function (see verify_phf).  A family's ell * N values are drawn at
+    once, function by function, h(0), .., h(N - 1) each, every value
+    exactly as random.Random(seed).randrange(q) would draw it (see
+    _draw_symbols), so the family is a deterministic function of the
+    arguments.  A family with two equal columns is rejected without a
+    search when min(q, N) >= 2: its two points collide under every
+    function, and so does every min(q, N)-subset holding both.  Any other
+    family goes to the collision search, which only has to say whether a
+    failing subset exists.  BudgetExceededError, when C(N, min(q, N))
+    exceeds the verification budget, is raised before the first draw.
     """
     size = _phf_subset_size(domain_size, q)
     rng = random.Random(seed)
     for ell in range(1, ell_max + 1):
-        _, low, top = _field_packing((q,) * ell)
+        columns, low, top = _phf_packing(domain_size, q, ell)
         for _ in range(64):
-            functions = [_draw_symbols(rng, q, domain_size) for _ in range(ell)]
-            if _first_unseparated(domain_size, q, functions, size, low, top) is None:
-                return PerfectHashFamily(domain_size, q, tuple(map(tuple, functions)))
+            symbols = _draw_symbols(rng, q, ell * domain_size)
+            packed = columns(symbols)
+            if size >= 2 and len(set(packed)) < domain_size:
+                continue
+            if _first_unseparated(packed, size, low, top) is None:
+                return PerfectHashFamily(domain_size, q, tuple(
+                    tuple(symbols[i:i + domain_size])
+                    for i in range(0, ell * domain_size, domain_size)))
     raise PhfNotFoundError(ell_max)
 
 

@@ -626,14 +626,59 @@ class TestPerfectHashFamilies:
             assert gf.random_code(q, r, ell, seed).table() == tuple(table), (q, r, ell, seed)
 
     def test_find_phf_matches_randrange_search(self):
-        # code_search's pool, (16, 3, 40) and a search that finds nothing
-        cases = [(8, 2, 16, s) for s in range(8)] + [(9, 3, 32, s) for s in range(8)]
-        for n, q, ell_max, seed in cases + [(16, 3, 40, 0)]:
+        # code_search's pool, (16, 3, 40), q = 1 (every column equal, and
+        # still perfect), N = 1, N < q, a q = 4 shape, and searches that
+        # find nothing
+        cases = ([(8, 2, 16, s) for s in range(8)] + [(9, 3, 32, s) for s in range(8)]
+                 + [(16, 3, 40, 0), (3, 1, 3, 0), (6, 1, 1, 2), (1, 2, 3, 0), (1, 5, 2, 3),
+                    (4, 7, 5, 0)] + [(8, 4, 40, s) for s in range(4)])
+        for n, q, ell_max, seed in cases:
             functions = oracles.find_phf_by_randrange(n, q, ell_max, seed)
             assert gf.find_phf(n, q, ell_max, seed=seed).functions == functions, (n, q, seed)
-        assert oracles.find_phf_by_randrange(8, 2, 2, 0) is None
-        with pytest.raises(PhfNotFoundError):
-            gf.find_phf(8, 2, 2, seed=0)
+        for n, q, ell_max in ((8, 2, 2), (9, 3, 3), (6, 4, 2)):
+            assert oracles.find_phf_by_randrange(n, q, ell_max, 0) is None
+            with pytest.raises(PhfNotFoundError):
+                gf.find_phf(n, q, ell_max, seed=0)
+
+    def test_equal_columns_are_not_searched(self, monkeypatch):
+        # one draw per candidate; a candidate with two equal columns is
+        # rejected before the search, so at q = 2, where a family is perfect
+        # iff its columns are distinct, only the perfect family is searched
+        searches, draws = [], []
+        search, draw = codes._first_collision, codes._draw_symbols
+        monkeypatch.setattr(codes, "_first_collision",
+                            lambda *args: searches.append(args) or search(*args))
+        monkeypatch.setattr(codes, "_draw_symbols",
+                            lambda *args: draws.append(args) or draw(*args))
+        for seed in range(8):
+            searches.clear()
+            gf.find_phf(8, 2, 16, seed=seed)
+            assert len(searches) == 1, seed
+        searches.clear()
+        draws.clear()
+        gf.find_phf(9, 3, 32, seed=1)
+        assert (len(searches), len(draws)) == (480, 699)
+
+    @pytest.mark.parametrize("n,q,ell_max,seed,nodes", [(9, 3, 32, 1, 119), (8, 2, 16, 0, 35),
+                                                        (16, 3, 40, 0, 679), (4, 7, 5, 0, 4)])
+    def test_perfect_family_search_fits_its_budget(self, n, q, ell_max, seed, nodes,
+                                                   monkeypatch):
+        # a perfect family's search visits every node of the tree,
+        # C(N + 1, size) - 1, the budget verify_phf passes: at it the search
+        # finds no witness, and one less raises
+        phf = gf.find_phf(n, q, ell_max, seed=seed)
+        size = min(q, n)
+        columns, low, top = codes._phf_packing(n, q, phf.ell)
+        packed = columns([s for h in phf.functions for s in h])
+        search = codes._first_collision
+        assert search(packed, 1, size, False, low, top, phf.ell, 0, nodes) == (None, nodes)
+        with pytest.raises(BudgetExceededError):
+            search(packed, 1, size, False, low, top, phf.ell, 0, nodes - 1)
+        budgets = []
+        monkeypatch.setattr(codes, "_first_collision",
+                            lambda *args: budgets.append(args[-1]) or search(*args))
+        assert verify_phf(n, q, phf.functions) == (True, None)
+        assert budgets == [nodes] == [math.comb(n + 1, size) - 1]
 
     def test_verification_budget(self):
         # C(100, 5) = 75,287,520 subsets exceed the subset budget, as in the
