@@ -89,6 +89,13 @@ def _symbols_of_rank(rank: int, q: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_table_size(size: int, ell: int) -> None:
+    """A stored table's rule: at most DEFAULT_ENUM_CAP symbols, size * ell."""
+    if size * ell > DEFAULT_ENUM_CAP:
+        raise CapExceededError(f"{count_text(size)} codewords of length {ell} exceed cap "
+                               f"{DEFAULT_ENUM_CAP}")
+
+
 def _check_shape(q: int, ell: int, r: int = 1) -> None:
     """A code's shape rule: q >= 2, r >= 1 and ell >= 1 (table codes derive r >= 1)."""
     if q < 2:
@@ -101,13 +108,15 @@ class Code:
     """A q-ary code: alphabet [q], message length r, block length ell.
 
     Codewords are indexed by message rank (lexicographic message order).
-    A code is its table, validated and then packed once, in __init__:
-    packed(rank) is codeword rank as ell one-hot fields of q bits (see
-    _field_packing), and the masks of that layout are kept for the
-    collision search.  Only reed_solomon() builds Reed-Solomon codes, whose
-    measurements rely on linearity, and only they may omit the table (see
-    _ReedSolomonCode).  Nothing is written after __init__, so instances are
-    immutable and safe to share across threads.
+    A code is its table, checked once, in __init__: first the table's own
+    checks (block length, alphabet, distinct words), then its size against
+    DEFAULT_ENUM_CAP, and only then is it packed: packed(rank) is codeword
+    rank as ell one-hot fields of q bits (see _field_packing), and the
+    masks of that layout are kept for the collision search.  Only
+    reed_solomon() builds Reed-Solomon codes, whose measurements rely on
+    linearity, and only they may omit the table (see _ReedSolomonCode).
+    Nothing is written after __init__, so instances are immutable and safe
+    to share across threads.
     """
 
     __slots__ = ("q", "r", "ell", "kind", "seed", "_size", "_table", "_pack", "_low", "_top",
@@ -129,6 +138,7 @@ class Code:
             self._size = len(self._table)
             # before the packing, whose cost grows with ell
             self._validate_table()
+            _check_table_size(self._size, ell)
         self._pack, self._low, self._top = _field_packing((q,) * ell)
         self._packed = None if self._table is None else tuple(map(self._pack, self._table))
 
@@ -157,21 +167,21 @@ class Code:
 
     def packed(self, rank: int) -> int:
         """codeword(rank) packed: bit i * q + symbol is set for each coordinate i."""
-        word = self.codeword(rank)
-        return self._pack(word) if self._packed is None else self._packed[rank]
+        if self._packed is None or not 0 <= rank < self._size:
+            return self._pack(self.codeword(rank))  # codeword() raises for a bad rank
+        return self._packed[rank]
 
     def codewords(self):
         """Iterate codewords in message-rank order."""
         for rank in range(self._size):
             yield self.codeword(rank)
 
-    def table(self, cap: int = DEFAULT_ENUM_CAP) -> tuple[tuple[int, ...], ...]:
-        if self._size * self.ell > cap:
-            raise CapExceededError(
-                f"{count_text(self._size)} codewords of length {self.ell} exceed cap {cap}")
-        if self._table is not None:
-            return self._table
-        return tuple(map(self._encode, range(self._size)))
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The stored table; a Reed-Solomon code stored without one raises CapExceededError."""
+        if self._table is None:
+            raise CapExceededError(f"{count_text(self._size)} codewords of length {self.ell} "
+                                   f"exceed RS({self.q},{self.r})'s cap: it stores no table")
+        return self._table
 
     def message_of(self, rank: int) -> tuple[int, ...]:
         return _symbols_of_rank(rank, self.q, self.r)
@@ -242,7 +252,9 @@ def reed_solomon(q: int, r: int, *, cap: int = DEFAULT_ENUM_CAP) -> Code:
     """Reed-Solomon code: evaluations of degree-<r polynomials at 0..q-1.
 
     Message symbol i is the coefficient of x**i.  Prime fields only.  Past
-    cap symbols no table is stored, and each codeword is encoded when read.
+    cap symbols no table is stored: table() raises CapExceededError and
+    each codeword is encoded when read.  A stored table is held to
+    DEFAULT_ENUM_CAP like any other (see Code).
     """
     if not is_prime(q):
         raise NotPrimeError(f"q={q} is not prime")
@@ -280,8 +292,7 @@ def random_code(q: int, r: int, ell: int, seed: int) -> Code:
     """
     _check_shape(q, ell, r)
     size = q ** r
-    if size * ell > DEFAULT_ENUM_CAP:
-        raise CapExceededError(f"{q}**{r} * {ell} symbols exceed cap {DEFAULT_ENUM_CAP}")
+    _check_table_size(size, ell)
     if ell < r:
         raise GapforgeError(f"{q}**{ell} words cannot hold q**r = {size} distinct codewords")
     rng = random.Random(seed)
@@ -353,19 +364,19 @@ def _distance_between(x, y, ell: int) -> Fraction:
     return Fraction(sum(1 for a, b in zip(x, y) if a != b), ell)
 
 
-def relative_distance(code: Code, *, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
+def relative_distance(code: Code) -> DistanceReport:
     """Exact minimum relative distance over all distinct codeword pairs.
 
     Reed-Solomon codes take the certified measurement, which stays exact
     far beyond the enumeration cap (see _rs_certified_distance); every
-    other code takes the pair scan, which needs its table within cap and
-    its C(|C|, 2) pairs within DEFAULT_SUBSET_BUDGET, and raises
+    other code takes the pair scan over its stored table, which needs its
+    C(|C|, 2) pairs within DEFAULT_SUBSET_BUDGET, and raises
     BudgetExceededError before scanning otherwise.
     """
     if code.kind == KIND_REED_SOLOMON:
         return _rs_certified_distance(code)
 
-    table = code.table(cap)
+    table = code.table()
     if len(table) < 2:
         raise GapforgeError("distance undefined for codes with a single codeword")
     pairs = math.comb(len(table), 2)
@@ -464,21 +475,20 @@ def ceil_sqrt_ratio(num: int, den: int) -> int:
     return math.isqrt(-(-num // den) - 1) + 1
 
 
-def col_bounds(code: Code, *, distance: Fraction | None = None):
-    """(lower, upper) bracket for the collision number.
+def col_bounds(code: Code):
+    """(lower, upper) bracket for the collision number, delta measured here.
 
     lower = ceil(sqrt(2/(1-delta))), INFINITE when delta = 1; upper = q+1,
     None when |C| < q+1 (the pigeonhole argument needs q+1 codewords).
     """
-    if distance is None:
-        distance = relative_distance(code).delta
-    if distance == 1:
-        lower: int | float = INFINITE
-    else:
-        ratio = 2 / (1 - distance)
-        lower = ceil_sqrt_ratio(ratio.numerator, ratio.denominator)
-    upper = code.q + 1 if code.size >= code.q + 1 else None
-    return lower, upper
+    return _col_bracket(code, relative_distance(code).delta)
+
+
+def _col_bracket(code: Code, distance: Fraction):
+    """col_bounds' bracket from the relative distance of code."""
+    num, den = distance.numerator, distance.denominator  # 2 / (1 - delta) = 2 den / (den - num)
+    lower = INFINITE if num == den else ceil_sqrt_ratio(2 * den, den - num)
+    return lower, (code.q + 1 if code.size >= code.q + 1 else None)
 
 
 def _field_packing(widths):
@@ -660,13 +670,11 @@ def collision_number(code: Code, size_cap: int | None = None, *,
     if rest or not 0 <= agree <= code.ell:
         raise GapforgeError(f"distance {distance} is no relative distance of a code "
                             f"of block length {code.ell}")
-    lower, upper = col_bounds(code, distance=distance)
+    lower, upper = _col_bracket(code, distance)
 
-    examined = 0
     for i in range(code.ell):
         if len({word[i] for word in table}) == n:
-            return CollisionReport(INFINITE, "infinite", None, lower, upper,
-                                   size_cap, examined)
+            return CollisionReport(INFINITE, "infinite", None, lower, upper, size_cap, 0)
 
     s, witness, examined = _collision_search(code, range(2, min(size_cap, n) + 1), 1,
                                              agree, budget)

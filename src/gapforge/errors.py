@@ -7,7 +7,8 @@ dedicated error instead of silently truncating a search.
 
 from __future__ import annotations
 
-# Max symbols in a code's codeword table (size * ell), stored or materialized.
+# Max symbols in a code's stored codeword table (size * ell), checked once when
+# the code is built: after the table's own checks, before it is packed.
 DEFAULT_ENUM_CAP = 1 << 20
 # Max subsets probed by exhaustive subset searches (collision number,
 # threshold collision property, cover search, PHF verification), and max

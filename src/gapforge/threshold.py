@@ -163,8 +163,9 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     is B_j's first codeword carrying a symbol realized at i and v runs over
     A_i; so adjacency_reads is sum over i of (symbols realized at i) * t *
     q**t.  The codewords come from code.table(), which raises
-    CapExceededError past the enumeration cap, and more reads than
-    DEFAULT_SUBSET_BUDGET raise BudgetExceededError, both before any read.
+    CapExceededError for a Reed-Solomon code stored without one, and more
+    reads than DEFAULT_SUBSET_BUDGET raise BudgetExceededError, both before
+    any read.
     The reads of one representative form the mask of its A_i neighbors.
     Each realized (i, pattern) is then decided once, by AND-ing the
     pattern's masks, which must leave exactly the pattern's own bit.  A

@@ -288,3 +288,59 @@ def test_criterion_10_frontend_and_pipeline_equivalence():
     _finish(10, f"oracle equivalence: {graphs} partitioned graphs "
                 f"(+{decided} decided-NO) and {cnfs} random 3-CNFs",
             start, 600.0, violations)
+
+
+def test_criterion_11_abstract_claims():
+    # Thm 5.1's SetCover gap beyond RS(3,2), and Lin's parameters from
+    # codes that are also perfect hash families.  h, the abstract's
+    # (2/(1-delta))**(1/(2k)), is reported only: at RS(11,2) it is 2.17,
+    # below the base's own k + 1.
+    start = time.perf_counter()
+    violations = []
+    k, u = 2, 3
+    print("\ncode      n  delta  Col  bounds   draws  universe    h     min  subsets")
+    for q in (5, 7, 11, 13):
+        code = gf.reed_solomon(q, 2)
+        delta = gf.relative_distance(code).delta
+        col = gf.collision_number(code, distance=delta).value
+        bounds = gf.col_bounds(code)
+        h = (2 / (1 - delta)) ** (1 / (2 * k))
+        for n in (6, 9):
+            # no-row: set m of each collection is {m % 3}, so k sets never cover
+            base = gf.SetCoverInstance(u, [[{m % u} for m in range(n)] for _ in range(k)])
+            if gf.min_cover_size(base, k).min_size is not None:
+                violations.append((q, n, "no-base has a k-cover"))
+            rng, draws, covered = random.Random(1), 0, False
+            while not covered:
+                draws += 1
+                matching = [rng.sample(range(code.size), n) for _ in range(k)]
+                composed = gf.compose_setcover(base, code, matching)
+                covered, _ = composed.covers(base.all_refs())
+            if composed.universe_size != code.ell * u ** (q ** k):
+                violations.append((q, n, "universe size"))
+            size, _, examined = composed.min_cover(2 * n)
+            if size is None or size < col:
+                violations.append((q, n, "composed cover below Col", size, col))
+            print(f"{f'RS({q},2)':9} {n}  {str(delta):5}  {col:3}  {str(bounds):8} {draws:5}  "
+                  f"{f'{code.ell}*{u}**{q ** k}':10}  {h:.2f}  {size:3}  {examined:7}")
+            # yes-row: plant a one-set-per-collection cover on the same matching
+            sets = [list(coll) for coll in base.collections]
+            sets[0][0], sets[1][0] = {0, 1}, {1, 2}
+            planted = gf.SetCoverInstance(u, sets)
+            cert = gf.setcover_certificate(planted,
+                                           gf.compose_setcover(planted, code, matching))
+            if cert.verdict != "completeness_ok" or cert.composed_cover_size != k:
+                violations.append((q, n, "planted cover", cert.verdict))
+    print("PHF(N,q)   ell  delta  Col  search_s")
+    for n_points, q in ((16, 3), (27, 3), (16, 4)):
+        search = time.perf_counter()
+        code = gf.phf_to_code(gf.find_phf(n_points, q, 64, seed=0))
+        search = time.perf_counter() - search
+        delta = gf.relative_distance(code).delta
+        col = gf.collision_number(code, distance=delta).value
+        if col != q + 1:
+            violations.append((n_points, q, "Col of a PHF code", col))
+        print(f"{f'PHF({n_points},{q})':9}  {code.ell:3}  {str(delta):5}  {col:3}  {search:.2f}")
+    _finish(11, "SetCover gap on RS(q,2), q in {5,7,11,13}: composed minimum >= Col "
+                "on no-rows, k sets on yes-rows; PHF codes reach Col = q + 1",
+            start, 10.0, violations)

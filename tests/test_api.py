@@ -16,11 +16,8 @@ import gapforge
 OPTIONS = {
     "cli.main": ("argv",),
     "codes.Code": ("seed",),
-    "codes.Code.table": ("cap",),
-    "codes.col_bounds": ("distance",),
     "codes.collision_number": ("size_cap", "budget", "distance"),
     "codes.reed_solomon": ("cap",),
-    "codes.relative_distance": ("cap",),
     "errors.ParseError": ("line",),
     "frontends.DecidedNo": ("empty_classes",),
     "generators.random_bounded_degree_instance": ("max_t", "max_part", "plant_cover"),

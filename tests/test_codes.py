@@ -10,6 +10,7 @@ import gapforge as gf
 from gapforge import codes, oracles
 from gapforge.codes import INFINITE, _draw_symbols, _field_packing, ceil_sqrt_ratio, verify_phf
 from gapforge.errors import (
+    DEFAULT_ENUM_CAP,
     BudgetExceededError,
     CapExceededError,
     GapforgeError,
@@ -108,9 +109,9 @@ class TestReedSolomon:
         assert code.codeword(1009 + 2) == tuple((1 + 2 * x) % 1009 for x in range(1009))
 
     def test_table_of_unmaterialized_code(self):
-        # past its own cap the code keeps no table, and table() encodes one
-        code = gf.reed_solomon(5, 3, cap=10)
-        assert code.table() == gf.reed_solomon(5, 3).table()
+        # past its own cap the code keeps no table, and table() refuses
+        with pytest.raises(CapExceededError, match=r"RS\(5,3\)'s cap: it stores no table"):
+            gf.reed_solomon(5, 3, cap=10).table()
 
     def test_certified_distance_at_any_prime(self):
         # distinct evaluation points settle the bound with no search over
@@ -212,9 +213,11 @@ class TestRelativeDistance:
         assert report.pairs_examined == 300
 
     def test_cap_exceeded(self):
-        code = gf.random_code(2, 8, 12, seed=0)  # 256 words of 12 symbols
-        with pytest.raises(CapExceededError):
-            gf.relative_distance(code, cap=1000)
+        # the cap counts size * ell, and a table past it is refused when the
+        # code is built, so no measurement reads one: 2**16 words of 17 symbols
+        table = [word for word, _ in zip(product(range(2), repeat=17), range(2 ** 16))]
+        with pytest.raises(CapExceededError, match="65536 codewords of length 17"):
+            gf.explicit_code(2, 17, table)
 
     def test_pair_scan_budget(self, monkeypatch):
         # 8,192 words within the enumeration cap, but C(8192, 2) = 33,550,336
@@ -478,7 +481,7 @@ class TestPackedWords:
     def test_matches_one_hot_layout(self, code_suite):
         unmaterialized = gf.reed_solomon(5, 3, cap=10)
         with pytest.raises(CapExceededError):
-            unmaterialized.table(10)
+            unmaterialized.table()
         for code in [*code_suite, gf.reed_solomon(11, 2), unmaterialized]:
             for m in range(code.size):
                 expected = sum(1 << (i * code.q + s) for i, s in enumerate(code.codeword(m)))
@@ -490,6 +493,34 @@ class TestPackedWords:
         for rank in (-1, code.size):
             with pytest.raises(MessageRangeError):
                 code.packed(rank)
+
+
+class TestTableCap:
+    """A stored table is checked against DEFAULT_ENUM_CAP once, when the code is built."""
+
+    @pytest.mark.parametrize("route", ["explicit", "json"])
+    def test_past_cap_refused_before_packing(self, monkeypatch, route):
+        # two symbols past the cap: two binary words of 2**19 + 1 symbols
+        def no_packing(widths):
+            raise AssertionError("packed a table past the cap")
+
+        monkeypatch.setattr(codes, "_field_packing", no_packing)
+        ell = 2 ** 19 + 1
+        table = [[0] * ell, [1] * ell]
+        with pytest.raises(CapExceededError):
+            if route == "explicit":
+                gf.explicit_code(2, ell, table)
+            else:
+                gf.code_from_json({"format": "gapforge-v1", "q": 2, "r": 1, "ell": ell,
+                                   "kind": "explicit", "table": table})
+
+    def test_exactly_at_cap_is_packed(self):
+        # 2**16 words of 16 binary symbols: 2**20 symbols, the cap itself
+        table = list(product(range(2), repeat=16))
+        code = gf.explicit_code(2, 16, table)
+        assert code.size * code.ell == DEFAULT_ENUM_CAP
+        for m in (0, 12345, len(table) - 1):
+            assert code.packed(m) == sum(1 << (2 * i + s) for i, s in enumerate(table[m]))
 
 
 class TestColBounds:
