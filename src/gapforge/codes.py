@@ -115,12 +115,13 @@ class Code:
     masks of that layout are kept for the collision search.  Only
     reed_solomon() builds Reed-Solomon codes, whose measurements rely on
     linearity, and only they may omit the table (see _ReedSolomonCode).
-    Nothing is written after __init__, so instances are immutable and safe
-    to share across threads.
+    Nothing is written after __init__ but the memo of default-matching
+    words per right-part shape (maxcover._matched_words), a value of (code,
+    shape) alone: racing threads write equal values, so sharing is safe.
     """
 
     __slots__ = ("q", "r", "ell", "kind", "seed", "_size", "_table", "_pack", "_low", "_top",
-                 "_packed")
+                 "_packed", "_default_words")
 
     def __init__(self, q, r, ell, kind, table, *, seed=None):
         _check_shape(q, ell, r)
@@ -141,6 +142,7 @@ class Code:
             _check_table_size(self._size, ell)
         self._pack, self._low, self._top = _field_packing((q,) * ell)
         self._packed = None if self._table is None else tuple(map(self._pack, self._table))
+        self._default_words = {}
 
     def _validate_table(self) -> None:
         for word in self._table:
@@ -252,9 +254,9 @@ def reed_solomon(q: int, r: int, *, cap: int = DEFAULT_ENUM_CAP) -> Code:
     """Reed-Solomon code: evaluations of degree-<r polynomials at 0..q-1.
 
     Message symbol i is the coefficient of x**i.  Prime fields only.  Past
-    cap symbols no table is stored: table() raises CapExceededError and
-    each codeword is encoded when read.  A stored table is held to
-    DEFAULT_ENUM_CAP like any other (see Code).
+    min(cap, DEFAULT_ENUM_CAP) symbols no table is stored: table() raises
+    CapExceededError and each codeword is encoded when read.  So a cap
+    above DEFAULT_ENUM_CAP stores no more than the default does.
     """
     if not is_prime(q):
         raise NotPrimeError(f"q={q} is not prime")
@@ -270,7 +272,8 @@ class _ReedSolomonCode(Code):
 
     def __init__(self, q: int, r: int, cap: int):
         self.q, self.r = q, r  # _encode reads them before Code.__init__ runs
-        table = [self._encode(rank) for rank in range(q ** r)] if q ** r * q <= cap else None
+        stored = q ** r * q <= min(cap, DEFAULT_ENUM_CAP)
+        table = [self._encode(rank) for rank in range(q ** r)] if stored else None
         super().__init__(q, r, q, KIND_REED_SOLOMON, table)
 
     def _encode(self, rank: int) -> tuple[int, ...]:

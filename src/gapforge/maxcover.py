@@ -10,8 +10,8 @@ AND of its rows, one word-wide nonzero-field test and one AND per extra
 block.  Explicit instances have one block, the compositions of both gap
 routes (Thm 4.2 and Appendix B) one per right super-node of their base.
 The edge list is derived from the rows for export.  A layout depends on
-the shape alone and is built once per shape, as are a default-matching
-composition's shifted codewords, per (code, right part sizes).  All
+the shape alone and is built once per shape; a code keeps its default
+matching's shifted codewords per right-part shape, never evicted.  All
 values are exact rationals.
 """
 
@@ -21,8 +21,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
+from operator import or_
 
 from .codes import Code, _field_packing, _match_parts, relative_distance
 from .errors import (
@@ -148,16 +149,12 @@ class MaxCoverInstance:
         coordinate l.  Block j of v's row ORs the packed codewords
         (Code.packed) of v's W_j-neighbors, so the class rule, with tup as
         the rank's digits, is that edge rule; a full base field takes its
-        part's OR at once.  matching=None is the default rank matching.
+        part's OR at once.  matching=None takes the rank matching the code keeps.
         """
         inst = cls.__new__(cls)
         inst.v_parts, inst._v_offsets = base.v_parts, base._v_offsets
         inst._lay_out((code.q,) * code.ell, base.t)
-        if matching is None:
-            matching, words, full_fields = _default_words(code, base.w_parts)
-        else:
-            matching = _match_parts(code, base.w_parts, matching)
-            words, full_fields = _matched_words(code, base.w_parts, matching)
+        matching, words, full_fields = _matched_words(code, base.w_parts, matching)
         inst._rows = []
         for base_row in base._rows:
             row = 0
@@ -454,17 +451,15 @@ class ProjectionProfile:
                      for j, e in enumerate(row) if e == VIOLATION)
 
 
-def projection_profile(instance) -> ProjectionProfile:
-    """Classify every (V_i, W_j) pair as PROJECTION, FULL, or VIOLATION.
+def _projection_masks(instance) -> list[tuple[int, int]]:
+    """(one_bit, all_bits) per left part V_i: field j's top bit in block 0 is
+    set iff every vertex of V_i meets exactly one / every member of W_j.
 
-    PROJECTION (every vertex of V_i has exactly one W_j neighbor) is
-    checked first; a 1 x 1 complete pair therefore reports PROJECTION.
-    Entries with an empty V_i are vacuously FULL.  Each entry is read from
-    the fields of V_i's packed rows that belong to W_j, one per block, so
-    no W vertex is scanned: a vertex meets exactly one member of W_j iff
-    each such field has one bit set, and every member iff each is all
-    ones.  Both are tested on whole rows with the nonzero-field test of
-    _covered_fields, nz(x) = ((x & low) + low | x) & top:
+    An empty V_i has one_bit 0 and every field in all_bits.  No W vertex is
+    scanned: a vertex meets exactly one member of W_j iff each of its
+    fields for W_j, one per block, has one bit set, and every member iff
+    each is all ones.  Both are tested on whole rows with the nonzero-field
+    test of _covered_fields, nz(x) = ((x & low) + low | x) & top:
     - x & ((x | top) - ones) is x with the lowest set bit of every field
       cleared, so a field has two or more bits iff nz of it is set.  OR-ing
       top first makes every field at least its bottom bit, so subtracting
@@ -476,14 +471,11 @@ def projection_profile(instance) -> ProjectionProfile:
     rows, offsets = instance._rows, instance._v_offsets
     low, top, ones = instance._low, instance._top, instance._ones
     field_bits = low | top
-    entries = []
-    for i, vi in enumerate(instance.v_parts):
-        if vi == 0:
-            entries.append((FULL,) * instance.t)
-            continue
+    masks = []
+    for lo, hi in zip(offsets, offsets[1:]):
         # top bits of the fields that have one bit / all bits in every row
         single = full = top
-        for x in rows[offsets[i]:offsets[i + 1]]:
+        for x in rows[lo:hi]:
             rest = x & ((x | top) - ones)
             gaps = ~x & field_bits
             single &= ((x & low) + low | x) & ~((rest & low) + low | rest)
@@ -493,46 +485,48 @@ def projection_profile(instance) -> ProjectionProfile:
         for start in instance._block_starts:
             one_bit &= single >> start
             all_bits &= full >> start
-        row = []
-        for start, width in instance._fields:
-            bit = 1 << (start + width - 1)
-            row.append(PROJECTION if one_bit & bit else FULL if all_bits & bit else VIOLATION)
-        entries.append(tuple(row))
-    return ProjectionProfile(tuple(entries))
+        masks.append((one_bit if hi > lo else 0, all_bits))
+    return masks
+
+
+def projection_profile(instance) -> ProjectionProfile:
+    """Classify every (V_i, W_j) pair as PROJECTION, FULL, or VIOLATION.
+
+    PROJECTION (every vertex of V_i has exactly one W_j neighbor) is
+    checked first; a 1 x 1 complete pair therefore reports PROJECTION.
+    Entries with an empty V_i are vacuously FULL (see _projection_masks).
+    """
+    bits = [1 << (start + width - 1) for start, width in instance._fields]
+    return ProjectionProfile(tuple(
+        tuple(PROJECTION if one_bit & bit else FULL if all_bits & bit else VIOLATION
+              for bit in bits)
+        for one_bit, all_bits in _projection_masks(instance)))
 
 
 # ---------------------------------------------------------------------------
 # Gap compositions (Thm 4.2 and Appendix B)
 
 
-def _matched_words(code: Code, w_parts: tuple[int, ...], matching):
-    """(words, full_fields) of a composition's rows for a checked matching.
+def _matched_words(code: Code, w_parts: tuple[int, ...], matching=None):
+    """(matching, words, full_fields) of a composition's rows, the matching checked.
 
     Word b is the packed codeword matched to base W-vertex b, in the block
     of its part; full_fields pairs each base field's mask with the OR of
     its part's words, which a base row whose field is full takes at once.
+    The default rank matching's triple (matching=None) is kept on the code.
     """
+    default = matching is None
+    if default and w_parts in code._default_words:
+        return code._default_words[w_parts]
+    matching = _match_parts(code, w_parts, matching)
     block = code.q * code.ell
     words = tuple(code.packed(m) << (j * block)
                   for j, inj in enumerate(matching) for m in inj)
-    full_fields = []
-    for start, width in zip(_offsets(w_parts), w_parts):
-        part_or = 0
-        for word in words[start:start + width]:
-            part_or |= word
-        full_fields.append((((1 << width) - 1) << start, part_or))
-    return words, tuple(full_fields)
-
-
-@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
-def _default_words(code: Code, w_parts: tuple[int, ...]):
-    """(matching, words, full_fields) for the default rank matching.
-
-    Keyed on the shape of a composition (the code and the base's right
-    part sizes), like _layout; a job composes few shapes.
-    """
-    matching = _match_parts(code, w_parts)
-    return (matching, *_matched_words(code, w_parts, matching))
+    full_fields = tuple((((1 << width) - 1) << start, reduce(or_, words[start:start + width]))
+                        for start, width in zip(_offsets(w_parts), w_parts))
+    if default:
+        code._default_words[w_parts] = matching, words, full_fields
+    return matching, words, full_fields
 
 
 def _check_one_block(base: MaxCoverInstance) -> None:
@@ -547,16 +541,16 @@ def compose_gap(base: MaxCoverInstance, code: Code, matching=None) -> MaxCoverIn
     """Gap-creating composition with the threshold graph of (code, t=base.t).
 
     Requires a one-block base (an explicit instance), the pseudo-projection
-    property and an injective matching of every W_j into the codewords
-    (default: lexicographic ranks).  Value 1 is preserved; any value below
-    1 drops to at most 1 - delta.  The result has base.t blocks (see
-    MaxCoverInstance._composed).
+    property, tested on each left part's masks (_projection_masks, with a
+    profile only to name violations), and an injective matching of every
+    W_j into the codewords (default: lexicographic ranks).  Value 1 is
+    preserved; any value below 1 drops to at most 1 - delta.  The result
+    has base.t blocks (see MaxCoverInstance._composed).
     """
     _check_one_block(base)
-    profile = projection_profile(base)
-    if not profile.is_pseudo_projection:
-        raise NotPseudoProjectionError(
-            f"instance violates pseudo-projection at {profile.violations()}")
+    if any((one_bit | all_bits) != base._top for one_bit, all_bits in _projection_masks(base)):
+        raise NotPseudoProjectionError(f"instance violates pseudo-projection at "
+                                       f"{projection_profile(base).violations()}")
     return MaxCoverInstance._composed(base, code, matching, (
         f"compose_gap({base.provenance or 'instance'}; "
         f"{code.kind} q={code.q} r={code.r} ell={code.ell})"))
@@ -634,8 +628,11 @@ def gap_certificate(base, composed, delta: Fraction, bound_factor=1) -> GapCerti
     if before.value == 1:
         verdict = COMPLETENESS_OK if after.value == 1 else VERDICT_VIOLATION
     else:
-        bound = bound_factor * (1 - delta)
-        verdict = SOUNDNESS_OK if after.value <= bound else VERDICT_VIOLATION
+        # after <= bound_factor * (1 - delta), over the positive denominators
+        value, den = after.value, delta.denominator
+        sound = value.numerator * bound_factor.denominator * den <= \
+            value.denominator * bound_factor.numerator * (den - delta.numerator)
+        verdict = SOUNDNESS_OK if sound else VERDICT_VIOLATION
     return GapCertificate(before.value, after.value, delta, bound_factor,
                           verdict, after.labeling, after.labelings_examined)
 

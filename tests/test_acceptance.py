@@ -291,12 +291,33 @@ def test_criterion_10_frontend_and_pipeline_equivalence():
 
 
 def test_criterion_11_abstract_claims():
-    # Thm 5.1's SetCover gap beyond RS(3,2), and Lin's parameters from
-    # codes that are also perfect hash families.  h, the abstract's
-    # (2/(1-delta))**(1/(2k)), is reported only: at RS(11,2) it is 2.17,
-    # below the base's own k + 1.
+    # Thm 5.1's SetCover gap beyond RS(3,2), Lin's parameters from codes
+    # that are also perfect hash families, and the threshold graphs of all
+    # of them.  h, the abstract's (2/(1-delta))**(1/(2k)), is reported
+    # only: at RS(11,2) it is 2.17, below the base's own k + 1.
     start = time.perf_counter()
     violations = []
+    thresholds = []
+
+    def threshold_row(name, code, delta, col):
+        # t = 2 at cap Col: complete, sound at exactly (1-delta)*ell, and
+        # no X below Col meets the collision hypothesis
+        row_start = time.perf_counter()
+        verdict = gf.verify_threshold(gf.build_threshold(code, 2), collision_cap=col)
+        seconds = time.perf_counter() - row_start
+        if not verdict.completeness_ok:
+            violations.append((name, "completeness", verdict.completeness_counterexample))
+        if Fraction(verdict.soundness_max_shared) != (1 - delta) * code.ell \
+                or not verdict.soundness_ok:
+            violations.append((name, "soundness", verdict.soundness_max_shared))
+        if verdict.collision_min_x is not None:
+            violations.append((name, "X below Col", verdict.collision_min_x))
+        if seconds >= 1.5:
+            violations.append((name, "threshold row took", seconds))
+        thresholds.append(f"{name:9}  {col:3}  {str(verdict.completeness_ok):8}  "
+                          f"{verdict.soundness_max_shared:10}  {verdict.adjacency_reads:6}  "
+                          f"{verdict.collision_subsets_examined:7}  {seconds:.3f}")
+
     k, u = 2, 3
     print("\ncode      n  delta  Col  bounds   draws  universe    h     min  subsets")
     for q in (5, 7, 11, 13):
@@ -305,6 +326,7 @@ def test_criterion_11_abstract_claims():
         col = gf.collision_number(code, distance=delta).value
         bounds = gf.col_bounds(code)
         h = (2 / (1 - delta)) ** (1 / (2 * k))
+        threshold_row(f"RS({q},2)", code, delta, col)
         for n in (6, 9):
             # no-row: set m of each collection is {m % 3}, so k sets never cover
             base = gf.SetCoverInstance(u, [[{m % u} for m in range(n)] for _ in range(k)])
@@ -341,6 +363,11 @@ def test_criterion_11_abstract_claims():
         if col != q + 1:
             violations.append((n_points, q, "Col of a PHF code", col))
         print(f"{f'PHF({n_points},{q})':9}  {code.ell:3}  {str(delta):5}  {col:3}  {search:.2f}")
+        threshold_row(f"PHF({n_points},{q})", code, delta, col)
+    print("threshold, t = 2, cap Col")
+    print("code       Col  complete  max_shared   reads  subsets  seconds")
+    print("\n".join(thresholds))
     _finish(11, "SetCover gap on RS(q,2), q in {5,7,11,13}: composed minimum >= Col "
-                "on no-rows, k sets on yes-rows; PHF codes reach Col = q + 1",
-            start, 10.0, violations)
+                "on no-rows, k sets on yes-rows; PHF codes reach Col = q + 1; their "
+                "threshold graphs at t = 2 are complete, sound at (1-delta)*ell and "
+                "have no X below Col", start, 10.0, violations)

@@ -113,6 +113,22 @@ class TestReedSolomon:
         with pytest.raises(CapExceededError, match=r"RS\(5,3\)'s cap: it stores no table"):
             gf.reed_solomon(5, 3, cap=10).table()
 
+    def test_cap_above_default_stores_no_more(self, monkeypatch):
+        # 103**3 symbols lie between DEFAULT_ENUM_CAP and cap: no word is
+        # encoded while the code is built, and it stores no table
+        assert 103 ** 3 > DEFAULT_ENUM_CAP
+        encoded = []
+        encode = codes._ReedSolomonCode._encode
+        monkeypatch.setattr(codes._ReedSolomonCode, "_encode",
+                            lambda self, rank: encoded.append(rank) or encode(self, rank))
+        code = gf.reed_solomon(103, 2, cap=2 ** 30)
+        assert encoded == []
+        with pytest.raises(CapExceededError, match="stores no table"):
+            code.table()
+        assert code.codeword(103 + 2) == tuple((1 + 2 * x) % 103 for x in range(103))
+        # within both caps the table is stored, as with the default cap
+        assert gf.reed_solomon(5, 2, cap=2 ** 30).table() == gf.reed_solomon(5, 2).table()
+
     def test_certified_distance_at_any_prime(self):
         # distinct evaluation points settle the bound with no search over
         # point subsets; pairs_examined is the witness + 20 spot-checked pairs

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -328,19 +330,112 @@ class TestComposeGap:
             gf.compose_gap(inst, gf.reed_solomon(3, 1))  # only 3 codewords
 
     def test_default_words_built_once_per_shape(self):
+        # more shapes than the 256 of a bounded cache, each composed with one
+        # code: the code keeps every shape's words, none is rebuilt
+        code = gf.reed_solomon(5, 2)
+        first = None
+        for a in range(1, 18):
+            for b in range(1, 18):
+                base = gf.MaxCoverInstance.from_masks((1,), (a, b), [(1, 1 << (b - 1))])
+                composed = gf.compose_gap(base, code)
+                first = first or (base, composed)
+                # an explicit matching builds its words directly, to the same rows
+                explicit = gf.compose_gap(base, code, [range(a), range(b)])
+                assert composed.matching == explicit.matching == (
+                    tuple(range(a)), tuple(range(b)))
+                assert composed._rows == explicit._rows
+        assert len(code._default_words) == 17 * 17
+        again = gf.compose_gap(first[0], code)
+        assert again.matching is first[1].matching
+        assert again._rows == gf.compose_gap(first[0], code, [[0], [0]])._rows
+        # a code of another shape keeps its own words
+        other = gf.compose_gap(first[0], gf.reed_solomon(3, 2))
+        assert other._rows != first[1]._rows
+
+    def test_kept_words_shared_across_threads(self):
+        # threads compose one shared code on overlapping shapes with a short
+        # switch interval: a shape's words may be built twice, never wrongly
+        code = gf.reed_solomon(5, 2)
+        shapes = [(a, b) for a in range(1, 9) for b in range(1, 9)]
+        bases = [gf.MaxCoverInstance.from_masks((1,), shape, [(1, 1)]) for shape in shapes]
+        expected = [gf.compose_gap(base, code, [range(a), range(b)])._rows
+                    for base, (a, b) in zip(bases, shapes)]
+        wrong = []
+
+        def work(offset):
+            for n in range(len(shapes)):
+                n = (n + offset) % len(shapes)
+                if gf.compose_gap(bases[n], code)._rows != expected[n]:
+                    wrong.append(shapes[n])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(7 * i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert sorted(code._default_words) == shapes
+
+    @pytest.mark.parametrize("route", ["gap", "k2"])
+    def test_kept_words_match_existential(self, route):
+        # bases with full fields (planted covers) and k = 2 bounded bases,
+        # composed twice per code, so the second composition reads the
+        # words the code kept; RS(5,2) past its cap packs from the encoder
+        rng = random.Random(f"kept-words/{route}")
+        codes = [gf.reed_solomon(3, 2), gf.reed_solomon(5, 2), gf.reed_solomon(5, 2, cap=10)]
+        with pytest.raises(CapExceededError):
+            codes[2].table()
+        full_fields = 0
+        for _ in range(8):
+            if route == "gap":
+                base = random_pseudo_projection_instance(rng, plant_cover=True)
+            else:
+                base = random_bounded_degree_instance(rng, 2)
+            full_fields += sum(row.count(FULL) for row in gf.projection_profile(base).entries)
+            rows = []
+            for code in codes:
+                composed, again = (gf.compose_gap(base, code) if route == "gap" else
+                                   gf.compose_gap_k2_bounded(base, code, 2)
+                                   for _ in range(2))
+                assert again._rows == composed._rows
+                assert again.matching is composed.matching
+                rows.append(again._rows)
+                for vg in range(composed.num_v):
+                    for l in range(composed.t):
+                        for rank, tup in enumerate(product(range(code.q), repeat=base.t)):
+                            assert again.adjacent(vg, again.w_global(l, rank)) == \
+                                oracles.composed_adjacent_bruteforce(
+                                    base, code, again.matching, vg, l, tup)
+            # the table-less RS(5,2) composes as the stored one
+            assert rows[1] == rows[2]
+        assert full_fields > 0
+
+    def test_accepts_exactly_pseudo_projections(self):
+        # compose_gap's mask test against the profile from adjacent() alone,
+        # on masks that make every kind of entry, violations included
+        rng = random.Random(41)
         code = gf.reed_solomon(3, 2)
-        a = gf.MaxCoverInstance.from_masks((1, 1), (2, 1), [(1, 1), (2, 1)])
-        b = gf.MaxCoverInstance.from_masks((2,), (2, 1), [(2, 1), (1, 1)])
-        composed_a, composed_b = gf.compose_gap(a, code), gf.compose_gap(b, code)
-        assert composed_a.matching is composed_b.matching == ((0, 1), (0,))
-        assert maxcover._default_words.cache_info().maxsize == maxcover._LAYOUT_CACHE_SIZE
-        # an explicit matching builds its words directly, to the same rows
-        explicit = gf.compose_gap(a, code, [[0, 1], [0]])
-        assert explicit.matching == composed_a.matching
-        assert explicit._rows == composed_a._rows
-        # a code of another shape gets its own words
-        other = gf.compose_gap(a, gf.reed_solomon(5, 2))
-        assert other._rows != composed_a._rows
+        outcomes = set()
+        for _ in range(300):
+            inst = _profile_instances("violations", rng, code)[0]
+            entries = oracles.projection_profile_by_adjacency(inst)
+            violations = tuple((i, j) for i, row in enumerate(entries)
+                               for j, entry in enumerate(row) if entry == VIOLATION)
+            outcomes.add((bool(violations), any(FULL in row for row in entries)))
+            if violations:
+                with pytest.raises(NotPseudoProjectionError) as err:
+                    gf.compose_gap(inst, code)
+                assert str(violations) in str(err.value)
+            else:
+                assert gf.compose_gap(inst, code).base is inst
+        # accepted instances with full fields, rejected ones of both kinds
+        assert outcomes == {(False, True), (False, False), (True, True), (True, False)}
 
     def test_matching_override(self):
         inst = soundness_instance()
@@ -654,6 +749,23 @@ class TestGapCertificate:
         same = gf.gap_certificate(inst, composed, Fraction(3, 4), Fraction(2))
         assert cert.to_json() == same.to_json()
         assert isinstance(cert.bound_factor, Fraction)
+
+    def test_integer_bound_matches_fractions(self):
+        # the soundness test in integers against value <= factor * (1 - delta)
+        # in Fractions, equality included; an explicit instance with one
+        # labeling covering c of t parts has value c/t
+        base = soundness_instance()
+        for t in range(1, 7):
+            for c in range(t + 1):
+                composed = gf.MaxCoverInstance.from_masks(
+                    (1,), (1,) * t, [[1] * c + [0] * (t - c)])
+                for delta in {Fraction(n, d) for d in range(1, 7) for n in range(d + 1)}:
+                    for factor in (1, 2, Fraction(3, 2), Fraction(4, 9)):
+                        cert = gf.gap_certificate(base, composed, delta, factor)
+                        sound = Fraction(c, t) <= factor * (1 - delta)
+                        assert cert.verdict == ("soundness_ok" if sound else "violation")
+                        assert (cert.value_after, cert.delta, cert.bound_factor) == (
+                            Fraction(c, t), delta, factor)
 
     def test_composition_of_another_base_rejected(self):
         # soundness_instance has value 0; the composition of a value-1 base
