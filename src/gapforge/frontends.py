@@ -137,15 +137,53 @@ def colorful_lift(graph: Graph, t: int) -> PartitionedGraph:
     return PartitionedGraph(parts, frozenset(edges))
 
 
-def _clique_graph(graph, t: int) -> PartitionedGraph:
-    """graph on the clique front-end's t >= 2 parts; a plain graph is lifted to them."""
+def _check_clique_parts(t: int) -> None:
     if t < 2:
         raise IndexRangeError(f"the clique front-end needs t >= 2 parts, got t={t}")
+
+
+def _clique_graph(graph, t: int) -> PartitionedGraph:
+    """graph on the clique front-end's t >= 2 parts; a plain graph is lifted to them."""
+    _check_clique_parts(t)
     if isinstance(graph, Graph):
         return colorful_lift(graph, t)
     if graph.t != t:
         raise IndexRangeError(f"graph has {graph.t} parts, expected t={t}")
     return graph
+
+
+# Layouts are keyed on the vertex partition, not on the edges, and a job
+# meets few partitions.
+_CLIQUE_LAYOUT_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_CLIQUE_LAYOUT_CACHE_SIZE)
+def _clique_layout(parts: tuple[tuple[int, ...], ...]):
+    """(bit, pair_class, others, w_parts, provenance) of the clique front-end on parts.
+
+    bit[w] is vertex w's bit in a row: its rank in its part, in that part's
+    field.  Class c is the c-th pair of combinations(range(t), 2);
+    pair_class[i][j] is the class of parts i and j in either order, and
+    others[c] is the all-ones row of every part outside class c.  All of
+    it depends on the partition alone, so graphs on one partition share
+    one layout, and at most _CLIQUE_LAYOUT_CACHE_SIZE are kept.
+    """
+    t = len(parts)
+    _check_clique_parts(t)
+    w_parts = tuple(len(part) for part in parts)
+    bit, fields, num_w = [0] * sum(w_parts), [], 0
+    for part in parts:
+        for p, w in enumerate(part):
+            bit[w] = 1 << (num_w + p)
+        fields.append(((1 << len(part)) - 1) << num_w)
+        num_w += len(part)
+    pairs = list(combinations(range(t), 2))
+    pair_class = [[None] * t for _ in range(t)]
+    for c, (i, j) in enumerate(pairs):
+        pair_class[i][j] = pair_class[j][i] = c
+    others = tuple((1 << num_w) - 1 ^ fields[i] ^ fields[j] for i, j in pairs)
+    return (tuple(bit), tuple(map(tuple, pair_class)), others, w_parts,
+            f"clique_frontend(m={num_w}, t={t})")
 
 
 def clique_to_maxcover(graph: PartitionedGraph):
@@ -157,33 +195,27 @@ def clique_to_maxcover(graph: PartitionedGraph):
     Its row is the all-ones row of the other parts with the endpoints'
     bits in fields i and j.  An empty edge class means no colorful clique
     can exist, returned as a DecidedNo.  A graph needs t >= 2 parts.
+
+    What depends on the partition alone (each vertex's bit, each class's
+    all-other-parts row, the part sizes and the provenance) is read from
+    _clique_layout, built once per partition and kept for at most
+    _CLIQUE_LAYOUT_CACHE_SIZE partitions; per graph, only the sorted edges
+    are walked.
     """
-    t = graph.t
-    _clique_graph(graph, t)  # checks t >= 2
-    # bit[w] is w's bit in a row: its rank in its part, in that part's field
+    bit, pair_class, others, w_parts, provenance = _clique_layout(graph.parts)
     owner = graph._owner
-    bit, fields, num_w = [0] * len(owner), [], 0
-    for part in graph.parts:
-        for p, w in enumerate(part):
-            bit[w] = 1 << (num_w + p)
-        fields.append(((1 << len(part)) - 1) << num_w)
-        num_w += len(part)
-    pair_list = list(combinations(range(t), 2))
-    # class (i, j): the row of every other part, and the labels' rows
-    classes = {(i, j): ((1 << num_w) - 1 ^ fields[i] ^ fields[j], [])
-               for i, j in pair_list}
+    # ends[c] holds the endpoint bits of class c's labels, in sorted edge order
+    ends = [[] for _ in others]
     for u, v in sorted(graph.edges):
-        i, j = owner[u], owner[v]
-        others, rows = classes[(i, j) if i < j else (j, i)]
-        rows.append(others | bit[u] | bit[v])
-    empty = tuple(pair for pair in pair_list if not classes[pair][1])
-    if empty:
+        ends[pair_class[owner[u]][owner[v]]].append(bit[u] | bit[v])
+    if not all(ends):
+        empty = tuple(pair for pair, class_ends in
+                      zip(combinations(range(len(w_parts)), 2), ends) if not class_ends)
         return DecidedNo("empty cross-edge class rules out a colorful clique", empty)
     return MaxCoverInstance._from_rows(
-        tuple(len(classes[pair][1]) for pair in pair_list),
-        tuple(len(part) for part in graph.parts),
-        [row for pair in pair_list for row in classes[pair][1]],
-        provenance=f"clique_frontend(m={graph.num_vertices}, t={t})")
+        tuple(map(len, ends)), w_parts,
+        [row | label for row, class_ends in zip(others, ends) for label in class_ends],
+        provenance=provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,13 @@ by the smallest workable prime (recorded, overridable).  An override is
 checked by reed_solomon (NotPrimeError, or RankRangeError for q < t) and by
 the matching (MatchingOverflowError for q**t below the largest right part).
 
-A job uses only a handful of codes RS(q, r), so each certified code (the
-code and its exact relative distance) is built once and reused for later
-inputs within the same process.  The reuse is bounded: only the 32 most
-recently used codes are kept (_CODE_CACHE_SIZE).  The prime chosen for a
-(t, max_w) pair is kept the same way (_PRIME_CACHE_SIZE).
+A job uses only a handful of codes RS(q, r), so each (q, r) gets one
+immutable CertifiedCode record, built once and only read by later inputs
+within the same process: the code, its exact relative distance delta,
+the bound 1 - r/q and vacuous_gap (bound <= 0).  The reuse is bounded:
+only the 32 most recently used records are kept (_CODE_CACHE_SIZE).  The
+prime chosen for a (t, max_w) pair is kept the same way
+(_PRIME_CACHE_SIZE).
 """
 
 from __future__ import annotations
@@ -114,11 +116,23 @@ def smallest_workable_prime(t: int, max_w: int) -> int:
 _CODE_CACHE_SIZE = 32
 
 
+@dataclass(frozen=True)
+class CertifiedCode:
+    """RS(q, r) with its exact relative distance delta, the formula-level
+    bound 1 - r/q and vacuous_gap, which says that bound is not positive."""
+
+    code: Code
+    delta: Fraction
+    bound: Fraction
+    vacuous_gap: bool
+
+
 @lru_cache(maxsize=_CODE_CACHE_SIZE)
-def _certified_code(q: int, r: int) -> tuple[Code, Fraction]:
-    """RS(q, r) with its exact relative distance; both are immutable, so shared."""
+def _certified_code(q: int, r: int) -> CertifiedCode:
+    """The certified RS(q, r); immutable, so one record is shared by every input."""
     code = reed_solomon(q, r)
-    return code, relative_distance(code).delta
+    bound = Fraction(q - r, q)
+    return CertifiedCode(code, relative_distance(code).delta, bound, bound <= 0)
 
 
 def _run_gap_stages(frontend, frontend_start, q_override, stages) -> PipelineReport:
@@ -130,15 +144,15 @@ def _run_gap_stages(frontend, frontend_start, q_override, stages) -> PipelineRep
     start = time.perf_counter()
     q = (smallest_workable_prime(frontend.t, max(frontend.w_parts))
          if q_override is None else q_override)
-    code, delta = _certified_code(q, frontend.t)
-    delta_bound = Fraction(code.q - code.r, code.q)  # 1 - r/q
+    certified = _certified_code(q, frontend.t)
+    code = certified.code
     composed = compose_gap(frontend, code)
     stages.append(Stage("compose", time.perf_counter() - start, {
         "q": code.q, "r": code.r, "ell": code.ell,
         "a_parts": composed.t, "a_part_size": composed.w_parts[0]}))
 
     start = time.perf_counter()
-    cert = gap_certificate(frontend, composed, delta)
+    cert = gap_certificate(frontend, composed, certified.delta)
     stages.append(Stage("solve", time.perf_counter() - start, {
         "labelings": cert.labelings_examined}))
 
@@ -146,10 +160,10 @@ def _run_gap_stages(frontend, frontend_start, q_override, stages) -> PipelineRep
     return PipelineReport(
         verdict=verdict, decided_no=False,
         code_q=code.q, code_r=code.r, code_ell=code.ell,
-        delta_exact=delta, delta_bound=delta_bound,
+        delta_exact=certified.delta, delta_bound=certified.bound,
         value_before=cert.value_before, value_after=cert.value_after,
         gap=1 - cert.value_after if verdict == NO else None,
-        vacuous_gap=delta_bound <= 0, stages=tuple(stages))
+        vacuous_gap=certified.vacuous_gap, stages=tuple(stages))
 
 
 def wone_pipeline(graph: Graph | PartitionedGraph, t: int,

@@ -318,41 +318,53 @@ def test_criterion_11_abstract_claims():
                           f"{verdict.soundness_max_shared:10}  {verdict.adjacency_reads:6}  "
                           f"{verdict.collision_subsets_examined:7}  {seconds:.3f}")
 
-    k, u = 2, 3
-    print("\ncode      n  delta  Col  bounds   draws  universe    h     min  subsets")
+    # k = 2 rows on |U| = 3 for every q, and k = 3 rows on |U| = k + 1 = 4 on RS(5,2)
+    print("\ncode      k  n  delta  Col  bounds   draws  universe    log_q(n)/rho    h"
+          "     min  subsets  seconds")
     for q in (5, 7, 11, 13):
         code = gf.reed_solomon(q, 2)
         delta = gf.relative_distance(code).delta
         col = gf.collision_number(code, distance=delta).value
         bounds = gf.col_bounds(code)
-        h = (2 / (1 - delta)) ** (1 / (2 * k))
         threshold_row(f"RS({q},2)", code, delta, col)
-        for n in (6, 9):
-            # no-row: set m of each collection is {m % 3}, so k sets never cover
-            base = gf.SetCoverInstance(u, [[{m % u} for m in range(n)] for _ in range(k)])
-            if gf.min_cover_size(base, k).min_size is not None:
-                violations.append((q, n, "no-base has a k-cover"))
-            rng, draws, covered = random.Random(1), 0, False
-            while not covered:
-                draws += 1
-                matching = [rng.sample(range(code.size), n) for _ in range(k)]
-                composed = gf.compose_setcover(base, code, matching)
-                covered, _ = composed.covers(base.all_refs())
-            if composed.universe_size != code.ell * u ** (q ** k):
-                violations.append((q, n, "universe size"))
-            size, _, examined = composed.min_cover(2 * n)
-            if size is None or size < col:
-                violations.append((q, n, "composed cover below Col", size, col))
-            print(f"{f'RS({q},2)':9} {n}  {str(delta):5}  {col:3}  {str(bounds):8} {draws:5}  "
-                  f"{f'{code.ell}*{u}**{q ** k}':10}  {h:.2f}  {size:3}  {examined:7}")
-            # yes-row: plant a one-set-per-collection cover on the same matching
-            sets = [list(coll) for coll in base.collections]
-            sets[0][0], sets[1][0] = {0, 1}, {1, 2}
-            planted = gf.SetCoverInstance(u, sets)
-            cert = gf.setcover_certificate(planted,
-                                           gf.compose_setcover(planted, code, matching))
-            if cert.verdict != "completeness_ok" or cert.composed_cover_size != k:
-                violations.append((q, n, "planted cover", cert.verdict))
+        for k, u, sizes in ((2, 3, (6, 9)),) + (((3, 4, (4, 6, 8)),) if q == 5 else ()):
+            h = (2 / (1 - delta)) ** (1 / (2 * k))
+            for n in sizes:
+                row_start = time.perf_counter()
+                # no-row: set m of each collection is {m % u}, so k sets never cover
+                base = gf.SetCoverInstance(u, [[{m % u} for m in range(n)] for _ in range(k)])
+                if gf.min_cover_size(base, k).min_size is not None:
+                    violations.append((q, k, n, "no-base has a k-cover"))
+                rng, draws, covered = random.Random(1), 0, False
+                while not covered:
+                    draws += 1
+                    matching = [rng.sample(range(code.size), n) for _ in range(k)]
+                    composed = gf.compose_setcover(base, code, matching)
+                    covered, _ = composed.covers(base.all_refs())
+                if composed.universe_size != code.ell * u ** (q ** k):
+                    violations.append((q, k, n, "universe size"))
+                size, _, examined = composed.min_cover(2 * n)
+                if size is None or size < col:
+                    violations.append((q, k, n, "composed cover below Col", size, col))
+                # yes-row: plant the cover {0,1}, {1,2}, ..., {k-1,k} of U on the
+                # same matching, one set per collection
+                sets = [list(coll) for coll in base.collections]
+                for i in range(k):
+                    sets[i][0] = {i, i + 1}
+                planted = gf.SetCoverInstance(u, sets)
+                cert = gf.setcover_certificate(planted,
+                                               gf.compose_setcover(planted, code, matching))
+                if cert.verdict != "completeness_ok" or cert.composed_cover_size != k:
+                    violations.append((q, k, n, "planted cover", cert.verdict))
+                seconds = time.perf_counter() - row_start
+                if seconds >= 1.5:
+                    violations.append((q, k, n, "setcover row took", seconds))
+                # the abstract's universe, (log|S|/rho)*|U|**(q**k), at |S| = n and
+                # rate rho = r/ell
+                log_over_rho = math.log(n, q) * code.ell / code.r
+                print(f"{f'RS({q},2)':9} {k}  {n}  {str(delta):5}  {col:3}  {str(bounds):8} "
+                      f"{draws:5}  {f'{code.ell}*{u}**{q ** k}':10}  {log_over_rho:12.2f}  "
+                      f"{h:.2f}  {size:3}  {examined:7}  {seconds:.3f}")
     print("PHF(N,q)   ell  delta  Col  search_s")
     for n_points, q in ((16, 3), (27, 3), (16, 4)):
         search = time.perf_counter()
@@ -367,7 +379,8 @@ def test_criterion_11_abstract_claims():
     print("threshold, t = 2, cap Col")
     print("code       Col  complete  max_shared   reads  subsets  seconds")
     print("\n".join(thresholds))
-    _finish(11, "SetCover gap on RS(q,2), q in {5,7,11,13}: composed minimum >= Col "
+    _finish(11, "SetCover gap on RS(q,2), q in {5,7,11,13}, k = 2, and on RS(5,2), k = 3: "
+                "composed minimum >= Col "
                 "on no-rows, k sets on yes-rows; PHF codes reach Col = q + 1; their "
                 "threshold graphs at t = 2 are complete, sound at (1-delta)*ell and "
                 "have no X below Col", start, 10.0, violations)

@@ -209,6 +209,67 @@ class TestReferenceFrontends:
         assert empty_parts
 
 
+def _runs_on_shared_partitions():
+    """Runs of graphs on one partition each, back to back: parts in and out
+    of vertex order, DecidedNo graphs among them, and lifts of plain graphs."""
+    rng = random.Random(33)
+    partitions = [[(0, 1), (2, 3), (4,)], [(4, 1), (0, 3), (2,)], [(3,), (0, 2), (1, 4)],
+                  [(5, 0), (3, 1), (4, 2)], [(1, 2, 0), (3,)]]
+    runs = []
+    for parts in partitions:
+        owner = {v: i for i, part in enumerate(parts) for v in part}
+        cross = [(u, v) for u, v in combinations(sorted(owner), 2) if owner[u] != owner[v]]
+        run = [gf.make_partitioned_graph(parts, [e for e in cross if rng.random() < p])
+               for p in (0.8, 0.5, 0.9, 0.2, 1.0, 0.7)]
+        # no edge between parts 0 and 1: an empty class, then a full graph
+        run.append(gf.make_partitioned_graph(
+            parts, [(u, v) for u, v in cross if {owner[u], owner[v]} != {0, 1}]))
+        run.append(gf.make_partitioned_graph(parts, cross))
+        runs.append(run)
+    plain = [gf.make_graph(4, [e for e in combinations(range(4), 2) if rng.random() < p])
+             for p in (0.9, 0.6, 0.4, 1.0)]
+    runs.append([gf.colorful_lift(graph, 3) for graph in plain])
+    return runs
+
+
+class TestCliqueLayout:
+    """The per-partition layout against the edge-list reference, and its cache."""
+
+    def test_shared_partitions_match_reference(self):
+        frontends._clique_layout.cache_clear()
+        decided_no = 0
+        for run in _runs_on_shared_partitions():
+            assert len({graph.parts for graph in run}) == 1
+            for graph in run:
+                result = gf.clique_to_maxcover(graph)
+                decided_no += isinstance(result, gf.DecidedNo)
+                assert _frontend_view(result) == _frontend_view(
+                    oracles.clique_to_maxcover_reference(graph))
+        info = frontends._clique_layout.cache_info()
+        assert decided_no >= 5
+        assert info.misses == 6 and info.hits > info.misses
+
+    def test_cache_bounded_and_keyed_on_partition(self):
+        layout = frontends._clique_layout
+        maxsize = layout.cache_parameters()["maxsize"]
+        assert maxsize == frontends._CLIQUE_LAYOUT_CACHE_SIZE > 0
+        layout.cache_clear()
+        parts = [(0, 1), (2,), (3,)]
+        same_sizes = [(2, 3), (0,), (1,)]
+        gf.clique_to_maxcover(gf.make_partitioned_graph(parts, [(0, 2), (1, 3), (2, 3)]))
+        # other edges on the same partition hit; the same sizes on another miss
+        gf.clique_to_maxcover(gf.make_partitioned_graph(parts, [(0, 3), (2, 3)]))
+        gf.clique_to_maxcover(gf.make_partitioned_graph(same_sizes, [(0, 2), (1, 3)]))
+        info = layout.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+        # more partitions than fit: two parts of 0..7, split every way
+        for mask in range(1, maxsize + 8):
+            first = tuple(v for v in range(8) if mask >> v & 1)
+            rest = tuple(v for v in range(8) if not mask >> v & 1)
+            gf.clique_to_maxcover(gf.make_partitioned_graph([first, rest], []))
+        assert layout.cache_info().currsize == maxsize
+
+
 class TestPartitionedGraph:
     def test_part_of_matches_scan(self):
         rng = random.Random(11)

@@ -275,13 +275,16 @@ class TestEthPipeline:
 
 
 class TestCodeCache:
-    @pytest.mark.parametrize("q,r", [(3, 2), (5, 2), (5, 3), (7, 3)])
+    # (3, 3) has the bound 1 - 3/3 = 0, which is vacuous
+    @pytest.mark.parametrize("q,r", [(3, 2), (5, 2), (5, 3), (7, 3), (3, 3)])
     def test_cached_pair_matches_fresh_code(self, q, r):
-        code, delta = _certified_code(q, r)
+        certified = _certified_code(q, r)
         fresh = gf.reed_solomon(q, r)
-        assert code.table() == fresh.table()
-        assert delta == oracles.relative_distance_pairs(fresh)[0]
-        assert _certified_code(q, r)[0] is code
+        assert certified.code.table() == fresh.table()
+        assert certified.delta == oracles.relative_distance_pairs(fresh)[0]
+        assert _certified_code(q, r) is certified
+        assert certified.bound == 1 - Fraction(r, q)
+        assert certified.vacuous_gap == (certified.bound <= 0)
 
     def test_reports_repeat(self):
         def without_times(report):
