@@ -3,20 +3,24 @@
 The graph for a code C and integer t is bipartite: ell parts A_i, each a
 copy of [q]**t, and t parts B_j, each a copy of the codewords of C.  A
 vertex b = (j, m) is adjacent to a = (i, v) iff C(m)_i = v_j.  The graph is
-never materialized; adjacency is a pure O(1) rule over the code's stored
-codeword table.  Verification decides completeness exactly, once per
-realized (coordinate, column pattern), at every size; it reads the code's
-packed words (Code.packed) and takes the soundness bound (1 - delta) * ell
-as what it is by definition, the largest number of coordinates on which
-two distinct codewords agree, counted in its own pair loop; it does not
-call the distance measurement.  The collision property is decided by the
-collision number's search in codes, over one copy of the packed words per
-B-part, so it is read from the codewords, not through adjacent();
-oracles.collision_min_x_by_adjacency reads it through the graph.
+never materialized; adjacency is a pure O(1) rule over the code's
+codewords, defined once, in _adjacent_rule.  The public adjacent() checks
+its arguments once per call and then answers through the rule;
+verify_threshold builds every ref in range and reads the rule directly.
+Verification decides completeness exactly, once per realized (coordinate,
+column pattern), at every size; it reads the code's packed words
+(Code.packed) and takes the soundness bound (1 - delta) * ell as what it
+is by definition, the largest number of coordinates on which two distinct
+codewords agree, counted in its own pair loop; it does not call the
+distance measurement.  The collision property is decided by the collision
+number's search in codes, over one copy of the packed words per B-part,
+so it is read from the codewords, not through the adjacency rule;
+oracles.collision_min_x_by_adjacency reads it through adjacent().
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -77,10 +81,21 @@ def build_threshold(code: Code, t: int) -> ThresholdGraph:
 
 
 def adjacent(graph: ThresholdGraph, b_ref, a_ref) -> bool:
-    """Adjacency rule: b=(j, message rank), a=(i, symbol tuple)."""
-    j, m = b_ref
-    i, v = a_ref
-    v = tuple(v)
+    """Whether b = (j, message rank) meets a = (i, symbol tuple).
+
+    Checks every argument, then answers through _adjacent_rule, the one
+    definition of the graph's edges.  A ref that is not a pair, or an index,
+    rank or symbol that is not an integer, raises IndexRangeError, as does
+    one out of range.  verify_threshold reads the rule directly, with refs
+    it builds in range, so these checks run once per public call.
+    """
+    try:
+        j, m = map(operator.index, b_ref)
+        i, v = a_ref
+        i = operator.index(i)
+        v = tuple(map(operator.index, v))
+    except (TypeError, ValueError):
+        raise IndexRangeError(f"malformed vertex refs {b_ref!r}, {a_ref!r}") from None
     code, t = graph.code, graph.t
     if not 0 <= j < t:
         raise IndexRangeError(f"B-part index {j} outside [0, {t})")
@@ -94,7 +109,18 @@ def adjacent(graph: ThresholdGraph, b_ref, a_ref) -> bool:
     for s in v:
         if not 0 <= s < q:
             raise IndexRangeError(f"A-vertex tuple {v} not in [q]^{t}")
-    return code.codeword(m)[i] == v[j]
+    return _adjacent_rule(graph, (j, m), (i, v))
+
+
+def _adjacent_rule(graph: ThresholdGraph, b_ref, a_ref) -> bool:
+    """The graph's edges: (j, m) meets (i, v) iff C(m)_i == v[j].
+
+    Checks nothing; callers pass refs in range.  Reads through
+    code.codeword, so a Reed-Solomon code stored without a table works.
+    """
+    j, m = b_ref
+    i, v = a_ref
+    return graph.code.codeword(m)[i] == v[j]
 
 
 def common_neighbor(graph: ThresholdGraph, message_ranks, i: int):
@@ -132,9 +158,9 @@ class ThresholdVerdict:
     nothing was found below collision_cap; collision_subsets_examined
     counts the X the pruned search visits, each complete X taking a vertex
     from every B-part (and, on Reed-Solomon codes, the zero word in B_0),
-    and the prefixes leading to them.  adjacency_reads counts the
-    adjacent() calls made: sum over i of (symbols realized at i) * t *
-    q**t.
+    and the prefixes leading to them.  adjacency_reads counts the reads of
+    the adjacency rule made, each without the public adjacent()'s argument
+    checks: sum over i of (symbols realized at i) * t * q**t.
     """
 
     completeness_ok: bool
@@ -159,13 +185,15 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     A case (ranks, i) asks whether the B-vertices (j, ranks[j]) have exactly
     one common neighbor in A_i, namely their column pattern: the symbols
     their codewords carry at coordinate i.  The graph is read through
-    adjacent() once per (i, j, representative, v), where the representative
-    is B_j's first codeword carrying a symbol realized at i and v runs over
-    A_i; so adjacency_reads is sum over i of (symbols realized at i) * t *
-    q**t.  The codewords come from code.table(), which raises
-    CapExceededError for a Reed-Solomon code stored without one, and more
-    reads than DEFAULT_SUBSET_BUDGET raise BudgetExceededError, both before
-    any read.
+    _adjacent_rule, the rule adjacent() answers through, once per (i, j,
+    representative, v), where the representative is B_j's first codeword
+    carrying a symbol realized at i and v runs over A_i; so adjacency_reads
+    is sum over i of (symbols realized at i) * t * q**t.  Every ref is built
+    in range (j < t, a stored rank, i < ell, v in [q]**t), so no read
+    repeats adjacent()'s argument checks.  The codewords come from
+    code.table(), which raises CapExceededError for a Reed-Solomon code
+    stored without one, and more reads than DEFAULT_SUBSET_BUDGET raise
+    BudgetExceededError, both before any read.
     The reads of one representative form the mask of its A_i neighbors.
     Each realized (i, pattern) is then decided once, by AND-ing the
     pattern's masks, which must leave exactly the pattern's own bit.  A
@@ -217,8 +245,8 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     search keeps only X holding the zero word in B_0: translating every
     member by a B_0 member's codeword keeps the agreements inside each
     part, so no size is lost.  budget bounds collision_subsets_examined,
-    prefixes included.  The search reads codewords, never adjacent(), so a
-    corrupted graph does not move collision_min_x;
+    prefixes included.  The search reads codewords, never the adjacency
+    rule, so a corrupted graph does not move collision_min_x;
     oracles.collision_min_x_by_adjacency decides the hypothesis through
     adjacent() alone, and its mutation test in tests/test_threshold.py
     shows the difference.
@@ -324,8 +352,8 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
 
 
 def _neighbor_mask(graph: ThresholdGraph, b_ref, a_refs, bits) -> int:
-    """The bits of the a_refs adjacent to b_ref, each read through adjacent() once."""
-    return sum(bit for bit, a_ref in zip(bits, a_refs) if adjacent(graph, b_ref, a_ref))
+    """The bits of the a_refs adjacent to b_ref, each read through the rule once."""
+    return sum(bit for bit, a_ref in zip(bits, a_refs) if _adjacent_rule(graph, b_ref, a_ref))
 
 
 def export_edges(graph: ThresholdGraph, *, cap: int = DEFAULT_EDGE_CAP):

@@ -300,23 +300,25 @@ def test_criterion_11_abstract_claims():
     thresholds = []
 
     def threshold_row(name, code, delta, col):
-        # t = 2 at cap Col: complete, sound at exactly (1-delta)*ell, and
-        # no X below Col meets the collision hypothesis
-        row_start = time.perf_counter()
-        verdict = gf.verify_threshold(gf.build_threshold(code, 2), collision_cap=col)
-        seconds = time.perf_counter() - row_start
-        if not verdict.completeness_ok:
-            violations.append((name, "completeness", verdict.completeness_counterexample))
-        if Fraction(verdict.soundness_max_shared) != (1 - delta) * code.ell \
-                or not verdict.soundness_ok:
-            violations.append((name, "soundness", verdict.soundness_max_shared))
-        if verdict.collision_min_x is not None:
-            violations.append((name, "X below Col", verdict.collision_min_x))
-        if seconds >= 1.5:
-            violations.append((name, "threshold row took", seconds))
-        thresholds.append(f"{name:9}  {col:3}  {str(verdict.completeness_ok):8}  "
-                          f"{verdict.soundness_max_shared:10}  {verdict.adjacency_reads:6}  "
-                          f"{verdict.collision_subsets_examined:7}  {seconds:.3f}")
+        # t = 2 and t = 3 at cap Col: complete, sound at exactly
+        # (1-delta)*ell, and no X below Col meets the collision hypothesis
+        for t in (2, 3):
+            row_start = time.perf_counter()
+            verdict = gf.verify_threshold(gf.build_threshold(code, t), collision_cap=col)
+            seconds = time.perf_counter() - row_start
+            if not verdict.completeness_ok:
+                violations.append((name, t, "completeness",
+                                   verdict.completeness_counterexample))
+            if Fraction(verdict.soundness_max_shared) != (1 - delta) * code.ell \
+                    or not verdict.soundness_ok:
+                violations.append((name, t, "soundness", verdict.soundness_max_shared))
+            if verdict.collision_min_x is not None:
+                violations.append((name, t, "X below Col", verdict.collision_min_x))
+            if seconds >= 1.5:
+                violations.append((name, t, "threshold row took", seconds))
+            thresholds.append(f"{name:9}  {t}  {col:3}  {str(verdict.completeness_ok):8}  "
+                              f"{verdict.soundness_max_shared:10}  {verdict.adjacency_reads:7}  "
+                              f"{verdict.collision_subsets_examined:7}  {seconds:.3f}")
 
     # k = 2 rows on |U| = 3 for every q, and k = 3 rows on |U| = k + 1 = 4 on RS(5,2)
     print("\ncode      k  n  delta  Col  bounds   draws  universe    log_q(n)/rho    h"
@@ -376,11 +378,11 @@ def test_criterion_11_abstract_claims():
             violations.append((n_points, q, "Col of a PHF code", col))
         print(f"{f'PHF({n_points},{q})':9}  {code.ell:3}  {str(delta):5}  {col:3}  {search:.2f}")
         threshold_row(f"PHF({n_points},{q})", code, delta, col)
-    print("threshold, t = 2, cap Col")
-    print("code       Col  complete  max_shared   reads  subsets  seconds")
+    print("threshold, cap Col")
+    print("code       t  Col  complete  max_shared    reads  subsets  seconds")
     print("\n".join(thresholds))
     _finish(11, "SetCover gap on RS(q,2), q in {5,7,11,13}, k = 2, and on RS(5,2), k = 3: "
                 "composed minimum >= Col "
                 "on no-rows, k sets on yes-rows; PHF codes reach Col = q + 1; their "
-                "threshold graphs at t = 2 are complete, sound at (1-delta)*ell and "
+                "threshold graphs at t = 2 and 3 are complete, sound at (1-delta)*ell and "
                 "have no X below Col", start, 10.0, violations)

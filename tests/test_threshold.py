@@ -74,12 +74,32 @@ class TestAdjacency:
         ((0, 0), (0, (0, 0, 0))),   # tuple longer than t
         ((0, 0), (0, (0, 3))),      # symbol >= q
         ((0, 0), (0, (-1, 0))),     # negative symbol
+        ((0,), (0, (0, 0))),        # B-ref not a pair
+        ((0, 0, 1), (0, (0, 0))),   # B-ref longer than a pair
+        ((0, 0), (0, 5)),           # A-vertex not a tuple
+        ((0, 0), (0, (0, "x"))),    # symbol not an integer
+        ((0, 1.5), (0, (0, 0))),    # message rank not an integer
     ], ids=["j-high", "j-negative", "m-high", "m-negative", "i-high", "i-negative",
-            "short", "long", "symbol-high", "symbol-negative"])
+            "short", "long", "symbol-high", "symbol-negative", "b-short", "b-long",
+            "a-not-tuple", "symbol-not-int", "m-not-int"])
     def test_every_argument_check(self, b_ref, a_ref):
         g = gf.build_threshold(gf.reed_solomon(3, 1), 2)
         with pytest.raises(IndexRangeError):
             gf.adjacent(g, b_ref, a_ref)
+
+    def test_public_call_answers_through_rule(self, monkeypatch):
+        # the checks pass, then the rule answers: a patched rule is what
+        # adjacent() reports, for refs it would otherwise answer either way
+        g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
+        refs = [((j, m), (i, v)) for j, m, i in product(range(2), range(9), range(3))
+                for v in product(range(3), repeat=2)]
+        rule = threshold._adjacent_rule
+        honest = [gf.adjacent(g, b_ref, a_ref) for b_ref, a_ref in refs]
+        assert any(honest) and not all(honest)
+        monkeypatch.setattr(threshold, "_adjacent_rule",
+                            lambda graph, b_ref, a_ref: not rule(graph, b_ref, a_ref))
+        assert [gf.adjacent(g, b_ref, a_ref) for b_ref, a_ref in refs] == \
+            [not answer for answer in honest]
 
     def test_list_vertex_reads_as_tuple(self):
         g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
@@ -186,6 +206,22 @@ class TestVerify:
         realized = sum(len({word[i] for word in code.codewords()}) for i in range(code.ell))
         assert verdict.adjacency_reads == calls[0] == realized * t * code.q ** t
 
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_reads_skip_public_checks(self, t, monkeypatch):
+        # every read is the rule alone: the public adjacent(), which checks
+        # its arguments first, is never called during verification
+        g = gf.build_threshold(gf.random_code(3, 2, 6, 1), t)
+        checked, public = threshold.adjacent, [0]
+
+        def counted_public(graph, b_ref, a_ref):
+            public[0] += 1
+            return checked(graph, b_ref, a_ref)
+        monkeypatch.setattr(threshold, "adjacent", counted_public)
+        reads = _count_adjacent(monkeypatch)
+        verdict = gf.verify_threshold(g, collision_cap=t + 1)
+        assert reads[0] == verdict.adjacency_reads > 0
+        assert public == [0]
+
     def test_t1_collision_min_equals_col(self):
         g = gf.build_threshold(gf.reed_solomon(3, 2), 1)
         verdict = gf.verify_threshold(g, collision_cap=5)
@@ -287,7 +323,7 @@ class TestVerify:
         assert verdict.soundness_matches_agreements and matches
 
     def test_mutated_common_neighbor_caught(self, monkeypatch):
-        # verify_threshold decides the graph through adjacent() alone; the
+        # verify_threshold decides the graph through the adjacency rule; the
         # helper is checked on every case by the oracle
         g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
         honest = threshold.common_neighbor
@@ -310,8 +346,8 @@ class TestVerify:
         # B_0 vertices carrying symbol 2 at coordinate 1 meet the A_1
         # vertices whose first symbol is 0 instead of 2
         g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
-        monkeypatch.setattr(threshold, "adjacent",
-                            _symbol_shifted_adjacent(threshold.adjacent, {(1, 0, 2): 1}))
+        monkeypatch.setattr(threshold, "_adjacent_rule",
+                            _symbol_shifted_adjacent(threshold._adjacent_rule, {(1, 0, 2): 1}))
         verdict = gf.verify_threshold(g, collision_cap=3)
         counterexample, max_shared, matches = oracles.threshold_verdict_bruteforce(g)
         assert counterexample is not None and not matches
@@ -361,33 +397,33 @@ class TestCollisionOracle:
         # constant words 1 and 2 share a neighbour in every A_i, so two
         # B-vertices meet the hypothesis; the codewords alone need Col = 3
         g = gf.build_threshold(gf.reed_solomon(3, 2), 1)
-        honest = threshold.adjacent
+        honest = threshold._adjacent_rule
         assert oracles.collision_min_x_by_adjacency(g, 5) == 3
-        monkeypatch.setattr(threshold, "adjacent", _symbol_shifted_adjacent(
+        monkeypatch.setattr(threshold, "_adjacent_rule", _symbol_shifted_adjacent(
             honest, {(i, 0, 2): 2 for i in range(3)}))
         assert gf.verify_threshold(g, collision_cap=5).collision_min_x == 3
         assert oracles.collision_min_x_by_adjacency(g, 5) == 2
         # only vertices carrying symbol 2 keep their neighbours, at every
         # coordinate, so three B-vertices no longer suffice
-        monkeypatch.setattr(threshold, "adjacent", _symbol_shifted_adjacent(
+        monkeypatch.setattr(threshold, "_adjacent_rule", _symbol_shifted_adjacent(
             honest, {(i, 0, s): None for i in range(3) for s in (0, 1)}))
         assert gf.verify_threshold(g, collision_cap=5).collision_min_x == 3
         assert oracles.collision_min_x_by_adjacency(g, 5) == 4
 
 
 def _count_adjacent(monkeypatch) -> list[int]:
-    """Wrap threshold.adjacent; the returned one-item list counts its calls."""
-    honest, calls = threshold.adjacent, [0]
+    """Wrap threshold._adjacent_rule; the returned one-item list counts its calls."""
+    honest, calls = threshold._adjacent_rule, [0]
 
     def counted(graph, b_ref, a_ref):
         calls[0] += 1
         return honest(graph, b_ref, a_ref)
-    monkeypatch.setattr(threshold, "adjacent", counted)
+    monkeypatch.setattr(threshold, "_adjacent_rule", counted)
     return calls
 
 
 def _symbol_shifted_adjacent(honest, shifts):
-    """adjacent() with B_j vertices carrying symbol s at coordinate i moved.
+    """The adjacency rule with B_j vertices carrying symbol s at coordinate i moved.
 
     For each (i, j, s): shift in shifts, such a vertex meets the A_i vertex v
     iff the honest rule meets v with v[j] lowered by shift (mod q), or meets
@@ -438,8 +474,8 @@ class TestVerifyDifferential:
                 key = (rng.randrange(ell), rng.randrange(t), rng.randrange(q))
                 shifts[key] = rng.choice([*range(1, q), None])
             with monkeypatch.context() as patch:
-                patch.setattr(threshold, "adjacent",
-                              _symbol_shifted_adjacent(threshold.adjacent, shifts))
+                patch.setattr(threshold, "_adjacent_rule",
+                              _symbol_shifted_adjacent(threshold._adjacent_rule, shifts))
                 verdict = gf.verify_threshold(g, collision_cap=t + 1)
                 counterexample, max_shared, matches = \
                     oracles.threshold_verdict_bruteforce(g)
@@ -458,8 +494,8 @@ class TestVerifyDifferential:
         # vertices of symbol 1, so pairs with 0 and 1 there share one more
         # part; the other B-parts keep the honest row
         g = gf.build_threshold(gf.random_code(3, 2, 5, 4), t)
-        monkeypatch.setattr(threshold, "adjacent",
-                            _symbol_shifted_adjacent(threshold.adjacent, {(1, t - 1, 0): 1}))
+        monkeypatch.setattr(threshold, "_adjacent_rule",
+                            _symbol_shifted_adjacent(threshold._adjacent_rule, {(1, t - 1, 0): 1}))
         verdict = gf.verify_threshold(g, collision_cap=t + 1)
         _, max_shared, matches = oracles.threshold_verdict_bruteforce(g)
         assert not matches
@@ -479,8 +515,9 @@ class TestVerifyDifferential:
         on_symbol_2 = [sum(a == b == 2 for a, b in zip(w1, w2))
                        for n, w1 in enumerate(words) for w2 in words[n + 1:]]
         assert max(on_symbol_2) < max(agreements)
-        monkeypatch.setattr(threshold, "adjacent", _symbol_shifted_adjacent(
-            threshold.adjacent, {(i, t - 1, s): None for i in range(code.ell) for s in (0, 1)}))
+        monkeypatch.setattr(threshold, "_adjacent_rule", _symbol_shifted_adjacent(
+            threshold._adjacent_rule,
+            {(i, t - 1, s): None for i in range(code.ell) for s in (0, 1)}))
         verdict = gf.verify_threshold(g, collision_cap=t + 1)
         _, max_shared, matches = oracles.threshold_verdict_bruteforce(g)
         assert not matches and max_shared == max(agreements)
@@ -492,8 +529,8 @@ class TestVerifyDifferential:
         # adjacent() until the first whose common neighbours in A_i are not
         # exactly its column pattern
         g = gf.build_threshold(gf.reed_solomon(11, 2), 2)
-        monkeypatch.setattr(threshold, "adjacent", _symbol_shifted_adjacent(
-            threshold.adjacent, {(3, 1, 5): 2, (7, 0, 4): 1}))
+        monkeypatch.setattr(threshold, "_adjacent_rule", _symbol_shifted_adjacent(
+            threshold._adjacent_rule, {(3, 1, 5): 2, (7, 0, 4): 1}))
         verdict = gf.verify_threshold(g, collision_cap=3)
         vertices = list(product(range(11), repeat=2))
         cases = ((ranks, i) for ranks in product(range(121), repeat=2) for i in range(11))
