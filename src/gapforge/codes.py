@@ -46,7 +46,7 @@ from .errors import (
     RankRangeError,
     SymbolRangeError,
 )
-from .errors import ParseError, SchemaVersionError, count_text
+from .errors import ParseError, SchemaVersionError, checked_size_cap, count_text
 from .serialize import FORMAT_TAG, check_format, require_ints, require_keys
 
 INFINITE = float("inf")
@@ -658,10 +658,11 @@ def collision_number(code: Code, size_cap: int | None = None, *,
     subsets alike; budget bounds it.  A given distance must be the code's
     exact delta: a larger one would make the prune drop colliding sets.
     One for which ell * (1 - delta) is not an integer in [0, ell] raises
-    GapforgeError.
+    GapforgeError.  A negative or non-integer size_cap raises
+    CapExceededError before the code is read.
     """
-    if size_cap is not None and size_cap < 0:
-        raise CapExceededError(f"collision size cap must be >= 0, got {size_cap}")
+    if size_cap is not None:
+        size_cap = checked_size_cap(size_cap, "collision size cap")
     table = code.table()
     n = len(table)
     if size_cap is None:

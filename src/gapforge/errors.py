@@ -7,6 +7,8 @@ dedicated error instead of silently truncating a search.
 
 from __future__ import annotations
 
+import operator
+
 # Max symbols in a code's stored codeword table (size * ell), checked once when
 # the code is built: after the table's own checks, before it is packed.
 DEFAULT_ENUM_CAP = 1 << 20
@@ -29,6 +31,17 @@ def count_text(n: int) -> str:
         return str(n)
     except ValueError:
         return f"2**{n.bit_length() - 1} or more"
+
+
+def checked_size_cap(cap, what: str) -> int:
+    """cap as an int >= 0; a negative or non-integer cap raises CapExceededError."""
+    try:
+        cap = operator.index(cap)
+    except TypeError:
+        raise CapExceededError(f"{what} must be an integer, got {cap!r}") from None
+    if cap < 0:
+        raise CapExceededError(f"{what} must be >= 0, got {cap}")
+    return cap
 
 
 class GapforgeError(Exception):

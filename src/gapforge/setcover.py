@@ -25,12 +25,12 @@ from .errors import (
     DEFAULT_SUBSET_BUDGET,
     DEFAULT_UNIVERSE_CAP,
     BudgetExceededError,
-    CapExceededError,
     EmptyPartError,
     GapforgeError,
     IndexRangeError,
     InstanceMismatchError,
     UniverseCapError,
+    checked_size_cap,
     count_text,
 )
 from .serialize import (
@@ -165,8 +165,7 @@ def _first_cover(refs, vectors, missing, window_lists, budget: int, examined: in
 
 def _size_windows(n: int, cap: int):
     """Windows of combinations(range(n), s) for s = 1 .. min(cap, n)."""
-    if cap < 0:
-        raise CapExceededError(f"cover size cap must be >= 0, got {cap}")
+    cap = checked_size_cap(cap, "cover size cap")
     return ([(0, n - s + d + 1) for d in range(s)] for s in range(1, min(cap, n) + 1))
 
 

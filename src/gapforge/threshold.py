@@ -7,15 +7,20 @@ never materialized; adjacency is a pure O(1) rule over the code's
 codewords, defined once, in _adjacent_rule.  The public adjacent() checks
 its arguments once per call and then answers through the rule;
 verify_threshold builds every ref in range and reads the rule directly.
-Verification decides completeness exactly, once per realized (coordinate,
-column pattern), at every size; it reads the code's packed words
-(Code.packed) and takes the soundness bound (1 - delta) * ell as what it
-is by definition, the largest number of coordinates on which two distinct
-codewords agree, counted in its own pair loop; it does not call the
-distance measurement.  The collision property is decided by the collision
-number's search in codes, over one copy of the packed words per B-part,
-so it is read from the codewords, not through the adjacency rule;
-oracles.collision_min_x_by_adjacency reads it through adjacent().
+Verification compares each mask of reads with its intent, the A_i
+vertices whose j-th symbol is the B_j vertex's symbol at i.  A coordinate
+whose masks all equal their intents passes every pattern and adds only
+its codewords' own symbols to the shared counts, so only a coordinate
+that breaks the rule has its column patterns and share rows walked.
+Completeness is decided exactly, at every size.  Verification reads the
+code's packed words (Code.packed) and takes the soundness bound
+(1 - delta) * ell as what it is by definition, the largest number of
+coordinates on which two distinct codewords agree, counted in its own
+pair loop; it does not call the distance measurement.  The collision
+property is decided by the collision number's search in codes, over one
+copy of the packed words per B-part, so it is read from the codewords,
+not through the adjacency rule; oracles.collision_min_x_by_adjacency
+reads it through adjacent().
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .errors import (
     CapExceededError,
     GapforgeError,
     IndexRangeError,
+    checked_size_cap,
     count_text,
 )
 
@@ -45,8 +51,13 @@ class ThresholdGraph:
     t: int
 
     def __post_init__(self):
-        if self.t < 1:
-            raise IndexRangeError(f"t must be >= 1, got {self.t}")
+        try:
+            t = operator.index(self.t)
+        except TypeError:
+            raise IndexRangeError(f"t must be an integer, got {self.t!r}") from None
+        if t < 1:
+            raise IndexRangeError(f"t must be >= 1, got {t}")
+        object.__setattr__(self, "t", t)
 
     @property
     def ell(self) -> int:
@@ -147,7 +158,9 @@ class ThresholdVerdict:
     failing case in (ranks, i) order, which is completeness_counterexample
     as (ranks, i, hits), or all size**t * ell cases when none fails.
     completeness_patterns counts the (i, column pattern) decisions behind
-    them.
+    them, prod over B-parts of the symbols realized at i for each i:
+    those of a coordinate whose masks all equal their intents are settled
+    together by a lemma, and the others one by one.
     soundness_max_shared is the worst-case number of A-parts in which two
     distinct same-part B-vertices share a neighbor, and must not exceed
     soundness_bound, the largest number of coordinates on which two
@@ -193,10 +206,17 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     repeats adjacent()'s argument checks.  The codewords come from
     code.table(), which raises CapExceededError for a Reed-Solomon code
     stored without one, and more reads than DEFAULT_SUBSET_BUDGET raise
-    BudgetExceededError, both before any read.
-    The reads of one representative form the mask of its A_i neighbors.
-    Each realized (i, pattern) is then decided once, by AND-ing the
-    pattern's masks, which must leave exactly the pattern's own bit.  A
+    BudgetExceededError, both before any read; so does CapExceededError
+    for a negative or non-integer collision_cap.
+    The reads of one representative form the mask of its A_i neighbors,
+    and each mask is compared with its intent H_j[s], the v with v[j] == s
+    (_ranks_with_symbol); (i, j) is bent when some B_j mask at i differs.
+    Each realized (i, pattern) is decided by AND-ing the pattern's masks,
+    which must leave exactly the pattern's own bit.  Where no (i, j) is
+    bent, a lemma decides every pattern at i without the walk: the
+    intersection over j of H_j[s_j] is exactly the vertex (s_0, ..,
+    s_{t-1}), so each passes, and completeness_patterns still counts all
+    of them.  Only a coordinate with a bent part walks its patterns.  A
     case fails iff its (i, pattern) does, so the cases are never walked:
     the first failing case is the least (ranks, i) over the failing
     patterns, with ranks[j] the representative of the pattern's j-th
@@ -210,17 +230,19 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     the bound (1 - delta) * ell, so relative_distance is not called; a
     code with a single codeword has no pair and raises GapforgeError
     before any read.  Two B_j representatives of symbols a and b realized
-    at i must share an A_i neighbor exactly when a == b, which the masks
-    decide once per (i, j, a, b).  A pair's shared count in B_j is the
-    popcount of the AND of one word's B_j row (in field i, every symbol
-    whose representative shares an A_i neighbor with that of the word's
-    own symbol) with the other packed word: its agreements, plus or minus
-    one for each (i, j, a, b) it carries that breaks the rule.  On an
-    honest graph every row is the packed words, whose shared count is the
-    pair's agreements on every pair.  So that row is not walked pair by
-    pair: when some B_j has it, the largest agreements count stands for
-    its shared counts.  Every other row, as on a corrupted graph, is
-    counted on every pair.
+    at i must share an A_i neighbor exactly when a == b.  An unbent (i, j)
+    keeps that rule, since H_j[a] and H_j[b] are disjoint for a != b; the
+    masks decide it once per (a, b) at each bent (i, j).  A pair's shared
+    count in B_j is the popcount of the AND of one word's B_j row (in
+    field i, every symbol whose representative shares an A_i neighbor
+    with that of the word's own symbol) with the other packed word: its
+    agreements, plus or minus one for each (i, j, a, b) it carries that
+    breaks the rule.  So a B_j row is the packed words, changed only in
+    the fields of its bent (i, j), and on an honest graph every row is the
+    packed words, whose shared count is the pair's agreements on every
+    pair.  So that row is not walked pair by pair: when some B_j has it,
+    the largest agreements count stands for its shared counts.  Every
+    other row, as on a corrupted graph, is counted on every pair.
 
     The collision property asks for the smallest X across the B-parts,
     t + 1 <= |X| < collision_cap, for which every A_i has a vertex with
@@ -252,16 +274,14 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     shows the difference.
     """
     code, t, ell = graph.code, graph.t, graph.ell
+    collision_cap = checked_size_cap(collision_cap, "collision cap")
     size = graph.b_part_size
     if size < 2:
         raise GapforgeError("soundness bound undefined for codes with a single codeword")
     words = code.table()
-    # reps[i][s]: the first codeword carrying symbol s at coordinate i
-    reps = []
-    for i in range(ell):
-        reps.append({})
-        for m, word in enumerate(words):
-            reps[i].setdefault(word[i], m)
+    # reps[i][s]: the first codeword carrying symbol s at coordinate i; read
+    # backwards, each symbol's first codeword is written last
+    reps = [dict(zip(reversed(column), range(size - 1, -1, -1))) for column in zip(*words)]
     reads = sum(map(len, reps)) * t * code.q ** t
     if reads > DEFAULT_SUBSET_BUDGET:
         raise BudgetExceededError(f"{count_text(reads)} adjacency reads exceed budget "
@@ -278,9 +298,21 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
                        for s, m in sorted(reps[i].items())}
                       for j in range(t)])
 
+    # intent[j][s]: the honest A_i neighbors of a B_j vertex carrying s at i;
+    # bent[i][j]: whether some B_j mask at coordinate i differs from its intent
+    q = code.q
+    intent = [[sum(bits[rank] for rank in _ranks_with_symbol(q, t, j, s)) for s in range(q)]
+              for j in range(t)]
+    bent = [[any(mask != intent[j][s] for s, mask in part[j].items()) for j in range(t)]
+            for part in masks]
+
     failing: dict[tuple[int, tuple[int, ...]], int] = {}
     patterns = 0
     for i, part in enumerate(masks):
+        if not any(bent[i]):
+            # the intents of a pattern's symbols meet in its own vertex alone
+            patterns += len(reps[i]) ** t
+            continue
         for pattern in product(*part):
             patterns += 1
             common = -1
@@ -299,16 +331,19 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
                                           if common >> rank & 1))
         checked = _rank_of_symbols(ranks, size) * ell + i + 1
 
-    # B_j's row of word m sets bit i * q + b, the packed layout; B-parts
-    # with equal rows have equal counts
-    q = code.q
+    # B_j's row of word m sets bit i * q + b, the packed layout, for each
+    # symbol b whose mask meets that of word m's symbol at i.  Distinct
+    # intents of one B-part are disjoint, so at an unbent (i, j) that is the
+    # word's own symbol, its packed bit; a bent (i, j) changes the row by
+    # share - bit.  B-parts with equal rows have equal counts
     packed = [code.packed(m) for m in range(size)]
     rows = set()
     for j in range(t):
-        share = [{a: sum(1 << (i * q + b) for b in part[j] if part[j][a] & part[j][b])
-                  for a in part[j]}
-                 for i, part in enumerate(masks)]
-        rows.add(tuple(sum(share[i][s] for i, s in enumerate(word)) for word in words))
+        change = {i: {a: sum(1 << (i * q + b) for b in part[j] if part[j][a] & part[j][b])
+                      - (1 << (i * q + a)) for a in part[j]}
+                  for i, part in enumerate(masks) if bent[i][j]}
+        rows.add(tuple(p + sum(shift[word[i]] for i, shift in change.items())
+                       for p, word in zip(packed, words)))
     # the honest row gives every pair its agreements, so only the rows
     # that differ from it are counted pair by pair
     honest = tuple(packed)

@@ -280,6 +280,13 @@ class TestCollisionNumber:
         assert report.status == "unknown_above"
         assert report.value is None
 
+    @pytest.mark.parametrize("size_cap", [-1, 2.5, "3"])
+    def test_bad_size_cap_before_any_read(self, size_cap):
+        # RS(103,2) stores no table, so a read would raise its own cap error
+        for code in (gf.explicit_code(2, 2, [(0, 0), (0, 1), (1, 0)]), gf.reed_solomon(103, 2)):
+            with pytest.raises(CapExceededError, match="collision size cap must be"):
+                gf.collision_number(code, size_cap)
+
     def test_budget_exceeded(self):
         # the budget bounds prefixes too: RS(5,2)'s search visits 7 complete
         # subsets and 6 prefixes, so 10 stop it

@@ -176,6 +176,12 @@ class TestCoverSearch:
             gf.min_cover_size(base, -1)
         with pytest.raises(CapExceededError):
             composed.min_cover(-1)
+        # a cap that is not an integer is refused the same way
+        for cap in (2.5, "2"):
+            with pytest.raises(CapExceededError, match="cover size cap must be an integer"):
+                gf.min_cover_size(base, cap)
+            with pytest.raises(CapExceededError, match="cover size cap must be an integer"):
+                composed.min_cover(cap)
         assert composed.min_cover(0) == (None, None, 0)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -34,6 +35,11 @@ class TestBuild:
     def test_bad_t(self):
         with pytest.raises(IndexRangeError):
             gf.build_threshold(gf.reed_solomon(3, 1), 0)
+        # a t that is not an integer is refused when the graph is built,
+        # not when it is first read
+        for t in (-1, 1.5, 2.0, "2", None):
+            with pytest.raises(IndexRangeError):
+                gf.build_threshold(gf.reed_solomon(3, 1), t)
 
 
 class TestAdjacency:
@@ -187,7 +193,15 @@ class TestVerify:
         calls = _count_adjacent(monkeypatch)
         with pytest.raises(error, match=match):
             gf.verify_threshold(g, collision_cap=3)
+        # a negative or non-integer collision cap is refused first of all,
+        # here and on a graph that would otherwise be read
+        readable = gf.build_threshold(gf.reed_solomon(3, 2), 2)
+        for graph, cap in product((g, readable), (-3, -1, 2.5, "4", None)):
+            with pytest.raises(CapExceededError, match="collision cap must be"):
+                gf.verify_threshold(graph, collision_cap=cap)
         assert calls == [0]
+        # 0 is a cap below every size: nothing is searched
+        assert gf.verify_threshold(readable, collision_cap=0).collision_min_x is None
 
     @pytest.mark.parametrize("t", [1, 2])
     @pytest.mark.parametrize("build", [
@@ -358,6 +372,122 @@ class TestVerify:
         assert verdict.soundness_matches_agreements is matches
 
 
+class TestIntentShortcut:
+    """A coordinate whose masks all equal their intents is settled without
+    walking its column patterns or share rows; only a bent one is walked."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_honest_graph_walks_no_pattern(self, t, monkeypatch):
+        code = gf.random_code(3, 2, 6, 1)
+        walked = _count_a_rank(monkeypatch)
+        verdict = gf.verify_threshold(gf.build_threshold(code, t), collision_cap=t + 1)
+        assert verdict.completeness_ok and verdict.soundness_matches_agreements
+        assert walked == [0]
+        assert verdict.completeness_patterns == sum(
+            len(set(column)) ** t for column in zip(*code.codewords()))
+
+    @pytest.mark.parametrize("j", [0, 1])
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_bent_coordinate_walks_alone(self, t, j, monkeypatch):
+        # B_j vertices carrying 1 at coordinate 2 meet the A_2 vertices of
+        # symbol 2: only coordinate 2's patterns are walked, and every
+        # field still matches the oracle
+        code = gf.random_code(3, 2, 6, 1)
+        realized = [len(set(column)) for column in zip(*code.codewords())]
+        assert realized[2] == 3
+        g = gf.build_threshold(code, t)
+        monkeypatch.setattr(threshold, "_adjacent_rule",
+                            _symbol_shifted_adjacent(threshold._adjacent_rule, {(2, j, 1): 1}))
+        walked = _count_a_rank(monkeypatch)
+        verdict = gf.verify_threshold(g, collision_cap=t + 1)
+        assert walked == [3 ** t]
+        assert verdict.completeness_patterns == sum(n ** t for n in realized)
+        counterexample, max_shared, matches = oracles.threshold_verdict_bruteforce(g)
+        assert counterexample is not None and not matches
+        assert verdict.completeness_counterexample == counterexample
+        assert verdict.completeness_checked == _case_index(g, counterexample)
+        assert verdict.soundness_max_shared == max_shared
+        assert verdict.soundness_matches_agreements is matches
+
+    # symbol 2 is not realized at coordinate 0
+    BENT_BUT_PASSING = gf.explicit_code(3, 3, [(0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 0),
+                                               (1, 2, 1)])
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_gained_vertex_bends_without_failing(self, t, monkeypatch):
+        # B_0 vertices carrying 0 at coordinate 0 also meet the A_0 vertex
+        # (1, 2, ..): no realized pattern reaches it, so completeness
+        # passes, but the B_0 masks of 0 and 1 now meet, and pairs with 0
+        # and 1 there share one more part, counted pair by pair
+        g = gf.build_threshold(self.BENT_BUT_PASSING, t)
+        gained = (1, 2) + (0,) * (t - 2)
+        monkeypatch.setattr(threshold, "_adjacent_rule", _flipped_adjacent(
+            threshold._adjacent_rule, {(0, 0, 0, gained)}))
+        walked = _count_a_rank(monkeypatch)
+        verdict = gf.verify_threshold(g, collision_cap=t + 1)
+        counterexample, max_shared, matches = oracles.threshold_verdict_bruteforce(g)
+        assert counterexample is None and not matches
+        assert walked == [2 ** t]
+        assert verdict.completeness_ok
+        assert verdict.completeness_counterexample is None
+        assert verdict.completeness_checked == 5 ** t * 3
+        assert verdict.soundness_max_shared == max_shared == 2
+        assert verdict.soundness_matches_agreements is matches
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_lost_vertex_bends_without_failing(self, t, monkeypatch):
+        # B_0 vertices carrying 0 at coordinate 0 lose the A_0 vertex
+        # (0, 2, ..), which no realized pattern names: the coordinate is
+        # walked, and every field matches the oracle and the honest graph
+        g = gf.build_threshold(self.BENT_BUT_PASSING, t)
+        lost = (0, 2) + (0,) * (t - 2)
+        expected = gf.verify_threshold(g, collision_cap=t + 1)
+        monkeypatch.setattr(threshold, "_adjacent_rule", _flipped_adjacent(
+            threshold._adjacent_rule, {(0, 0, 0, lost)}))
+        walked = _count_a_rank(monkeypatch)
+        verdict = gf.verify_threshold(g, collision_cap=t + 1)
+        counterexample, max_shared, matches = oracles.threshold_verdict_bruteforce(g)
+        assert counterexample is None and matches
+        assert walked == [2 ** t]
+        assert verdict == expected
+        assert verdict.soundness_max_shared == max_shared
+
+    def test_verdicts_pinned_on_code_suite(self, code_suite, monkeypatch):
+        # every field of 427 verdicts, by repr, as the verifier gave them
+        # when it walked every pattern and share row: the 13 codes at t in
+        # {1, 2, 3} and caps t + 1 and Col, each on the honest graph, 4
+        # seeded symbol shifts and 2 seeded sets of flipped reads
+        honest = threshold._adjacent_rule
+        lines, incomplete = [], 0
+        for n, code in enumerate(code_suite):
+            col = gf.collision_number(code)
+            for t in (1, 2, 3):
+                g = gf.build_threshold(code, t)
+                caps = sorted({t + 1, col.value if col.status == "finite" else t + 1})
+                rng = random.Random(f"reprs/{n}/{t}")
+                rules = [honest]
+                for k in range(4):
+                    shifts = {}
+                    for _ in range(1 + k % 2):
+                        key = (rng.randrange(code.ell), rng.randrange(t), rng.randrange(code.q))
+                        shifts[key] = rng.choice([*range(1, code.q), None])
+                    rules.append(_symbol_shifted_adjacent(honest, shifts))
+                for k in range(2):
+                    flips = {(rng.randrange(code.ell), rng.randrange(t), rng.randrange(code.q),
+                              tuple(rng.randrange(code.q) for _ in range(t)))
+                             for _ in range(1 + k)}
+                    rules.append(_flipped_adjacent(honest, flips))
+                for rule in rules:
+                    monkeypatch.setattr(threshold, "_adjacent_rule", rule)
+                    for cap in caps:
+                        verdict = gf.verify_threshold(g, collision_cap=cap)
+                        incomplete += not verdict.completeness_ok
+                        lines.append(repr(verdict))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), incomplete) == (427, 366)
+        assert digest == "5cc5746eea2adedcae1a03d6789f7f2dd38fa3e49bbc44e83037cfb42d796faa"
+
+
 class TestCollisionOracle:
     """verify_threshold's collision search against the oracle that reads the
     graph through adjacent() alone."""
@@ -420,6 +550,28 @@ def _count_adjacent(monkeypatch) -> list[int]:
         return honest(graph, b_ref, a_ref)
     monkeypatch.setattr(threshold, "_adjacent_rule", counted)
     return calls
+
+
+def _count_a_rank(monkeypatch) -> list[int]:
+    """Wrap ThresholdGraph.a_rank, called once per column pattern walked; the
+    returned one-item list counts its calls."""
+    honest, calls = threshold.ThresholdGraph.a_rank, [0]
+
+    def counted(graph, v):
+        calls[0] += 1
+        return honest(graph, v)
+    monkeypatch.setattr(threshold.ThresholdGraph, "a_rank", counted)
+    return calls
+
+
+def _flipped_adjacent(honest, flips):
+    """The adjacency rule with the read of each (i, j, symbol, v) in flips inverted:
+    a B_j vertex carrying symbol at coordinate i gains or loses the A_i vertex v."""
+    def corrupted(graph, b_ref, a_ref):
+        (j, m), (i, v) = b_ref, a_ref
+        flipped = (i, j, graph.code.codeword(m)[i], tuple(v)) in flips
+        return honest(graph, b_ref, a_ref) is not flipped
+    return corrupted
 
 
 def _symbol_shifted_adjacent(honest, shifts):
