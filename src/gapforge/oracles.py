@@ -405,6 +405,24 @@ def collision_min_x_by_adjacency(graph, collision_cap: int):
     return None
 
 
+def threshold_neighbors_by_definition(graph, b_ref, i: int) -> int:
+    """The A_i neighbours of the B-vertex b_ref = (j, m), as a mask of ranks.
+
+    Bit r is set iff the r-th tuple v of [q]**t, in lexicographic order,
+    has v[j] equal to codeword m's symbol at coordinate i.  The codeword is
+    found by walking code.codewords() and the tuples by itertools.product,
+    one bit at a time; no helper of the threshold module is read.
+    """
+    code = graph.code
+    j, m = b_ref
+    word = next(w for n, w in enumerate(code.codewords()) if n == m)
+    mask = 0
+    for rank, v in enumerate(product(range(code.q), repeat=graph.t)):
+        if v[j] == word[i]:
+            mask |= 1 << rank
+    return mask
+
+
 def threshold_verdict_bruteforce(graph):
     """Completeness and soundness of a threshold graph through adjacent() alone.
 

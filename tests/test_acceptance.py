@@ -378,11 +378,19 @@ def test_criterion_11_abstract_claims():
             violations.append((n_points, q, "Col of a PHF code", col))
         print(f"{f'PHF({n_points},{q})':9}  {code.ell:3}  {str(delta):5}  {col:3}  {search:.2f}")
         threshold_row(f"PHF({n_points},{q})", code, delta, col)
+    # threshold-only rows: RS(19,2) at t = 3 decides 7,428,297 pairs
+    for q in (17, 19):
+        code = gf.reed_solomon(q, 2)
+        delta = gf.relative_distance(code).delta
+        col = gf.collision_number(code, distance=delta).value
+        if col != 7:
+            violations.append((q, "Col of RS(q,2)", col))
+        threshold_row(f"RS({q},2)", code, delta, col)
     print("threshold, cap Col")
     print("code       t  Col  complete  max_shared    reads  subsets  seconds")
     print("\n".join(thresholds))
     _finish(11, "SetCover gap on RS(q,2), q in {5,7,11,13}, k = 2, and on RS(5,2), k = 3: "
                 "composed minimum >= Col "
                 "on no-rows, k sets on yes-rows; PHF codes reach Col = q + 1; their "
-                "threshold graphs at t = 2 and 3 are complete, sound at (1-delta)*ell and "
-                "have no X below Col", start, 10.0, violations)
+                "threshold graphs, and those of RS(17,2) and RS(19,2), at t = 2 and 3 are "
+                "complete, sound at (1-delta)*ell and have no X below Col", start, 10.0, violations)

@@ -94,16 +94,16 @@ class TestAdjacency:
             gf.adjacent(g, b_ref, a_ref)
 
     def test_public_call_answers_through_rule(self, monkeypatch):
-        # the checks pass, then the rule answers: a patched rule is what
-        # adjacent() reports, for refs it would otherwise answer either way
+        # the checks pass, then the mask rule answers: a patched rule is
+        # what adjacent() reports, for refs it would otherwise answer either way
         g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
         refs = [((j, m), (i, v)) for j, m, i in product(range(2), range(9), range(3))
                 for v in product(range(3), repeat=2)]
-        rule = threshold._adjacent_rule
+        rule = threshold._neighbors
         honest = [gf.adjacent(g, b_ref, a_ref) for b_ref, a_ref in refs]
         assert any(honest) and not all(honest)
-        monkeypatch.setattr(threshold, "_adjacent_rule",
-                            lambda graph, b_ref, a_ref: not rule(graph, b_ref, a_ref))
+        monkeypatch.setattr(threshold, "_neighbors",
+                            lambda graph, b_ref, i: rule(graph, b_ref, i) ^ 0b1_1111_1111)
         assert [gf.adjacent(g, b_ref, a_ref) for b_ref, a_ref in refs] == \
             [not answer for answer in honest]
 
@@ -111,6 +111,19 @@ class TestAdjacency:
         g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
         for m, i, v in product(range(9), range(3), product(range(3), repeat=2)):
             assert gf.adjacent(g, (1, m), (i, list(v))) == gf.adjacent(g, (1, m), (i, v))
+
+    def test_a_vertex_range_checked(self):
+        # an A-vertex is a tuple of [q]**t or a rank below q**t; adjacent()
+        # answers through a rank bit, so neither may wrap into another vertex
+        g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
+        for rank in (-1, 9, 99, 1.0, "0", None):
+            with pytest.raises(IndexRangeError):
+                g.a_tuple(rank)
+        for v in ((5, 5), (0, 3), (-1, 0), (0,), (0, 0, 0), (0, "x"), (0, 1.0), None, 5):
+            with pytest.raises(IndexRangeError):
+                g.a_rank(v)
+        assert [g.a_rank(g.a_tuple(rank)) for rank in range(9)] == list(range(9))
+        assert g.a_tuple(8) == (2, 2) and g.a_rank([2, 1]) == 7
 
 
 class TestCommonNeighbor:
@@ -141,6 +154,14 @@ class TestCommonNeighbor:
         for ranks, i in (((0,), 0), ((0, 0, 0), 0), ((0, 0), -1), ((0, 0), 3)):
             with pytest.raises(IndexRangeError):
                 gf.common_neighbor(g, ranks, i)
+
+    @pytest.mark.parametrize("ranks,i", [((0, 1), "a"), (None, 0), ((0, 1), 1.0)],
+                             ids=["index-str", "ranks-none", "index-float"])
+    def test_malformed_arguments(self, ranks, i):
+        # each of these raised TypeError
+        g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
+        with pytest.raises(IndexRangeError):
+            gf.common_neighbor(g, ranks, i)
 
 
 class TestVerify:
@@ -174,7 +195,7 @@ class TestVerify:
     @pytest.mark.parametrize("t", [1, 2])
     def test_single_codeword_raises_before_any_read(self, t, monkeypatch):
         g = gf.build_threshold(gf.explicit_code(3, 4, [(0, 1, 2, 1)]), t)
-        calls = _count_adjacent(monkeypatch)
+        calls = _count_neighbors(monkeypatch)
         with pytest.raises(GapforgeError,
                            match="soundness bound undefined for codes with a single codeword"):
             gf.verify_threshold(g, collision_cap=t + 1)
@@ -190,7 +211,7 @@ class TestVerify:
     ])
     def test_caps_checked_before_any_read(self, q, r, t, error, match, monkeypatch):
         g = gf.build_threshold(gf.reed_solomon(q, r), t)
-        calls = _count_adjacent(monkeypatch)
+        calls = _count_neighbors(monkeypatch)
         with pytest.raises(error, match=match):
             gf.verify_threshold(g, collision_cap=3)
         # a negative or non-integer collision cap is refused first of all,
@@ -211,19 +232,31 @@ class TestVerify:
         lambda: gf.phf_to_code(gf.find_phf(8, 2, 16, seed=0)),
     ], ids=["rs32", "rs52", "random3_2_6_1", "phf8_2"])
     def test_adjacency_reads(self, build, t, monkeypatch):
-        # one read per (i, j, representative, v): every symbol realized at
-        # coordinate i has one representative per B-part
+        # one mask per (i, j, representative), each deciding the q**t pairs
+        # of its B-vertex and A_i: every symbol realized at coordinate i has
+        # one representative per B-part
         code = build()
         g = gf.build_threshold(code, t)
-        calls = _count_adjacent(monkeypatch)
+        calls = _count_neighbors(monkeypatch)
         verdict = gf.verify_threshold(g, collision_cap=t + 1)
         realized = sum(len({word[i] for word in code.codewords()}) for i in range(code.ell))
-        assert verdict.adjacency_reads == calls[0] == realized * t * code.q ** t
+        assert calls[0] == realized * t
+        assert verdict.adjacency_reads == calls[0] * code.q ** t == realized * t * code.q ** t
+
+    def test_budget_not_integer(self, monkeypatch):
+        # a budget of "x" raised TypeError after every read; now it is
+        # refused before any
+        g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
+        calls = _count_neighbors(monkeypatch)
+        for budget in ("x", 2.5, -1):
+            with pytest.raises(CapExceededError, match="budget must be"):
+                gf.verify_threshold(g, 4, budget=budget)
+        assert calls == [0]
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_reads_skip_public_checks(self, t, monkeypatch):
-        # every read is the rule alone: the public adjacent(), which checks
-        # its arguments first, is never called during verification
+        # every read is the mask rule alone: the public adjacent(), which
+        # checks its arguments first, is never called during verification
         g = gf.build_threshold(gf.random_code(3, 2, 6, 1), t)
         checked, public = threshold.adjacent, [0]
 
@@ -231,9 +264,9 @@ class TestVerify:
             public[0] += 1
             return checked(graph, b_ref, a_ref)
         monkeypatch.setattr(threshold, "adjacent", counted_public)
-        reads = _count_adjacent(monkeypatch)
+        reads = _count_neighbors(monkeypatch)
         verdict = gf.verify_threshold(g, collision_cap=t + 1)
-        assert reads[0] == verdict.adjacency_reads > 0
+        assert reads[0] * g.a_part_size == verdict.adjacency_reads > 0
         assert public == [0]
 
     def test_t1_collision_min_equals_col(self):
@@ -337,7 +370,7 @@ class TestVerify:
         assert verdict.soundness_matches_agreements and matches
 
     def test_mutated_common_neighbor_caught(self, monkeypatch):
-        # verify_threshold decides the graph through the adjacency rule; the
+        # verify_threshold decides the graph through the mask rule; the
         # helper is checked on every case by the oracle
         g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
         honest = threshold.common_neighbor
@@ -360,8 +393,8 @@ class TestVerify:
         # B_0 vertices carrying symbol 2 at coordinate 1 meet the A_1
         # vertices whose first symbol is 0 instead of 2
         g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
-        monkeypatch.setattr(threshold, "_adjacent_rule",
-                            _symbol_shifted_adjacent(threshold._adjacent_rule, {(1, 0, 2): 1}))
+        monkeypatch.setattr(threshold, "_neighbors",
+                            _symbol_shifted_neighbors(threshold._neighbors, {(1, 0, 2): 1}))
         verdict = gf.verify_threshold(g, collision_cap=3)
         counterexample, max_shared, matches = oracles.threshold_verdict_bruteforce(g)
         assert counterexample is not None and not matches
@@ -396,8 +429,8 @@ class TestIntentShortcut:
         realized = [len(set(column)) for column in zip(*code.codewords())]
         assert realized[2] == 3
         g = gf.build_threshold(code, t)
-        monkeypatch.setattr(threshold, "_adjacent_rule",
-                            _symbol_shifted_adjacent(threshold._adjacent_rule, {(2, j, 1): 1}))
+        monkeypatch.setattr(threshold, "_neighbors",
+                            _symbol_shifted_neighbors(threshold._neighbors, {(2, j, 1): 1}))
         walked = _count_a_rank(monkeypatch)
         verdict = gf.verify_threshold(g, collision_cap=t + 1)
         assert walked == [3 ** t]
@@ -421,8 +454,8 @@ class TestIntentShortcut:
         # and 1 there share one more part, counted pair by pair
         g = gf.build_threshold(self.BENT_BUT_PASSING, t)
         gained = (1, 2) + (0,) * (t - 2)
-        monkeypatch.setattr(threshold, "_adjacent_rule", _flipped_adjacent(
-            threshold._adjacent_rule, {(0, 0, 0, gained)}))
+        monkeypatch.setattr(threshold, "_neighbors", _flipped_neighbors(
+            threshold._neighbors, {(0, 0, 0, gained)}))
         walked = _count_a_rank(monkeypatch)
         verdict = gf.verify_threshold(g, collision_cap=t + 1)
         counterexample, max_shared, matches = oracles.threshold_verdict_bruteforce(g)
@@ -442,8 +475,8 @@ class TestIntentShortcut:
         g = gf.build_threshold(self.BENT_BUT_PASSING, t)
         lost = (0, 2) + (0,) * (t - 2)
         expected = gf.verify_threshold(g, collision_cap=t + 1)
-        monkeypatch.setattr(threshold, "_adjacent_rule", _flipped_adjacent(
-            threshold._adjacent_rule, {(0, 0, 0, lost)}))
+        monkeypatch.setattr(threshold, "_neighbors", _flipped_neighbors(
+            threshold._neighbors, {(0, 0, 0, lost)}))
         walked = _count_a_rank(monkeypatch)
         verdict = gf.verify_threshold(g, collision_cap=t + 1)
         counterexample, max_shared, matches = oracles.threshold_verdict_bruteforce(g)
@@ -457,7 +490,7 @@ class TestIntentShortcut:
         # when it walked every pattern and share row: the 13 codes at t in
         # {1, 2, 3} and caps t + 1 and Col, each on the honest graph, 4
         # seeded symbol shifts and 2 seeded sets of flipped reads
-        honest = threshold._adjacent_rule
+        honest = threshold._neighbors
         lines, incomplete = [], 0
         for n, code in enumerate(code_suite):
             col = gf.collision_number(code)
@@ -471,14 +504,14 @@ class TestIntentShortcut:
                     for _ in range(1 + k % 2):
                         key = (rng.randrange(code.ell), rng.randrange(t), rng.randrange(code.q))
                         shifts[key] = rng.choice([*range(1, code.q), None])
-                    rules.append(_symbol_shifted_adjacent(honest, shifts))
+                    rules.append(_symbol_shifted_neighbors(honest, shifts))
                 for k in range(2):
                     flips = {(rng.randrange(code.ell), rng.randrange(t), rng.randrange(code.q),
                               tuple(rng.randrange(code.q) for _ in range(t)))
                              for _ in range(1 + k)}
-                    rules.append(_flipped_adjacent(honest, flips))
+                    rules.append(_flipped_neighbors(honest, flips))
                 for rule in rules:
-                    monkeypatch.setattr(threshold, "_adjacent_rule", rule)
+                    monkeypatch.setattr(threshold, "_neighbors", rule)
                     for cap in caps:
                         verdict = gf.verify_threshold(g, collision_cap=cap)
                         incomplete += not verdict.completeness_ok
@@ -527,28 +560,28 @@ class TestCollisionOracle:
         # constant words 1 and 2 share a neighbour in every A_i, so two
         # B-vertices meet the hypothesis; the codewords alone need Col = 3
         g = gf.build_threshold(gf.reed_solomon(3, 2), 1)
-        honest = threshold._adjacent_rule
+        honest = threshold._neighbors
         assert oracles.collision_min_x_by_adjacency(g, 5) == 3
-        monkeypatch.setattr(threshold, "_adjacent_rule", _symbol_shifted_adjacent(
+        monkeypatch.setattr(threshold, "_neighbors", _symbol_shifted_neighbors(
             honest, {(i, 0, 2): 2 for i in range(3)}))
         assert gf.verify_threshold(g, collision_cap=5).collision_min_x == 3
         assert oracles.collision_min_x_by_adjacency(g, 5) == 2
         # only vertices carrying symbol 2 keep their neighbours, at every
         # coordinate, so three B-vertices no longer suffice
-        monkeypatch.setattr(threshold, "_adjacent_rule", _symbol_shifted_adjacent(
+        monkeypatch.setattr(threshold, "_neighbors", _symbol_shifted_neighbors(
             honest, {(i, 0, s): None for i in range(3) for s in (0, 1)}))
         assert gf.verify_threshold(g, collision_cap=5).collision_min_x == 3
         assert oracles.collision_min_x_by_adjacency(g, 5) == 4
 
 
-def _count_adjacent(monkeypatch) -> list[int]:
-    """Wrap threshold._adjacent_rule; the returned one-item list counts its calls."""
-    honest, calls = threshold._adjacent_rule, [0]
+def _count_neighbors(monkeypatch) -> list[int]:
+    """Wrap threshold._neighbors; the returned one-item list counts its calls."""
+    honest, calls = threshold._neighbors, [0]
 
-    def counted(graph, b_ref, a_ref):
+    def counted(graph, b_ref, i):
         calls[0] += 1
-        return honest(graph, b_ref, a_ref)
-    monkeypatch.setattr(threshold, "_adjacent_rule", counted)
+        return honest(graph, b_ref, i)
+    monkeypatch.setattr(threshold, "_neighbors", counted)
     return calls
 
 
@@ -564,42 +597,51 @@ def _count_a_rank(monkeypatch) -> list[int]:
     return calls
 
 
-def _flipped_adjacent(honest, flips):
-    """The adjacency rule with the read of each (i, j, symbol, v) in flips inverted:
+def _flipped_neighbors(honest, flips):
+    """The mask rule with the bit of each (i, j, symbol, v) in flips inverted:
     a B_j vertex carrying symbol at coordinate i gains or loses the A_i vertex v."""
-    def corrupted(graph, b_ref, a_ref):
-        (j, m), (i, v) = b_ref, a_ref
-        flipped = (i, j, graph.code.codeword(m)[i], tuple(v)) in flips
-        return honest(graph, b_ref, a_ref) is not flipped
-    return corrupted
-
-
-def _symbol_shifted_adjacent(honest, shifts):
-    """The adjacency rule with B_j vertices carrying symbol s at coordinate i moved.
-
-    For each (i, j, s): shift in shifts, such a vertex meets the A_i vertex v
-    iff the honest rule meets v with v[j] lowered by shift (mod q), or meets
-    no A_i vertex when shift is None.  The corruption depends on the symbol
-    only, never on which codeword carries it.
-    """
-    def corrupted(graph, b_ref, a_ref):
+    def corrupted(graph, b_ref, i):
         j, m = b_ref
-        i, v = a_ref
-        shift = shifts.get((i, j, graph.code.codeword(m)[i]), 0)
-        if shift is None:
-            return False
-        v = tuple((s - shift) % graph.code.q if jj == j else s for jj, s in enumerate(v))
-        return honest(graph, b_ref, (i, v))
+        mask, symbol = honest(graph, b_ref, i), graph.code.codeword(m)[i]
+        for key in flips:
+            if key[:3] == (i, j, symbol):
+                mask ^= 1 << _rank(key[3], graph.code.q)
+        return mask
     return corrupted
+
+
+def _symbol_shifted_neighbors(honest, shifts):
+    """The mask rule with B_j vertices carrying symbol s at coordinate i moved.
+
+    For each (i, j, s): shift in shifts, such a vertex meets the A_i
+    vertices of another symbol's intent, the v with v[j] == s + shift (mod
+    q), or no A_i vertex when shift is None.  The corruption depends on the
+    symbol only, never on which codeword carries it.
+    """
+    def corrupted(graph, b_ref, i):
+        j, m = b_ref
+        q, symbol = graph.code.q, graph.code.codeword(m)[i]
+        shift = shifts.get((i, j, symbol), 0)
+        if shift is None:
+            return 0
+        if shift == 0:
+            return honest(graph, b_ref, i)
+        return threshold._intent_mask(q, graph.t, j, (symbol + shift) % q)
+    return corrupted
+
+
+def _rank(v, q: int) -> int:
+    """Lexicographic rank of the symbol tuple v in [q]**len(v)."""
+    rank = 0
+    for s in v:
+        rank = rank * q + s
+    return rank
 
 
 def _case_index(graph, counterexample) -> int:
     """1-based position of (ranks, i) in the exhaustive case order."""
     ranks, i, _ = counterexample
-    rank = 0
-    for m in ranks:
-        rank = rank * graph.b_part_size + m
-    return rank * graph.ell + i + 1
+    return _rank(ranks, graph.b_part_size) * graph.ell + i + 1
 
 
 def _differential_shapes(limit: int = 60_000):
@@ -626,8 +668,8 @@ class TestVerifyDifferential:
                 key = (rng.randrange(ell), rng.randrange(t), rng.randrange(q))
                 shifts[key] = rng.choice([*range(1, q), None])
             with monkeypatch.context() as patch:
-                patch.setattr(threshold, "_adjacent_rule",
-                              _symbol_shifted_adjacent(threshold._adjacent_rule, shifts))
+                patch.setattr(threshold, "_neighbors",
+                              _symbol_shifted_neighbors(threshold._neighbors, shifts))
                 verdict = gf.verify_threshold(g, collision_cap=t + 1)
                 counterexample, max_shared, matches = \
                     oracles.threshold_verdict_bruteforce(g)
@@ -646,8 +688,8 @@ class TestVerifyDifferential:
         # vertices of symbol 1, so pairs with 0 and 1 there share one more
         # part; the other B-parts keep the honest row
         g = gf.build_threshold(gf.random_code(3, 2, 5, 4), t)
-        monkeypatch.setattr(threshold, "_adjacent_rule",
-                            _symbol_shifted_adjacent(threshold._adjacent_rule, {(1, t - 1, 0): 1}))
+        monkeypatch.setattr(threshold, "_neighbors",
+                            _symbol_shifted_neighbors(threshold._neighbors, {(1, t - 1, 0): 1}))
         verdict = gf.verify_threshold(g, collision_cap=t + 1)
         _, max_shared, matches = oracles.threshold_verdict_bruteforce(g)
         assert not matches
@@ -667,8 +709,8 @@ class TestVerifyDifferential:
         on_symbol_2 = [sum(a == b == 2 for a, b in zip(w1, w2))
                        for n, w1 in enumerate(words) for w2 in words[n + 1:]]
         assert max(on_symbol_2) < max(agreements)
-        monkeypatch.setattr(threshold, "_adjacent_rule", _symbol_shifted_adjacent(
-            threshold._adjacent_rule,
+        monkeypatch.setattr(threshold, "_neighbors", _symbol_shifted_neighbors(
+            threshold._neighbors,
             {(i, t - 1, s): None for i in range(code.ell) for s in (0, 1)}))
         verdict = gf.verify_threshold(g, collision_cap=t + 1)
         _, max_shared, matches = oracles.threshold_verdict_bruteforce(g)
@@ -681,8 +723,8 @@ class TestVerifyDifferential:
         # adjacent() until the first whose common neighbours in A_i are not
         # exactly its column pattern
         g = gf.build_threshold(gf.reed_solomon(11, 2), 2)
-        monkeypatch.setattr(threshold, "_adjacent_rule", _symbol_shifted_adjacent(
-            threshold._adjacent_rule, {(3, 1, 5): 2, (7, 0, 4): 1}))
+        monkeypatch.setattr(threshold, "_neighbors", _symbol_shifted_neighbors(
+            threshold._neighbors, {(3, 1, 5): 2, (7, 0, 4): 1}))
         verdict = gf.verify_threshold(g, collision_cap=3)
         vertices = list(product(range(11), repeat=2))
         cases = ((ranks, i) for ranks in product(range(121), repeat=2) for i in range(11))
@@ -740,3 +782,47 @@ class TestExport:
         g = gf.build_threshold(gf.reed_solomon(5, 2), 3)
         with pytest.raises(CapExceededError):
             gf.export_edges(g, cap=10)
+
+    def test_export_cap_not_integer(self):
+        # a cap of "x" raised TypeError when compared with the edge count
+        g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
+        for cap in ("x", 2.5, -1, None):
+            with pytest.raises(CapExceededError, match="edge cap must be"):
+                gf.export_edges(g, cap=cap)
+        assert len(gf.export_edges(g, cap=162)) == 162
+
+
+class TestNeighborsOracle:
+    """The mask rule against oracles.threshold_neighbors_by_definition, and
+    its closed-form intents against the rank enumeration of export_edges."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: gf.reed_solomon(3, 2),
+        lambda: gf.reed_solomon(5, 2),
+        lambda: gf.reed_solomon(7, 2),
+        lambda: gf.random_code(3, 2, 6, 1),
+        lambda: gf.phf_to_code(gf.find_phf(8, 2, 16, seed=0)),
+    ], ids=["rs32", "rs52", "rs72", "random3_2_6_1", "phf8_2"])
+    def test_mask_rule_by_definition(self, build):
+        code = build()
+        for t in (1, 2, 3):
+            g = gf.build_threshold(code, t)
+            for j, m, i in product(range(t), range(code.size), range(code.ell)):
+                assert threshold._neighbors(g, (j, m), i) == \
+                    oracles.threshold_neighbors_by_definition(g, (j, m), i), (t, j, m, i)
+
+    def test_intent_mask_by_ranks(self):
+        # every (q, t, j, s) with 2 <= t and q**t <= 13**3; at t = 1 every
+        # q up to 13**3 at its first, middle and last symbols, since all
+        # 2.4M t = 1 cases, each a single bit, would take seconds
+        cases = 0
+        for t in range(1, 12):
+            for q in range(2, math.floor(2197 ** (1 / t)) + 2):
+                if q ** t > 2197:
+                    break
+                symbols = range(q) if t > 1 else sorted({0, 1, q // 2, q - 2, q - 1})
+                for j, s in product(range(t), symbols):
+                    cases += 1
+                    assert threshold._intent_mask(q, t, j, s) == sum(
+                        1 << r for r in threshold._ranks_with_symbol(q, t, j, s)), (q, t, j, s)
+        assert cases == 2696 + 2 + 3 + 4 + 5 * (2197 - 4)
