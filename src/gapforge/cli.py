@@ -65,8 +65,8 @@ def _cmd_code(args) -> int:
         _dump(codes.code_to_json(code), args.output)
     else:
         code = codes.code_from_json(_load(args.file))
-        report = codes.relative_distance(code)
-        col = codes.collision_number(code, args.col_cap, distance=report.delta)
+        col = codes.collision_number(code, args.col_cap)
+        report = col.distance
         doc = {
             "q": code.q, "r": code.r, "ell": code.ell, "kind": code.kind,
             "size": code.size,

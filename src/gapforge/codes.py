@@ -250,19 +250,18 @@ def _poly_from_roots(roots, q: int) -> list[int]:
     return coeffs
 
 
-def reed_solomon(q: int, r: int, *, cap: int = DEFAULT_ENUM_CAP) -> Code:
+def reed_solomon(q: int, r: int) -> Code:
     """Reed-Solomon code: evaluations of degree-<r polynomials at 0..q-1.
 
     Message symbol i is the coefficient of x**i.  Prime fields only.  Past
-    min(cap, DEFAULT_ENUM_CAP) symbols no table is stored: table() raises
-    CapExceededError and each codeword is encoded when read.  So a cap
-    above DEFAULT_ENUM_CAP stores no more than the default does.
+    DEFAULT_ENUM_CAP symbols no table is stored: table() raises
+    CapExceededError and each codeword is encoded when read.
     """
     if not is_prime(q):
         raise NotPrimeError(f"q={q} is not prime")
     if not 1 <= r <= q:
         raise RankRangeError(f"need 1 <= r <= q, got r={r}, q={q}")
-    return _ReedSolomonCode(q, r, cap)
+    return _ReedSolomonCode(q, r)
 
 
 class _ReedSolomonCode(Code):
@@ -270,9 +269,9 @@ class _ReedSolomonCode(Code):
 
     __slots__ = ()
 
-    def __init__(self, q: int, r: int, cap: int):
+    def __init__(self, q: int, r: int):
         self.q, self.r = q, r  # _encode reads them before Code.__init__ runs
-        stored = q ** r * q <= min(cap, DEFAULT_ENUM_CAP)
+        stored = q ** r * q <= DEFAULT_ENUM_CAP
         table = [self._encode(rank) for rank in range(q ** r)] if stored else None
         super().__init__(q, r, q, KIND_REED_SOLOMON, table)
 
@@ -453,7 +452,8 @@ class CollisionReport:
     lower_bound is ceil(sqrt(2/(1-delta))) (INFINITE when delta = 1) and
     upper_bound is q+1, defined only when |C| >= q+1.  subsets_examined
     counts the subsets the pruned search visited, prefixes and complete
-    subsets alike.
+    subsets alike.  distance is the relative_distance report the bounds
+    and the prune were computed from.
     """
 
     value: int | float | None
@@ -463,6 +463,7 @@ class CollisionReport:
     upper_bound: int | None
     size_cap: int
     subsets_examined: int
+    distance: DistanceReport
 
     @property
     def is_infinite(self) -> bool:
@@ -602,13 +603,14 @@ def _first_collision(words, parts: int, size: int, anchored: bool, low: int, top
     return extend(0, 0, parts, 0, 0), examined
 
 
-def _collision_search(code: Code, sizes, parts: int, agree: int, budget: int):
+def _collision_search(code: Code, sizes, parts: int, agree: int):
     """(size, witness, examined) for the first size in sizes with a collision.
 
     The one collision search: _first_collision over parts copies of the
-    code's packed words, size by size; (None, None, examined) when no size
-    has one.  agree is the most coordinates on which two distinct
-    codewords agree, ell * (1 - delta), which the search's prune rests on.
+    code's packed words, size by size, within DEFAULT_SUBSET_BUDGET visits
+    in all; (None, None, examined) when no size has one.  agree is the most
+    coordinates on which two distinct codewords agree, ell * (1 - delta),
+    which the search's prune rests on.
     collision_number runs it on one copy, and threshold.verify_threshold on
     one copy per B-part.  It owns the Reed-Solomon anchor: on those codes
     only subsets holding rank 0 of copy 0, the zero word, are searched.
@@ -621,15 +623,13 @@ def _collision_search(code: Code, sizes, parts: int, agree: int, budget: int):
     examined = 0
     for s in sizes:
         witness, examined = _first_collision(words, parts, s, anchored, code._low, code._top,
-                                             agree, examined, budget)
+                                             agree, examined, DEFAULT_SUBSET_BUDGET)
         if witness is not None:
             return s, witness, examined
     return None, None, examined
 
 
-def collision_number(code: Code, size_cap: int | None = None, *,
-                     budget: int = DEFAULT_SUBSET_BUDGET,
-                     distance: Fraction | None = None) -> CollisionReport:
+def collision_number(code: Code, size_cap: int | None = None) -> CollisionReport:
     """Smallest subset of codewords colliding on every coordinate.
 
     Searches subsets in increasing size, lexicographically within a size,
@@ -642,7 +642,8 @@ def collision_number(code: Code, size_cap: int | None = None, *,
     C(s, 2) * A >= ell, and a prefix is dropped once the pairs it may still
     form cannot cover the coordinates it lacks (see _first_collision).  The
     prune drops only prefixes that cannot complete, so the value and
-    witness are those of the unpruned search.
+    witness are those of the unpruned search.  delta is measured here, by
+    relative_distance, and that report is returned as distance.
 
     Reed-Solomon codes are searched only over subsets holding rank 0, the
     zero word.  This is exact: the code is linear, so for c in a colliding
@@ -655,11 +656,8 @@ def collision_number(code: Code, size_cap: int | None = None, *,
     saves visits.
 
     subsets_examined counts the subsets visited, prefixes and complete
-    subsets alike; budget bounds it.  A given distance must be the code's
-    exact delta: a larger one would make the prune drop colliding sets.
-    One for which ell * (1 - delta) is not an integer in [0, ell] raises
-    GapforgeError.  A negative or non-integer size_cap raises
-    CapExceededError before the code is read.
+    subsets alike; DEFAULT_SUBSET_BUDGET bounds it.  A negative or
+    non-integer size_cap raises CapExceededError before the code is read.
     """
     if size_cap is not None:
         size_cap = checked_size_cap(size_cap, "collision size cap")
@@ -667,27 +665,20 @@ def collision_number(code: Code, size_cap: int | None = None, *,
     n = len(table)
     if size_cap is None:
         size_cap = n
-    if distance is None:
-        distance = relative_distance(code).delta
-    agree, rest = divmod(code.ell * (distance.denominator - distance.numerator),
-                         distance.denominator)
-    if rest or not 0 <= agree <= code.ell:
-        raise GapforgeError(f"distance {distance} is no relative distance of a code "
-                            f"of block length {code.ell}")
-    lower, upper = _col_bracket(code, distance)
+    distance = relative_distance(code)
+    num, den = distance.delta.numerator, distance.delta.denominator
+    agree = code.ell * (den - num) // den  # whole: delta counts coordinates of ell
+    lower, upper = _col_bracket(code, distance.delta)
 
-    for i in range(code.ell):
-        if len({word[i] for word in table}) == n:
-            return CollisionReport(INFINITE, "infinite", None, lower, upper, size_cap, 0)
-
-    s, witness, examined = _collision_search(code, range(2, min(size_cap, n) + 1), 1,
-                                             agree, budget)
-    if witness is not None:
-        return CollisionReport(s, "finite", witness, lower, upper, size_cap, examined)
-    # every coordinate has an agreeing pair, so the whole code collides;
-    # reaching here means the cap stopped the search early
-    return CollisionReport(None, "unknown_above", None, lower, upper,
-                           size_cap, examined)
+    if any(len({word[i] for word in table}) == n for i in range(code.ell)):
+        value, status, witness, examined = INFINITE, "infinite", None, 0
+    else:
+        # every coordinate has an agreeing pair, so the whole code collides;
+        # finding none means the cap stopped the search early
+        value, witness, examined = _collision_search(code, range(2, min(size_cap, n) + 1), 1,
+                                                     agree)
+        status = "unknown_above" if witness is None else "finite"
+    return CollisionReport(value, status, witness, lower, upper, size_cap, examined, distance)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .errors import (
     NotPseudoProjectionError,
     NotTwoPartsError,
     ParseError,
+    checked_size_cap,
     count_text,
 )
 from .serialize import (
@@ -407,8 +408,10 @@ def maxcover_value(instance, labeling_cap: int = DEFAULT_LABELING_CAP) -> MaxCov
     Labelings are scanned in lexicographic order and only strict
     improvements are kept, so the reported labeling is the
     lexicographically-first maximizer.  An instance with an empty left
-    super-node has no labeling and value 0.
+    super-node has no labeling and value 0.  A negative or non-integer
+    labeling_cap raises CapExceededError before any labeling is evaluated.
     """
+    labeling_cap = checked_size_cap(labeling_cap, "labeling cap")
     sizes = instance.v_parts
     t = instance.t
     total = math.prod(sizes)

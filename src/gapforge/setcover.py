@@ -17,6 +17,7 @@ minimum are all found by one pruned depth-first search, _first_cover.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import accumulate, product
 
@@ -53,19 +54,23 @@ class SetCoverInstance:
     __slots__ = ("universe_size", "collections", "provenance", "_masks")
 
     def __init__(self, universe_size: int, collections, provenance: str = ""):
-        if universe_size < 1:
-            raise IndexRangeError("universe must be non-empty")
-        if universe_size > DEFAULT_UNIVERSE_CAP:
-            raise UniverseCapError(f"universe of {count_text(universe_size)} elements "
-                                   f"exceeds cap {DEFAULT_UNIVERSE_CAP}")
-        colls = tuple(tuple(frozenset(s) for s in coll) for coll in collections)
-        if not colls or any(not coll for coll in colls):
-            raise EmptyPartError("every collection must contain at least one set")
-        for coll in colls:
-            for s in coll:
-                for e in s:
-                    if not 0 <= e < universe_size:
-                        raise IndexRangeError(f"element {e} outside [0, {universe_size})")
+        try:
+            universe_size = operator.index(universe_size)
+            if universe_size < 1:
+                raise IndexRangeError("universe must be non-empty")
+            if universe_size > DEFAULT_UNIVERSE_CAP:
+                raise UniverseCapError(f"universe of {count_text(universe_size)} elements "
+                                       f"exceeds cap {DEFAULT_UNIVERSE_CAP}")
+            colls = tuple(tuple(frozenset(s) for s in coll) for coll in collections)
+            if not colls or any(not coll for coll in colls):
+                raise EmptyPartError("every collection must contain at least one set")
+            for coll in colls:
+                for s in coll:
+                    for e in s:
+                        if not 0 <= operator.index(e) < universe_size:
+                            raise IndexRangeError(f"element {e} outside [0, {universe_size})")
+        except TypeError as exc:
+            raise IndexRangeError(f"malformed SetCover instance: {exc}") from None
         self.universe_size = universe_size
         self.collections = colls
         self.provenance = provenance
@@ -120,7 +125,7 @@ class CoverReport:
     subsets_examined: int
 
 
-def _first_cover(refs, vectors, missing, window_lists, budget: int, examined: int = 0):
+def _first_cover(refs, vectors, missing, window_lists, examined: int = 0):
     """First covering choice of refs in the windows' order; (refs or None, examined).
 
     vectors[p] packs ref p's base mask into every slot it reaches, and a
@@ -131,7 +136,7 @@ def _first_cover(refs, vectors, missing, window_lists, budget: int, examined: in
     the product of the collections.  A prefix is dropped when it stays
     uncovered even after OR-ing in every later vector, so the first
     covering choice of the unpruned order is kept.  examined counts the
-    prefixes visited; the prefix numbered budget + 1 raises.
+    prefixes visited; the prefix numbered DEFAULT_SUBSET_BUDGET + 1 raises.
     """
     later = [0]
     for vec in reversed(vectors):
@@ -151,8 +156,8 @@ def _first_cover(refs, vectors, missing, window_lists, budget: int, examined: in
                 continue
             nexts[d] = p + 1
             examined += 1
-            if examined > budget:
-                raise BudgetExceededError(f"cover search exceeded budget {budget}")
+            if examined > DEFAULT_SUBSET_BUDGET:
+                raise BudgetExceededError(f"cover search exceeded budget {DEFAULT_SUBSET_BUDGET}")
             state = prefixes[d] | vectors[p]
             if d + 1 == len(windows):
                 if not missing(state):
@@ -169,16 +174,15 @@ def _size_windows(n: int, cap: int):
     return ([(0, n - s + d + 1) for d in range(s)] for s in range(1, min(cap, n) + 1))
 
 
-def min_cover_size(instance: SetCoverInstance, cap: int, *,
-                   budget: int = DEFAULT_SUBSET_BUDGET) -> CoverReport:
+def min_cover_size(instance: SetCoverInstance, cap: int) -> CoverReport:
     """Exhaustive minimum-cover search over unions of <= cap sets."""
     refs = instance.all_refs()
     vectors = [instance.mask(ref) for ref in refs]
     missing = instance.full_mask.__xor__
-    found, examined = _first_cover(refs, vectors, missing, _size_windows(len(refs), cap), budget)
+    found, examined = _first_cover(refs, vectors, missing, _size_windows(len(refs), cap))
     ends = list(accumulate(len(coll) for coll in instance.collections))
     per_collection = list(zip([0] + ends, ends))
-    part, examined = _first_cover(refs, vectors, missing, [per_collection], budget, examined)
+    part, examined = _first_cover(refs, vectors, missing, [per_collection], examined)
     return CoverReport(len(found) if found else None, found, cap,
                        part is not None, part, examined)
 
@@ -283,7 +287,7 @@ class ComposedSetCover:
         unions = (state >> u * (i * self.fsize + a) & full for a in range(self.fsize))
         return False, (i, tuple((~x & x + 1).bit_length() - 1 for x in unions))
 
-    def min_cover(self, cap: int, *, budget: int = DEFAULT_SUBSET_BUDGET):
+    def min_cover(self, cap: int):
         """Exhaustive minimum-cover search over the composed sets.
 
         Returns (size, refs, examined): the first minimum cover of at most
@@ -291,7 +295,7 @@ class ComposedSetCover:
         """
         refs = self.base.all_refs()
         found, examined = _first_cover(refs, [self._vectors[ref] for ref in refs],
-                                       self._uncovered, _size_windows(len(refs), cap), budget)
+                                       self._uncovered, _size_windows(len(refs), cap))
         return (len(found) if found else None), found, examined
 
     def materialize(self) -> SetCoverInstance:

@@ -215,8 +215,7 @@ class ThresholdVerdict:
     adjacency_reads: int
 
 
-def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
-                     budget: int = DEFAULT_SUBSET_BUDGET) -> ThresholdVerdict:
+def verify_threshold(graph: ThresholdGraph, collision_cap: int) -> ThresholdVerdict:
     """Check completeness, soundness, and the collision property.
 
     A case (ranks, i) asks whether the B-vertices (j, ranks[j]) have exactly
@@ -227,8 +226,8 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     carrying a symbol realized at i; each mask decides q**t pairs, which
     adjacency_reads counts.  The refs are built in range, so no read
     repeats adjacent()'s checks.  CapExceededError for a negative or
-    non-integer collision_cap or budget, or from code.table() for a
-    Reed-Solomon code stored without a table, and BudgetExceededError for
+    non-integer collision_cap, or from code.table() for a Reed-Solomon
+    code stored without a table, and BudgetExceededError for
     more pairs than DEFAULT_SUBSET_BUDGET, are raised before any read.
     Each mask is compared with its intent H_j[s] (_intent_mask); (i, j) is
     bent when some B_j mask at i differs.  A realized (i, pattern) passes
@@ -276,16 +275,16 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     collision_number does; same-part pairs are a subset of all pairs, so
     the bound holds.  On Reed-Solomon codes it keeps only X holding the
     zero word in B_0: translating every member by a B_0 member's codeword
-    keeps the agreements inside each part, so no size is lost.  budget
-    bounds collision_subsets_examined, prefixes included.  The search
-    reads codewords, never the mask rule, so a corrupted graph does not
-    move collision_min_x; oracles.collision_min_x_by_adjacency decides the
-    hypothesis through adjacent() alone, and its mutation test in
-    tests/test_threshold.py shows the difference.
+    keeps the agreements inside each part, so no size is lost.
+    DEFAULT_SUBSET_BUDGET bounds collision_subsets_examined, prefixes
+    included.  The search reads codewords, never the mask rule, so a
+    corrupted graph does not move collision_min_x;
+    oracles.collision_min_x_by_adjacency decides the hypothesis through
+    adjacent() alone, and its mutation test in tests/test_threshold.py
+    shows the difference.
     """
     code, t, ell, q = graph.code, graph.t, graph.ell, graph.code.q
     collision_cap = checked_size_cap(collision_cap, "collision cap")
-    budget = checked_size_cap(budget, "budget")
     size = graph.b_part_size
     if size < 2:
         raise GapforgeError("soundness bound undefined for codes with a single codeword")
@@ -367,8 +366,7 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     if has_honest:
         max_shared = max(max_shared, max_agreements)
 
-    min_x, _, examined = _collision_search(code, range(t + 1, collision_cap), t,
-                                           max_agreements, budget)
+    min_x, _, examined = _collision_search(code, range(t + 1, collision_cap), t, max_agreements)
 
     return ThresholdVerdict(
         completeness_ok=counterexample is None,
@@ -387,22 +385,22 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int, *,
     )
 
 
-def export_edges(graph: ThresholdGraph, *, cap: int = DEFAULT_EDGE_CAP):
+def export_edges(graph: ThresholdGraph):
     """Materialize the edge list with global vertex ids.
 
     A-vertex id = i * q**t + rank(v); B-vertex id = ell * q**t + j * size +
     rank(m); ranks lexicographic.  Edges are constructed per B-vertex by
-    enumerating the free A-coordinates, independently of the mask rule.  A
-    negative or non-integer cap raises CapExceededError.
+    enumerating the free A-coordinates, independently of the mask rule.
+    More than DEFAULT_EDGE_CAP edges raise CapExceededError.
     """
-    cap = checked_size_cap(cap, "edge cap")
     code, t, ell = graph.code, graph.t, graph.ell
     q = code.q
     a_size = graph.a_part_size
     offset = ell * a_size
     total = graph.num_b * ell * q ** (t - 1)
-    if total > cap:
-        raise CapExceededError(f"edge export of {count_text(total)} edges exceeds cap {cap}")
+    if total > DEFAULT_EDGE_CAP:
+        raise CapExceededError(f"edge export of {count_text(total)} edges exceeds cap "
+                               f"{DEFAULT_EDGE_CAP}")
     edges = []
     for j in range(t):
         for m in range(code.size):

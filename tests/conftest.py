@@ -1,7 +1,9 @@
+from contextlib import contextmanager
+
 import pytest
 
 import gapforge as gf
-from gapforge import maxcover, oracles
+from gapforge import errors, maxcover, oracles
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +49,24 @@ def layout_masks_checked():
     maxcover.MaxCoverInstance._lay_out = checked_lay_out
     yield checked
     maxcover.MaxCoverInstance._lay_out = lay_out
+
+
+@pytest.fixture
+def limit():
+    """limit(module, name, value): a context in which module reads value for
+    errors.name, one of the package's work limits.
+
+    Each search reads its limit from its own module's globals when called,
+    so a test pushes a limit at small size by patching that one constant
+    where the search reads it: DEFAULT_SUBSET_BUDGET in codes (collision
+    searches) or setcover (cover searches), DEFAULT_ENUM_CAP in codes and
+    DEFAULT_EDGE_CAP in threshold.  The name must be one that module reads.
+    """
+    @contextmanager
+    def patched(module, name, value):
+        assert getattr(module, name) == getattr(errors, name), (module.__name__, name)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, name, value)
+            yield
+
+    return patched

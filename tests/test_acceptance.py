@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import gapforge as gf
-from gapforge import oracles
+from gapforge import codes, oracles
 from gapforge.codes import INFINITE
 from gapforge.generators import (
     enumerate_partitioned_graphs,
@@ -31,15 +31,16 @@ def _finish(num: int, label: str, start: float, limit: float, violations: list):
     assert elapsed < limit, f"criterion {num} exceeded {limit}s ({elapsed:.1f}s)"
 
 
-def test_criterion_1_rs_formula_suite():
+def test_criterion_1_rs_formula_suite(limit):
+    # a table past 2**14 symbols is not stored: only the words measured are encoded
     start = time.perf_counter()
     violations = []
-    for q in (2, 3, 5, 7, 11):
-        for r in range(1, q + 1):
-            code = gf.reed_solomon(q, r, cap=1 << 14)
-            delta = gf.relative_distance(code).delta
-            if delta != Fraction(q - r + 1, q) or delta < 1 - Fraction(r, q):
-                violations.append((q, r, delta))
+    with limit(codes, "DEFAULT_ENUM_CAP", 1 << 14):
+        for q in (2, 3, 5, 7, 11):
+            for r in range(1, q + 1):
+                delta = gf.relative_distance(gf.reed_solomon(q, r)).delta
+                if delta != Fraction(q - r + 1, q) or delta < 1 - Fraction(r, q):
+                    violations.append((q, r, delta))
     _finish(1, "Reed-Solomon distance formula, q in {2,3,5,7,11}, all r",
             start, 10.0, violations)
 
@@ -87,8 +88,8 @@ def test_criterion_4_threshold_properties(code_suite):
     start = time.perf_counter()
     violations = []
     for code in code_suite:
-        delta = gf.relative_distance(code).delta
-        col = gf.collision_number(code, distance=delta)
+        col = gf.collision_number(code)
+        delta = col.distance.delta
         for t in (1, 2):
             graph = gf.build_threshold(code, t)
             cap = col.value if col.status == "finite" else t * code.size + 1
@@ -234,10 +235,9 @@ def test_criterion_9_random_code_claims():
     good = 0
     for seed in range(100):
         code = gf.random_code(q, r, ell, seed)
-        delta = gf.relative_distance(code).delta
-        if delta >= Fraction(1, 2):
+        report = gf.collision_number(code)
+        if report.distance.delta >= Fraction(1, 2):
             good += 1
-        report = gf.collision_number(code, distance=delta)
         if report.status != "finite":
             violations.append((seed, "collision not finite"))
         elif report.value < report.lower_bound:
@@ -325,8 +325,8 @@ def test_criterion_11_abstract_claims():
           "     min  subsets  seconds")
     for q in (5, 7, 11, 13):
         code = gf.reed_solomon(q, 2)
-        delta = gf.relative_distance(code).delta
-        col = gf.collision_number(code, distance=delta).value
+        report = gf.collision_number(code)
+        col, delta = report.value, report.distance.delta
         bounds = gf.col_bounds(code)
         threshold_row(f"RS({q},2)", code, delta, col)
         for k, u, sizes in ((2, 3, (6, 9)),) + (((3, 4, (4, 6, 8)),) if q == 5 else ()):
@@ -372,8 +372,8 @@ def test_criterion_11_abstract_claims():
         search = time.perf_counter()
         code = gf.phf_to_code(gf.find_phf(n_points, q, 64, seed=0))
         search = time.perf_counter() - search
-        delta = gf.relative_distance(code).delta
-        col = gf.collision_number(code, distance=delta).value
+        report = gf.collision_number(code)
+        col, delta = report.value, report.distance.delta
         if col != q + 1:
             violations.append((n_points, q, "Col of a PHF code", col))
         print(f"{f'PHF({n_points},{q})':9}  {code.ell:3}  {str(delta):5}  {col:3}  {search:.2f}")
@@ -381,8 +381,8 @@ def test_criterion_11_abstract_claims():
     # threshold-only rows: RS(19,2) at t = 3 decides 7,428,297 pairs
     for q in (17, 19):
         code = gf.reed_solomon(q, 2)
-        delta = gf.relative_distance(code).delta
-        col = gf.collision_number(code, distance=delta).value
+        report = gf.collision_number(code)
+        col, delta = report.value, report.distance.delta
         if col != 7:
             violations.append((q, "Col of RS(q,2)", col))
         threshold_row(f"RS({q},2)", code, delta, col)
@@ -394,3 +394,54 @@ def test_criterion_11_abstract_claims():
                 "on no-rows, k sets on yes-rows; PHF codes reach Col = q + 1; their "
                 "threshold graphs, and those of RS(17,2) and RS(19,2), at t = 2 and 3 are "
                 "complete, sound at (1-delta)*ell and have no X below Col", start, 10.0, violations)
+
+
+def _first_cnf(satisfiable: bool):
+    """The first seeded random 3-CNF of at least 6 clauses with the given answer."""
+    for seed in range(1000):
+        cnf = random_cnf3(random.Random(seed), max_vars=8)
+        if len(cnf.clauses) >= 6 and oracles.cnf_satisfiable(cnf) == satisfiable:
+            return seed, cnf
+    raise AssertionError("no seeded CNF found")
+
+
+def test_criterion_12_maxcover_gaps_by_q():
+    # The MaxCover half of the abstract's gaps at growing q: both pipelines
+    # on YES and NO inputs with RS(q, r) forced by q_override.  A YES input
+    # keeps value 1; a NO input's composed value is at most 1 - delta, so
+    # 1/value, the gap factor, grows with q.  The factor is printed, not
+    # asserted: PAPER.md states no bound to compare it with.
+    start = time.perf_counter()
+    violations = []
+    (unsat_seed, unsat), (sat_seed, sat) = _first_cnf(False), _first_cnf(True)
+    cycle = gf.make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    triangle = gf.make_graph(3, [(0, 1), (1, 2), (0, 2)])
+    runs = [("4-cycle t=3", False, lambda q: gf.wone_pipeline(cycle, 3, q_override=q)),
+            ("triangle t=3", True, lambda q: gf.wone_pipeline(triangle, 3, q_override=q))]
+    for k in (2, 3):
+        runs += [(f"cnf{unsat_seed} k={k}", False,
+                  lambda q, k=k: gf.eth_pipeline(unsat, k, q_override=q)),
+                 (f"cnf{sat_seed} k={k}", True,
+                  lambda q, k=k: gf.eth_pipeline(sat, k, q_override=q))]
+    print("\ninput          q   r  verdict  delta  before  after  1/value  seconds")
+    for name, yes, run in runs:
+        for q in (5, 11, 17, 23, 29):
+            row_start = time.perf_counter()
+            report = run(q)
+            seconds = time.perf_counter() - row_start
+            if report.decided_no or report.code_q != q:
+                violations.append((name, q, "not composed with RS(q, r)", report.code_q))
+                continue
+            delta, after = report.delta_exact, report.value_after
+            if report.verdict != ("YES" if yes else "NO"):
+                violations.append((name, q, "verdict", report.verdict))
+            if yes and (report.value_before, after) != (1, 1):
+                violations.append((name, q, "YES value below 1", report.value_before, after))
+            if not yes and not (report.value_before < 1 and after <= 1 - delta):
+                violations.append((name, q, "NO value above 1 - delta", after, delta))
+            factor = "inf" if after == 0 else str(1 / after)
+            print(f"{name:13} {q:3}  {report.code_r:2}  {report.verdict:7}  {str(delta):5}  "
+                  f"{str(report.value_before):6}  {str(after):5}  {factor:7}  {seconds:.3f}")
+    _finish(12, "MaxCover gaps: wone_pipeline at t = 3 and eth_pipeline at k = 2, 3 on YES "
+                "and NO inputs, q in {5,11,17,23,29}: value 1 on YES, at most 1 - delta on NO",
+            start, 5.0, violations)

@@ -16,8 +16,7 @@ import gapforge
 OPTIONS = {
     "cli.main": ("argv",),
     "codes.Code": ("seed",),
-    "codes.collision_number": ("size_cap", "budget", "distance"),
-    "codes.reed_solomon": ("cap",),
+    "codes.collision_number": ("size_cap",),
     "errors.ParseError": ("line",),
     "frontends.DecidedNo": ("empty_classes",),
     "generators.random_bounded_degree_instance": ("max_t", "max_part", "plant_cover"),
@@ -37,12 +36,8 @@ OPTIONS = {
     "pipeline.eth_pipeline": ("q_override",),
     "pipeline.wone_pipeline": ("q_override",),
     "setcover.ComposedSetCover": ("matching",),
-    "setcover.ComposedSetCover.min_cover": ("budget",),
     "setcover.SetCoverInstance": ("provenance",),
     "setcover.compose_setcover": ("matching",),
-    "setcover.min_cover_size": ("budget",),
-    "threshold.export_edges": ("cap",),
-    "threshold.verify_threshold": ("budget",),
 }
 
 

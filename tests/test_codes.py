@@ -108,26 +108,32 @@ class TestReedSolomon:
             code.table()
         assert code.codeword(1009 + 2) == tuple((1 + 2 * x) % 1009 for x in range(1009))
 
-    def test_table_of_unmaterialized_code(self):
-        # past its own cap the code keeps no table, and table() refuses
+    def test_table_of_unmaterialized_code(self, limit):
+        # past the cap the code keeps no table, and table() refuses
+        with limit(codes, "DEFAULT_ENUM_CAP", 5 ** 3 * 5 - 1):
+            code = gf.reed_solomon(5, 3)
         with pytest.raises(CapExceededError, match=r"RS\(5,3\)'s cap: it stores no table"):
-            gf.reed_solomon(5, 3, cap=10).table()
+            code.table()
+        # at the cap the table is stored, and it holds the words encoded when read
+        with limit(codes, "DEFAULT_ENUM_CAP", 5 ** 3 * 5):
+            assert gf.reed_solomon(5, 3).table() == tuple(code.codewords())
 
     def test_cap_above_default_stores_no_more(self, monkeypatch):
-        # 103**3 symbols lie between DEFAULT_ENUM_CAP and cap: no word is
-        # encoded while the code is built, and it stores no table
+        # 103**3 symbols lie just above DEFAULT_ENUM_CAP: no word is encoded
+        # while the code is built, and it stores no table
         assert 103 ** 3 > DEFAULT_ENUM_CAP
         encoded = []
         encode = codes._ReedSolomonCode._encode
         monkeypatch.setattr(codes._ReedSolomonCode, "_encode",
                             lambda self, rank: encoded.append(rank) or encode(self, rank))
-        code = gf.reed_solomon(103, 2, cap=2 ** 30)
+        code = gf.reed_solomon(103, 2)
         assert encoded == []
         with pytest.raises(CapExceededError, match="stores no table"):
             code.table()
         assert code.codeword(103 + 2) == tuple((1 + 2 * x) % 103 for x in range(103))
-        # within both caps the table is stored, as with the default cap
-        assert gf.reed_solomon(5, 2, cap=2 ** 30).table() == gf.reed_solomon(5, 2).table()
+        # within the cap every word is encoded once, while the code is built
+        encoded.clear()
+        assert len(gf.reed_solomon(5, 2).table()) == len(encoded) == 25
 
     def test_certified_distance_at_any_prime(self):
         # distinct evaluation points settle the bound with no search over
@@ -287,14 +293,15 @@ class TestCollisionNumber:
             with pytest.raises(CapExceededError, match="collision size cap must be"):
                 gf.collision_number(code, size_cap)
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, limit):
         # the budget bounds prefixes too: RS(5,2)'s search visits 7 complete
         # subsets and 6 prefixes, so 10 stop it
-        with pytest.raises(BudgetExceededError):
-            gf.collision_number(gf.reed_solomon(5, 2), budget=10)
+        with limit(codes, "DEFAULT_SUBSET_BUDGET", 10), pytest.raises(BudgetExceededError):
+            gf.collision_number(gf.reed_solomon(5, 2))
         # RS(29,2) needs 4,124,425 visits for Col 9
-        with pytest.raises(BudgetExceededError, match="at size 9"):
-            gf.collision_number(gf.reed_solomon(29, 2), budget=10_000)
+        with limit(codes, "DEFAULT_SUBSET_BUDGET", 10_000), \
+                pytest.raises(BudgetExceededError, match="at size 9"):
+            gf.collision_number(gf.reed_solomon(29, 2))
 
     def test_witness_collides_everywhere(self, code_suite):
         for code in code_suite:
@@ -331,7 +338,8 @@ class TestCollisionSearchDifferential:
     The pruned search counts the subsets it visits, prefixes included.  It
     visits only prefixes that the same depth-first search without the prune
     visits before its witness, so its count is at most that search's
-    (_plain_visits); each count is also pinned to its exact value.
+    (_plain_visits); each count is also pinned to its exact value.  The
+    search prunes with the distance it measured and reports.
     """
 
     @staticmethod
@@ -339,6 +347,7 @@ class TestCollisionSearchDifferential:
         report = gf.collision_number(code, size_cap)
         value, status, witness, _ = oracles.collision_number_bruteforce(code, size_cap)
         assert (report.value, report.status, report.witness) == (value, status, witness), code
+        assert report.distance == gf.relative_distance(code), code
         if status != "infinite":
             n = code.size
             plain = _plain_visits(n, n if size_cap is None else size_cap, witness)
@@ -382,8 +391,7 @@ class TestCollisionSearchDifferential:
         for q, r in ((3, 2), (5, 2), (7, 2), (5, 3), (11, 2), (13, 2), (7, 3)):
             rs = gf.reed_solomon(q, r)
             anchored = gf.collision_number(rs)
-            full = gf.collision_number(gf.explicit_code(q, q, rs.table()),
-                                       distance=gf.relative_distance(rs).delta)
+            full = gf.collision_number(gf.explicit_code(q, q, rs.table()))
             assert (anchored.value, anchored.witness, anchored.subsets_examined) == \
                 (full.value, full.witness, full.subsets_examined), (q, r)
         # the threshold search above Col is where the anchor saves visits
@@ -402,7 +410,7 @@ class TestCollisionSearchDifferential:
         with pytest.raises(GapforgeError):
             gf.Code(3, 2, 2, "reed_solomon", table=table)
         code = gf.Code(3, 2, 2, "explicit", table=table)
-        report = gf.collision_number(code, distance=Fraction(1, 2))
+        report = gf.collision_number(code)
         assert (report.value, report.witness) == (3, (1, 2, 3))
         rs = gf.reed_solomon(3, 2)
         assert rs.kind == "reed_solomon"
@@ -421,15 +429,23 @@ class TestCollisionSearchDifferential:
                 assert report.size_cap == size_cap
                 assert report.status == ("finite" if size_cap == col else "unknown_above")
 
-    def test_budget_boundary(self):
-        # the search stops exactly at its budget: the last subset it needs fits
-        codes = (gf.random_code(4, 2, 8, 0), gf.random_code(2, 3, 6, 1),
+    def test_budget_boundary(self, limit, monkeypatch):
+        # the search stops exactly at its budget: the last subset it needs
+        # fits.  The distance pair scan reads the same budget (120 pairs of
+        # random(4,2,8,0) against 27 visits), so the distance measured first
+        # is handed back unscanned
+        suite = (gf.random_code(4, 2, 8, 0), gf.random_code(2, 3, 6, 1),
                  gf.phf_to_code(gf.find_phf(9, 3, 32, seed=1)), gf.reed_solomon(7, 2))
-        for code in codes:
-            need = gf.collision_number(code).subsets_examined
-            assert gf.collision_number(code, budget=need).subsets_examined == need
-            with pytest.raises(BudgetExceededError):
-                gf.collision_number(code, budget=need - 1)
+        for code in suite:
+            report = gf.collision_number(code)
+            need = report.subsets_examined
+            with monkeypatch.context() as patch:
+                patch.setattr(codes, "relative_distance", lambda _: report.distance)
+                with limit(codes, "DEFAULT_SUBSET_BUDGET", need):
+                    assert gf.collision_number(code) == report
+                with limit(codes, "DEFAULT_SUBSET_BUDGET", need - 1), \
+                        pytest.raises(BudgetExceededError, match="collision search"):
+                    gf.collision_number(code)
 
     def test_rs_11_2_exact(self):
         code = gf.reed_solomon(11, 2)
@@ -463,13 +479,6 @@ class TestCollisionSearchDifferential:
         assert agree == 1
         assert math.comb(col - 1, 2) * agree < q <= math.comb(col, 2) * agree
 
-    @pytest.mark.parametrize("distance", [Fraction(1, 4), Fraction(2, 7), Fraction(-1, 3),
-                                          Fraction(4, 3)])
-    def test_distance_must_give_whole_agreements(self, distance):
-        # ell * (1 - delta) must be a whole number of coordinates in [0, ell]
-        with pytest.raises(GapforgeError, match="no relative distance"):
-            gf.collision_number(gf.random_code(3, 2, 6, 1), distance=distance)
-
 
 class TestFieldPacking:
     """The one-hot packing and the nonzero-field rule shared by the collision
@@ -501,18 +510,22 @@ class TestFieldPacking:
 class TestPackedWords:
     """Code.packed against a packing computed here, straight from codeword()."""
 
-    def test_matches_one_hot_layout(self, code_suite):
-        unmaterialized = gf.reed_solomon(5, 3, cap=10)
+    def test_matches_one_hot_layout(self, code_suite, limit):
+        stored = gf.reed_solomon(11, 2)
+        with limit(codes, "DEFAULT_ENUM_CAP", 10):
+            unmaterialized = gf.reed_solomon(5, 3)
         with pytest.raises(CapExceededError):
             unmaterialized.table()
-        for code in [*code_suite, gf.reed_solomon(11, 2), unmaterialized]:
+        for code in [*code_suite, stored, unmaterialized]:
             for m in range(code.size):
                 expected = sum(1 << (i * code.q + s) for i, s in enumerate(code.codeword(m)))
                 assert code.packed(m) == expected, (code, m)
 
-    @pytest.mark.parametrize("code", [gf.reed_solomon(3, 2), gf.reed_solomon(5, 3, cap=10)],
+    @pytest.mark.parametrize("q,r,cap", [(3, 2, DEFAULT_ENUM_CAP), (5, 3, 10)],
                              ids=["stored", "unmaterialized"])
-    def test_rank_range(self, code):
+    def test_rank_range(self, q, r, cap, limit):
+        with limit(codes, "DEFAULT_ENUM_CAP", cap):
+            code = gf.reed_solomon(q, r)
         for rank in (-1, code.size):
             with pytest.raises(MessageRangeError):
                 code.packed(rank)

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 import gapforge as gf
-from gapforge import maxcover, oracles
+from gapforge import codes, maxcover, oracles
 from gapforge.errors import (
     CapExceededError,
     DegreeBoundError,
@@ -103,10 +103,21 @@ class TestInstance:
         inst = gf.MaxCoverInstance((2, 1), (1,), [(0, 3), (1, 3), (2, 3)])
         assert gf.maxcover_value(inst).labeling == (0, 0)
 
-    def test_labeling_cap(self):
+    def test_labeling_cap(self, monkeypatch):
         inst = gf.MaxCoverInstance((3, 3), (1,), [(0, 6)])
         with pytest.raises(gf.GapforgeError):
             gf.maxcover_value(inst, labeling_cap=8)
+        # a malformed cap is refused before any labeling is evaluated
+        evaluated = []
+        covered = maxcover.MaxCoverInstance._covered_fields
+        monkeypatch.setattr(maxcover.MaxCoverInstance, "_covered_fields",
+                            lambda self, labeling: evaluated.append(labeling)
+                            or covered(self, labeling))
+        for cap in ("x", 2.5, -1):
+            with pytest.raises(CapExceededError, match="labeling cap must be"):
+                gf.maxcover_value(inst, labeling_cap=cap)
+        assert evaluated == []
+        assert gf.maxcover_value(inst, labeling_cap=9).labelings_examined == len(evaluated) > 0
 
     def test_out_of_range_ids_rejected(self):
         inst = soundness_instance()
@@ -383,14 +394,16 @@ class TestComposeGap:
         assert sorted(code._default_words) == shapes
 
     @pytest.mark.parametrize("route", ["gap", "k2"])
-    def test_kept_words_match_existential(self, route):
+    def test_kept_words_match_existential(self, route, limit):
         # bases with full fields (planted covers) and k = 2 bounded bases,
         # composed twice per code, so the second composition reads the
         # words the code kept; RS(5,2) past its cap packs from the encoder
         rng = random.Random(f"kept-words/{route}")
-        codes = [gf.reed_solomon(3, 2), gf.reed_solomon(5, 2), gf.reed_solomon(5, 2, cap=10)]
+        suite = [gf.reed_solomon(3, 2), gf.reed_solomon(5, 2)]
+        with limit(codes, "DEFAULT_ENUM_CAP", 10):
+            suite.append(gf.reed_solomon(5, 2))
         with pytest.raises(CapExceededError):
-            codes[2].table()
+            suite[2].table()
         full_fields = 0
         for _ in range(8):
             if route == "gap":
@@ -399,7 +412,7 @@ class TestComposeGap:
                 base = random_bounded_degree_instance(rng, 2)
             full_fields += sum(row.count(FULL) for row in gf.projection_profile(base).entries)
             rows = []
-            for code in codes:
+            for code in suite:
                 composed, again = (gf.compose_gap(base, code) if route == "gap" else
                                    gf.compose_gap_k2_bounded(base, code, 2)
                                    for _ in range(2))
@@ -463,10 +476,12 @@ class TestComposeGap:
                             oracles.composed_adjacent_bruteforce(
                                 inst, code, composed.matching, vg, l, tup)
 
-    def test_unmaterialized_code_composes_like_stored(self):
+    def test_unmaterialized_code_composes_like_stored(self, limit):
         # RS(5,3) past its cap packs each matched word from the encoder
         rng = random.Random(5)
-        stored, unmaterialized = gf.reed_solomon(5, 3), gf.reed_solomon(5, 3, cap=10)
+        stored = gf.reed_solomon(5, 3)
+        with limit(codes, "DEFAULT_ENUM_CAP", 10):
+            unmaterialized = gf.reed_solomon(5, 3)
         for _ in range(5):
             inst = random_pseudo_projection_instance(rng, max_t=2)
             matching = [rng.sample(range(stored.size), size) for size in inst.w_parts]

@@ -45,6 +45,12 @@ class TestInstance:
             gf.SetCoverInstance(2, [[], [{0}]])
         with pytest.raises(IndexRangeError):
             gf.SetCoverInstance(2, [[{0, 5}]])
+        # a non-integer universe, element or collection is malformed input,
+        # refused when the instance is built
+        for universe, collections in ((3.5, [[{0}]]), (3, [[{"a"}]]), (3, [5]),
+                                      (3, [[{1.5}]])):
+            with pytest.raises(IndexRangeError):
+                gf.SetCoverInstance(universe, collections)
 
     def test_masks(self):
         inst = gf.SetCoverInstance(3, [[{0, 2}], [{1}]])
@@ -157,17 +163,21 @@ class TestCoverSearch:
                                        gf.reed_solomon(q, 2))
         assert composed.min_cover(refs) == (size, witness, examined)
 
-    def test_budget_boundary(self):
+    def test_budget_boundary(self, limit):
         base = interleaved_singletons(9)
         composed = gf.compose_setcover(base, gf.reed_solomon(3, 2))
         examined = composed.min_cover(18)[2]
-        assert composed.min_cover(18, budget=examined)[2] == examined
-        with pytest.raises(BudgetExceededError):
-            composed.min_cover(18, budget=examined - 1)
+        with limit(setcover, "DEFAULT_SUBSET_BUDGET", examined):
+            assert composed.min_cover(18)[2] == examined
+        with limit(setcover, "DEFAULT_SUBSET_BUDGET", examined - 1), \
+                pytest.raises(BudgetExceededError):
+            composed.min_cover(18)
         examined = gf.min_cover_size(base, 2).subsets_examined
-        assert gf.min_cover_size(base, 2, budget=examined).subsets_examined == examined
-        with pytest.raises(BudgetExceededError):
-            gf.min_cover_size(base, 2, budget=examined - 1)
+        with limit(setcover, "DEFAULT_SUBSET_BUDGET", examined):
+            assert gf.min_cover_size(base, 2).subsets_examined == examined
+        with limit(setcover, "DEFAULT_SUBSET_BUDGET", examined - 1), \
+                pytest.raises(BudgetExceededError):
+            gf.min_cover_size(base, 2)
 
     def test_negative_cap_raises(self):
         base = gf.SetCoverInstance(2, [[{0}], [{1}]])

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 import gapforge as gf
-from gapforge import oracles, threshold
+from gapforge import codes, oracles, threshold
 from gapforge.errors import (
     BudgetExceededError,
     CapExceededError,
@@ -243,16 +243,6 @@ class TestVerify:
         assert calls[0] == realized * t
         assert verdict.adjacency_reads == calls[0] * code.q ** t == realized * t * code.q ** t
 
-    def test_budget_not_integer(self, monkeypatch):
-        # a budget of "x" raised TypeError after every read; now it is
-        # refused before any
-        g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
-        calls = _count_neighbors(monkeypatch)
-        for budget in ("x", 2.5, -1):
-            with pytest.raises(CapExceededError, match="budget must be"):
-                gf.verify_threshold(g, 4, budget=budget)
-        assert calls == [0]
-
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_reads_skip_public_checks(self, t, monkeypatch):
         # every read is the mask rule alone: the public adjacent(), which
@@ -329,17 +319,19 @@ class TestVerify:
         assert rs.collision_min_x is None
         assert rs.collision_subsets_examined == 71
 
-    def test_collision_budget_boundary(self):
-        # the search stops at the subset numbered budget + 1, untested
+    def test_collision_budget_boundary(self, limit):
+        # the search stops at the subset numbered budget + 1, untested; it
+        # reads the budget in codes, so threshold's read budget is untouched
         g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
         for cap in (4, 6):
             verdict = gf.verify_threshold(g, collision_cap=cap)
             examined = verdict.collision_subsets_examined
             assert examined > 0
-            assert gf.verify_threshold(g, collision_cap=cap,
-                                       budget=examined) == verdict
-            with pytest.raises(BudgetExceededError):
-                gf.verify_threshold(g, collision_cap=cap, budget=examined - 1)
+            with limit(codes, "DEFAULT_SUBSET_BUDGET", examined):
+                assert gf.verify_threshold(g, collision_cap=cap) == verdict
+            with limit(codes, "DEFAULT_SUBSET_BUDGET", examined - 1), \
+                    pytest.raises(BudgetExceededError, match="collision search"):
+                gf.verify_threshold(g, collision_cap=cap)
 
     def test_large_graph_is_exhaustive(self):
         # 121**2 * 11 = 161,051 cases, all decided through 1,331 patterns
@@ -778,18 +770,22 @@ class TestExport:
                 assert threshold._ranks_with_symbol(q, t, j, symbol) == tuple(
                     rank for rank, v in enumerate(vertices) if v[j] == symbol)
 
-    def test_export_cap(self):
+    def test_export_cap(self, limit):
         g = gf.build_threshold(gf.reed_solomon(5, 2), 3)
-        with pytest.raises(CapExceededError):
-            gf.export_edges(g, cap=10)
+        with limit(threshold, "DEFAULT_EDGE_CAP", 10), pytest.raises(CapExceededError):
+            gf.export_edges(g)
 
-    def test_export_cap_not_integer(self):
-        # a cap of "x" raised TypeError when compared with the edge count
+    def test_export_cap_not_integer(self, limit):
+        # the edge cap is no argument but the integer DEFAULT_EDGE_CAP, held
+        # against the exact edge count: RS(3,2) at t = 2 has 162 edges,
+        # exported at a cap of 162, not at 161
+        assert type(threshold.DEFAULT_EDGE_CAP) is int
         g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
-        for cap in ("x", 2.5, -1, None):
-            with pytest.raises(CapExceededError, match="edge cap must be"):
-                gf.export_edges(g, cap=cap)
-        assert len(gf.export_edges(g, cap=162)) == 162
+        with limit(threshold, "DEFAULT_EDGE_CAP", 162):
+            assert len(gf.export_edges(g)) == 162
+        with limit(threshold, "DEFAULT_EDGE_CAP", 161), \
+                pytest.raises(CapExceededError, match="162 edges exceeds cap 161"):
+            gf.export_edges(g)
 
 
 class TestNeighborsOracle:
