@@ -46,7 +46,7 @@ from .errors import (
     RankRangeError,
     SymbolRangeError,
 )
-from .errors import ParseError, SchemaVersionError, checked_size_cap, count_text
+from .errors import SchemaVersionError, checked_int, count_text
 from .serialize import FORMAT_TAG, check_format, require_ints, require_keys
 
 INFINITE = float("inf")
@@ -55,6 +55,7 @@ KIND_REED_SOLOMON = "reed_solomon"
 KIND_RANDOM = "random"
 KIND_PHF = "phf"
 KIND_EXPLICIT = "explicit"
+KINDS = (KIND_REED_SOLOMON, KIND_RANDOM, KIND_PHF, KIND_EXPLICIT)
 
 
 def is_prime(n: int) -> bool:
@@ -89,6 +90,14 @@ def _symbols_of_rank(rank: int, q: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _set_bits(mask: int):
+    """The positions of the set bits of mask >= 0, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _check_table_size(size: int, ell: int) -> None:
     """A stored table's rule: at most DEFAULT_ENUM_CAP symbols, size * ell."""
     if size * ell > DEFAULT_ENUM_CAP:
@@ -96,23 +105,30 @@ def _check_table_size(size: int, ell: int) -> None:
                                f"{DEFAULT_ENUM_CAP}")
 
 
-def _check_shape(q: int, ell: int, r: int = 1) -> None:
-    """A code's shape rule: q >= 2, r >= 1 and ell >= 1 (table codes derive r >= 1)."""
-    if q < 2:
-        raise SymbolRangeError(f"alphabet size must be >= 2, got {q}")
-    if r < 1 or ell < 1:
-        raise MessageLengthError(f"need r >= 1 and ell >= 1, got r={r}, ell={ell}")
+def _checked_shape(q, ell, r=1) -> tuple[int, int, int]:
+    """(q, ell, r) as ints by a code's shape rule: q >= 2 (SymbolRangeError), r >= 1
+    and ell >= 1 (MessageLengthError); table codes derive r >= 1."""
+    return (checked_int(q, 2, None, "alphabet size q", SymbolRangeError),
+            checked_int(ell, 1, None, "block length ell", MessageLengthError),
+            checked_int(r, 1, None, "message length r", MessageLengthError))
+
+
+def _checked_seed(seed):
+    """seed as an int, or None; anything else raises GapforgeError."""
+    return None if seed is None else checked_int(seed, -math.inf, None, "seed", GapforgeError)
 
 
 class Code:
     """A q-ary code: alphabet [q], message length r, block length ell.
 
     Codewords are indexed by message rank (lexicographic message order).
-    A code is its table, checked once, in __init__: first the table's own
-    checks (block length, alphabet, distinct words), then its size against
-    DEFAULT_ENUM_CAP, and only then is it packed: packed(rank) is codeword
-    rank as ell one-hot fields of q bits (see _field_packing), and the
-    masks of that layout are kept for the collision search.  Only
+    A code is its table, checked once, in __init__: first its shape, kind
+    and seed, then the table's own checks (r fits the table, block length,
+    alphabet, distinct words), then its size against DEFAULT_ENUM_CAP, and
+    only then is it packed: packed(rank) is codeword rank as ell one-hot
+    fields of q bits (see _field_packing), and the masks of that layout
+    are kept for the collision search.  So every code that stores its
+    table round-trips through code_to_json and code_from_json.  Only
     reed_solomon() builds Reed-Solomon codes, whose measurements rely on
     linearity, and only they may omit the table (see _ReedSolomonCode).
     Nothing is written after __init__ but the memo of default-matching
@@ -124,14 +140,16 @@ class Code:
                  "_packed", "_default_words")
 
     def __init__(self, q, r, ell, kind, table, *, seed=None):
-        _check_shape(q, ell, r)
+        q, ell, r = _checked_shape(q, ell, r)
+        if kind not in KINDS:
+            raise GapforgeError(f"unknown code kind {kind!r}, expected one of {KINDS}")
         if (kind == KIND_REED_SOLOMON or table is None) and type(self) is not _ReedSolomonCode:
             raise GapforgeError("a code needs a table; only reed_solomon() builds RS codes")
         self.q = q
         self.r = r
         self.ell = ell
         self.kind = kind
-        self.seed = seed
+        self.seed = _checked_seed(seed)
         self._table = None
         self._size = q ** r
         if table is not None:
@@ -145,13 +163,18 @@ class Code:
         self._default_words = {}
 
     def _validate_table(self) -> None:
+        q, ell, size = self.q, self.ell, self._size
+        # r is the one phf_to_code and explicit_code give; a random code has
+        # exactly q**r words
+        if self.r != _table_message_length(q, size) or (
+                self.kind == KIND_RANDOM and q ** self.r != size):
+            raise MessageLengthError(f"code r={self.r} does not fit its table of {size} "
+                                     f"words over [{q}]")
         for word in self._table:
-            if len(word) != self.ell:
-                raise MessageLengthError(
-                    f"codeword length {len(word)} != block length {self.ell}")
+            if len(word) != ell:
+                raise MessageLengthError(f"codeword length {len(word)} != block length {ell}")
             for s in word:
-                if not 0 <= s < self.q:
-                    raise SymbolRangeError(f"symbol {s} outside alphabet [{self.q}]")
+                checked_int(s, 0, q, "codeword symbol", SymbolRangeError)
         if len(set(self._table)) != len(self._table):
             raise GapforgeError("encoder is not injective: duplicate codewords")
 
@@ -161,17 +184,23 @@ class Code:
         return self._size
 
     def codeword(self, rank: int) -> tuple[int, ...]:
-        if not 0 <= rank < self._size:
-            raise MessageRangeError(f"message rank {rank} outside [0, {self._size})")
-        if self._table is not None:
-            return self._table[rank]
-        return self._encode(rank)
+        """The codeword of a rank in [0, size); any other rank raises MessageRangeError."""
+        try:
+            if 0 <= rank < self._size:
+                return self._table[rank]
+        except TypeError:  # a rank that is no int, or no stored table
+            pass
+        rank = checked_int(rank, 0, self._size, "message rank", MessageRangeError)
+        return self._encode(rank)  # only Reed-Solomon codes store no table
 
     def packed(self, rank: int) -> int:
         """codeword(rank) packed: bit i * q + symbol is set for each coordinate i."""
-        if self._packed is None or not 0 <= rank < self._size:
-            return self._pack(self.codeword(rank))  # codeword() raises for a bad rank
-        return self._packed[rank]
+        try:
+            if 0 <= rank < self._size:
+                return self._packed[rank]
+        except TypeError:  # a rank that is no int, or no stored table
+            pass
+        return self._pack(self.codeword(rank))  # codeword() raises for a bad rank
 
     def codewords(self):
         """Iterate codewords in message-rank order."""
@@ -186,23 +215,42 @@ class Code:
         return self._table
 
     def message_of(self, rank: int) -> tuple[int, ...]:
+        """The message of a rank in [0, size); any other rank raises MessageRangeError."""
+        rank = checked_int(rank, 0, self._size, "message rank", MessageRangeError)
         return _symbols_of_rank(rank, self.q, self.r)
 
     def rank_of(self, message) -> int:
-        return _rank_of_symbols(message, self.q)
+        """The rank of a message of r symbols in [q], below size.
+
+        A message of another length raises MessageLengthError, a symbol
+        that is not an int in [q] SymbolRangeError, and a rank past the
+        table (a table code has at most q**r words) MessageRangeError.
+        """
+        message = tuple(message)
+        if len(message) != self.r:
+            raise MessageLengthError(f"message length {len(message)} != r={self.r}")
+        q, rank = self.q, 0
+        try:
+            for s in message:
+                if not 0 <= s < q:
+                    break
+                rank = rank * q + s
+            else:
+                # a float symbol passes the comparisons but makes the rank a float
+                if type(rank) is int and rank < self._size:
+                    return rank
+        except TypeError:
+            pass
+        rank = _rank_of_symbols([checked_int(s, 0, q, "message symbol", SymbolRangeError)
+                                 for s in message], q)
+        return checked_int(rank, 0, self._size, "message rank", MessageRangeError)
 
     def __repr__(self):
         return f"Code({self.kind}, q={self.q}, r={self.r}, ell={self.ell}, size={self._size})"
 
 
 def encode(code: Code, message) -> tuple[int, ...]:
-    """Encode a length-r symbol sequence; deterministic and total."""
-    message = tuple(message)
-    if len(message) != code.r:
-        raise MessageLengthError(f"message length {len(message)} != r={code.r}")
-    for s in message:
-        if not isinstance(s, int) or not 0 <= s < code.q:
-            raise SymbolRangeError(f"symbol {s!r} outside alphabet [{code.q}]")
+    """Encode a length-r symbol sequence, checked by Code.rank_of; deterministic and total."""
     return code.codeword(code.rank_of(message))
 
 
@@ -222,8 +270,9 @@ def _match_parts(code: Code, sizes, matching=None) -> tuple[tuple[int, ...], ...
     if len(matching) != len(sizes):
         raise MatchingOverflowError("matching must give one injection per part")
     for j, inj in enumerate(matching):
-        if len(inj) != sizes[j] or len(set(inj)) != len(inj) \
-                or any(not 0 <= m < code.size for m in inj):
+        for m in inj:
+            checked_int(m, 0, code.size, f"rank matched in part {j}", MatchingOverflowError)
+        if len(inj) != sizes[j] or len(set(inj)) != len(inj):
             raise MatchingOverflowError(f"matching for part {j} is not injective into the code")
     return matching
 
@@ -257,10 +306,11 @@ def reed_solomon(q: int, r: int) -> Code:
     DEFAULT_ENUM_CAP symbols no table is stored: table() raises
     CapExceededError and each codeword is encoded when read.
     """
+    q = checked_int(q, 2, None, "alphabet size q", NotPrimeError)
     if not is_prime(q):
         raise NotPrimeError(f"q={q} is not prime")
-    if not 1 <= r <= q:
-        raise RankRangeError(f"need 1 <= r <= q, got r={r}, q={q}")
+    r = checked_int(r, 1, q + 1, f"message length of RS with r={count_text(r)}, q={q}",
+                    RankRangeError)
     return _ReedSolomonCode(q, r)
 
 
@@ -292,7 +342,8 @@ def random_code(q: int, r: int, ell: int, seed: int) -> Code:
     ell < r leaves q**ell < q**r words, too few for that, and raises
     GapforgeError.  Every check runs before the first draw.
     """
-    _check_shape(q, ell, r)
+    q, ell, r = _checked_shape(q, ell, r)
+    seed = _checked_seed(seed)
     size = q ** r
     _check_table_size(size, ell)
     if ell < r:
@@ -330,7 +381,7 @@ def _draw_symbols(rng: random.Random, q: int, count: int) -> list[int]:
 
 def explicit_code(q: int, ell: int, table) -> Code:
     """Wrap an explicit codeword table (lexicographic message order)."""
-    _check_shape(q, ell)
+    q, ell, _ = _checked_shape(q, ell)
     table = tuple(tuple(w) for w in table)
     return Code(q, _table_message_length(q, len(table)), ell, KIND_EXPLICIT, table)
 
@@ -660,7 +711,7 @@ def collision_number(code: Code, size_cap: int | None = None) -> CollisionReport
     non-integer size_cap raises CapExceededError before the code is read.
     """
     if size_cap is not None:
-        size_cap = checked_size_cap(size_cap, "collision size cap")
+        size_cap = checked_int(size_cap, 0, None, "collision size cap", CapExceededError)
     table = code.table()
     n = len(table)
     if size_cap is None:
@@ -701,11 +752,12 @@ class PerfectHashFamily:
 def _phf_subset_size(domain_size: int, q: int) -> int:
     """min(q, N), the size of the subsets a perfect hash family must separate.
 
-    Raises SymbolRangeError unless N, q >= 1, and BudgetExceededError when
-    more than DEFAULT_SUBSET_BUDGET such subsets would have to be checked.
+    Raises SymbolRangeError unless N and q are ints >= 1, and
+    BudgetExceededError when more than DEFAULT_SUBSET_BUDGET such subsets
+    would have to be checked.
     """
-    if domain_size < 1 or q < 1:
-        raise SymbolRangeError("domain_size and q must be positive")
+    domain_size = checked_int(domain_size, 1, None, "domain size N", SymbolRangeError)
+    q = checked_int(q, 1, None, "alphabet size q", SymbolRangeError)
     size = min(q, domain_size)
     if math.comb(domain_size, size) > DEFAULT_SUBSET_BUDGET:
         raise BudgetExceededError(f"C({domain_size},{size}) subsets exceed verification "
@@ -776,9 +828,9 @@ def verify_phf(domain_size: int, q: int, functions):
     functions = tuple(tuple(h) for h in functions)
     _check_function_lengths(domain_size, functions)
     for f, h in enumerate(functions):
+        what = f"value of function {f}"
         for s in h:
-            if not isinstance(s, int) or not 0 <= s < q:
-                raise SymbolRangeError(f"value {s!r} of function {f} outside [{q}]")
+            checked_int(s, 0, q, what, SymbolRangeError)
     columns, low, top = _phf_packing(domain_size, q, len(functions))
     packed = columns([s for h in functions for s in h])
     witness = _first_unseparated(packed, size, low, top)
@@ -802,6 +854,7 @@ def find_phf(domain_size: int, q: int, ell_max: int, seed: int) -> PerfectHashFa
     exceeds the verification budget, is raised before the first draw.
     """
     size = _phf_subset_size(domain_size, q)
+    ell_max = checked_int(ell_max, 0, None, "ell_max", MessageLengthError)
     rng = random.Random(seed)
     for ell in range(1, ell_max + 1):
         columns, low, top = _phf_packing(domain_size, q, ell)
@@ -824,7 +877,7 @@ def phf_to_code(phf: PerfectHashFamily) -> Code:
     ceil(log_q N) and the table length N is authoritative.  A function
     with other than N values raises IndexRangeError.
     """
-    _check_shape(phf.q, phf.ell)
+    _checked_shape(phf.q, phf.ell)
     _check_function_lengths(phf.domain_size, phf.functions)
     table = tuple(tuple(h[x] for h in phf.functions) for x in range(phf.domain_size))
     return Code(phf.q, _table_message_length(phf.q, phf.domain_size), phf.ell, KIND_PHF, table)
@@ -855,20 +908,11 @@ def code_from_json(doc: dict) -> Code:
     for key, depth in (("q", 0), ("r", 0), ("ell", 0), ("table", 2)):
         require_ints(doc[key], depth, f"code {key}")
     q, r, ell, kind = doc["q"], doc["r"], doc["ell"], doc["kind"]
-    if kind not in (KIND_REED_SOLOMON, KIND_RANDOM, KIND_PHF, KIND_EXPLICIT):
-        raise ParseError(f"unknown code kind {kind!r}")
-    if "seed" in doc:
-        require_ints(doc["seed"], 0, "code seed")
     table = tuple(tuple(word) for word in doc["table"])
     if kind == KIND_REED_SOLOMON:
         code = reed_solomon(q, r)
         if code.table() != table or code.ell != ell:
             raise SchemaVersionError("reed_solomon table does not match its parameters")
         return code
-    code = Code(q, r, ell, kind, table, seed=doc.get("seed"))
-    # r is the one phf_to_code and explicit_code give; a random code has
-    # exactly q**r words
-    fit = _table_message_length(q, code.size)
-    if r != fit or (kind == KIND_RANDOM and q ** r != code.size):
-        raise ParseError(f"code r={r} does not fit its table of {code.size} words over [{q}]")
-    return code
+    # Code checks the kind, the seed and that r fits the table
+    return Code(q, r, ell, kind, table, seed=doc.get("seed"))

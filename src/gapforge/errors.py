@@ -33,15 +33,24 @@ def count_text(n: int) -> str:
         return f"2**{n.bit_length() - 1} or more"
 
 
-def checked_size_cap(cap, what: str) -> int:
-    """cap as an int >= 0; a negative or non-integer cap raises CapExceededError."""
+def checked_int(value, start, stop, what, error):
+    """value as an int in [start, stop), or at least start when stop is None.
+
+    The one rule for integer arguments: anything operator.index refuses, or
+    an int out of range, raises error, the calling site's GapforgeError
+    subclass, with what naming the argument.  A hot path may test in place
+    first (an int comparison, a tuple index) and call this only where that
+    test fails, provided whatever its test lets through this accepts too.
+    """
     try:
-        cap = operator.index(cap)
+        index = operator.index(value)
     except TypeError:
-        raise CapExceededError(f"{what} must be an integer, got {cap!r}") from None
-    if cap < 0:
-        raise CapExceededError(f"{what} must be >= 0, got {cap}")
-    return cap
+        raise error(f"{what} must be an integer, got {value!r}") from None
+    if start <= index and (stop is None or index < stop):
+        return index
+    bound = f">= {count_text(start)}" if stop is None else \
+        f"in [{count_text(start)}, {count_text(stop)})"
+    raise error(f"{what} must be an integer {bound}, got {count_text(index)}")
 
 
 class GapforgeError(Exception):

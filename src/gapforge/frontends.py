@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
     PartNotIndependentError,
     UnusedVariableError,
+    checked_int,
     count_text,
 )
 from .maxcover import MaxCoverInstance
@@ -46,11 +47,12 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
+        n = checked_int(self.num_vertices, 0, None, "vertex count", IndexRangeError)
         for u, v in self.edges:
+            for w in (u, v):
+                checked_int(w, 0, n, "edge vertex out of range; a vertex", IndexRangeError)
             if u == v:
                 raise IndexRangeError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise IndexRangeError(f"edge ({u},{v}) out of range")
             if u > v:
                 raise IndexRangeError("edges must be stored as (min, max) pairs")
 
@@ -73,22 +75,29 @@ class PartitionedGraph:
 
     def __post_init__(self):
         seen = [v for part in self.parts for v in part]
+        table = [0] * len(seen)
+        try:
+            for i, part in enumerate(self.parts):
+                for v in part:
+                    table[v] = i  # a float vertex raises TypeError here
+        except (TypeError, IndexError):
+            for v in seen:
+                checked_int(v, 0, len(seen), "vertex", IndexRangeError)
         if sorted(seen) != list(range(len(seen))):
             raise IndexRangeError("parts must partition 0..m-1")
         if any(not part for part in self.parts):
             raise EmptyPartError("parts must be non-empty")
-        table = [0] * len(seen)
-        for i, part in enumerate(self.parts):
-            for v in part:
-                table[v] = i
         object.__setattr__(self, "_owner", tuple(table))
-        owner = self.part_of
         for u, v in self.edges:
-            if u == v or u > v:
+            try:
+                if 0 <= u < v and table[u] != table[v]:  # a float end raises TypeError
+                    continue
+            except (TypeError, IndexError):
+                pass
+            part_u, _ = self.part_of(u), self.part_of(v)  # an end that is no vertex raises
+            if u >= v:
                 raise IndexRangeError(f"bad edge ({u},{v})")
-            if owner(u) == owner(v):
-                raise PartNotIndependentError(
-                    f"edge ({u},{v}) lies inside part {owner(u)}")
+            raise PartNotIndependentError(f"edge ({u},{v}) lies inside part {part_u}")
 
     @property
     def num_vertices(self) -> int:
@@ -99,9 +108,8 @@ class PartitionedGraph:
         return len(self.parts)
 
     def part_of(self, v: int) -> int:
-        if not 0 <= v < len(self._owner):
-            raise IndexRangeError(f"vertex {v} not in any part")
-        return self._owner[v]
+        """The part of vertex v; anything but an int in [0, m) raises IndexRangeError."""
+        return self._owner[checked_int(v, 0, len(self._owner), "vertex", IndexRangeError)]
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -124,8 +132,9 @@ def colorful_lift(graph: Graph, t: int) -> PartitionedGraph:
     """t-partite lift: copy i of u meets copy j of v iff i != j and (u,v) in E.
 
     The lift has one-vertex-per-part cliques exactly when the original graph
-    has a t-clique.
+    has a t-clique.  t must be an int >= 1 (IndexRangeError).
     """
+    t = checked_int(t, 1, None, "number of copies t", IndexRangeError)
     n = graph.num_vertices
     parts = tuple(tuple(range(i * n, (i + 1) * n)) for i in range(t))
     edges = set()
@@ -137,14 +146,15 @@ def colorful_lift(graph: Graph, t: int) -> PartitionedGraph:
     return PartitionedGraph(parts, frozenset(edges))
 
 
-def _check_clique_parts(t: int) -> None:
-    if t < 2:
-        raise IndexRangeError(f"the clique front-end needs t >= 2 parts, got t={t}")
+def _check_clique_parts(t) -> int:
+    """t as an int >= 2, the clique front-end's part count, else IndexRangeError."""
+    return checked_int(t, 2, None, "t (the clique front-end needs t >= 2 parts)",
+                       IndexRangeError)
 
 
 def _clique_graph(graph, t: int) -> PartitionedGraph:
     """graph on the clique front-end's t >= 2 parts; a plain graph is lifted to them."""
-    _check_clique_parts(t)
+    t = _check_clique_parts(t)
     if isinstance(graph, Graph):
         return colorful_lift(graph, t)
     if graph.t != t:
@@ -233,14 +243,16 @@ class Cnf3:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        n = checked_int(self.num_vars, 0, None, "variable count", IndexRangeError)
         for c, clause in enumerate(self.clauses):
             if len(clause) > 3:
                 raise ClauseWidthError(f"clause {c} has {len(clause)} literals")
             if not clause:
                 raise ClauseWidthError(f"clause {c} is empty")
+            what = f"literal in clause {c}"
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise IndexRangeError(f"literal {lit} out of range in clause {c}")
+                if not checked_int(lit, -n, n + 1, what, IndexRangeError):
+                    raise IndexRangeError(f"literal 0 in clause {c}")
         for var, count in enumerate(self.occurrences, start=1):
             if count > 3:
                 raise OccurrenceBoundError(f"variable {var} occurs in {count} clauses")
@@ -369,8 +381,8 @@ def sat_to_maxcover(cnf: Cnf3, k: int) -> MaxCoverInstance:
     raise CapExceededError before any of the group's rows is built; a
     group lists no more labels than fit, plus one block of _satisfying.
     """
-    if k < 1 or k > len(cnf.clauses):
-        raise IndexRangeError(f"need 1 <= k <= number of clauses, got k={k}")
+    k = checked_int(k, 1, len(cnf.clauses) + 1, "k (at most one group per clause)",
+                    IndexRangeError)
     base, extra = divmod(len(cnf.clauses), k)
     cuts = [i * base + min(i, extra) for i in range(k + 1)]
     group_clauses = [cnf.clauses[a:b] for a, b in zip(cuts, cuts[1:])]

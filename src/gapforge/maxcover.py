@@ -25,7 +25,7 @@ from functools import lru_cache, reduce
 from itertools import product
 from operator import or_
 
-from .codes import Code, _field_packing, _match_parts, relative_distance
+from .codes import Code, _field_packing, _match_parts, _set_bits, relative_distance
 from .errors import (
     DEFAULT_EDGE_CAP,
     DEFAULT_LABELING_CAP,
@@ -39,7 +39,7 @@ from .errors import (
     NotPseudoProjectionError,
     NotTwoPartsError,
     ParseError,
-    checked_size_cap,
+    checked_int,
     count_text,
 )
 from .serialize import (
@@ -82,7 +82,8 @@ class MaxCoverInstance:
         num_v, num_w = sum(v_parts), sum(w_parts)
         rows = [0] * num_v
         for vg, wg in edges:
-            _check_ids(vg, wg, num_v, num_w)
+            vg = checked_int(vg, 0, num_v, "V id", IndexRangeError)
+            wg = checked_int(wg, num_v, num_v + num_w, "W id", IndexRangeError)
             rows[vg] |= 1 << (wg - num_v)
         self._set_rows(v_parts, w_parts, rows, provenance)
 
@@ -134,10 +135,8 @@ class MaxCoverInstance:
                                       f"expected one per right part ({t})")
             row = 0
             for j, ((start, width), mask) in enumerate(zip(fields, part_masks)):
-                if not 0 <= mask < 1 << width:
-                    raise IndexRangeError(f"mask {mask} of V vertex {vg} does not fit "
-                                          f"W_{j} of size {width}")
-                row |= mask << start
+                row |= checked_int(mask, 0, 1 << width, f"mask of V vertex {vg} in W_{j}",
+                                   IndexRangeError) << start
             rows.append(row)
         return cls._from_rows(v_parts, w_parts, rows, provenance)
 
@@ -211,21 +210,23 @@ class MaxCoverInstance:
             fields &= hit >> start
         return fields
 
-    def _check_labeling(self, labeling) -> None:
-        if len(labeling) != self.k or not all(
-                0 <= rank < size for rank, size in zip(labeling, self.v_parts)):
-            raise IndexRangeError(f"labeling {tuple(labeling)!r} needs one rank per "
-                                  f"left part, in range of part sizes {self.v_parts}")
+    def _checked_labeling(self, labeling) -> tuple[int, ...]:
+        """labeling as one rank per left part, each an int in range, else IndexRangeError."""
+        labeling = tuple(labeling)
+        if len(labeling) != self.k:
+            raise IndexRangeError(f"labeling {labeling!r} needs one rank per left part, "
+                                  f"in range of part sizes {self.v_parts}")
+        return tuple(checked_int(rank, 0, size, f"rank in left part {i}", IndexRangeError)
+                     for i, (rank, size) in enumerate(zip(labeling, self.v_parts)))
 
     def covered(self, labeling, j: int) -> bool:
-        _check_index("part", j, self.t)
-        self._check_labeling(labeling)
+        j = checked_int(j, 0, self.t, "part", IndexRangeError)
         start, width = self._fields[j]
-        return bool(self._covered_fields(labeling) >> (start + width - 1) & 1)
+        return bool(self._covered_fields(self._checked_labeling(labeling))
+                    >> (start + width - 1) & 1)
 
     def covered_count(self, labeling) -> int:
-        self._check_labeling(labeling)
-        return self._covered_fields(labeling).bit_count()
+        return self._covered_fields(self._checked_labeling(labeling)).bit_count()
 
     def _one_block_rows(self) -> list[int]:
         """The same graph's rows in one block (bit wg - |V| set iff v meets wg).
@@ -250,13 +251,9 @@ class MaxCoverInstance:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """(V id, W id) pairs in ascending order: the set bits of _one_block_rows,
         in O(|V| + |E|) big-int steps."""
-        num_v, edges = self.num_v, []
-        for vg, row in enumerate(self._one_block_rows()):
-            while row:
-                bit = row & -row
-                edges.append((vg, num_v + bit.bit_length() - 1))
-                row ^= bit
-        return tuple(edges)
+        num_v = self.num_v
+        return tuple((vg, num_v + w) for vg, row in enumerate(self._one_block_rows())
+                     for w in _set_bits(row))
 
     @property
     def num_edges(self) -> int:
@@ -269,25 +266,24 @@ class MaxCoverInstance:
                    for vg in range(self.num_v) for j in range(self.t))
 
     def v_global(self, i: int, rank: int) -> int:
-        _check_index("left part", i, self.k)
-        _check_index(f"rank in left part {i}", rank, self.v_parts[i])
+        i = checked_int(i, 0, self.k, "left part", IndexRangeError)
+        rank = checked_int(rank, 0, self.v_parts[i], f"rank in left part {i}", IndexRangeError)
         return self._v_offsets[i] + rank
 
     def w_global(self, j: int, rank: int) -> int:
-        _check_index("part", j, self.t)
-        _check_index(f"rank in part {j}", rank, self.w_parts[j])
+        j = checked_int(j, 0, self.t, "part", IndexRangeError)
+        rank = checked_int(rank, 0, self.w_parts[j], f"rank in part {j}", IndexRangeError)
         return self.num_v + self._w_offsets[j] + rank
 
     def w_part_of(self, wg: int) -> tuple[int, int]:
-        local = wg - self.num_v
-        if not 0 <= local < self.num_w:
-            raise IndexRangeError(f"W id {wg} outside [{self.num_v}, {self.num_v + self.num_w})")
+        local = checked_int(wg, self.num_v, self.num_v + self.num_w, "W id",
+                            IndexRangeError) - self.num_v
         j = bisect_right(self._w_offsets, local) - 1
         return j, local - self._w_offsets[j]
 
     def adjacent(self, vg: int, wg: int) -> bool:
         """The class rule: the last block holds the least significant digit."""
-        _check_index("V id", vg, self.num_v)
+        vg = checked_int(vg, 0, self.num_v, "V id", IndexRangeError)
         j, rank = self.w_part_of(wg)
         width = self._fields[j][1]
         for shift in reversed(self._block_starts):
@@ -299,8 +295,8 @@ class MaxCoverInstance:
     def neighbors_in_part(self, vg: int, j: int) -> tuple[int, ...]:
         """Ranks of vg's neighbors in W_j, ascending: the set bits of field j
         of each block are the rank's digits in that block."""
-        _check_index("V id", vg, self.num_v)
-        _check_index("part", j, self.t)
+        vg = checked_int(vg, 0, self.num_v, "V id", IndexRangeError)
+        j = checked_int(j, 0, self.t, "part", IndexRangeError)
         return tuple(_ranks(self._rows[vg], self._fields[j], self._block_starts))
 
     def materialize(self) -> MaxCoverInstance:
@@ -327,36 +323,17 @@ def _ranks(row: int, field: tuple[int, int], block_starts) -> list[int]:
     start, width = field
     ranks = [0]
     for shift in block_starts:
-        x, digits = row >> (shift + start) & ((1 << width) - 1), []
-        while x:
-            bit = x & -x
-            digits.append(bit.bit_length() - 1)
-            x ^= bit
+        digits = list(_set_bits(row >> (shift + start) & ((1 << width) - 1)))
         ranks = [rank * width + digit for rank in ranks for digit in digits]
     return ranks
 
 
-def _check_index(name: str, value: int, end: int) -> None:
-    if not 0 <= value < end:
-        raise IndexRangeError(f"{name} {value} outside [0, {end})")
-
-
-def _check_ids(vg: int, wg: int, num_v: int, num_w: int) -> None:
-    if not 0 <= vg < num_v:
-        raise IndexRangeError(f"V id {vg} outside [0, {num_v})")
-    if not num_v <= wg < num_v + num_w:
-        raise IndexRangeError(f"W id {wg} outside [{num_v}, {num_v + num_w})")
-
-
 def _checked_parts(v_parts, w_parts) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The part sizes as tuples, once they are known to describe an instance."""
-    v_parts, w_parts = tuple(v_parts), tuple(w_parts)
+    """The part sizes as tuples of ints, once they are known to describe an instance."""
+    v_parts = tuple([checked_int(s, 0, None, "left part size", IndexRangeError) for s in v_parts])
+    w_parts = tuple([checked_int(s, 1, None, "right part size", EmptyPartError) for s in w_parts])
     if not v_parts or not w_parts:
         raise EmptyPartError("need at least one left and one right super-node")
-    if any(s < 0 for s in v_parts):
-        raise IndexRangeError("negative part size")
-    if any(s < 1 for s in w_parts):
-        raise EmptyPartError("right super-nodes must be non-empty")
     if max(sum(v_parts), sum(w_parts)) > DEFAULT_UNIVERSE_CAP:
         raise CapExceededError(f"a side exceeds the cap of {DEFAULT_UNIVERSE_CAP} vertices")
     return v_parts, w_parts
@@ -411,7 +388,7 @@ def maxcover_value(instance, labeling_cap: int = DEFAULT_LABELING_CAP) -> MaxCov
     super-node has no labeling and value 0.  A negative or non-integer
     labeling_cap raises CapExceededError before any labeling is evaluated.
     """
-    labeling_cap = checked_size_cap(labeling_cap, "labeling cap")
+    labeling_cap = checked_int(labeling_cap, 0, None, "labeling cap", CapExceededError)
     sizes = instance.v_parts
     t = instance.t
     total = math.prod(sizes)
@@ -562,8 +539,10 @@ def compose_gap(base: MaxCoverInstance, code: Code, matching=None) -> MaxCoverIn
 def compose_gap_k2_bounded(base: MaxCoverInstance, code: Code, d: int) -> MaxCoverInstance:
     """Degree-bounded composition: completeness preserved, soundness d**2 * (1-delta).
 
-    Requires a one-block base with k = 2, checked before the degree bound.
+    Requires a one-block base with k = 2, checked before the degree bound,
+    and d an int >= 0 (DegreeBoundError).
     """
+    d = checked_int(d, 0, None, "degree bound d", DegreeBoundError)
     if base.k != 2:
         raise NotTwoPartsError(f"degree-bounded composition needs k=2, got k={base.k}")
     _check_one_block(base)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .codes import Code, next_prime, reed_solomon, relative_distance
-from .errors import RankRangeError
+from .errors import RankRangeError, checked_int
 from .frontends import Cnf3, DecidedNo, Graph, PartitionedGraph, \
     _clique_graph, clique_to_maxcover, sat_to_maxcover
 from .maxcover import compose_gap, gap_certificate
@@ -97,16 +97,17 @@ class PipelineReport:
 _PRIME_CACHE_SIZE = 256
 
 
-@lru_cache(maxsize=_PRIME_CACHE_SIZE)
+# typed: 2.0 must not hit the entry of 2, so every key was checked once
+@lru_cache(maxsize=_PRIME_CACHE_SIZE, typed=True)
 def smallest_workable_prime(t: int, max_w: int) -> int:
     """Smallest prime q > t (so r = t <= q and 1 - t/q > 0) with q**t >= max_w.
 
     A job meets few (t, max_w) pairs, so the answers are kept, at most
     _PRIME_CACHE_SIZE of them.  t < 1 raises RankRangeError: q**0 = 1 would
-    never reach max_w >= 2.
+    never reach max_w >= 2; so does a t or max_w that is not an integer.
     """
-    if t < 1:
-        raise RankRangeError(f"need t >= 1, got t={t}")
+    t = checked_int(t, 1, None, "t", RankRangeError)
+    max_w = checked_int(max_w, 0, None, "largest right part max_w", RankRangeError)
     q = t + 1
     while q ** t < max_w:
         q += 1
@@ -127,7 +128,7 @@ class CertifiedCode:
     vacuous_gap: bool
 
 
-@lru_cache(maxsize=_CODE_CACHE_SIZE)
+@lru_cache(maxsize=_CODE_CACHE_SIZE, typed=True)
 def _certified_code(q: int, r: int) -> CertifiedCode:
     """The certified RS(q, r); immutable, so one record is shared by every input."""
     code = reed_solomon(q, r)

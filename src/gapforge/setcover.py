@@ -17,21 +17,21 @@ minimum are all found by one pruned depth-first search, _first_cover.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import accumulate, product
 
-from .codes import Code, _field_packing, _match_parts, collision_number
+from .codes import Code, _field_packing, _match_parts, _set_bits, collision_number
 from .errors import (
     DEFAULT_SUBSET_BUDGET,
     DEFAULT_UNIVERSE_CAP,
     BudgetExceededError,
+    CapExceededError,
     EmptyPartError,
     GapforgeError,
     IndexRangeError,
     InstanceMismatchError,
     UniverseCapError,
-    checked_size_cap,
+    checked_int,
     count_text,
 )
 from .serialize import (
@@ -45,7 +45,7 @@ from .serialize import (
     require_ints,
     require_keys,
 )
-from .threshold import _ranks_with_symbol
+from .threshold import _intent_mask
 
 
 class SetCoverInstance:
@@ -54,23 +54,20 @@ class SetCoverInstance:
     __slots__ = ("universe_size", "collections", "provenance", "_masks")
 
     def __init__(self, universe_size: int, collections, provenance: str = ""):
+        universe_size = checked_int(universe_size, 1, None, "universe size", IndexRangeError)
+        if universe_size > DEFAULT_UNIVERSE_CAP:
+            raise UniverseCapError(f"universe of {count_text(universe_size)} elements "
+                                   f"exceeds cap {DEFAULT_UNIVERSE_CAP}")
         try:
-            universe_size = operator.index(universe_size)
-            if universe_size < 1:
-                raise IndexRangeError("universe must be non-empty")
-            if universe_size > DEFAULT_UNIVERSE_CAP:
-                raise UniverseCapError(f"universe of {count_text(universe_size)} elements "
-                                       f"exceeds cap {DEFAULT_UNIVERSE_CAP}")
             colls = tuple(tuple(frozenset(s) for s in coll) for coll in collections)
-            if not colls or any(not coll for coll in colls):
-                raise EmptyPartError("every collection must contain at least one set")
-            for coll in colls:
-                for s in coll:
-                    for e in s:
-                        if not 0 <= operator.index(e) < universe_size:
-                            raise IndexRangeError(f"element {e} outside [0, {universe_size})")
         except TypeError as exc:
             raise IndexRangeError(f"malformed SetCover instance: {exc}") from None
+        if not colls or any(not coll for coll in colls):
+            raise EmptyPartError("every collection must contain at least one set")
+        for coll in colls:
+            for s in coll:
+                for e in s:
+                    checked_int(e, 0, universe_size, "element", IndexRangeError)
         self.universe_size = universe_size
         self.collections = colls
         self.provenance = provenance
@@ -170,7 +167,7 @@ def _first_cover(refs, vectors, missing, window_lists, examined: int = 0):
 
 def _size_windows(n: int, cap: int):
     """Windows of combinations(range(n), s) for s = 1 .. min(cap, n)."""
-    cap = checked_size_cap(cap, "cover size cap")
+    cap = checked_int(cap, 0, None, "cover size cap", CapExceededError)
     return ([(0, n - s + d + 1) for d in range(s)] for s in range(1, min(cap, n) + 1))
 
 
@@ -219,8 +216,9 @@ class ComposedSetCover:
 
         u = base.universe_size
         part_bits = u * self.fsize
-        # spread[j][symbol]: bit |U| * a of every A-vertex a with a_j == symbol
-        spread = [[sum(1 << u * a for a in _ranks_with_symbol(code.q, base.k, j, symbol))
+        # spread[j][symbol]: bit |U| * a of every A-vertex a with a_j == symbol,
+        # read off the set bits of that symbol's intent mask in B_j
+        spread = [[sum(1 << u * a for a in _set_bits(_intent_mask(code.q, base.k, j, symbol)))
                    for symbol in range(code.q)] for j in range(base.k)]
         self._vectors = {}
         for ref in base.all_refs():
@@ -234,22 +232,28 @@ class ComposedSetCover:
         self._layout = (low | top, low, top, part_low, part_top)
 
     def _element_bits(self, element) -> int:
-        """The bits of element (i, f): bit f(a) of slot (i, a) for every a."""
+        """The bits of element (i, f): bit f(a) of slot (i, a) for every a.  Unchecked."""
         u = self.base.universe_size
-        if not (isinstance(element, (tuple, list)) and len(element) == 2
-                and isinstance(element[0], int) and 0 <= element[0] < self.ell
-                and isinstance(element[1], (tuple, list)) and len(element[1]) == self.fsize
-                and all(isinstance(x, int) and 0 <= x < u for x in element[1])):
-            raise IndexRangeError(f"element needs a part in [0, {self.ell}) and a function "
-                                  f"of length {self.fsize} into [0, {u})")
         i, f = element
         first = u * self.fsize * i
         return sum(1 << first + u * a + x for a, x in enumerate(f))
 
     def contains(self, ref, element) -> bool:
-        """Membership oracle: element = (i, f) with f a length-q**k sequence."""
-        bits = self._element_bits(element)
-        return bool(_lookup(self._vectors, ref) & bits)
+        """Membership oracle: element = (i, f) with f a length-q**k sequence.
+
+        i must be an int in [ell] and each f(a) an int in [|U|], else
+        IndexRangeError, as is an element of any other shape.
+        """
+        u = self.base.universe_size
+        try:
+            i, f = element
+            f = [checked_int(x, 0, u, "element value f(a)", IndexRangeError) for x in f]
+        except (TypeError, ValueError):
+            raise IndexRangeError(f"element {element!r} is not a pair (i, f)") from None
+        if len(f) != self.fsize:
+            raise IndexRangeError(f"element needs f of length {self.fsize}, got {len(f)}")
+        i = checked_int(i, 0, self.ell, "element part i", IndexRangeError)
+        return bool(_lookup(self._vectors, ref) & self._element_bits((i, f)))
 
     def iter_universe(self):
         values = range(self.base.universe_size)

@@ -6,7 +6,8 @@ vertex b = (j, m) is adjacent to a = (i, v) iff C(m)_i = v_j.  The graph is
 never materialized.  Its edges are one mask rule, _neighbors: the A_i
 neighbours of (j, m) are the intent of C(m)_i in B_j, the ranks of the v
 with v[j] == C(m)_i, built in closed form by _intent_mask.  The public
-adjacent() checks its arguments and answers with one bit of that mask.
+adjacent() checks its arguments and answers with one bit of that mask,
+and export_edges writes its set bits.
 verify_threshold reads one mask per (A-part, B-part, representative) and
 decides completeness exactly, at every size; only a coordinate where some
 mask differs from its intent has its column patterns and share rows
@@ -21,12 +22,11 @@ adjacent().
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .codes import Code, _collision_search, _rank_of_symbols, _symbols_of_rank
+from .codes import Code, _collision_search, _rank_of_symbols, _set_bits, _symbols_of_rank
 from .errors import (
     DEFAULT_EDGE_CAP,
     DEFAULT_SUBSET_BUDGET,
@@ -34,7 +34,7 @@ from .errors import (
     CapExceededError,
     GapforgeError,
     IndexRangeError,
-    checked_size_cap,
+    checked_int,
     count_text,
 )
 
@@ -47,13 +47,7 @@ class ThresholdGraph:
     t: int
 
     def __post_init__(self):
-        try:
-            t = operator.index(self.t)
-        except TypeError:
-            raise IndexRangeError(f"t must be an integer, got {self.t!r}") from None
-        if t < 1:
-            raise IndexRangeError(f"t must be >= 1, got {t}")
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", checked_int(self.t, 1, None, "t", IndexRangeError))
 
     @property
     def ell(self) -> int:
@@ -81,30 +75,20 @@ class ThresholdGraph:
 
     def a_tuple(self, rank: int) -> tuple[int, ...]:
         """The A-vertex of a rank; a rank outside [0, q**t) raises IndexRangeError."""
-        rank = _checked_index(rank, self.a_part_size, "A-vertex rank")
+        rank = checked_int(rank, 0, self.a_part_size, "A-vertex rank", IndexRangeError)
         return _symbols_of_rank(rank, self.code.q, self.t)
-
-
-def _checked_index(value, stop: int, what: str) -> int:
-    """value as an int in [0, stop); anything else raises IndexRangeError."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise IndexRangeError(f"{what} must be an integer, got {value!r}") from None
-    if not 0 <= value < stop:
-        raise IndexRangeError(f"{what} {value} outside [0, {stop})")
-    return value
 
 
 def _a_rank(v, q: int, t: int) -> int:
     """Rank of v in [q]**t; anything but a tuple of t symbols in [q] raises IndexRangeError."""
     try:
-        v = tuple(map(operator.index, v))
+        v = tuple(v)
     except TypeError:
-        raise IndexRangeError(f"A-vertex {v!r} is not a tuple of integers") from None
-    if len(v) != t or not all(0 <= s < q for s in v):
+        raise IndexRangeError(f"A-vertex {v!r} is not a tuple") from None
+    if len(v) != t:
         raise IndexRangeError(f"A-vertex tuple {v} not in [q]^{t}")
-    return _rank_of_symbols(v, q)
+    return _rank_of_symbols([checked_int(s, 0, q, "A-vertex symbol", IndexRangeError)
+                             for s in v], q)
 
 
 def build_threshold(code: Code, t: int) -> ThresholdGraph:
@@ -125,9 +109,9 @@ def adjacent(graph: ThresholdGraph, b_ref, a_ref) -> bool:
     except (TypeError, ValueError):
         raise IndexRangeError(f"malformed vertex refs {b_ref!r}, {a_ref!r}") from None
     code, t = graph.code, graph.t
-    j = _checked_index(j, t, "B-part index")
-    m = _checked_index(m, code.size, "message rank")
-    i = _checked_index(i, code.ell, "A-part index")
+    j = checked_int(j, 0, t, "B-part index", IndexRangeError)
+    m = checked_int(m, 0, code.size, "message rank", IndexRangeError)
+    i = checked_int(i, 0, code.ell, "A-part index", IndexRangeError)
     return bool(_neighbors(graph, (j, m), i) >> _a_rank(v, code.q, t) & 1)
 
 
@@ -164,12 +148,13 @@ def common_neighbor(graph: ThresholdGraph, message_ranks, i: int):
     A rank or index that is not an integer in range raises IndexRangeError.
     """
     try:
-        ranks = [_checked_index(m, graph.b_part_size, "message rank") for m in message_ranks]
+        ranks = [checked_int(m, 0, graph.b_part_size, "message rank", IndexRangeError)
+                 for m in message_ranks]
     except TypeError:
         raise IndexRangeError(f"message ranks {message_ranks!r} are not a sequence") from None
     if len(ranks) != graph.t:
         raise IndexRangeError(f"expected {graph.t} message ranks, got {len(ranks)}")
-    i = _checked_index(i, graph.ell, "A-part index")
+    i = checked_int(i, 0, graph.ell, "A-part index", IndexRangeError)
     return (i, tuple(graph.code.codeword(m)[i] for m in ranks))
 
 
@@ -284,7 +269,7 @@ def verify_threshold(graph: ThresholdGraph, collision_cap: int) -> ThresholdVerd
     shows the difference.
     """
     code, t, ell, q = graph.code, graph.t, graph.ell, graph.code.q
-    collision_cap = checked_size_cap(collision_cap, "collision cap")
+    collision_cap = checked_int(collision_cap, 0, None, "collision cap", CapExceededError)
     size = graph.b_part_size
     if size < 2:
         raise GapforgeError("soundness bound undefined for codes with a single codeword")
@@ -389,36 +374,23 @@ def export_edges(graph: ThresholdGraph):
     """Materialize the edge list with global vertex ids.
 
     A-vertex id = i * q**t + rank(v); B-vertex id = ell * q**t + j * size +
-    rank(m); ranks lexicographic.  Edges are constructed per B-vertex by
-    enumerating the free A-coordinates, independently of the mask rule.
+    rank(m); ranks lexicographic.  The edges of (j, m) in A_i are the set
+    bits of its mask, _neighbors, the rule adjacent() answers through.
     More than DEFAULT_EDGE_CAP edges raise CapExceededError.
     """
     code, t, ell = graph.code, graph.t, graph.ell
-    q = code.q
     a_size = graph.a_part_size
     offset = ell * a_size
-    total = graph.num_b * ell * q ** (t - 1)
+    total = graph.num_b * ell * code.q ** (t - 1)
     if total > DEFAULT_EDGE_CAP:
         raise CapExceededError(f"edge export of {count_text(total)} edges exceeds cap "
                                f"{DEFAULT_EDGE_CAP}")
     edges = []
     for j in range(t):
         for m in range(code.size):
-            word = code.codeword(m)
             b_id = offset + j * code.size + m
             for i in range(ell):
                 a_base = i * a_size
-                edges.extend((a_base + a, b_id) for a in _ranks_with_symbol(q, t, j, word[i]))
+                edges.extend((a_base + a, b_id) for a in _set_bits(_neighbors(graph, (j, m), i)))
     edges.sort()
     return edges
-
-
-def _ranks_with_symbol(q: int, t: int, j: int, symbol: int) -> tuple[int, ...]:
-    """Ranks of the v in [q]**t with v[j] == symbol.
-
-    These are the A_i vertices adjacent to a B_j vertex whose codeword has
-    symbol at coordinate i, the set bits of _intent_mask.  The t - 1 free
-    coordinates run lexicographically, so the ranks ascend.
-    """
-    return tuple(_rank_of_symbols(rest[:j] + (symbol,) + rest[j:], q)
-                 for rest in product(range(q), repeat=t - 1))

@@ -18,7 +18,6 @@ from gapforge.errors import (
     MessageLengthError,
     MessageRangeError,
     NotPrimeError,
-    ParseError,
     PhfNotFoundError,
     RankRangeError,
     SchemaVersionError,
@@ -870,6 +869,27 @@ class TestSerialization:
         with pytest.raises(GapforgeError):
             gf.code_from_json(doc)
 
+    def test_code_checks_its_document_rules(self):
+        # Code refuses an unknown kind, a seed that is not an int and an r
+        # that does not fit its table, so every code it builds round-trips
+        table = [(0, 1), (1, 0)]
+        for args, seed, error in (((2, 1, 2, "bogus", table), None, GapforgeError),
+                                  ((2, 1, 2, "explicit", table), "x", GapforgeError),
+                                  ((2, 1, 2, "random", table), 1.5, GapforgeError),
+                                  ((2, 5, 2, "explicit", table), None, MessageLengthError),
+                                  ((2, 2, 2, "random", table), None, MessageLengthError)):
+            with pytest.raises(error):
+                gf.Code(*args, seed=seed)
+        built = [gf.Code(2, 1, 2, kind, table, seed=seed)
+                 for kind in ("random", "phf", "explicit") for seed in (None, 0, -3)]
+        built += [gf.reed_solomon(3, 2), gf.random_code(3, 2, 4, seed=5),
+                  gf.phf_to_code(gf.find_phf(9, 3, 32, seed=1)),
+                  gf.explicit_code(3, 2, [(0, 1), (2, 2), (1, 0)])]
+        for code in built:
+            back = gf.code_from_json(gf.code_to_json(code))
+            assert (back.q, back.r, back.ell, back.kind, back.seed, back.table()) == \
+                (code.q, code.r, code.ell, code.kind, code.seed, code.table())
+
     def test_table_r_must_fit_the_table(self):
         # a random code has q**r words; PHF and explicit codes the smallest
         # r >= 1 with q**r >= |table|, as phf_to_code and explicit_code give
@@ -884,9 +904,9 @@ class TestSerialization:
                 if wrong in (0, code.r):
                     continue
                 doc["r"] = wrong
-                with pytest.raises(ParseError):
+                with pytest.raises(MessageLengthError):
                     gf.code_from_json(doc)
         doc = gf.code_to_json(gf.random_code(2, 2, 4, 0))
         doc["table"] = doc["table"][:3]  # 3 words fit r = 2, but not as q**r
-        with pytest.raises(ParseError):
+        with pytest.raises(MessageLengthError):
             gf.code_from_json(doc)

@@ -492,7 +492,8 @@ class TestCli:
                          ["from-graph", str(path), "--t", str(t)]):
                 assert main(argv) == 3
                 err = capsys.readouterr().err
-                assert err == f"error: the clique front-end needs t >= 2 parts, got t={t}\n"
+                assert err == (f"error: t (the clique front-end needs t >= 2 parts) must be an "
+                               f"integer >= 2, got {t}\n")
             with pytest.raises(GapforgeError, match="t >= 2"):
                 pipeline.wone_pipeline(gf.parse_edge_list(path.read_text()), t)
         with pytest.raises(GapforgeError, match="t >= 2"):

@@ -734,41 +734,39 @@ class TestVerifyDifferential:
         assert verdict.completeness_ok is False
 
 
+def _check_export_by_definition(g):
+    # export reads the mask rule, which adjacent() shares, so the reference
+    # is the oracle that builds each mask bit by bit from the codewords
+    exported = gf.export_edges(g)
+    assert exported == sorted(set(exported))
+    by_b = {}
+    for a_id, b_id in exported:
+        by_b[b_id] = by_b.get(b_id, 0) | 1 << a_id
+    offset = g.ell * g.a_part_size
+    for j, m in product(range(g.t), range(g.b_part_size)):
+        expected = sum(oracles.threshold_neighbors_by_definition(g, (j, m), i)
+                       << i * g.a_part_size for i in range(g.ell))
+        assert by_b.get(offset + j * g.b_part_size + m, 0) == expected, (j, m)
+
+
 class TestExport:
     def test_oracle_equivalence_rs32(self):
-        g = gf.build_threshold(gf.reed_solomon(3, 2), 2)
-        exported = set(map(tuple, gf.export_edges(g)))
-        offset = g.ell * g.a_part_size
-        for i in range(g.ell):
-            for rank in range(g.a_part_size):
-                v = g.a_tuple(rank)
-                for j in range(g.t):
-                    for m in range(g.b_part_size):
-                        a_id = i * g.a_part_size + rank
-                        b_id = offset + j * g.b_part_size + m
-                        assert ((a_id, b_id) in exported) == \
-                            gf.adjacent(g, (j, m), (i, v))
+        _check_export_by_definition(gf.build_threshold(gf.reed_solomon(3, 2), 2))
 
     def test_oracle_equivalence_random_code(self):
         code = gf.random_code(3, 1, 4, seed=13)
-        g = gf.build_threshold(code, 1)
-        exported = set(map(tuple, gf.export_edges(g)))
-        offset = g.ell * g.a_part_size
-        pairs = [((i, rank), m) for i in range(g.ell)
-                 for rank in range(g.a_part_size) for m in range(g.b_part_size)]
-        for (i, rank), m in pairs:
-            edge = (i * g.a_part_size + rank, offset + m)
-            assert (edge in exported) == gf.adjacent(g, (0, m), (i, g.a_tuple(rank)))
+        for t in (1, 2, 3):
+            _check_export_by_definition(gf.build_threshold(code, t))
 
     @pytest.mark.parametrize("q,t", [(2, 1), (3, 2), (2, 3), (5, 2)])
-    def test_ranks_with_symbol_by_scan(self, q, t):
+    def test_intent_set_bits_by_scan(self, q, t):
         # the one A-neighbor enumeration behind export_edges and composed
         # SetCover membership: ascending ranks of the v with v[j] == symbol
         vertices = list(product(range(q), repeat=t))
         for j in range(t):
             for symbol in range(q):
-                assert threshold._ranks_with_symbol(q, t, j, symbol) == tuple(
-                    rank for rank, v in enumerate(vertices) if v[j] == symbol)
+                assert tuple(threshold._set_bits(threshold._intent_mask(q, t, j, symbol))) == \
+                    tuple(rank for rank, v in enumerate(vertices) if v[j] == symbol)
 
     def test_export_cap(self, limit):
         g = gf.build_threshold(gf.reed_solomon(5, 2), 3)
@@ -790,7 +788,7 @@ class TestExport:
 
 class TestNeighborsOracle:
     """The mask rule against oracles.threshold_neighbors_by_definition, and
-    its closed-form intents against the rank enumeration of export_edges."""
+    its closed-form intents against a scan of every rank's digits."""
 
     @pytest.mark.parametrize("build", [
         lambda: gf.reed_solomon(3, 2),
@@ -810,15 +808,22 @@ class TestNeighborsOracle:
     def test_intent_mask_by_ranks(self):
         # every (q, t, j, s) with 2 <= t and q**t <= 13**3; at t = 1 every
         # q up to 13**3 at its first, middle and last symbols, since all
-        # 2.4M t = 1 cases, each a single bit, would take seconds
+        # 2.4M t = 1 cases, each a single bit, would take seconds.  The
+        # reference sets bit r for each rank r whose digit of weight
+        # q**(t-1-j) is s, one rank at a time
         cases = 0
         for t in range(1, 12):
             for q in range(2, math.floor(2197 ** (1 / t)) + 2):
                 if q ** t > 2197:
                     break
                 symbols = range(q) if t > 1 else sorted({0, 1, q // 2, q - 2, q - 1})
-                for j, s in product(range(t), symbols):
-                    cases += 1
-                    assert threshold._intent_mask(q, t, j, s) == sum(
-                        1 << r for r in threshold._ranks_with_symbol(q, t, j, s)), (q, t, j, s)
+                for j in range(t):
+                    weight = q ** (t - 1 - j)
+                    by_scan = dict.fromkeys(symbols, 0)
+                    for r in range(q ** t):
+                        if r // weight % q in by_scan:
+                            by_scan[r // weight % q] |= 1 << r
+                    for s, mask in by_scan.items():
+                        cases += 1
+                        assert threshold._intent_mask(q, t, j, s) == mask, (q, t, j, s)
         assert cases == 2696 + 2 + 3 + 4 + 5 * (2197 - 4)
